@@ -9,10 +9,9 @@ memoized-data accounting — everything Figures 11/12 and Tables 1/2 need.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..isa.program import Program
-from ..ooo.common import MachineConfig
 from ..ooo.facile_ooo import run_facile_ooo
 from ..ooo.fastsim import run_fastsim
 from ..ooo.reference import run_reference
@@ -46,10 +45,7 @@ class Measurement:
     #: resident accounted size at run end for anyone who wants it.
     memo_bytes: int = 0
     memo_bytes_current: int = 0
-    memo_bytes_cumulative: int = 0
     memo_clears: int = 0
-    memo_evictions: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def kips(self) -> float:
@@ -68,53 +64,25 @@ def measure(
     simulator: str,
     program: Program,
     workload_name: str = "?",
-    config: MachineConfig | None = None,
     cache_limit_bytes: int | None = None,
-    cache_evict: str = "clear",
     max_cycles: int = 200_000_000,
-    trace_jit: bool = True,
-    cache_dir=None,
-    cache_load=None,
-    cache_save=None,
-    replay_backend: str = "python",
 ) -> Measurement:
-    """Run `program` to completion on the named simulator configuration.
-
-    ``cache_dir``/``cache_load``/``cache_save`` wire the memoizing
-    configurations to the snapshot store (warm starts); snapshot load
-    time counts against the measured wall clock."""
+    """Run `program` to completion on the named simulator configuration."""
     start = time.perf_counter()
     if simulator == "simplescalar":
-        sim = run_reference(program, config, max_cycles=max_cycles)
+        sim = run_reference(program, max_cycles=max_cycles)
         elapsed = time.perf_counter() - start
         return Measurement(
             workload_name, simulator, elapsed, sim.stats.retired, sim.stats.cycles
         )
     if simulator in ("fastsim", "fastsim-nomemo"):
-        memoize = simulator == "fastsim"
         sim = run_fastsim(
             program,
-            config,
-            memoize=memoize,
+            memoize=simulator == "fastsim",
             max_cycles=max_cycles,
             memo_limit_bytes=cache_limit_bytes,
-            memo_evict=cache_evict,
-            cache_dir=cache_dir,
-            cache_load=cache_load,
-            cache_save=cache_save,
-            replay_backend=replay_backend,
         )
         elapsed = time.perf_counter() - start
-        extra = {}
-        if memoize:
-            extra = {
-                "packs": sim.mstats.packs,
-                "unpacks": sim.mstats.unpacks,
-                "pool_bytes_saved": sim.pool.bytes_saved,
-                "bytes_shared": sim.mstats.bytes_shared,
-            }
-            _snapshot_extra(extra, sim)
-            _backend_extra(extra, sim)
         return Measurement(
             workload_name,
             simulator,
@@ -127,39 +95,19 @@ def measure(
             steps_recovered=sim.mstats.cycles_recovered,
             memo_bytes=sim.mstats.bytes_cumulative,
             memo_bytes_current=sim.mstats.bytes_estimate,
-            memo_bytes_cumulative=sim.mstats.bytes_cumulative,
             memo_clears=sim.mstats.clears,
-            memo_evictions=sim.mstats.evictions,
-            extra=extra,
         )
     if simulator in ("facile", "facile-nomemo"):
         memoized = simulator == "facile"
         run = run_facile_ooo(
             program,
-            config,
             memoized=memoized,
             max_steps=max_cycles,
             cache_limit_bytes=cache_limit_bytes,
-            cache_evict=cache_evict,
-            trace_jit=trace_jit,
-            cache_dir=cache_dir,
-            cache_load=cache_load,
-            cache_save=cache_save,
-            replay_backend=replay_backend,
         )
         elapsed = time.perf_counter() - start
         if memoized:
-            cache = run.engine.cache
-            cache_stats = cache.stats
-            extra = {
-                "bytes_current": cache_stats.bytes_current,
-                "packs": cache_stats.packs,
-                "unpacks": cache_stats.unpacks,
-                "pool_bytes_saved": cache.pool.bytes_saved,
-                "bytes_shared": cache_stats.bytes_shared,
-            }
-            _snapshot_extra(extra, run.engine)
-            _backend_extra(extra, run.engine)
+            cache_stats = run.engine.cache.stats
             return Measurement(
                 workload_name,
                 simulator,
@@ -172,10 +120,7 @@ def measure(
                 steps_recovered=run.run_stats.steps_recovered,
                 memo_bytes=cache_stats.bytes_cumulative,
                 memo_bytes_current=cache_stats.bytes_current,
-                memo_bytes_cumulative=cache_stats.bytes_cumulative,
                 memo_clears=cache_stats.clears,
-                memo_evictions=cache_stats.evictions,
-                extra=extra,
             )
         return Measurement(
             workload_name, simulator, elapsed, run.stats.retired, run.stats.cycles
@@ -183,52 +128,12 @@ def measure(
     raise ValueError(f"unknown simulator {simulator!r}")
 
 
-def _backend_extra(extra: dict, holder) -> None:
-    """Record the active replay backend (and C-kernel readiness time)
-    on a measurement's extra dict."""
-    bstat = getattr(holder, "backend_status", None)
-    if bstat is None:
-        return
-    extra["replay_backend"] = bstat["active"]
-    if bstat["requested"] != bstat["active"]:
-        extra["replay_backend_reason"] = bstat["reason"]
-    if bstat["active"] == "c":
-        extra["ckernel_ms"] = bstat["compile_ms"]
-    native = getattr(holder, "_cnative", None)  # FastSim has none
-    if native is not None:
-        by_name = native.extern_counts()
-        extra["externs_native"] = sum(c["native"] for c in by_name.values())
-        extra["externs_python"] = sum(c["python"] for c in by_name.values())
-        extra["externs"] = by_name
-
-
-def _snapshot_extra(extra: dict, holder) -> None:
-    """Record snapshot load/save outcomes on a measurement's extra dict
-    (``holder`` is an engine or fastsim instance)."""
-    load = getattr(holder, "snapshot_load", None)
-    if load is not None:
-        extra["snapshot_hit"] = load.hit
-        extra["snapshot_entries"] = load.entries
-        if not load.hit:
-            extra["snapshot_reason"] = load.reason
-    save = getattr(holder, "snapshot_save", None)
-    if save is not None and save.hit:
-        extra["snapshot_saved_bytes"] = save.file_bytes
-
-
-def harmonic_mean(values: list[float]) -> float:
-    """Harmonic mean of the positive values.  Non-positive entries —
-    failed or zero cells — cannot enter a harmonic mean, but silently
-    dropping them inflates the reported figure; callers that render a
-    mean should use :func:`harmonic_mean_coverage` and surface the
-    "over K/N cells" coverage instead of pretending all cells counted.
-    """
-    return harmonic_mean_coverage(values)[0]
-
-
 def harmonic_mean_coverage(values: list[float]) -> tuple[float, int, int]:
     """``(hmean, used, total)``: the harmonic mean over the positive
-    values plus how many of the ``total`` cells actually entered it."""
+    values plus how many of the ``total`` cells actually entered it.
+    Non-positive entries — failed or zero cells — cannot enter a
+    harmonic mean, and silently dropping them would inflate the
+    figure, so callers surface the "over K/N cells" coverage."""
     vals = [v for v in values if v > 0]
     if not vals:
         return 0.0, 0, len(values)

@@ -27,11 +27,6 @@ Commands
     and/or the built-in simulators.  Exits 0 when clean, 1 on
     diagnostics (warnings count with ``--werror``), 2 on unreadable
     input.
-
-``fleet``
-    Run the (workload × simulator) benchmark grid in parallel through
-    a sharded worker pool, verify each cell's cycles against a serial
-    golden, and write one machine-readable report.
 """
 
 from __future__ import annotations
@@ -311,39 +306,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return max(r.exit_code(werror=args.werror) for r in reports)
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from .serve.fleet import run_fleet
-
-    def _progress(event: dict) -> None:
-        if args.verbose and event["event"] != "progress":
-            print(f"  [{event['event']}] job {event.get('job')}", flush=True)
-
-    report = run_fleet(
-        workloads=args.workloads.split(",") if args.workloads else None,
-        simulators=args.simulators.split(",") if args.simulators else None,
-        scale=args.scale,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        verify=not args.no_verify,
-        timeout=args.timeout,
-        replay_backend=args.replay_backend,
-        progress=_progress,
-    )
-    print(report.render_text())
-    if args.report:
-        path = report.write(args.report)
-        print(f"\nreport written to {path}")
-    if report.failed_cells:
-        for c in report.failed_cells:
-            print(f"FAILED {c.workload}/{c.simulator}: {c.reason}",
-                  file=sys.stderr)
-        return 1
-    if report.verified and not report.parity_ok:
-        print("FAILED: parallel/serial parity mismatch", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_workloads(args: argparse.Namespace) -> int:
     if args.name is None:
         print(f"{'name':<10} {'class':<5} description")
@@ -418,33 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the named analysis pass (repeatable)",
     )
     p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser(
-        "fleet", help="run the benchmark grid in parallel and aggregate"
-    )
-    p.add_argument("--workloads", default=None,
-                   help="comma-separated workloads (default: whole suite)")
-    p.add_argument("--simulators", default=None,
-                   help="comma-separated simulator configs "
-                   "(default: all five)")
-    p.add_argument("--scale", type=int, default=None,
-                   help="override every workload's scale "
-                   "(default: per-workload test scale)")
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="shared snapshot store (default: private tmp dir)")
-    p.add_argument("--report", default="bench_results/BENCH_8.json",
-                   metavar="FILE", help="machine-readable report path "
-                   "(default bench_results/BENCH_8.json)")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip the serial golden parity pass")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
-                   help="per-cell wall-clock deadline")
-    p.add_argument("--replay-backend", choices=("python", "c"),
-                   default="python")
-    p.add_argument("--verbose", action="store_true",
-                   help="print per-job lifecycle events")
-    p.set_defaults(func=_cmd_fleet)
 
     p = sub.add_parser("workloads", help="list or run the SPEC95-analogue suite")
     p.add_argument("name", nargs="?", help="workload to run (omit to list)")

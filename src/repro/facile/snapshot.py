@@ -7,9 +7,9 @@ flat-packed entries — the position-independent ``array('q')`` streams
 plus the refcounted :class:`~repro.facile.runtime.InternPool` — are
 serialized to a compact, versioned, checksummed snapshot, content-
 addressed by a ``(compiled-simulator fingerprint, workload fingerprint)``
-pair, and loaded back through ``mmap`` so a second run starts warm and N
-concurrent workers can map one snapshot without duplicating the streams
-in RSS.
+pair, and loaded back through ``mmap`` so a second run starts warm and
+several processes sharing one ``--cache-dir`` store can map one snapshot
+without duplicating the streams in RSS.
 
 File layout (header integers little-endian)::
 
@@ -387,8 +387,8 @@ def _atomic_write(path, blob: bytes) -> None:
     mix: write to a pid-suffixed tmp (concurrent writers cannot collide
     on it), fsync so the rename can never expose a partially-flushed
     file after a crash, then ``os.replace`` (atomic on POSIX).  A
-    failed write removes its tmp so racing fleet workers do not litter
-    the store."""
+    failed write removes its tmp so processes racing on one shared
+    ``--cache-dir`` store do not litter it."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
@@ -514,8 +514,9 @@ def _install_pool(pool, values: list, refs: list, costs: list) -> None:
 
 def save_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
     """Serialize every complete (hence packed) entry plus the intern
-    pool.  The write is atomic (tmp file + rename), so concurrent
-    workers can race on one store path safely."""
+    pool.  The write is atomic (tmp file + rename), so several
+    processes sharing one ``--cache-dir`` store can race on one store
+    path safely."""
     entries = [e for e in cache.entries.values() if e.packed is not None]
     meta = bytearray()
     streams = bytearray()

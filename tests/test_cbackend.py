@@ -292,7 +292,7 @@ def test_cache_summary_reports_backend():
 
 
 # ---------------------------------------------------------------------------
-# Disk-cache build lock (fleet cold-start herd)
+# Disk-cache build lock (processes sharing one kernel disk cache)
 # ---------------------------------------------------------------------------
 
 

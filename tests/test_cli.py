@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import inspect
+
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 ASM = """
@@ -157,3 +160,27 @@ class TestCacheLimitDefaults:
 
         assert len(cache_lines(cli)) == 1
         assert cache_lines(cli) == cache_lines(api)
+
+
+class TestRunnerDefaults:
+    """With no flags given, every keyword the CLI passes to a runner
+    equals that runner's own default, so the CLI and the API cannot
+    drift apart on a knob (``cache_evict`` once did)."""
+
+    RUNNERS = {
+        "functional": "run_facile_functional",
+        "inorder": "run_facile_inorder",
+        "ooo": "run_facile_ooo",
+        "ooo-fastsim": "run_fastsim",
+    }
+
+    @pytest.mark.parametrize("sim", list(RUNNERS))
+    def test_cli_defaults_equal_runner_defaults(self, monkeypatch, sim):
+        name = self.RUNNERS[sim]
+        params = inspect.signature(getattr(cli, name)).parameters
+        calls = []
+        monkeypatch.setattr(cli, name, lambda *args, **kw: calls.append(kw))
+        cli._RUNNERS[sim](None, cli.build_parser().parse_args(["workloads"]))
+        [passed] = calls
+        assert passed
+        assert passed == {k: params[k].default for k in passed}

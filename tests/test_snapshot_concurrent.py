@@ -1,16 +1,16 @@
 """Concurrent snapshot-store access: racing writers never tear a file.
 
-The fleet runs many worker processes against one content-addressed
+Several processes can share one content-addressed ``--cache-dir``
 store, so the snapshot layer's atomicity claim (pid-suffixed tmp +
 ``os.replace``; see ``repro.facile.snapshot._atomic_write``) is load-
 bearing: a reader racing any number of writers must observe either a
 complete old file, a complete new file, or no file — never a torn mix
 that shows up as a checksum/truncation rejection.
 
-Two levels are exercised with real processes (``spawn``, like the
-fleet): raw writers hammering ``_atomic_write`` with alternating valid
-blobs while the parent loads continuously, and two full simulator runs
-racing save/load through one shared ``--cache-dir`` store.
+Two levels are exercised with real (``spawn``ed) processes: raw
+writers hammering ``_atomic_write`` with alternating valid blobs while
+the parent loads continuously, and two full simulator runs racing
+save/load through one shared ``--cache-dir`` store.
 """
 
 from __future__ import annotations
