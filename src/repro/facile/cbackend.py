@@ -1,37 +1,59 @@
-"""C emitter for the replay IR: packed-chain replay as native code.
+"""C replay backend: packed-chain replay as native code.
 
 The Python packed loop (``FastForwardEngine._fast_step_packed``) spends
 nearly all of its time in interpreter dispatch: one Python call per
-action body, one frame per helper.  This backend lowers each complete
-:class:`~repro.facile.runtime.PackedChain` through
-:mod:`repro.facile.replay_ir` and marshals the result — body bytecode,
-slot kinds, jump tables, data arena, end-record indices — into a small
-C kernel compiled **once per process** (``cc -O2 -shared``, cached on
-disk by source hash) and driven through :mod:`ctypes`.  The kernel then
-replays whole runs of steps per call: it walks chains, runs bodies on a
-raw ``int64`` stack machine, probes verify jump tables, follows
-likely-next links by value tag, and only returns to Python on a verify
-miss, a link it cannot resolve, an exhausted budget, or a halt.
+action body, one frame per helper.  This backend hands complete
+:class:`~repro.facile.runtime.PackedChain` entries to a small C kernel
+compiled **once per process** (``cc -O2 -shared``, cached on disk by
+source hash) and driven through :mod:`ctypes`.  The kernel replays
+whole runs of steps per call: it walks chains, runs bodies on a raw
+``int64`` stack machine, probes verify jump tables, follows likely-next
+links by value tag, and only returns to Python on a verify miss, a link
+it cannot resolve, an exhausted budget, or a halt.
+
+Lowering is one kernel call per chain.  :func:`plan_chain` passes the
+chain's ``nums``/``data``/``succ`` lanes (private ``array('q')`` or
+mmap-backed snapshot ``memoryview`` alike, copied at C speed) and its
+multi-successor jump tables; lane registration checks every index and
+slot kind and builds the walker's per-chain arrays.  The per-value and
+per-body work happens once per engine, in two kernel-side tables:
+
+* the **pool mirror** holds each intern-pool value the kernel has seen,
+  flattened into one ``int64`` arena (non-int members travel as object
+  registry ids) with its kind and placeholder shape.  The pool's
+  release hook makes the mirror forget an index whose last reference
+  died, and the arena compacts once forgotten values outnumber live
+  ones, so its size follows the live pool;
+* the **body table** maps ``(action, shape)`` to a body program,
+  compiled by :func:`~repro.facile.replay_ir.compile_body` and passed
+  through the verifier gate (:func:`~repro.facile.ir_verify.assert_lowerable`)
+  the first time a chain needs it.
+
+When registration meets a value or body it does not have yet, it says
+so; Python supplies it and calls again.
 
 Contract with the Python backend (the behavior reference):
 
-* **Same lanes.**  Lowering reads the canonical ``nums``/``data``/
-  ``succ`` streams and the intern pool — private ``array('q')`` and
-  mmap-backed snapshot ``memoryview`` lanes alike — and never touches
-  the billed replay view, so byte accounting (``recount_bytes``,
-  ``recount_shared_bytes``) is unchanged by backend choice.
+* **Same lanes.**  Registration reads the canonical lanes and the
+  intern pool and never touches the billed replay view, so byte
+  accounting (``recount_bytes``, ``recount_shared_bytes``) is unchanged
+  by backend choice.
 * **Same statistics.**  Link follows bill ``lookups``/``hits`` and
   refresh stamps exactly as the Python chain loop; verify misses bill
   ``misses_verify`` and recover through the slow engine with the same
   consumed-values list (the missed value included); every body run
   counts in ``actions_replayed``.
-* **Fallback, never failure.**  A body outside the IR's closed
-  operation set marks its chain unlowerable (``entry.cnative = -1``)
-  and that entry replays on the Python tiers forever — including
-  trace-JIT promotion.  Slot values the kernel cannot mirror (huge
-  ints, aliased lists) fall back per call.  A missing C compiler (or
+* **Fallback for what the kernel cannot take.**  A chain registration
+  refuses — a body outside the IR's closed operation set or rejected by
+  the verifier, data outside i64, a non-int verify value, a lane index
+  out of range — is marked unlowerable (``entry.cnative = -1``, with
+  the reason counted in ``unlowerable_reasons``) and that entry replays
+  on the Python tiers.  Slot values the kernel cannot mirror (huge ints,
+  aliased lists) fall back per call.  A missing C compiler (or
   ``FACILE_NO_CC=1``) degrades the whole engine to the Python backend
-  with a reported, non-fatal status.
+  with a reported, non-fatal status.  A guarded kernel error (division
+  by zero, bad shift, address out of range) raises ``SimulationError``;
+  it does not fall back.
 
 State synchronization: scalar slots, register-file lists, statistics,
 and counters are mirrored into a C-side ``St`` struct around each
@@ -55,13 +77,8 @@ from array import array
 from dataclasses import dataclass
 
 from .ir_verify import assert_lowerable
-from .replay_ir import (
-    ExternTable,
-    OP_NAMES,
-    Unlowerable,
-    plan_chain,
-)
-from .runtime import SimulationError
+from .replay_ir import ExternTable, OP_NAMES, Unlowerable, compile_body
+from .runtime import ENDMARK, SimulationError
 
 # ---------------------------------------------------------------------------
 # Kernel exit / error codes (shared with the C source below)
@@ -93,6 +110,13 @@ MAX_SLOTS = 64
 NCOUNTERS = 256
 MAX_CONSUMED = 8192
 
+# Pool-mirror value kinds, lane-registration results and refusal
+# reasons (keep in sync with the C source).
+PK_INT, PK_TUPLE, PK_BAD = 1, 2, 3
+R_NEED, R_REFUSED, R_NOMEM = -1, -2, -3
+NEED_CAP = 256
+F_END, F_POOL, F_SCALAR, F_DATA, F_KIND, F_EXPECT, F_TABLE, F_SUCC = range(1, 9)
+
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 
@@ -120,10 +144,34 @@ typedef uint64_t u64;
 
 %(OPCODES)s
 
+/* Chain slot kinds, decoded from the packed lanes at registration. */
 #define K_ACTION 0
 #define K_VERIFY_EQ 1
 #define K_VERIFY_TAB 2
 #define K_END 3
+
+#define ENDMARK %(ENDMARK)sLL
+
+/* Pool-mirror value kinds (PK_NONE: not mirrored yet). */
+#define PK_NONE 0
+#define PK_INT 1
+#define PK_TUPLE 2
+#define PK_BAD 3
+
+/* ffc_add_chain results (>= 0 is the chain id) and refusal reasons. */
+#define R_NEED -1
+#define R_REFUSED -2
+#define R_NOMEM -3
+#define NEED_CAP 256
+
+#define F_END 1
+#define F_POOL 2
+#define F_SCALAR 3
+#define F_DATA 4
+#define F_KIND 5
+#define F_EXPECT 6
+#define F_TABLE 7
+#define F_SUCC 8
 
 #define X_BUDGET 0
 #define X_HALTED 1
@@ -181,25 +229,31 @@ typedef struct {
 typedef struct {
     i64 *code;
     i64 n;
+    i64 is_verify;
 } Prog;
 
 typedef struct {
     i64 n;
-    int *kinds;
+    unsigned char *kinds;
     int *progids;
-    int *doffs;
-    i64 *aux;      /* verify: table id; end: end-record index */
-    i64 *dvals;    /* data arena (raw i64 / object registry ids) */
-    i64 *tkeys;    /* flattened jump tables */
-    int *ttgts;
-    int *toff;
-    int *tlen;
+    i64 *doffs;    /* arena offset of the slot's placeholder data */
+    i64 *aux;      /* VERIFY_EQ: expected value; VERIFY_TAB: table id;
+                      END: end-record index */
+    i64 *tabs;     /* jump tables: [len, key, target, key, target, ...] */
+    i64 *toffs;    /* table id -> offset of its len word in tabs */
     i64 nends;
     unsigned char *lset;   /* per end-record: likely-next link present */
     i64 *lexpect;          /* expected init tag: (value << 1) | isobj */
     i64 *lnext;            /* successor chain id */
     unsigned char visited;
 } Chain;
+
+/* One mirrored intern-pool value: its kind (PK_*), shape id and words
+ * in the arena.  Every mirrored value takes at least one word, so live
+ * values have distinct offsets (compaction remaps by them). */
+typedef struct {
+    i64 kind, shape, off, len;
+} PVal;
 
 /* The leading fields up to and including nconsumed are mirrored by the
  * ctypes _StPrefix structure in cbackend.py; do not reorder them
@@ -218,6 +272,15 @@ typedef struct {
     unsigned char **pt[PT1];
     Prog *progs;
     i64 nprogs, progcap;
+    /* Body table: btab[shape * bcols + action] -> program id, or -1. */
+    int *btab;
+    i64 brows, bcols;
+    /* Pool mirror, indexed by intern-pool index. */
+    PVal *pool;
+    i64 npool;
+    i64 *arena;
+    i64 arena_n, arena_cap;
+    i64 nmirrored, ndead;   /* values holding arena words; forgotten ones */
     Chain **chains;
     i64 nchains, chaincap;
     i64 *visited;
@@ -249,69 +312,270 @@ void ffc_set_cbs(St *st, page_fn p, extern_fn x) {
     st->extern_cb = x;
 }
 
-i64 ffc_add_prog(St *st, i64 *code, i64 n) {
-    if (st->nprogs >= st->progcap) {
-        i64 cap = st->progcap ? st->progcap * 2 : 64;
-        Prog *np = (Prog *)realloc(st->progs, cap * sizeof(Prog));
-        if (!np) return -1;
-        st->progs = np;
-        st->progcap = cap;
+/* Grow an array of *cap elements of size bytes to hold at least need;
+ * new elements are zeroed.  Returns the (possibly moved) array, or 0
+ * with the old one untouched when memory runs out. */
+static void *grow(void *p, i64 *cap, i64 need, i64 size) {
+    if (need < 1) need = 1;
+    if (p && need <= *cap) return p;
+    i64 cap2 = *cap ? *cap : 64;
+    while (cap2 < need) cap2 *= 2;
+    char *np = (char *)realloc(p, cap2 * size);
+    if (!np) return 0;
+    memset(np + *cap * size, 0, (cap2 - *cap) * size);
+    *cap = cap2;
+    return np;
+}
+
+static i64 body_of(St *st, i64 action, i64 shape) {
+    if (action < 0 || action >= st->bcols || shape < 0 || shape >= st->brows)
+        return -1;
+    return st->btab[shape * st->bcols + action];
+}
+
+/* Register one verified body program as the body of (action, shape). */
+i64 ffc_add_body(St *st, i64 action, i64 shape, const i64 *code, i64 n,
+                 i64 is_verify) {
+    if (action < 0 || shape < 0) return -1;
+    if (action >= st->bcols || shape >= st->brows) {
+        i64 rows = shape >= st->brows ? shape + 8 : st->brows;
+        i64 cols = action >= st->bcols ? action + 64 : st->bcols;
+        int *t = (int *)malloc(rows * cols * sizeof(int));
+        if (!t) return -1;
+        memset(t, 0xff, rows * cols * sizeof(int));
+        for (i64 r = 0; r < st->brows; r++)
+            memcpy(t + r * cols, st->btab + r * st->bcols,
+                   st->bcols * sizeof(int));
+        free(st->btab);
+        st->btab = t;
+        st->brows = rows;
+        st->bcols = cols;
     }
+    Prog *np = (Prog *)grow(st->progs, &st->progcap, st->nprogs + 1,
+                            sizeof(Prog));
+    if (!np) return -1;
+    st->progs = np;
     i64 *copy = (i64 *)malloc((n ? n : 1) * sizeof(i64));
     if (!copy) return -1;
     if (n) memcpy(copy, code, n * sizeof(i64));
-    st->progs[st->nprogs].code = copy;
-    st->progs[st->nprogs].n = n;
+    np[st->nprogs].code = copy;
+    np[st->nprogs].n = n;
+    np[st->nprogs].is_verify = is_verify;
+    st->btab[shape * st->bcols + action] = (int)st->nprogs;
     return st->nprogs++;
+}
+
+/* Mirror pool values: meta holds (index, kind, shape, len) per value,
+ * words their arena words back to back. */
+i64 ffc_mirror(St *st, i64 n, const i64 *meta, const i64 *words) {
+    i64 top = 0, total = n;
+    for (i64 k = 0; k < n; k++) {
+        if (meta[4 * k] >= top) top = meta[4 * k] + 1;
+        total += meta[4 * k + 3];
+    }
+    PVal *pool = (PVal *)grow(st->pool, &st->npool, top, sizeof(PVal));
+    if (!pool) return -1;
+    st->pool = pool;
+    i64 *arena = (i64 *)grow(st->arena, &st->arena_cap, st->arena_n + total,
+                             sizeof(i64));
+    if (!arena) return -1;
+    st->arena = arena;
+    for (i64 k = 0; k < n; k++, meta += 4) {
+        PVal *v = &pool[meta[0]];
+        if (v->kind != PK_NONE) st->ndead++;
+        v->kind = meta[1];
+        v->shape = meta[2];
+        v->len = meta[3];
+        v->off = st->arena_n;
+        memcpy(arena + st->arena_n, words, v->len * sizeof(i64));
+        words += v->len;
+        st->arena_n += v->len ? v->len : 1;
+        st->nmirrored++;
+    }
+    return 0;
+}
+
+/* Move the live values into a fresh arena and remap every registered
+ * chain's data offsets with them (offsets are unique per value). */
+static void compact(St *st) {
+    i64 words = 0;
+    for (i64 p = 0; p < st->npool; p++)
+        if (st->pool[p].kind != PK_NONE)
+            words += st->pool[p].len ? st->pool[p].len : 1;
+    i64 *na = (i64 *)malloc((words ? words : 1) * sizeof(i64));
+    i64 *remap = (i64 *)malloc((st->arena_n ? st->arena_n : 1) * sizeof(i64));
+    if (!na || !remap) {
+        free(na);
+        free(remap);
+        return;
+    }
+    i64 w = 0;
+    for (i64 p = 0; p < st->npool; p++) {
+        PVal *v = &st->pool[p];
+        if (v->kind == PK_NONE) continue;
+        memcpy(na + w, st->arena + v->off, v->len * sizeof(i64));
+        remap[v->off] = w;
+        v->off = w;
+        w += v->len ? v->len : 1;
+    }
+    for (i64 c = 0; c < st->nchains; c++) {
+        Chain *ch = st->chains[c];
+        if (!ch) continue;
+        for (i64 i = 0; i < ch->n; i++)
+            if (ch->kinds[i] != K_END) ch->doffs[i] = remap[ch->doffs[i]];
+    }
+    free(remap);
+    free(st->arena);
+    st->arena = na;
+    st->arena_n = w;
+    st->arena_cap = words ? words : 1;
+    st->nmirrored -= st->ndead;
+    st->ndead = 0;
+}
+
+/* Forget released pool indices; compact once forgotten values hold
+ * more of the arena than live ones. */
+void ffc_forget(St *st, const i64 *idx, i64 n) {
+    for (i64 k = 0; k < n; k++) {
+        i64 p = idx[k];
+        if (p >= 0 && p < st->npool && st->pool[p].kind != PK_NONE) {
+            st->pool[p].kind = PK_NONE;
+            st->ndead++;
+        }
+    }
+    if (st->ndead > st->nmirrored - st->ndead) compact(st);
+}
+
+/* Values holding arena words: live ones plus forgotten ones awaiting
+ * compaction. */
+i64 ffc_mirrored(St *st) {
+    return st->nmirrored;
 }
 
 static void chain_free(Chain *ch) {
     if (!ch) return;
-    free(ch->kinds); free(ch->progids); free(ch->doffs);
-    free(ch->aux); free(ch->dvals);
-    free(ch->tkeys); free(ch->ttgts); free(ch->toff); free(ch->tlen);
+    free(ch->kinds); free(ch->progids); free(ch->doffs); free(ch->aux);
+    free(ch->tabs); free(ch->toffs);
     free(ch->lset); free(ch->lexpect); free(ch->lnext);
     free(ch);
 }
 
-static void *copy_buf(const void *src, i64 count, i64 size) {
-    void *dst = malloc((count ? count : 1) * size);
-    if (dst && count) memcpy(dst, src, count * size);
-    return dst;
+static i64 pool_kind(St *st, i64 p) {
+    return p < st->npool ? st->pool[p].kind : PK_NONE;
 }
 
-i64 ffc_add_chain(St *st, i64 n, int *kinds, int *progids, int *doffs,
-                  i64 *aux, i64 *dvals, i64 ndvals,
-                  i64 ntables, int *toff, int *tlen,
-                  i64 *tkeys, i64 nkeys, int *ttgts, i64 nends) {
-    if (st->nchains >= st->chaincap) {
-        i64 cap = st->chaincap ? st->chaincap * 2 : 64;
-        Chain **nc = (Chain **)realloc(st->chains, cap * sizeof(Chain *));
-        if (!nc) return -1;
-        st->chains = nc;
-        st->chaincap = cap;
+static i64 refuse(i64 *need, i64 why, i64 where, i64 what) {
+    need[0] = why;
+    need[1] = where;
+    need[2] = what;
+    return R_REFUSED;
+}
+
+#define NEED(a, b) do { \
+        if (nneed < NEED_CAP) { \
+            need[1 + 2 * nneed] = (a); \
+            need[2 + 2 * nneed] = (b); \
+        } \
+        nneed++; \
+    } while (0)
+
+/* Register one packed chain from its nums/data/succ lanes (n slots,
+ * nends end records, npool intern-pool values) and ntables jump
+ * tables flattened as [len, key, target, ...] each.  Returns the chain
+ * id; R_NEED with need[0] pairs after it, (pool index, -1) for a value
+ * and (action, shape) for a body not mirrored yet; or R_REFUSED with
+ * need = [F_* reason, slot (table for F_SUCC), detail]. */
+i64 ffc_add_chain(St *st, const i64 *nums, const i64 *data, const i64 *succ,
+                  i64 n, i64 nends, i64 npool, const i64 *tabs,
+                  i64 ntables, i64 *need) {
+    i64 nneed = 0, ntabw = 0;
+    for (i64 t = 0; t < ntables; t++) {
+        i64 len = tabs[ntabw++];
+        for (i64 j = 0; j < len; j++, ntabw += 2)
+            if (tabs[ntabw + 1] < 0 || tabs[ntabw + 1] > n)
+                return refuse(need, F_SUCC, t, tabs[ntabw + 1]);
     }
+    for (i64 i = 0; i < n; i++) {
+        i64 num = nums[i], d = data[i], s = succ[i];
+        if (num == ENDMARK) {
+            if (s < 0 || s >= nends) return refuse(need, F_END, i, s);
+            continue;
+        }
+        if (d < 0 || d >= npool) return refuse(need, F_POOL, i, d);
+        i64 k = pool_kind(st, d);
+        if (k == PK_NONE) {
+            NEED(d, -1);
+        } else if (k != PK_TUPLE) {
+            return refuse(need, k == PK_INT ? F_SCALAR : F_DATA, i, d);
+        } else {
+            i64 a = num < 0 ? ~num : num, shape = st->pool[d].shape;
+            i64 pid = body_of(st, a, shape);
+            if (pid < 0) NEED(a, shape);
+            else if (st->progs[pid].is_verify != (num < 0))
+                return refuse(need, F_KIND, i, d);
+        }
+        if (num < 0 && s >= 0) {
+            if (s >= npool) return refuse(need, F_POOL, i, s);
+            k = pool_kind(st, s);
+            if (k == PK_NONE) NEED(s, -1);
+            else if (k != PK_INT) return refuse(need, F_EXPECT, i, s);
+        } else if (num < 0 && ~s >= ntables) {
+            return refuse(need, F_TABLE, i, ~s);
+        }
+    }
+    if (nneed) {
+        need[0] = nneed < NEED_CAP ? nneed : NEED_CAP;
+        return R_NEED;
+    }
+    Chain **chains = (Chain **)grow(st->chains, &st->chaincap,
+                                    st->nchains + 1, sizeof(Chain *));
+    if (!chains) return R_NOMEM;
+    st->chains = chains;
     Chain *ch = (Chain *)calloc(1, sizeof(Chain));
-    if (!ch) return -1;
+    if (!ch) return R_NOMEM;
+    i64 m = n ? n : 1, e = nends ? nends : 1;
     ch->n = n;
-    ch->kinds = (int *)copy_buf(kinds, n, sizeof(int));
-    ch->progids = (int *)copy_buf(progids, n, sizeof(int));
-    ch->doffs = (int *)copy_buf(doffs, n, sizeof(int));
-    ch->aux = (i64 *)copy_buf(aux, n, sizeof(i64));
-    ch->dvals = (i64 *)copy_buf(dvals, ndvals, sizeof(i64));
-    ch->toff = (int *)copy_buf(toff, ntables, sizeof(int));
-    ch->tlen = (int *)copy_buf(tlen, ntables, sizeof(int));
-    ch->tkeys = (i64 *)copy_buf(tkeys, nkeys, sizeof(i64));
-    ch->ttgts = (int *)copy_buf(ttgts, nkeys, sizeof(int));
     ch->nends = nends;
-    ch->lset = (unsigned char *)calloc(nends ? nends : 1, 1);
-    ch->lexpect = (i64 *)calloc(nends ? nends : 1, sizeof(i64));
-    ch->lnext = (i64 *)calloc(nends ? nends : 1, sizeof(i64));
-    if (!ch->kinds || !ch->progids || !ch->doffs || !ch->aux || !ch->dvals
-        || !ch->toff || !ch->tlen || !ch->tkeys || !ch->ttgts
-        || !ch->lset || !ch->lexpect || !ch->lnext) {
+    ch->kinds = (unsigned char *)malloc(m);
+    ch->progids = (int *)malloc(m * sizeof(int));
+    ch->doffs = (i64 *)calloc(m, sizeof(i64));
+    ch->aux = (i64 *)malloc(m * sizeof(i64));
+    ch->tabs = (i64 *)malloc((ntabw ? ntabw : 1) * sizeof(i64));
+    ch->toffs = (i64 *)malloc((ntables ? ntables : 1) * sizeof(i64));
+    ch->lset = (unsigned char *)calloc(e, 1);
+    ch->lexpect = (i64 *)calloc(e, sizeof(i64));
+    ch->lnext = (i64 *)calloc(e, sizeof(i64));
+    if (!ch->kinds || !ch->progids || !ch->doffs || !ch->aux || !ch->tabs
+        || !ch->toffs || !ch->lset || !ch->lexpect || !ch->lnext) {
         chain_free(ch);
-        return -1;
+        return R_NOMEM;
+    }
+    if (ntabw) memcpy(ch->tabs, tabs, ntabw * sizeof(i64));
+    for (i64 t = 0, w = 0; t < ntables; t++) {
+        ch->toffs[t] = w;
+        w += 1 + 2 * tabs[w];
+    }
+    for (i64 i = 0; i < n; i++) {
+        i64 num = nums[i], s = succ[i];
+        if (num == ENDMARK) {
+            ch->kinds[i] = K_END;
+            ch->progids[i] = -1;
+            ch->aux[i] = s;
+            continue;
+        }
+        PVal *v = &st->pool[data[i]];
+        ch->doffs[i] = v->off;
+        ch->progids[i] = (int)body_of(st, num < 0 ? ~num : num, v->shape);
+        if (num >= 0) {
+            ch->kinds[i] = K_ACTION;
+            ch->aux[i] = 0;
+        } else if (s >= 0) {
+            ch->kinds[i] = K_VERIFY_EQ;
+            ch->aux[i] = st->arena[st->pool[s].off];
+        } else {
+            ch->kinds[i] = K_VERIFY_TAB;
+            ch->aux[i] = ~s;
+        }
     }
     st->chains[st->nchains] = ch;
     return st->nchains++;
@@ -323,6 +587,7 @@ void ffc_drop_chain(St *st, i64 cid) {
     st->chains[cid] = 0;
 }
 
+/* Drop every chain and reset the pool mirror (bodies stay). */
 void ffc_drop_all_chains(St *st) {
     for (i64 i = 0; i < st->nchains; i++) {
         chain_free(st->chains[i]);
@@ -330,14 +595,26 @@ void ffc_drop_all_chains(St *st) {
     }
     st->nchains = 0;
     st->nvisited = 0;
+    if (st->pool) memset(st->pool, 0, st->npool * sizeof(PVal));
+    st->arena_n = 0;
+    st->nmirrored = 0;
+    st->ndead = 0;
 }
 
-void ffc_set_link(St *st, i64 cid, i64 end_ix, i64 tag, i64 next_cid) {
+/* Link tag of the live init value: (value << 1) | isobj. */
+static i64 init_tag(St *st, i64 init_slot) {
+    return (i64)(((u64)st->slots[init_slot] << 1) | st->isobj[init_slot]);
+}
+
+/* Link end record end_ix of chain cid to next_cid for the init value
+ * the init slot holds now. */
+void ffc_set_link(St *st, i64 cid, i64 end_ix, i64 init_slot,
+                  i64 next_cid) {
     if (cid < 0 || cid >= st->nchains) return;
     Chain *ch = st->chains[cid];
     if (!ch || end_ix < 0 || end_ix >= ch->nends) return;
     ch->lset[end_ix] = 1;
-    ch->lexpect[end_ix] = tag;
+    ch->lexpect[end_ix] = init_tag(st, init_slot);
     ch->lnext[end_ix] = next_cid;
 }
 
@@ -679,6 +956,9 @@ void ffc_free(St *st) {
     ffc_drop_all_chains(st);
     for (i64 i = 0; i < st->nprogs; i++) free(st->progs[i].code);
     free(st->progs);
+    free(st->btab);
+    free(st->pool);
+    free(st->arena);
     free(st->chains);
     free(st->visited);
     free(st->nx_map);
@@ -817,7 +1097,7 @@ static i64 asr(i64 a, i64 b) {
  * (max depth <= 120 < VM_STACK, no underflow), so the hot loop does no
  * per-op stack checks. */
 
-static int run_prog(St *st, Prog *p, i64 *dvals, int doff, i64 *ret) {
+static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
     i64 stack[VM_STACK];
     i64 loc[VM_LOCALS];
     i64 *code = p->code;
@@ -837,7 +1117,7 @@ static int run_prog(St *st, Prog *p, i64 *dvals, int doff, i64 *ret) {
             stack[sp++] = arg;
             break;
         case OP_PH:
-            stack[sp++] = dvals[doff + arg];
+            stack[sp++] = ph[arg];
             break;
         case OP_SLOT:
             if (st->isobj[arg]) { st->err = E_SLOT; st->err_a = arg; return -1; }
@@ -1142,7 +1422,7 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
             if (k == K_ACTION) {
                 i64 unused;
                 if (run_prog(st, &st->progs[ch->progids[i]],
-                             ch->dvals, ch->doffs[i], &unused) < 0)
+                             st->arena + ch->doffs[i], &unused) < 0)
                     goto err;
                 actions++;
                 i++;
@@ -1158,9 +1438,7 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
                     goto out;
                 }
                 if (ch->lset[end_ix]) {
-                    i64 tag = (i64)(((u64)st->slots[init_slot] << 1)
-                                    | st->isobj[init_slot]);
-                    if (ch->lexpect[end_ix] == tag) {
+                    if (ch->lexpect[end_ix] == init_tag(st, init_slot)) {
                         i64 nx = ch->lnext[end_ix];
                         Chain *nc = (nx >= 0 && nx < st->nchains)
                             ? st->chains[nx] : 0;
@@ -1186,7 +1464,7 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
             } else {  /* verify */
                 i64 v = 0;
                 if (run_prog(st, &st->progs[ch->progids[i]],
-                             ch->dvals, ch->doffs[i], &v) < 0)
+                             st->arena + ch->doffs[i], &v) < 0)
                     goto err;
                 actions++;
                 if (st->nconsumed >= MAX_CONSUMED) {
@@ -1194,13 +1472,16 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
                     goto err;
                 }
                 st->consumed[st->nconsumed++] = v;
-                i64 t = ch->aux[i];
-                i64 off = ch->toff[t], len = ch->tlen[t];
                 i64 tgt = -1;
-                for (i64 j = 0; j < len; j++) {
-                    if (ch->tkeys[off + j] == v) {
-                        tgt = ch->ttgts[off + j];
-                        break;
+                if (k == K_VERIFY_EQ) {
+                    if (v == ch->aux[i]) tgt = i + 1;
+                } else {
+                    const i64 *tab = ch->tabs + ch->toffs[ch->aux[i]];
+                    for (i64 j = 0; j < tab[0]; j++) {
+                        if (tab[1 + 2 * j] == v) {
+                            tgt = tab[2 + 2 * j];
+                            break;
+                        }
                     }
                 }
                 if (tgt < 0) {
@@ -1235,7 +1516,9 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
 
 
 def kernel_source() -> str:
-    return _C_SOURCE_TEMPLATE % {"OPCODES": _opcode_defines()}
+    return _C_SOURCE_TEMPLATE % {
+        "OPCODES": _opcode_defines(), "ENDMARK": ENDMARK,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1297,7 +1580,8 @@ EXTERN_CB = ctypes.CFUNCTYPE(
 
 _LL = ctypes.c_longlong
 _PLL = ctypes.POINTER(ctypes.c_longlong)
-_PI = ctypes.POINTER(ctypes.c_int)
+#: i64 words passed as ``bytes`` (zero-copy): lanes, tables, code.
+_BUF = ctypes.c_char_p
 
 
 class Kernel:
@@ -1315,12 +1599,17 @@ def _declare(lib) -> None:
     lib.ffc_prefix_bytes.argtypes = []
     lib.ffc_set_cbs.restype = None
     lib.ffc_set_cbs.argtypes = [ctypes.c_void_p, PAGE_CB, EXTERN_CB]
-    lib.ffc_add_prog.restype = _LL
-    lib.ffc_add_prog.argtypes = [ctypes.c_void_p, _PLL, _LL]
+    lib.ffc_add_body.restype = _LL
+    lib.ffc_add_body.argtypes = [ctypes.c_void_p, _LL, _LL, _BUF, _LL, _LL]
+    lib.ffc_mirror.restype = _LL
+    lib.ffc_mirror.argtypes = [ctypes.c_void_p, _LL, _BUF, _BUF]
+    lib.ffc_forget.restype = None
+    lib.ffc_forget.argtypes = [ctypes.c_void_p, _BUF, _LL]
+    lib.ffc_mirrored.restype = _LL
+    lib.ffc_mirrored.argtypes = [ctypes.c_void_p]
     lib.ffc_add_chain.restype = _LL
     lib.ffc_add_chain.argtypes = [
-        ctypes.c_void_p, _LL, _PI, _PI, _PI, _PLL, _PLL, _LL,
-        _LL, _PI, _PI, _PLL, _LL, _PI, _LL,
+        ctypes.c_void_p, _BUF, _BUF, _BUF, _LL, _LL, _LL, _BUF, _LL, _PLL,
     ]
     lib.ffc_drop_chain.restype = None
     lib.ffc_drop_chain.argtypes = [ctypes.c_void_p, _LL]
@@ -1514,8 +1803,19 @@ class CReplayBackend:
         self.kernel = kernel
         self.lib = kernel.lib
         self.externs = ExternTable()
-        self._prog_cache: dict = {}
-        self._prog_ids: dict[int, int] = {}
+        # Placeholder shape strings ('i'/'o' per value) and their ids in
+        # the kernel's body table.
+        self._shapes: list[str] = []
+        self._shape_ids: dict[str, int] = {}
+        # (action, shape id) -> (reason, span) for bodies the IR refuses.
+        self._refused_bodies: dict[tuple[int, int], tuple] = {}
+        # Pool indices whose last reference died since the kernel last
+        # heard of them (the pool's release hook appends here).
+        self._released: list[int] = []
+        engine.cache.pool.on_release = self._released.append
+        # Pool length at the last mirror sweep (see _mirror).
+        self._swept = 0
+        self._need = (ctypes.c_longlong * (1 + 2 * NEED_CAP))()
         self._entries: dict[int, object] = {}
         self._ends: dict[int, list] = {}
         self._objs: list = []
@@ -1532,16 +1832,13 @@ class CReplayBackend:
         # Lowering / dispatch statistics (inspect reporting).
         self.chains_lowered = 0
         self.chains_unlowerable = 0
+        self.bodies_registered = 0
         self.runs = 0
         self.python_fallbacks = 0
         # Why-not provenance: refusal reason -> count for unlowerable
         # chains, and extern name -> reason for Python-callback externs.
         self.unlowerable_reasons: dict[str, int] = {}
         self.extern_whynot: dict[str, str] = {}
-        # Body programs already accepted by the replay-IR verifier
-        # (by id); every program is verified exactly once before any
-        # chain containing it reaches the emitter.
-        self._verified_progs: set[int] = set()
         # Native extern bindings: per-extern dispatch accounting plus
         # the keepalive references for arrays handed to the kernel.
         self.extern_python_calls: dict[str, int] = {}
@@ -1587,25 +1884,14 @@ class CReplayBackend:
         return rid
 
     def _lower(self, entry) -> int | None:
-        """Return the entry's chain id, lowering on first use; None if
-        the chain is (or proves) unlowerable."""
+        """Return the entry's chain id, registering it on first use;
+        None if the chain is (or proves) unlowerable."""
         cn = entry.cnative
         if cn is not None:
             return cn if cn >= 0 else None
-        compiled = self.engine.compiled
+        chain = entry.packed
         try:
-            plan = plan_chain(
-                entry.packed, compiled.action_bodies,
-                self.externs, self._prog_cache,
-                getattr(compiled, "action_spans", None),
-            )
-            # The kernel's hot loop does no per-op stack or bounds
-            # checking; nothing reaches the emitter unverified.
-            assert_lowerable(
-                plan, n_slots=compiled.slot_count, externs=self.externs,
-                verified=self._verified_progs,
-            )
-            cid = self._marshal(plan)
+            cid = self._add_chain(chain)
         except Unlowerable as exc:
             entry.cnative = -1
             self.chains_unlowerable += 1
@@ -1616,60 +1902,143 @@ class CReplayBackend:
             return None
         entry.cnative = cid
         self._entries[cid] = entry
-        self._ends[cid] = plan.end_records
+        self._ends[cid] = chain.ends
         self.chains_lowered += 1
         return cid
 
-    def _marshal(self, plan) -> int:
-        lib = self.lib
-        pids = array("i", bytes(4 * plan.n))
-        for i, prog in enumerate(plan.progs):
-            if prog is None:
-                pids[i] = -1
-                continue
-            pid = self._prog_ids.get(id(prog))
-            if pid is None:
-                code = array("q", prog.code)
-                pid = lib.ffc_add_prog(
-                    self._st_p, _q_ptr(code), len(prog.code))
-                if pid < 0:
-                    raise Unlowerable("kernel out of memory")
-                self._prog_ids[id(prog)] = pid
-            pids[i] = pid
-        dvals = array("q", bytes(8 * len(plan.data)))
-        for i, v in enumerate(plan.data):
-            if type(v) is int:
-                dvals[i] = v
+    def _add_chain(self, chain) -> int:
+        """Register one chain's lanes with the kernel, supplying each
+        pool value and body it asks for on the way."""
+        if self._released:
+            self._forget_released()
+        tables = chain.tables
+        tabs = _flatten_tables(tables) if tables else None
+        # Snapshot lanes are read-only mmap views: copy all three.
+        nums = chain.nums.tobytes()
+        data = chain.data.tobytes()
+        succ = chain.succ.tobytes()
+        if not len(nums) == len(data) == len(succ):
+            raise Unlowerable("packed lanes of unequal length")
+        values = chain.pool.values
+        need = self._need
+        while True:
+            cid = self.lib.ffc_add_chain(
+                self._st_p, nums, data, succ, len(chain.nums),
+                len(chain.ends), len(values), tabs, len(tables), need,
+            )
+            if cid >= 0:
+                return cid
+            if cid == R_NEED:
+                raw = need[1:1 + 2 * need[0]]
+                wants = set(zip(raw[0::2], raw[1::2]))
+                pidx = [a for a, b in wants if b < 0]
+                if pidx:
+                    self._mirror(pidx, values)
+                for num, shape in wants:
+                    if shape >= 0:
+                        self._add_body(num, shape)
+            elif cid == R_REFUSED:
+                raise Unlowerable(
+                    _refusal(chain, need[0], need[1], need[2]))
             else:
-                dvals[i] = self._register(v)
-        toff = array("i", bytes(4 * len(plan.tables)))
-        tlen = array("i", bytes(4 * len(plan.tables)))
-        tkeys = array("q")
-        ttgts = array("i")
-        for t, table in enumerate(plan.tables):
-            toff[t] = len(tkeys)
-            tlen[t] = len(table)
-            for value, tgt in table.items():
-                if type(value) is bool:
-                    value = int(value)
-                if type(value) is not int or not _I64_MIN <= value <= _I64_MAX:
-                    raise Unlowerable(f"non-int verify value {value!r}")
-                tkeys.append(value)
-                ttgts.append(tgt)
-        kinds = array("i", list(plan.kinds))
-        doffs = array("i", plan.doffs)
-        aux = array("q", plan.aux)
-        cid = lib.ffc_add_chain(
-            self._st_p, plan.n,
-            _i_ptr(kinds), _i_ptr(pids), _i_ptr(doffs), _q_ptr(aux),
-            _q_ptr(dvals), len(dvals),
-            len(plan.tables), _i_ptr(toff), _i_ptr(tlen),
-            _q_ptr(tkeys), len(tkeys), _i_ptr(ttgts),
-            len(plan.end_records),
-        )
-        if cid < 0:
+                raise Unlowerable("kernel out of memory")
+
+    def _mirror(self, pidx: list[int], values: list) -> None:
+        """Flatten pool values into the kernel's arena, once each: the
+        ones a registration asked for, plus every value interned since
+        the last call, so most chains register in a single call."""
+        top = len(values)
+        if self._swept < top:
+            pidx = set(pidx)
+            pidx.update(p for p in range(self._swept, top)
+                        if values[p] is not None)
+            self._swept = top
+        meta = array("q")
+        words = array("q")
+        shape_id = self._shape_id
+        for p in pidx:
+            v = values[p]
+            mark = len(words)
+            if type(v) is tuple:
+                try:
+                    words.extend(v)  # the common case: only i64 ints
+                    kind, shape = PK_TUPLE, shape_id("i" * len(v))
+                except (TypeError, OverflowError):
+                    del words[mark:]
+                    kind, shape = self._flatten_mixed(v, words)
+            elif (type(v) is int or type(v) is bool) and _I64_MIN <= v <= _I64_MAX:
+                words.append(v)
+                kind, shape = PK_INT, -1
+            else:
+                kind, shape = PK_BAD, -1
+            if kind == PK_BAD:
+                del words[mark:]
+            meta.extend((p, kind, shape, len(words) - mark))
+        if self.lib.ffc_mirror(self._st_p, len(pidx), meta.tobytes(),
+                               words.tobytes()) < 0:
             raise Unlowerable("kernel out of memory")
-        return cid
+
+    def _flatten_mixed(self, v: tuple, words: array) -> tuple[int, int]:
+        """Append a data tuple with non-int members to ``words``: ints
+        as themselves, other members as object registry ids.  Returns
+        ``(kind, shape id)``, kind ``PK_BAD`` for an int outside i64."""
+        shape = []
+        for x in v:
+            if type(x) is int or type(x) is bool:
+                if not _I64_MIN <= x <= _I64_MAX:
+                    return PK_BAD, -1
+                shape.append("i")
+                words.append(x)
+            else:
+                shape.append("o")
+                words.append(self._register(x))
+        return PK_TUPLE, self._shape_id("".join(shape))
+
+    def _shape_id(self, shape: str) -> int:
+        sid = self._shape_ids.get(shape)
+        if sid is None:
+            sid = self._shape_ids[shape] = len(self._shapes)
+            self._shapes.append(shape)
+        return sid
+
+    def _add_body(self, num: int, shape: int) -> None:
+        """Compile, verify and register the body of action ``num`` for
+        one placeholder shape, once per engine.  A refusal is remembered
+        and raised again for every chain that needs the same body."""
+        refused = self._refused_bodies.get((num, shape))
+        if refused is not None:
+            raise Unlowerable(*refused)
+        compiled = self.engine.compiled
+        spans = getattr(compiled, "action_spans", None) or ()
+        span = spans[num] if num < len(spans) else None
+        shapes = self._shapes[shape]
+        try:
+            if num >= len(compiled.action_bodies):
+                raise Unlowerable(f"action {num}: no recorded body")
+            lines, n_ph, is_verify = compiled.action_bodies[num]
+            if n_ph != len(shapes):
+                raise Unlowerable(
+                    f"action {num}: data/body shape mismatch", span=span)
+            prog = compile_body(num, lines, shapes, is_verify, self.externs,
+                                span=span)
+            # The kernel's hot loop does no per-op stack or bounds
+            # checking; no body reaches it unverified.
+            assert_lowerable(prog, n_slots=compiled.slot_count,
+                             externs=self.externs)
+        except Unlowerable as exc:
+            self._refused_bodies[(num, shape)] = (str(exc), exc.span)
+            raise
+        code = array("q", prog.code).tobytes()
+        if self.lib.ffc_add_body(self._st_p, num, shape, code,
+                                 len(prog.code), int(is_verify)) < 0:
+            raise Unlowerable("kernel out of memory")
+        self.bodies_registered += 1
+
+    def _forget_released(self) -> None:
+        released = self._released
+        self.lib.ffc_forget(
+            self._st_p, array("q", released).tobytes(), len(released))
+        released.clear()
 
     # -- invalidation hooks (called by ActionCache) ----------------------
 
@@ -1682,12 +2051,16 @@ class CReplayBackend:
             self._ends.pop(cid, None)
 
     def drop_all(self) -> None:
+        """The cache cleared: drop every chain and reset the pool
+        mirror (body programs stay registered)."""
         self.lib.ffc_drop_all_chains(self._st_p)
         for entry in self._entries.values():
             entry.cnative = None
         self._entries.clear()
         self._ends.clear()
-        # Chain data referenced the object registry; all gone together.
+        self._released.clear()
+        self._swept = 0
+        # The mirror referenced the object registry; all gone together.
         self._objs.clear()
         self._obj_ids.clear()
 
@@ -1942,11 +2315,12 @@ class CReplayBackend:
                 if entry is not None:
                     entry.stamp = gen
 
-    def _resolve_link(self, ex) -> int | None:
+    def _link(self, ex) -> int | None:
         """On an X_NEXT exit: look the successor key up in the cache
-        (billing exactly one lookup+hit on success), install the
-        likely-next link on both sides, and return the successor chain
-        id — or None when the walk must return to the Python driver."""
+        (billing exactly one lookup+hit on success), register its chain,
+        install the likely-next link on both sides, and return the
+        successor chain id — or None when the walk must return to the
+        engine's Python loop."""
         st = self._st
         engine = self.engine
         init_slot = engine.compiled.init_slot
@@ -1980,11 +2354,7 @@ class CReplayBackend:
         cstats.lookups += 1
         cstats.hits += 1
         entry.stamp = cache.gen
-        tag = (st.slots[init_slot] << 1) | (1 if st.isobj[init_slot] else 0)
-        tag &= (1 << 64) - 1
-        if tag >= 1 << 63:
-            tag -= 1 << 64
-        self.lib.ffc_set_link(self._st_p, ex.cid, ex.end_ix, tag, cid2)
+        self.lib.ffc_set_link(self._st_p, ex.cid, ex.end_ix, init_slot, cid2)
         return cid2
 
     def run_entry(self, entry, budget: int):
@@ -1996,8 +2366,10 @@ class CReplayBackend:
         after a verify miss (the missed step has already recovered
         through the slow engine, exactly as the Python loop does).
         """
-        cid = self._lower(entry)
+        cid = entry.cnative
         if cid is None:
+            cid = plan_chain(self, entry)
+        if cid is None or cid < 0:
             return None
         engine = self.engine
         ctx = engine.ctx
@@ -2028,7 +2400,7 @@ class CReplayBackend:
                     cstats.hits += ex.links
                 if ex.code != X_NEXT or total_steps >= budget:
                     break
-                cid2 = self._resolve_link(ex)
+                cid2 = plan_chain(self, after=ex)
                 if cid2 is None:
                     break
                 cid = cid2
@@ -2059,15 +2431,76 @@ class CReplayBackend:
     # -- reporting -------------------------------------------------------
 
     def summary(self) -> dict:
+        """Lowering and dispatch statistics.  ``values_mirrored`` counts
+        the pool values holding words in the kernel's arena, forgotten
+        ones not yet compacted away included."""
+        if self._released:
+            self._forget_released()
         return {
             "chains_lowered": self.chains_lowered,
             "chains_unlowerable": self.chains_unlowerable,
+            "bodies_registered": self.bodies_registered,
+            "values_mirrored": self.lib.ffc_mirrored(self._st_p),
             "runs": self.runs,
             "python_fallbacks": self.python_fallbacks,
             "externs": self.extern_counts(),
             "unlowerable_reasons": dict(self.unlowerable_reasons),
             "extern_whynot": dict(self.extern_whynot),
         }
+
+
+def plan_chain(backend: CReplayBackend, entry=None, after=None) -> int | None:
+    """All per-chain Python work of the C backend: register ``entry``'s
+    chain with the kernel on first use; or, given ``after`` (a kernel
+    exit at a step boundary with no usable link), find the successor
+    entry, register it and link the boundary to it.  Returns the chain
+    id to run, or None when the Python tiers take over.
+
+    A module-level name on purpose: lowering time is spent under this
+    one call (the benchmark's traced run wraps it by name)."""
+    if after is not None:
+        return backend._link(after)
+    return backend._lower(entry)
+
+
+def _flatten_tables(tables: list[dict]) -> bytes:
+    """A chain's multi-successor jump tables as the kernel's i64 words:
+    ``[len, key, target, key, target, ...]`` per table."""
+    words = array("q")
+    for table in tables:
+        words.append(len(table))
+        for value, slot in table.items():
+            if type(value) is bool:
+                value = int(value)
+            if type(value) is not int or not _I64_MIN <= value <= _I64_MAX:
+                raise Unlowerable(f"non-int verify value {value!r}")
+            words.append(value)
+            words.append(slot)
+    return words.tobytes()
+
+
+def _refusal(chain, why: int, where: int, what: int) -> str:
+    """The ``Unlowerable`` reason for one lane-registration refusal
+    (``where`` is the slot, or the table for ``F_SUCC``)."""
+    values = chain.pool.values
+    if why == F_EXPECT:
+        return f"non-int verify value {values[what]!r}"
+    if why == F_SUCC:
+        return (f"chain rejected at lane registration: table {where}: "
+                f"successor {what} outside [0, {len(chain.nums)}]")
+    num = chain.nums[where]
+    if why == F_DATA and type(values[what]) is tuple:
+        return f"action {~num if num < 0 else num}: data value exceeds i64"
+    detail = {
+        F_END: f"end-record index {what} outside [0, {len(chain.ends)})",
+        F_POOL: f"pool index {what} outside the pool",
+        F_SCALAR: f"data index {what} points at a scalar",
+        F_DATA: f"data index {what} points at a non-tuple",
+        F_KIND: ("verify slot runs a plain body" if num < 0
+                 else "plain slot runs a verify body"),
+        F_TABLE: f"table index {what} out of range",
+    }[why]
+    return f"chain rejected at lane registration: slot {where}: {detail}"
 
 
 # -- native extern registry (Python side) -----------------------------------
@@ -2238,7 +2671,3 @@ def _q_ptr(a: array):
     addr, n = a.buffer_info()
     return ctypes.cast(addr, _PLL) if n else None
 
-
-def _i_ptr(a: array):
-    addr, n = a.buffer_info()
-    return ctypes.cast(addr, _PI) if n else None

@@ -200,6 +200,8 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
             lines.append(
                 f"  native replay:    {ns['chains_lowered']:,} chains "
                 f"lowered ({ns['chains_unlowerable']:,} unlowerable), "
+                f"{ns['bodies_registered']:,} bodies registered, "
+                f"{ns['values_mirrored']:,} pool values mirrored, "
                 f"{ns['runs']:,} kernel runs, "
                 f"{ns['python_fallbacks']:,} python fallbacks"
             )

@@ -20,13 +20,12 @@ compiler".  Until now that guarantee was only implicit in
   divisors, constant counter keys outside the kernel's table.
 * :func:`wrap_census` — which C-guarded / wrapping operations a body
   uses at all (``repro check`` reports the aggregate per file).
-* :func:`verify_plan` — chain-level checks over a
-  :class:`~repro.facile.replay_ir.ChainPlan`: slot-kind validity, data
-  arena bounds, jump-table successor range.
-* :func:`assert_lowerable` — the gate the C backend calls before
-  marshalling: any error-severity finding raises
-  :class:`~repro.facile.replay_ir.Unlowerable`, so a bad program can
-  never reach the emitter.
+* :func:`assert_lowerable` — the gate the C backend calls on each body
+  before registering it with the kernel: any error-severity finding
+  raises :class:`~repro.facile.replay_ir.Unlowerable`, so a bad program
+  can never reach the emitter.  Chain-level checks (lane indices, slot
+  kinds, jump-table successors) live in the kernel's lane registration
+  (:mod:`repro.facile.cbackend`).
 * :func:`audit_model` / :func:`audit_config_key` /
   :func:`builtin_model_suite` — the uarch module-protocol conformance
   audit (FAC5xx): every mutable ``array('q')`` reachable from a model
@@ -50,7 +49,6 @@ from dataclasses import dataclass
 
 from .diagnostics import CODES, ERROR
 from .replay_ir import (
-    K_ACTION, K_END, K_VERIFY_EQ, K_VERIFY_TAB,
     MAX_LOCALS, MAX_STACK,
     OP_ABS, OP_ADD, OP_AND, OP_BIT, OP_BITS, OP_CC_ADD, OP_CC_BR,
     OP_CC_LOGIC, OP_CC_SUB, OP_CONST, OP_DROP, OP_ELEM, OP_END, OP_EQ,
@@ -62,7 +60,7 @@ from .replay_ir import (
     OP_STAT_RETIRE, OP_STORE_ELEM, OP_STORE_LOCAL, OP_STORE_SLOT,
     OP_STORE_SLOT_OBJ, OP_SUB, OP_UDIV32, OP_UMUL32, OP_XOR, OP_ZEXT,
     OP_NAMES,
-    BodyProgram, ChainPlan, ExternTable, Unlowerable,
+    BodyProgram, ExternTable, Unlowerable,
 )
 
 #: Kernel frame limits this verifier enforces (must match the
@@ -415,84 +413,22 @@ def wrap_census(prog: BodyProgram) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Chain-plan verifier
+# The emitter gate
 # ---------------------------------------------------------------------------
 
 
-def verify_plan(plan: ChainPlan, *, n_slots: int | None = None) -> list[IRFinding]:
-    """Structural checks over one lowered chain plan (data-arena and
-    successor-table bounds; per-body checks are :func:`verify_body`)."""
-    findings: list[IRFinding] = []
-
-    def bad(code: str, why: str) -> None:
-        if len(findings) < _MAX_FINDINGS:
-            findings.append(IRFinding(code, why))
-
-    arena = len(plan.data)
-    for i in range(plan.n):
-        kind = plan.kinds[i]
-        prog = plan.progs[i]
-        if kind == K_END:
-            if prog is not None:
-                bad("FAC402", f"slot {i}: END slot carries a body")
-            if not 0 <= plan.aux[i] < len(plan.end_records):
-                bad("FAC404", f"slot {i}: end-record index {plan.aux[i]} "
-                    f"outside [0, {len(plan.end_records)})")
-            continue
-        if kind not in (K_ACTION, K_VERIFY_EQ, K_VERIFY_TAB):
-            bad("FAC402", f"slot {i}: unknown slot kind {kind}")
-            continue
-        if prog is None:
-            bad("FAC402", f"slot {i}: missing body program")
-            continue
-        if plan.doffs[i] + len(prog.shapes) > arena:
-            bad("FAC404",
-                f"slot {i}: data offset {plan.doffs[i]}+{len(prog.shapes)} "
-                f"overruns the arena ({arena} values)")
-        if kind in (K_VERIFY_EQ, K_VERIFY_TAB):
-            if not prog.is_verify:
-                bad("FAC402", f"slot {i}: verify slot runs an action body")
-            tix = plan.aux[i]
-            if not 0 <= tix < len(plan.tables):
-                bad("FAC404", f"slot {i}: table index {tix} out of range")
-                continue
-            for value, succ in plan.tables[tix].items():
-                if not 0 <= succ <= plan.n:
-                    bad("FAC404",
-                        f"slot {i}: successor {succ} for value {value!r} "
-                        f"outside [0, {plan.n}]")
-        elif prog.is_verify:
-            bad("FAC402", f"slot {i}: action slot runs a verify body")
-    return findings
-
-
-def assert_lowerable(plan: ChainPlan, *, n_slots: int | None,
-                     externs: ExternTable | None,
-                     verified: set[int] | None = None) -> None:
-    """The C backend's pre-emission gate: raise :class:`Unlowerable`
-    if any body or the plan itself fails the verifier.
-
-    ``verified`` memoizes body programs already checked (programs are
-    shared across chains via the prog cache), so warm replay pays the
-    verification cost once per ``(action, shapes)``.
-    """
-    for prog in plan.progs:
-        if prog is None:
-            continue
-        if verified is not None and id(prog) in verified:
-            continue
-        errors = [f for f in verify_body(prog, n_slots=n_slots,
-                                         externs=externs) if f.is_error]
-        if errors:
-            raise Unlowerable(
-                f"action {prog.num}: rejected by the replay-IR verifier: "
-                + "; ".join(f.message for f in errors[:3]))
-        if verified is not None:
-            verified.add(id(prog))
-    errors = [f for f in verify_plan(plan, n_slots=n_slots) if f.is_error]
+def assert_lowerable(prog: BodyProgram, *, n_slots: int | None,
+                     externs: ExternTable | None) -> None:
+    """The C backend's per-body gate: raise :class:`Unlowerable` if the
+    verifier finds any error in ``prog``.  The backend registers each
+    ``(action, shapes)`` body once per engine, so this runs once per
+    body; chain-level checks (lane indices, slot kinds, successors)
+    happen in the kernel's lane registration."""
+    errors = [f for f in verify_body(prog, n_slots=n_slots, externs=externs)
+              if f.is_error]
     if errors:
         raise Unlowerable(
-            "chain rejected by the replay-IR verifier: "
+            f"action {prog.num}: rejected by the replay-IR verifier: "
             + "; ".join(f.message for f in errors[:3]))
 
 

@@ -1,35 +1,33 @@
-"""Backend-agnostic replay IR for the packed-chain hot loop.
+"""Backend-agnostic replay IR for action bodies.
 
-The flat-packed action cache (PR 3) stores every complete entry as
-parallel ``array('q')`` streams; replay walks them slot by slot.  This
-module makes that walk — and the per-slot work — explicit as a small
-two-level IR, so it can be executed by more than one backend:
+The flat-packed action cache stores every complete entry as parallel
+``nums``/``data``/``succ`` lanes plus an intern pool
+(:class:`~repro.facile.runtime.PackedChain`); replay walks the lanes
+slot by slot and runs one action body per slot.  The lanes are already
+the chain format both backends read.  This module makes the per-slot
+work explicit: the **body IR** (:class:`BodyProgram`) is each generated
+action body — the restricted Python the code generator emits over
+``_S``/``_ph<K>``/``_ctx`` — compiled by :func:`compile_body` into a
+stack-machine bytecode whose operations are closed over 64-bit integer
+arithmetic, target-memory access, statistics, and extern calls.
+Programs are specialized per ``(action, placeholder shape)``, where a
+shape has one character per value of a recorded data tuple: ``'i'`` for
+an int or bool, ``'o'`` for anything else.
 
-* the **chain IR** (:class:`ChainPlan`): one record per packed slot,
-  decoded from the lane encoding (``num >= 0`` plain action, ``~num``
-  dynamic result test, :data:`~repro.facile.runtime.ENDMARK` step
-  boundary; fall-through / expected-value / jump-table successors);
-* the **body IR** (:class:`BodyProgram`): each generated action body —
-  the restricted Python the code generator emits over ``_S``/``_ph<K>``
-  /``_ctx`` — compiled by :func:`compile_body` into a stack-machine
-  bytecode whose operations are closed over 64-bit integer arithmetic,
-  target-memory access, statistics, and extern calls.
+Two backends replay packed chains:
 
-Two emitters target this IR:
-
-* the **Python backend** is the existing index-threaded loop
-  (``FastForwardEngine._fast_step_packed``): a hand-scheduled
-  rendering of the chain IR that executes bodies as compiled Python
-  functions.  It is the behavior-identical default and the fallback
-  for everything below;
-* the **C backend** (:mod:`repro.facile.cbackend`) marshals
-  :class:`ChainPlan`/:class:`BodyProgram` into a process-wide compiled
-  kernel and replays entirely in native code.
+* the **Python backend** is the index-threaded loop
+  (``FastForwardEngine._fast_step_packed``), which executes bodies as
+  compiled Python functions.  It is the behavior-identical default and
+  the fallback for everything below;
+* the **C backend** (:mod:`repro.facile.cbackend`) registers each
+  chain's lanes with a process-wide compiled kernel, which walks them
+  and runs the body programs in native code.
 
 Lowering is *total or refused*: an action body that falls outside the
 IR's closed operation set (host-object traffic, queue mutation,
 ``log_value``, non-integer arithmetic) raises :class:`Unlowerable`, and
-the chain that contains it stays on the Python backend.  The
+every chain that contains it stays on the Python backend.  The
 hand-coded FastSim twin (:mod:`repro.ooo.fastsim`) has no IR: its
 packed cycles always replay on its own Python loop.
 
@@ -78,12 +76,6 @@ OP_NAMES = [
     "RETURN",
 ]
 
-# Chain IR slot kinds (one per packed slot).
-K_ACTION = 0   # run body, fall through
-K_VERIFY_EQ = 1  # run body; == expected falls through, else side exit
-K_VERIFY_TAB = 2  # run body; jump-table successor, miss side exits
-K_END = 3      # step boundary (ENDMARK)
-
 #: Limits the compiler enforces so backends can use fixed frames.
 MAX_LOCALS = 32
 MAX_STACK = 120
@@ -122,9 +114,9 @@ class Unlowerable(Exception):
     """An action body (or chain) falls outside the replay IR.
 
     ``span`` is the source span of the owning action's statement when
-    the caller threaded one through (``compile_body(..., span=...)`` /
-    ``plan_chain(..., action_spans=...)``), so lowerability diagnostics
-    can render caret blocks instead of ``<unknown>`` locations.
+    the caller threaded one through (``compile_body(..., span=...)``),
+    so lowerability diagnostics can render caret blocks instead of
+    ``<unknown>`` locations.
     """
 
     def __init__(self, message: str, span=None):
@@ -166,13 +158,6 @@ class BodyProgram:
         for pc in range(0, len(code), 2):
             out.append(f"{pc:4d}  {OP_NAMES[code[pc]]} {code[pc + 1]}")
         return "\n".join(out)
-
-
-def data_shapes(data: tuple) -> str:
-    """Placeholder type signature of one record's data tuple."""
-    return "".join(
-        "i" if type(v) is int or type(v) is bool else "o" for v in data
-    )
 
 
 class ExternTable:
@@ -547,133 +532,6 @@ def compile_body(num: int, body_lines: list[str], shapes: str,
         num, c.e.code, len(c.locals), c.e.max_depth, shapes, is_verify,
         c.uses_extern, source,
     )
-
-
-# ---------------------------------------------------------------------------
-# Chain lowering: PackedChain lanes -> chain IR
-# ---------------------------------------------------------------------------
-
-
-class ChainPlan:
-    """One packed chain decoded into backend-neutral slot records.
-
-    Parallel per-slot lists (``kinds``/``progs``/``doffs``/``aux``)
-    plus a flat ``data`` arena of raw placeholder values:
-
-    * ``kinds[i]`` — :data:`K_ACTION`/:data:`K_VERIFY_EQ`/
-      :data:`K_VERIFY_TAB`/:data:`K_END`;
-    * ``progs[i]`` — the slot's :class:`BodyProgram` (None for ends);
-    * ``doffs[i]`` — offset of the slot's placeholder data in ``data``;
-    * ``aux[i]`` — the expected value (VERIFY_EQ), an index into
-      ``tables`` (VERIFY_TAB), or an index into ``end_records`` (END).
-
-    ``tables`` maps observed values to successor slot indices;
-    ``end_records`` aliases the chain's :class:`EndRecord` objects so
-    backends can hand step boundaries back to the driver.
-    """
-
-    __slots__ = (
-        "n", "kinds", "progs", "doffs", "aux", "data", "tables",
-        "end_records",
-    )
-
-
-def plan_chain(chain, action_bodies: list, externs: ExternTable,
-               prog_cache: dict, action_spans: list | None = None) -> ChainPlan:
-    """Lower one :class:`~repro.facile.runtime.PackedChain` to chain IR.
-
-    Reads the canonical ``nums``/``data``/``succ`` lanes (private
-    arrays or mmap-backed memoryviews alike) and the interning pool;
-    body programs are compiled once per ``(action, shapes)`` and cached
-    in ``prog_cache``.  Raises :class:`Unlowerable` when any slot's
-    body falls outside the IR; with ``action_spans`` (the compiler's
-    per-action source spans) the exception carries the owning action's
-    span for caret rendering.
-    """
-    from .runtime import ENDMARK
-
-    def span_of(num: int):
-        if action_spans is not None and 0 <= num < len(action_spans):
-            return action_spans[num]
-        return None
-
-    nums = chain.nums
-    dstream = chain.data
-    sstream = chain.succ
-    values = chain.pool.values
-    n = len(nums)
-    kinds = bytearray(n)
-    progs: list = [None] * n
-    doffs = [0] * n
-    aux: list = [0] * n
-    data: list = []
-    tables: list[dict] = []
-
-    def body_for(num: int, dat: tuple, is_verify: bool) -> BodyProgram:
-        shapes = data_shapes(dat)
-        key = (num, shapes)
-        prog = prog_cache.get(key)
-        if prog is None:
-            if num >= len(action_bodies):
-                raise Unlowerable(f"action {num}: no recorded body")
-            lines, n_ph, body_verify = action_bodies[num]
-            if n_ph != len(shapes) or body_verify != is_verify:
-                raise Unlowerable(f"action {num}: data/body shape mismatch",
-                                  span=span_of(num))
-            prog = compile_body(num, lines, shapes, is_verify, externs,
-                                span=span_of(num))
-            prog_cache[key] = prog
-        return prog
-
-    for i in range(n):
-        num = nums[i]
-        if num == ENDMARK:
-            kinds[i] = K_END
-            aux[i] = sstream[i]
-            continue
-        is_verify = num < 0
-        if is_verify:
-            num = ~num
-        dat = values[dstream[i]]
-        prog = body_for(num, dat, is_verify)
-        doffs[i] = len(data)
-        for v in dat:
-            if type(v) is bool:
-                data.append(int(v))
-            elif type(v) is int:
-                if not _I64_MIN <= v <= _I64_MAX:
-                    raise Unlowerable(f"action {num}: data value exceeds i64",
-                                      span=span_of(num))
-                data.append(v)
-            else:
-                data.append(v)
-        if not is_verify:
-            kinds[i] = K_ACTION
-            progs[i] = prog
-            continue
-        progs[i] = prog
-        s = sstream[i]
-        if s >= 0:
-            kinds[i] = K_VERIFY_EQ
-            aux[i] = len(tables)
-            tables.append({values[s]: i + 1})
-            # (kept as a one-entry table for uniformity; backends may
-            # specialize the single-successor compare.)
-            kinds[i] = K_VERIFY_EQ
-        else:
-            kinds[i] = K_VERIFY_TAB
-            aux[i] = len(tables)
-            tables.append(dict(chain.tables[~s]))
-    plan = ChainPlan()
-    plan.n = n
-    plan.kinds = kinds
-    plan.progs = progs
-    plan.doffs = doffs
-    plan.aux = aux
-    plan.data = data
-    plan.tables = tables
-    plan.end_records = chain.ends
-    return plan
 
 
 # ---------------------------------------------------------------------------

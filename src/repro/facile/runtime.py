@@ -203,11 +203,15 @@ class InternPool:
     Keys are compared by equality, like the verify successor dicts they
     feed, so ``True``/``1`` conflate — harmless, since every consumer
     already compares these values with ``==``.
+
+    ``on_release`` (when set) is called with each index whose last
+    reference dies, before the index can be reused: the C replay
+    backend's mirror of the pool forgets it.
     """
 
     __slots__ = (
         "_index", "values", "_refs", "_costs", "_free",
-        "hits", "misses", "bytes_live", "bytes_saved",
+        "hits", "misses", "bytes_live", "bytes_saved", "on_release",
     )
 
     def __init__(self) -> None:
@@ -220,6 +224,7 @@ class InternPool:
         self.misses = 0
         self.bytes_live = 0
         self.bytes_saved = 0
+        self.on_release: Callable[[int], None] | None = None
 
     def intern(self, value: Any) -> tuple[int, int]:
         """Return ``(index, charged_bytes)`` for one more reference to
@@ -260,6 +265,8 @@ class InternPool:
         self._costs[idx] = 0
         self._free.append(idx)
         self.bytes_live -= cost
+        if self.on_release is not None:
+            self.on_release(idx)
         return cost
 
     def live_values(self) -> int:
@@ -1339,7 +1346,7 @@ class CompiledSimulator:
     # _S, and _ph<K> placeholder names, same as the fast-action table.
     action_bodies: list = field(default_factory=list)
     # Parallel per-action source spans (the first statement merged into
-    # each action), threaded into plan_chain/compile_body so lowering
+    # each action), threaded into compile_body so lowering
     # diagnostics can point at source.  May be empty for hand-built
     # simulators; consumers must index defensively.
     action_spans: list = field(default_factory=list)

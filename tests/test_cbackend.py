@@ -202,6 +202,39 @@ def test_eviction_mid_run_parity_and_audit(sim_name):
     assert eng_c.cache.stats.entries_evicted == eng_p.cache.stats.entries_evicted
 
 
+@requires_cc
+def test_pool_mirror_stays_bounded_under_eviction(monkeypatch):
+    """Generational eviction frees pool values all run long.  The
+    kernel's pool mirror forgets each one and compacts, so after every
+    eviction round it holds at most twice the live pool; results stay
+    equal to the Python backend."""
+    from repro.facile.runtime import ActionCache
+
+    samples = []
+    reclaim = ActionCache.reclaim
+
+    def sampled(cache, pinned=None):
+        out = reclaim(cache, pinned)
+        if cache.native is not None:
+            samples.append((cache.native.summary()["values_mirrored"],
+                            cache.pool.live_values()))
+        return out
+
+    monkeypatch.setattr(ActionCache, "reclaim", sampled)
+    program = build_cached("compress", 2)
+    kw = dict(cache_limit_bytes=48_000, cache_evict="generational",
+              trace_jit=False)
+    dig_c, eng_c, _ = _run("ooo", program, "c", **kw)
+    dig_p, eng_p, _ = _run("ooo", program, "python", **kw)
+    assert dig_c == dig_p
+    assert _cache_digest(eng_c) == _cache_digest(eng_p)
+    assert len(samples) > 10
+    assert all(mirrored <= 2 * live for mirrored, live in samples), samples
+    ns = eng_c._cnative.summary()
+    assert 0 < ns["values_mirrored"] <= 2 * eng_c.cache.pool.live_values()
+    assert ns["bodies_registered"] > 0
+
+
 # ---------------------------------------------------------------------------
 # Snapshots: warm parity and cross-backend loads
 # ---------------------------------------------------------------------------
@@ -284,6 +317,10 @@ def test_cache_summary_reports_backend():
     text = cache_summary(r.engine.cache, engine=r.engine)
     assert "replay backend:   c" in text
     assert "native replay:" in text
+    ns = r.engine._cnative.summary()
+    assert ns["bodies_registered"] > 0 and ns["values_mirrored"] > 0
+    assert f"{ns['bodies_registered']:,} bodies registered" in text
+    assert f"{ns['values_mirrored']:,} pool values mirrored" in text
     rp = run_facile_functional(program, replay_backend="python")
     text_p = cache_summary(rp.engine.cache, engine=rp.engine)
     assert "replay backend:   python" in text_p

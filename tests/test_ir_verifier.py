@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,15 +30,10 @@ from repro.facile.ir_verify import (
     audit_model,
     builtin_model_suite,
     verify_body,
-    verify_plan,
     wrap_census,
 )
 from repro.facile.replay_ir import (
-    K_ACTION,
-    K_END,
-    K_VERIFY_EQ,
     BodyProgram,
-    ChainPlan,
     ExternTable,
     OP_ADD,
     OP_CONST,
@@ -245,72 +241,21 @@ class TestWrapAudit:
 
 
 # ---------------------------------------------------------------------------
-# Chain-plan verifier and the emitter gate
+# The per-body emitter gate
 # ---------------------------------------------------------------------------
-
-
-def _plan(progs, kinds, doffs=None, aux=None, data=(), tables=(),
-          end_records=(object(),)):
-    plan = ChainPlan()
-    plan.n = len(kinds)
-    plan.kinds = bytearray(kinds)
-    plan.progs = list(progs)
-    plan.doffs = list(doffs or [0] * len(kinds))
-    plan.aux = list(aux or [0] * len(kinds))
-    plan.data = list(data)
-    plan.tables = list(tables)
-    plan.end_records = list(end_records)
-    return plan
 
 
 GOOD_BODY = [OP_PH, 0, OP_STORE_SLOT, 0, OP_END, 0]
 BAD_BODY = [OP_ADD, 0, OP_END, 0]  # stack underflow
 
 
-class TestPlanVerifier:
-    def test_well_formed_plan_is_clean(self):
-        prog = _raw(GOOD_BODY, shapes="i")
-        plan = _plan([prog, None], [K_ACTION, K_END], data=[5])
-        assert verify_plan(plan, n_slots=4) == []
-        assert_lowerable(plan, n_slots=4, externs=None)
-
-    def test_end_slot_with_body_fac402(self):
-        prog = _raw(GOOD_BODY, shapes="i")
-        plan = _plan([prog, prog], [K_ACTION, K_END], data=[5])
-        assert "FAC402" in _codes(verify_plan(plan))
-
-    def test_data_arena_overrun_fac404(self):
-        prog = _raw(GOOD_BODY, shapes="i")
-        plan = _plan([prog, None], [K_ACTION, K_END], doffs=[3, 0],
-                     data=[5])
-        assert "FAC404" in _codes(verify_plan(plan))
-
-    def test_verify_slot_with_action_body_fac402(self):
-        prog = _raw(GOOD_BODY, shapes="i")
-        plan = _plan([prog, None], [K_VERIFY_EQ, K_END], data=[5],
-                     tables=[{0: 1}])
-        assert "FAC402" in _codes(verify_plan(plan))
-
-    def test_successor_out_of_range_fac404(self):
-        prog = _raw([OP_PH, 0, OP_RETURN, 0, OP_END, 0], shapes="i",
-                    is_verify=True)
-        plan = _plan([prog, None], [K_VERIFY_EQ, K_END], data=[5],
-                     tables=[{0: 99}])
-        assert "FAC404" in _codes(verify_plan(plan))
+class TestBodyGate:
+    def test_gate_accepts_clean_body(self):
+        assert_lowerable(_raw(GOOD_BODY, shapes="i"), n_slots=4, externs=None)
 
     def test_gate_raises_on_rejected_body(self):
-        plan = _plan([_raw(BAD_BODY), None], [K_ACTION, K_END])
         with pytest.raises(Unlowerable, match="verifier"):
-            assert_lowerable(plan, n_slots=4, externs=None)
-
-    def test_gate_memoizes_verified_programs(self):
-        prog = _raw(GOOD_BODY, shapes="i")
-        plan = _plan([prog, None], [K_ACTION, K_END], data=[5])
-        seen: set[int] = set()
-        assert_lowerable(plan, n_slots=4, externs=None, verified=seen)
-        assert id(prog) in seen
-        # Second pass must not re-verify (and must still succeed).
-        assert_lowerable(plan, n_slots=4, externs=None, verified=seen)
+            assert_lowerable(_raw(BAD_BODY), n_slots=4, externs=None)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +358,8 @@ class TestDifferentialFuzz:
                           prog.source)
         findings = verify_body(bad, n_slots=4, externs=ExternTable())
         if any(f.is_error for f in findings):
-            plan = _plan([bad, None], [K_ACTION, K_END], data=[1, 2])
             with pytest.raises(Unlowerable):
-                assert_lowerable(plan, n_slots=4, externs=ExternTable())
+                assert_lowerable(bad, n_slots=4, externs=ExternTable())
             return
         try:
             interpret_body(bad, _NullCtx(), [0, 17, 0, 0], (seed, 3))
@@ -505,6 +449,217 @@ class TestKernelFuzzParity:
                 assert native.chains_unlowerable == 0, native.summary()
             outs.append(ctx.read_global("out"))
         assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# Lane registration: the kernel's chain-level checks
+# ---------------------------------------------------------------------------
+
+# Two dynamic result tests per step: ``x > 3`` sees both outcomes per
+# key (a multi-successor jump table once recovery grows it), ``parity``
+# one outcome per key (a single expected value).
+LANE_SRC = """
+val init = 0;
+val acc = 0;
+extern srcv(1);
+extern parity(1);
+fun main(pc) {
+  val x = srcv(pc);
+  if (x > 3) { acc = acc + x; } else { acc = acc - pc; }
+  if (parity(pc) == 1) { acc = acc + 2; }
+  init = (pc + 1) % 4;
+}
+"""
+
+
+def _lane_engine(backend):
+    from repro.facile import FastForwardEngine
+    from repro.facile.compiler import compile_source
+
+    sim = compile_source(LANE_SRC).simulator
+    calls = [0]
+
+    def srcv(v):
+        calls[0] += 1
+        return (calls[0] * 7 + v) % 10
+
+    ctx = sim.make_context({"srcv": srcv, "parity": lambda v: v & 1})
+    ctx.write_global("init", 0)
+    return FastForwardEngine(sim, ctx, replay_backend=backend,
+                             trace_jit=False)
+
+
+def _lane_digest(engine):
+    cs = engine.cache.stats
+    return (engine.ctx.read_global("acc"), engine.stats.steps_total,
+            cs.lookups, cs.hits, cs.misses_verify, cs.bytes_current)
+
+
+def _slot_kinds(chain):
+    """Every slot's kind: end, plain, eq (a verify with one expected
+    value) or table (a verify with a jump table)."""
+    from repro.facile.runtime import ENDMARK
+
+    return [
+        "end" if num == ENDMARK else "plain" if num >= 0
+        else "eq" if s >= 0 else "table"
+        for num, s in zip(chain.nums, chain.succ)
+    ]
+
+
+def _slot(chain, kind):
+    return _slot_kinds(chain).index(kind)
+
+
+def _lane(chain, name, i, value):
+    lane = array("q", getattr(chain, name))
+    lane[i] = value
+    return {name: lane}
+
+
+def _bad_table(chain):
+    tables = [dict(t) for t in chain.tables]
+    key = next(iter(tables[0]))
+    tables[0][key] = len(chain.nums) + 1
+    return {"tables": tables}
+
+
+#: One corrupted lane (or jump table) per case, and the refusal reason.
+CORRUPTIONS = {
+    "end_index": (
+        lambda ch: _lane(ch, "succ", _slot(ch, "end"), len(ch.ends)),
+        "end-record index"),
+    "data_outside_pool": (
+        lambda ch: _lane(ch, "data", _slot(ch, "plain"), len(ch.pool.values)),
+        "outside the pool"),
+    "data_points_at_scalar": (
+        lambda ch: _lane(ch, "data", _slot(ch, "plain"),
+                         ch.succ[_slot(ch, "eq")]),
+        "points at a scalar"),
+    "verify_runs_plain_body": (
+        lambda ch: _lane(ch, "nums", _slot(ch, "plain"),
+                         ~ch.nums[_slot(ch, "plain")]),
+        "verify slot runs a plain body"),
+    "plain_runs_verify_body": (
+        lambda ch: _lane(ch, "nums", _slot(ch, "eq"),
+                         ~ch.nums[_slot(ch, "eq")]),
+        "plain slot runs a verify body"),
+    "table_index": (
+        lambda ch: _lane(ch, "succ", _slot(ch, "table"), ~len(ch.tables)),
+        "table index"),
+    "table_successor": (_bad_table, "successor .* outside"),
+    "expected_not_i64": (
+        lambda ch: _lane(ch, "succ", _slot(ch, "eq"),
+                         ch.data[_slot(ch, "eq")]),
+        "non-int verify value"),
+    "data_exceeds_i64": (
+        lambda ch: _lane(ch, "data", _slot(ch, "plain"),
+                         ch.pool.intern((1 << 70,))[0]),
+        "data value exceeds i64"),
+}
+
+
+@requires_cc
+class TestLaneRegistration:
+    """Registration is the kernel's only check between the packed lanes
+    and its unchecked walker: every malformed lane is refused, counted,
+    and the entry keeps replaying on the Python loop."""
+
+    def _recorded(self):
+        """A C engine 40 steps in, and an entry whose chain has both a
+        jump table and a single expected value."""
+        engine = _lane_engine("c")
+        engine.run(max_steps=40)
+        entry = next(
+            e for e in engine.cache.entries.values()
+            if {"eq", "table"} <= set(_slot_kinds(e.packed))
+        )
+        return engine, entry
+
+    def test_recorded_chain_registers_cleanly(self):
+        from repro.facile.cbackend import plan_chain
+
+        engine, entry = self._recorded()
+        native = engine._cnative
+        native.drop_entry(entry)
+        assert plan_chain(native, entry) is not None
+        assert native.chains_unlowerable == 0
+        assert native.summary()["bodies_registered"] > 0
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corrupt_lane_is_refused(self, case):
+        from repro.facile.cbackend import plan_chain
+
+        corrupt, reason = CORRUPTIONS[case]
+        engine, entry = self._recorded()
+        native = engine._cnative
+        chain = entry.packed
+        native.drop_entry(entry)
+        saved = {k: getattr(chain, k) for k in ("nums", "data", "succ",
+                                                "tables")}
+        for name, value in corrupt(chain).items():
+            setattr(chain, name, value)
+        try:
+            with pytest.raises(Unlowerable, match=reason):
+                native._add_chain(chain)
+            assert plan_chain(native, entry) is None
+        finally:
+            for name, value in saved.items():
+                setattr(chain, name, value)
+        assert entry.cnative == -1
+        assert native.chains_unlowerable == 1
+        assert len(native.unlowerable_reasons) == 1
+        engine.run(max_steps=60)
+        ref = _lane_engine("python")
+        ref.run(max_steps=40)
+        ref.run(max_steps=60)
+        assert _lane_digest(engine) == _lane_digest(ref)
+
+    def test_rejected_body_refuses_its_chains(self, monkeypatch):
+        from repro.facile import cbackend
+
+        real = cbackend.assert_lowerable
+        rejected = []
+
+        def gate(prog, **kw):
+            if prog.is_verify:
+                rejected.append((prog.num, prog.shapes))
+                raise Unlowerable(
+                    f"action {prog.num}: rejected by the replay-IR verifier")
+            return real(prog, **kw)
+
+        monkeypatch.setattr(cbackend, "assert_lowerable", gate)
+        engine = _lane_engine("c")
+        engine.run(max_steps=100)
+        native = engine._cnative
+        # Every chain runs a verify body; each refusal is remembered.
+        assert native.chains_lowered == 0
+        assert native.chains_unlowerable > len(rejected) > 0
+        assert len(rejected) == len(set(rejected))
+        assert all("rejected by the replay-IR verifier" in r
+                   for r in native.unlowerable_reasons)
+        ref = _lane_engine("python")
+        ref.run(max_steps=100)
+        assert _lane_digest(engine) == _lane_digest(ref)
+
+    def test_each_body_is_verified_once_per_engine(self, monkeypatch):
+        from repro.facile import cbackend
+
+        verified = []
+        real = cbackend.assert_lowerable
+
+        def counting(prog, **kw):
+            verified.append((prog.num, prog.shapes))
+            return real(prog, **kw)
+
+        monkeypatch.setattr(cbackend, "assert_lowerable", counting)
+        engine = _lane_engine("c")
+        engine.run(max_steps=200)
+        native = engine._cnative
+        assert verified and len(verified) == len(set(verified))
+        assert native.summary()["bodies_registered"] == len(verified)
+        # Recovery re-registers chains; their bodies are not re-verified.
+        assert native.chains_lowered > len(engine.cache.entries)
 
 
 # ---------------------------------------------------------------------------
