@@ -100,14 +100,14 @@ _RUNNERS = {
     "functional": lambda p, a: run_facile_functional(
         p, memoized=not a.plain, trace_jit=a.trace_jit,
         trace_threshold=a.trace_threshold,
-        cache_limit_bytes=a.cache_limit, cache_evict=a.cache_evict,
+        cache_limit_bytes=a.cache_limit,
         cache_dir=a.cache_dir, cache_load=a.cache_load, cache_save=a.cache_save,
         replay_backend=a.replay_backend, profile=a.profile,
     ),
     "inorder": lambda p, a: run_facile_inorder(
         p, memoized=not a.plain, trace_jit=a.trace_jit,
         trace_threshold=a.trace_threshold,
-        cache_limit_bytes=a.cache_limit, cache_evict=a.cache_evict,
+        cache_limit_bytes=a.cache_limit,
         cache_dir=a.cache_dir, cache_load=a.cache_load, cache_save=a.cache_save,
         replay_backend=a.replay_backend, profile=a.profile,
     ),
@@ -115,14 +115,14 @@ _RUNNERS = {
     "ooo": lambda p, a: run_facile_ooo(
         p, memoized=not a.plain, trace_jit=a.trace_jit,
         trace_threshold=a.trace_threshold,
-        cache_limit_bytes=a.cache_limit, cache_evict=a.cache_evict,
+        cache_limit_bytes=a.cache_limit,
         cache_dir=a.cache_dir, cache_load=a.cache_load, cache_save=a.cache_save,
         replay_backend=a.replay_backend, profile=a.profile,
     ),
     "ooo-ref": lambda p, a: run_reference(p),
     "ooo-fastsim": lambda p, a: run_fastsim(
         p, memoize=not a.plain,
-        memo_limit_bytes=a.cache_limit, memo_evict=a.cache_evict,
+        memo_limit_bytes=a.cache_limit,
         cache_dir=a.cache_dir, cache_load=a.cache_load, cache_save=a.cache_save,
         replay_backend=a.replay_backend,
     ),
@@ -145,13 +145,11 @@ def _report_run(kind: str, result, elapsed: float) -> None:
         getattr(result, "stats", None), "retired", 0
     )
     print(f"host time {elapsed:.2f}s ({retired / max(elapsed, 1e-9) / 1000:.1f} kips)")
-    run_stats = getattr(result, "run_stats", None) or getattr(result, "stats", None)
     if hasattr(result, "run_stats") and result.run_stats is not None:
         rs = result.run_stats
         if getattr(rs, "steps_total", 0):
             print(f"steps: {rs.steps_total:,} total, {rs.steps_fast:,} fast, "
                   f"{rs.steps_slow:,} slow, {rs.steps_recovered:,} recovered")
-    del run_stats
     engine = getattr(result, "engine", None)
     # Replay backend status (printed whenever a non-default backend was
     # requested; the CI smoke greps for "replay backend: ...").
@@ -191,11 +189,8 @@ def _report_run(kind: str, result, elapsed: float) -> None:
     cstats = getattr(getattr(engine, "cache", None), "stats", None) or getattr(
         result, "mstats", None
     )
-    if cstats is not None and (cstats.clears or getattr(cstats, "evictions", 0)):
-        print(f"cache: {cstats.clears} clears, "
-              f"{cstats.evictions} eviction rounds "
-              f"({cstats.entries_evicted:,} entries, "
-              f"{cstats.bytes_refunded:,} bytes refunded)")
+    if cstats is not None and cstats.clears:
+        print(f"cache: {cstats.clears} clears")
     if cstats is not None and getattr(cstats, "packs", 0):
         pool = getattr(getattr(engine, "cache", None), "pool", None) or getattr(
             result, "pool", None
@@ -407,15 +402,9 @@ def _add_trace_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--cache-limit", type=int, default=None, metavar="BYTES",
-        help="action-cache byte budget (default: unlimited, the paper "
-        "uses 256 MB)",
-    )
-    p.add_argument(
-        "--cache-evict", choices=["clear", "generational"],
-        default="clear",
-        help="policy when the budget is exceeded: 'clear' drops the "
-        "whole cache (paper §6.2, the default), 'generational' evicts "
-        "only the coldest entries",
+        help="action-cache byte budget; the whole cache is cleared when "
+        "it is exceeded (paper §6.2; default: unlimited, the paper uses "
+        "256 MB)",
     )
     p.add_argument(
         "--cache-dir", default=None, metavar="DIR",

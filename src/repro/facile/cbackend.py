@@ -38,11 +38,11 @@ Contract with the Python backend (the behavior reference):
   intern pool and never touches the billed replay view, so byte
   accounting (``recount_bytes``, ``recount_shared_bytes``) is unchanged
   by backend choice.
-* **Same statistics.**  Link follows bill ``lookups``/``hits`` and
-  refresh stamps exactly as the Python chain loop; verify misses bill
-  ``misses_verify`` and recover through the slow engine with the same
-  consumed-values list (the missed value included); every body run
-  counts in ``actions_replayed``.
+* **Same statistics.**  Link follows bill ``lookups``/``hits`` exactly
+  as the Python chain loop; verify misses bill ``misses_verify`` and
+  recover through the slow engine with the same consumed-values list
+  (the missed value included); every body run counts in
+  ``actions_replayed``.
 * **Fallback for what the kernel cannot take.**  A chain registration
   refuses — a body outside the IR's closed operation set or rejected by
   the verifier, data outside i64, a non-int verify value, a lane index
@@ -245,7 +245,6 @@ typedef struct {
     unsigned char *lset;   /* per end-record: likely-next link present */
     i64 *lexpect;          /* expected init tag: (value << 1) | isobj */
     i64 *lnext;            /* successor chain id */
-    unsigned char visited;
 } Chain;
 
 /* One mirrored intern-pool value: its kind (PK_*), shape id and words
@@ -283,8 +282,6 @@ typedef struct {
     i64 nmirrored, ndead;   /* values holding arena words; forgotten ones */
     Chain **chains;
     i64 nchains, chaincap;
-    i64 *visited;
-    i64 nvisited, visitedcap;
     page_fn page_cb;
     extern_fn extern_cb;
     /* Native extern registry */
@@ -594,7 +591,6 @@ void ffc_drop_all_chains(St *st) {
         st->chains[i] = 0;
     }
     st->nchains = 0;
-    st->nvisited = 0;
     if (st->pool) memset(st->pool, 0, st->npool * sizeof(PVal));
     st->arena_n = 0;
     st->nmirrored = 0;
@@ -623,18 +619,6 @@ void ffc_reset_pages(St *st) {
         free(st->pt[i]);
         st->pt[i] = 0;
     }
-}
-
-i64 ffc_pop_visited(St *st, i64 *out, i64 cap) {
-    i64 n = st->nvisited < cap ? st->nvisited : cap;
-    for (i64 k = 0; k < n; k++) {
-        i64 cid = st->visited[st->nvisited - 1 - k];
-        out[k] = cid;
-        if (cid >= 0 && cid < st->nchains && st->chains[cid])
-            st->chains[cid]->visited = 0;
-    }
-    st->nvisited -= n;
-    return n;
 }
 
 /* -- native extern models ----------------------------------------------- */
@@ -960,7 +944,6 @@ void ffc_free(St *st) {
     free(st->pool);
     free(st->arena);
     free(st->chains);
-    free(st->visited);
     free(st->nx_map);
     free(st->nx_hits);
     ffc_reset_pages(st);
@@ -1391,19 +1374,6 @@ static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
 
 /* -- chain walker ------------------------------------------------------- */
 
-static void mark_visited(St *st, Chain *ch, i64 cid) {
-    if (ch->visited) return;
-    if (st->nvisited >= st->visitedcap) {
-        i64 cap = st->visitedcap ? st->visitedcap * 2 : 64;
-        i64 *nv = (i64 *)realloc(st->visited, cap * sizeof(i64));
-        if (!nv) return;  /* stamp refresh is best-effort */
-        st->visited = nv;
-        st->visitedcap = cap;
-    }
-    ch->visited = 1;
-    st->visited[st->nvisited++] = cid;
-}
-
 void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
     i64 steps = 0, actions = 0, links = 0;
     st->err = 0;
@@ -1413,7 +1383,6 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
         st->err = E_BADOP;
         goto err;
     }
-    mark_visited(st, ch, cid);
     for (;;) {
         st->nconsumed = 0;
         i64 i = 0;
@@ -1446,7 +1415,6 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
                             links++;
                             cid = nx;
                             ch = nc;
-                            mark_visited(st, ch, cid);
                             goto next_step;
                         }
                     }
@@ -1619,8 +1587,6 @@ def _declare(lib) -> None:
     lib.ffc_set_link.argtypes = [ctypes.c_void_p, _LL, _LL, _LL, _LL]
     lib.ffc_reset_pages.restype = None
     lib.ffc_reset_pages.argtypes = [ctypes.c_void_p]
-    lib.ffc_pop_visited.restype = _LL
-    lib.ffc_pop_visited.argtypes = [ctypes.c_void_p, _PLL, _LL]
     lib.ffc_free.restype = None
     lib.ffc_free.argtypes = [ctypes.c_void_p]
     lib.ffc_run.restype = None
@@ -1792,9 +1758,9 @@ class CReplayBackend:
     """Per-engine C replay state: lowered chains, mirrors, callbacks.
 
     Installed as ``engine.cache.native`` so the cache can drop lowered
-    chains in lockstep with unpacks, evictions, and clears.  The public
-    surface the engine uses is :meth:`run_entry` (returns ``None`` to
-    fall back to the Python tiers for this call), plus the
+    chains in lockstep with unpacks, stale overwrites, and clears.  The
+    public surface the engine uses is :meth:`run_entry` (returns
+    ``None`` to fall back to the Python tiers for this call), plus the
     :meth:`drop_entry`/:meth:`drop_all` invalidation hooks.
     """
 
@@ -1828,7 +1794,6 @@ class CReplayBackend:
         self._extern_fns: list = []
         self._extern_ctx = None
         self._exit = FfcExit()
-        self._visited_buf = (ctypes.c_longlong * 256)()
         # Lowering / dispatch statistics (inspect reporting).
         self.chains_lowered = 0
         self.chains_unlowerable = 0
@@ -2301,20 +2266,6 @@ class CReplayBackend:
 
     # -- execution -------------------------------------------------------
 
-    def _pop_visited(self, cache) -> None:
-        buf = self._visited_buf
-        lib = self.lib
-        entries = self._entries
-        gen = cache.gen
-        while True:
-            n = lib.ffc_pop_visited(self._st_p, buf, 256)
-            if n <= 0:
-                break
-            for i in range(n):
-                entry = entries.get(buf[i])
-                if entry is not None:
-                    entry.stamp = gen
-
     def _link(self, ex) -> int | None:
         """On an X_NEXT exit: look the successor key up in the cache
         (billing exactly one lookup+hit on success), register its chain,
@@ -2353,7 +2304,6 @@ class CReplayBackend:
         cstats = cache.stats
         cstats.lookups += 1
         cstats.hits += 1
-        entry.stamp = cache.gen
         self.lib.ffc_set_link(self._st_p, ex.cid, ex.end_ix, init_slot, cid2)
         return cid2
 
@@ -2380,8 +2330,7 @@ class CReplayBackend:
         lib = self.lib
         st = self._st
         ex = self._exit
-        cache = engine.cache
-        cstats = cache.stats
+        cstats = engine.cache.stats
         init_slot = engine.compiled.init_slot
         total_steps = 0
         total_actions = 0
@@ -2406,7 +2355,6 @@ class CReplayBackend:
                 cid = cid2
         finally:
             ctx.in_fast = False
-            self._pop_visited(cache)
         engine.stats.actions_replayed += total_actions
         code = ex.code
         if code == X_ERR:

@@ -151,9 +151,6 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
         f"{stats.bytes_cumulative:,} cumulative "
         f"({stats.bytes_shared:,} mmap-shared, "
         f"{stats.bytes_current - stats.bytes_shared:,} private)",
-        f"  evictions:        {stats.evictions} rounds "
-        f"({stats.entries_evicted} entries evicted, "
-        f"{stats.bytes_refunded:,} bytes refunded)",
         f"  lookups:          {stats.lookups:,} "
         f"({stats.hits:,} hits, {stats.misses_new_key:,} new keys, "
         f"{stats.misses_verify:,} verify misses)",

@@ -197,8 +197,8 @@ class InternPool:
     packed slot holds an index into this pool, and equal values —
     however many records across however many entries reference them —
     are stored **once** and billed once.  The pool is reference-counted
-    so eviction stays exact: :meth:`release` returns the refunded bytes
-    when (and only when) the last reference dies.
+    so unpacks and stale overwrites stay exact: :meth:`release` returns
+    the refunded bytes when (and only when) the last reference dies.
 
     Keys are compared by equality, like the verify successor dicts they
     feed, so ``True``/``1`` conflate — harmless, since every consumer
@@ -619,7 +619,7 @@ class CacheEntry:
     tree (the same shape as FastSim's ``_Node.nbytes``/``key_cost``)."""
 
     __slots__ = (
-        "key", "first", "packed", "complete", "generation", "stamp", "hot",
+        "key", "first", "packed", "complete", "generation", "hot",
         "trace", "cnative", "key_cost", "nbytes",
     )
 
@@ -634,9 +634,6 @@ class CacheEntry:
         self.packed: PackedChain | None = None
         self.complete = False
         self.generation = generation
-        # Age generation for the eviction policy: refreshed on every
-        # hit, compared against ``ActionCache.gen`` when reclaiming.
-        self.stamp = 0
         # Trace-JIT bookkeeping: interpreted-replay count and the
         # compiled Trace (or NO_TRACE sentinel) rooted at this entry.
         self.hot = 0
@@ -657,17 +654,14 @@ class CacheStats:
     hits: int = 0
     misses_new_key: int = 0
     misses_verify: int = 0
-    # Partial-eviction accounting (generational policy).
-    evictions: int = 0
-    entries_evicted: int = 0
-    bytes_refunded: int = 0
     # Flat-pack accounting.
     packs: int = 0
     unpacks: int = 0
     # Snapshot (warm-start) accounting.  ``bytes_shared`` is the slice
     # of ``bytes_current`` billed to mmap-backed (shared) chains; the
-    # rest is process-private.  A copy-on-miss unpack or an eviction of
-    # a shared entry moves its bytes out of the shared bucket.
+    # rest is process-private.  A copy-on-miss unpack or a stale
+    # overwrite of a shared entry moves its bytes out of the shared
+    # bucket; a clear empties it.
     bytes_shared: int = 0
     snapshot_entries: int = 0
     snapshot_rejected: int = 0
@@ -682,8 +676,6 @@ RECORD_BYTES = 12
 VERIFY_BYTES = 16
 _END_BYTES = RECORD_BYTES + value_bytes(())
 
-EVICT_POLICIES = ("clear", "generational")
-
 
 class ActionCache:
     """The specialized action cache, with byte-limited reclamation.
@@ -692,62 +684,35 @@ class ActionCache:
     one into a :class:`PackedChain` when its step completes, and miss
     recovery unpacks it back to the tree while it grows.
 
-    ``limit_bytes`` mirrors the paper's 256 MB cap (§6.2).  Two
-    reclamation policies are available once the accounted size exceeds
-    the limit:
-
-    * ``"clear"`` — the paper's policy: drop everything and start
-      recording over, "just as when the program starts";
-    * ``"generational"`` — partial eviction: entries carry an age
-      generation (``stamp``), refreshed on every hit and advanced as
-      recording volume accrues; reclamation evicts the coldest
-      generations first until the accounted size falls below
-      ``low_watermark * limit_bytes``, refunding each evicted entry's
-      bytes exactly (its packed streams plus the pool references it
-      held the last of).  Hot entries — the working set — survive, so a
-      long-running workload pays no periodic re-record storm.
+    ``limit_bytes`` mirrors the paper's 256 MB cap (§6.2): once the
+    accounted size exceeds it, :meth:`reclaim` drops everything and
+    recording starts over, "just as when the program starts".
     """
 
-    def __init__(
-        self,
-        limit_bytes: int | None = None,
-        evict_policy: str = "clear",
-        low_watermark: float = 0.5,
-    ):
-        if evict_policy not in EVICT_POLICIES:
-            raise ValueError(f"unknown eviction policy {evict_policy!r}")
+    def __init__(self, limit_bytes: int | None = None):
         self.limit_bytes = limit_bytes
-        self.evict_policy = evict_policy
-        self.low_watermark = low_watermark
         # Interned placeholder data of the packed entries.
         self.pool = InternPool()
         self.entries: dict[tuple, CacheEntry] = {}
         self.stats = CacheStats()
         # The C replay backend (repro.facile.cbackend.CReplayBackend)
         # when one is driving this cache; lowered chains must die in
-        # lockstep with unpacks, evictions, and clears.
+        # lockstep with unpacks, stale overwrites, and clears.
         self.native = None
         # Keep-alive handles for mmap-backed snapshots whose streams
         # live entries may still reference (repro.facile.snapshot).
         self.snapshots: list = []
         # Identity-link epoch: bumped only by a full clear, compared by
         # the engine before trusting ``likely_next`` links and compiled
-        # traces.  Evicted entries are marked with generation -1 so
-        # stale links to them are rejected individually.
+        # traces.  Overwritten stale entries are marked with generation
+        # -1 so links to them are rejected individually.
         self.generation = 0
-        # Age generation for eviction: advanced every ``_gen_step``
-        # recorded bytes (about 8 generations per limit-full) and on
-        # every eviction round.
-        self.gen = 0
-        self._gen_step = max(limit_bytes // 8, 1) if limit_bytes else 0
-        self._since_gen = 0
 
     def lookup(self, key: tuple) -> CacheEntry | None:
         self.stats.lookups += 1
         entry = self.entries.get(key)
         if entry is not None and entry.complete:
             self.stats.hits += 1
-            entry.stamp = self.gen
             return entry
         return None
 
@@ -763,7 +728,6 @@ class ActionCache:
             stale.generation = -1
         entry = CacheEntry(key, self.generation)
         self._charge(entry.key_cost)
-        entry.stamp = self.gen
         self.entries[key] = entry
         self.stats.entries_created += 1
         return entry
@@ -781,20 +745,11 @@ class ActionCache:
         stats = self.stats
         stats.bytes_current += nbytes
         stats.bytes_cumulative += nbytes
-        if self._gen_step:
-            self._since_gen += nbytes
-            if self._since_gen >= self._gen_step:
-                self._since_gen -= self._gen_step
-                self.gen += 1
-
-    def _refund(self, nbytes: int) -> None:
-        self.stats.bytes_current -= nbytes
-        self.stats.bytes_refunded += nbytes
 
     def _adjust(self, delta: int) -> None:
         """Re-account an entry changing layout (pack/unpack).  Only
         ``bytes_current`` moves: no new data was recorded, so the
-        cumulative total and the age-generation clock stay put."""
+        cumulative total stays put."""
         self.stats.bytes_current += delta
 
     # -- flat packing ----------------------------------------------------
@@ -837,8 +792,8 @@ class ActionCache:
         self.stats.unpacks += 1
 
     def _release_entry(self, entry: CacheEntry) -> None:
-        """Refund an entry leaving the cache (eviction or stale
-        overwrite), releasing its pool references when packed."""
+        """Refund a stale entry being overwritten, releasing its pool
+        references when packed."""
         if self.native is not None:
             self.native.drop_entry(entry)
         freed = entry.nbytes
@@ -847,7 +802,7 @@ class ActionCache:
             if chain.shared:
                 self.stats.bytes_shared -= chain.local_bytes
             freed += self._release_chain(chain)[1]
-        self._refund(freed)
+        self.stats.bytes_current -= freed
 
     def _release_chain(self, chain: PackedChain) -> tuple[int, int]:
         """Drop every pool reference a packed chain holds.  Returns
@@ -910,9 +865,9 @@ class ActionCache:
         surviving entry's record tree (packed entries contribute their
         local streams) plus a from-scratch recount of the live interning
         pool.  The accounting invariant — and what the tests assert
-        after evictions — is that this always equals
-        ``stats.bytes_current`` exactly.  An audit only: no cache path
-        calls it."""
+        after clears, unpacks and stale overwrites — is that this always
+        equals ``stats.bytes_current`` exactly.  An audit only: no cache
+        path calls it."""
         return sum(
             self.entry_bytes(e) for e in self.entries.values()
         ) + self.pool.recount()
@@ -921,7 +876,7 @@ class ActionCache:
         """Recompute ``bytes_shared`` from scratch: the local bytes of
         every surviving mmap-backed chain.  Audited alongside
         :meth:`recount_bytes` after snapshot loads, copy-on-miss
-        unpacks, and evictions."""
+        unpacks, and clears."""
         return sum(
             e.packed.local_bytes
             for e in self.entries.values()
@@ -930,61 +885,20 @@ class ActionCache:
 
     # -- reclamation -----------------------------------------------------
 
-    def maybe_reclaim(self, pinned=None) -> tuple[bool, list[CacheEntry]] | None:
-        """Reclaim memory if over the limit.  Called at step boundaries.
-
-        Returns ``None`` when under the limit, else ``(cleared,
-        evicted)``: a full clear (``"clear"`` policy) reports ``(True,
-        [])``; generational eviction reports ``(False, entries)`` with
-        the evicted entries, whose traces the caller must invalidate.
-        """
+    def reclaim(self) -> bool:
+        """Clear the whole cache if it has outgrown ``limit_bytes``.
+        Called at step boundaries; returns whether it cleared."""
         if self.limit_bytes is None or self.stats.bytes_current <= self.limit_bytes:
-            return None
-        return self.reclaim(pinned)
-
-    def reclaim(self, pinned=None) -> tuple[bool, list[CacheEntry]]:
-        """Apply the eviction policy unconditionally (see maybe_reclaim)."""
-        if self.evict_policy == "clear":
-            if self.native is not None:
-                self.native.drop_all()
-            self.entries.clear()
-            self.pool.clear()  # every reference died with the entries
-            self.stats.bytes_current = 0
-            self.stats.bytes_shared = 0
-            self.stats.clears += 1
-            self.generation += 1  # invalidates likely-next links
-            return True, []
-        return False, self._evict_cold(pinned)
-
-    def _evict_cold(self, pinned=None) -> list[CacheEntry]:
-        """Evict the coldest generations until below the low watermark.
-
-        ``pinned`` (a set-like of ``id(entry)``) holds entries covered
-        by live compiled traces; they are evicted only after every
-        unpinned entry, so the trace tier's working set survives
-        whenever the watermark allows it.
-        """
-        target = int((self.limit_bytes or 0) * self.low_watermark)
-        if pinned:
-            order = sorted(
-                self.entries.values(), key=lambda e: (id(e) in pinned, e.stamp)
-            )
-        else:
-            order = sorted(self.entries.values(), key=lambda e: e.stamp)
-        stats = self.stats
-        evicted: list[CacheEntry] = []
-        for entry in order:
-            if stats.bytes_current <= target:
-                break
-            del self.entries[entry.key]
-            entry.generation = -1  # rejects stale likely-next links
-            self._release_entry(entry)
-            evicted.append(entry)
-        stats.evictions += 1
-        stats.entries_evicted += len(evicted)
-        self.gen += 1
-        self._since_gen = 0
-        return evicted
+            return False
+        if self.native is not None:
+            self.native.drop_all()
+        self.entries.clear()
+        self.pool.clear()  # every reference died with the entries
+        self.stats.bytes_current = 0
+        self.stats.bytes_shared = 0
+        self.stats.clears += 1
+        self.generation += 1  # invalidates likely-next links
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -1384,8 +1298,6 @@ class FastForwardEngine:
         compiled: CompiledSimulator,
         ctx: SimContext,
         cache_limit_bytes: int | None = None,
-        cache_evict: str = "clear",
-        cache_low_watermark: float = 0.5,
         index_links: bool = True,
         trace_jit: bool = True,
         trace_threshold: int = 64,
@@ -1395,11 +1307,7 @@ class FastForwardEngine:
 
         self.compiled = compiled
         self.ctx = ctx
-        self.cache = ActionCache(
-            limit_bytes=cache_limit_bytes,
-            evict_policy=cache_evict,
-            low_watermark=cache_low_watermark,
-        )
+        self.cache = ActionCache(limit_bytes=cache_limit_bytes)
         self.memoizer = Memoizer(self.cache)
         # Dispatch table for the packed replay loop: a bare list of
         # action functions (verify-ness is encoded in the stream sign,
@@ -1580,7 +1488,6 @@ class FastForwardEngine:
                     if entry is not None:
                         cstats.lookups += 1
                         cstats.hits += 1
-                        entry.stamp = cache.gen
             if entry is None:
                 if key is None:
                     key = self._freeze_key(raw)
@@ -1680,19 +1587,11 @@ class FastForwardEngine:
                                 entry.hot = hot
                                 if hot >= threshold:
                                     traces.promote(entry, stats.steps_total)
-            if limit is not None and cstats.bytes_current > limit:
-                cleared, evicted = cache.reclaim(
-                    pinned=traces.covered_ids() if traces is not None else None
-                )
-                if cleared:
-                    last_end = None
-                    generation = cache.generation
-                    if traces is not None:
-                        traces.on_cache_clear()
-                elif evicted and traces is not None:
-                    # Partial eviction: only traces covering an evicted
-                    # entry become stale; everything else stays live.
-                    traces.on_evict(evicted)
+            if limit is not None and cache.reclaim():
+                last_end = None
+                generation = cache.generation
+                if traces is not None:
+                    traces.on_cache_clear()
         return self.stats
 
     # -- slow path -------------------------------------------------------
@@ -1729,10 +1628,8 @@ class FastForwardEngine:
         S = ctx.S
         fns = self._action_fns
         _freeze = freeze
-        cache = self.cache
-        cstats = cache.stats
-        gen = cache.gen
-        generation = cache.generation
+        cstats = self.cache.stats
+        generation = self.cache.generation
         init_slot = self.compiled.init_slot
         endmark = ENDMARK
         steps_done = 0
@@ -1791,7 +1688,6 @@ class FastForwardEngine:
                 if nxt.generation != generation or nxt.packed is None:
                     break
                 entry = nxt
-                entry.stamp = gen
                 links += 1
         finally:
             ctx.in_fast = False

@@ -34,7 +34,7 @@ mapped file (marked ``shared``), and the resolved per-process replay
 view is built lazily on the entry's first replay, so untouched entries
 cost no private RSS.  Entries stay copy-on-miss: a verify miss unpacks
 the entry into private record objects (recovery then repacks it with
-fresh private arrays), leaving the mapped file untouched; eviction and
+fresh private arrays), leaving the mapped file untouched; clears and
 the exact byte accounting keep working, with mmap-backed bytes tracked
 separately in ``bytes_shared``.
 
@@ -625,7 +625,6 @@ def load_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
         entry.packed = chain
         entry.nbytes = entry.key_cost + chain.local_bytes
         entry.complete = True
-        entry.stamp = cache.gen
         cache.entries[key] = entry
         total += entry.nbytes
         shared += chain.local_bytes
@@ -750,7 +749,6 @@ def load_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
     shared = 0
     for key, chain in built:
         root = _Node()
-        root.stamp = sim.gen
         root.key_cost = 8 * (8 + 6 * len(key[0]) + 33)
         root.packed = chain
         root.nbytes = root.key_cost + chain.local_bytes

@@ -547,45 +547,19 @@ class TraceManager:
             killed += self._kill(trace)
         return killed
 
-    def on_evict(self, entries) -> int:
-        """Partial cache eviction: kill traces covering evicted entries.
-
-        Unlike a recovery kill, the surviving roots did not grow a new
-        verify successor — their chains merely lost a link — so no
-        re-promotion back-off is applied; unlike :meth:`on_cache_clear`,
-        traces not covering any evicted entry stay live.
-        """
-        killed = 0
-        for entry in entries:
-            traces = self._covering.get(id(entry))
-            if traces:
-                for trace in list(traces):
-                    killed += self._kill(trace, backoff=False)
-            # The entry object is gone from the cache; drop its back-off
-            # history so a recycled id() cannot inherit it.
-            self._kill_counts.pop(id(entry), None)
-        return killed
-
-    def covered_ids(self):
-        """``id(entry)`` set of every entry covered by a live trace."""
-        return self._covering
-
-    def _kill(self, trace: Trace, backoff: bool = True) -> int:
+    def _kill(self, trace: Trace) -> int:
         if trace.generation < 0:
             return 0
         trace.generation = -1
         if trace.root.trace is trace:
             trace.root.trace = None
-            if backoff:
-                # Exponential back-off: a chain that keeps growing new
-                # verify successors must re-earn promotion at double the
-                # price each time, or recompilation churn eats the
-                # replay speedup.
-                kills = self._kill_counts.get(id(trace.root), 0) + 1
-                self._kill_counts[id(trace.root)] = kills
-                trace.root.hot = -self.threshold * ((1 << min(kills, 8)) - 2)
-            else:
-                trace.root.hot = 0
+            # Exponential back-off: a chain that keeps growing new
+            # verify successors must re-earn promotion at double the
+            # price each time, or recompilation churn eats the replay
+            # speedup.
+            kills = self._kill_counts.get(id(trace.root), 0) + 1
+            self._kill_counts[id(trace.root)] = kills
+            trace.root.hot = -self.threshold * ((1 << min(kills, 8)) - 2)
         for e in trace.entries:
             covering = self._covering.get(id(e))
             if covering is not None:

@@ -44,7 +44,6 @@ def run_facile_functional(
     memoized: bool = True,
     max_steps: int = 1_000_000,
     cache_limit_bytes: int | None = None,
-    cache_evict: str = "clear",
     trace_jit: bool = True,
     trace_threshold: int = 64,
     cache_dir=None,
@@ -60,7 +59,6 @@ def run_facile_functional(
     if memoized:
         engine = FastForwardEngine(
             compiled, ctx, cache_limit_bytes=cache_limit_bytes,
-            cache_evict=cache_evict,
             trace_jit=trace_jit, trace_threshold=trace_threshold,
             replay_backend=replay_backend,
         )

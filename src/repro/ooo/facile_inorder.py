@@ -189,7 +189,6 @@ class FacileInOrderSim:
                  memoized: bool = True, trace_jit: bool = True,
                  trace_threshold: int = 64,
                  cache_limit_bytes: int | None = None,
-                 cache_evict: str = "clear",
                  replay_backend: str = "python"):
         self.config = config or C.MachineConfig()
         self.program = program
@@ -214,7 +213,6 @@ class FacileInOrderSim:
             self.engine = FastForwardEngine(
                 self.compiled, self.ctx,
                 cache_limit_bytes=cache_limit_bytes,
-                cache_evict=cache_evict,
                 trace_jit=trace_jit, trace_threshold=trace_threshold,
                 replay_backend=replay_backend,
             )
@@ -255,7 +253,7 @@ class FacileInOrderSim:
 def run_facile_inorder(
     program: Program, config: C.MachineConfig | None = None, memoized: bool = True,
     trace_jit: bool = True, trace_threshold: int = 64,
-    cache_limit_bytes: int | None = None, cache_evict: str = "clear",
+    cache_limit_bytes: int | None = None,
     cache_dir=None, cache_load=None, cache_save=None,
     replay_backend: str = "python",
     profile: bool = False,
@@ -263,7 +261,7 @@ def run_facile_inorder(
     sim = FacileInOrderSim(
         program, config, memoized=memoized,
         trace_jit=trace_jit, trace_threshold=trace_threshold,
-        cache_limit_bytes=cache_limit_bytes, cache_evict=cache_evict,
+        cache_limit_bytes=cache_limit_bytes,
         replay_backend=replay_backend,
     )
     if profile and hasattr(sim.engine, "profile"):

@@ -333,7 +333,6 @@ class FacileOooSim:
         config: C.MachineConfig | None = None,
         memoized: bool = True,
         cache_limit_bytes: int | None = None,
-        cache_evict: str = "clear",
         flush_policy: str = "live",
         coalesce: bool = True,
         index_links: bool = True,
@@ -364,7 +363,6 @@ class FacileOooSim:
                 self.compiled,
                 self.ctx,
                 cache_limit_bytes=cache_limit_bytes,
-                cache_evict=cache_evict,
                 index_links=index_links,
                 trace_jit=trace_jit,
                 trace_threshold=trace_threshold,
@@ -424,7 +422,6 @@ def run_facile_ooo(
     memoized: bool = True,
     max_steps: int = 10_000_000,
     cache_limit_bytes: int | None = None,
-    cache_evict: str = "clear",
     flush_policy: str = "live",
     coalesce: bool = True,
     index_links: bool = True,
@@ -441,7 +438,6 @@ def run_facile_ooo(
         config,
         memoized=memoized,
         cache_limit_bytes=cache_limit_bytes,
-        cache_evict=cache_evict,
         flush_policy=flush_policy,
         coalesce=coalesce,
         index_links=index_links,

@@ -73,15 +73,14 @@ class _Node:
     """A run of non-test events ending in either a dynamic result test
     (with per-value successor nodes) or the next cycle's key.
 
-    ``stamp``, ``nbytes``, ``key_cost``, and ``packed`` are meaningful
-    on root nodes only: the age generation of the entry (for
-    generational eviction), the exact bytes charged against it (for the
-    eviction refund), the accounted key size, and the flat-packed form
-    of the whole cycle tree once recording completed."""
+    ``nbytes``, ``key_cost``, and ``packed`` are meaningful on root
+    nodes only: the exact bytes charged against the entry (re-accounted
+    on pack and unpack), the accounted key size, and the flat-packed
+    form of the whole cycle tree once recording completed."""
 
     __slots__ = (
-        "events", "check", "succ", "next_key", "stamp", "nbytes",
-        "key_cost", "packed",
+        "events", "check", "succ", "next_key", "nbytes", "key_cost",
+        "packed",
     )
 
     def __init__(self) -> None:
@@ -89,7 +88,6 @@ class _Node:
         self.check: tuple | None = None
         self.succ: dict = {}
         self.next_key: tuple | None = None
-        self.stamp = 0
         self.nbytes = 0
         self.key_cost = 0
         self.packed: _PackedCycle | None = None
@@ -172,20 +170,17 @@ class MemoStats:
     misses_check: int = 0
     bytes_estimate: int = 0
     #: Total bytes ever charged for recording (keys, events, checks,
-    #: recovery forks).  Never decremented by clears, evictions, or
-    #: pack/unpack re-accounting — the memoized-data *volume* Table 2
-    #: reports, mirroring ``CacheStats.bytes_cumulative`` on the facile
-    #: side so the two simulators' columns compare the same metric.
+    #: recovery forks).  Never decremented by clears or pack/unpack
+    #: re-accounting — the memoized-data *volume* Table 2 reports,
+    #: mirroring ``CacheStats.bytes_cumulative`` on the facile side so
+    #: the two simulators' columns compare the same metric.
     bytes_cumulative: int = 0
     packs: int = 0
     unpacks: int = 0
     clears: int = 0
-    evictions: int = 0
-    entries_evicted: int = 0
-    bytes_refunded: int = 0
     #: Bytes of ``bytes_estimate`` billed to mmap-backed (shared)
     #: packed cycles; the rest is process-private.  Decremented when a
-    #: shared entry is unpacked (copy-on-miss) or evicted.
+    #: shared entry is unpacked (copy-on-miss); a clear empties it.
     bytes_shared: int = 0
     #: Entries installed from a snapshot load.
     snapshot_entries: int = 0
@@ -214,14 +209,10 @@ class FastSimOoo:
         config: C.MachineConfig | None = None,
         memoize: bool = True,
         memo_limit_bytes: int | None = None,
-        memo_evict: str = "clear",
-        memo_low_watermark: float = 0.5,
         cache=None,
         predictor=None,
         replay_backend: str = "python",
     ):
-        if memo_evict not in ("clear", "generational"):
-            raise ValueError(f"unknown eviction policy {memo_evict!r}")
         if replay_backend not in ("python", "c"):
             raise ValueError(f"unknown replay backend {replay_backend!r}")
         self.config = config or C.MachineConfig()
@@ -239,18 +230,10 @@ class FastSimOoo:
         self.pool = InternPool()
         self.memo: dict[tuple, _Node] = {}
         self.memo_limit_bytes = memo_limit_bytes
-        self.memo_evict = memo_evict
-        self.memo_low_watermark = memo_low_watermark
         self.mstats = MemoStats()
         self.retired_fast = 0
         self._decode_cache: dict[int, S.Decoded] = {}
         self._pending_retire = 0
-        # Age generation for eviction (mirrors ActionCache.gen).
-        self.gen = 0
-        self._gen_step = (
-            max(memo_limit_bytes // 8, 1) if memo_limit_bytes else 0
-        )
-        self._since_gen = 0
         # Snapshot bookkeeping: keepalive handles for mmap-backed
         # streams, and the info records of the last load/save.
         self.snapshots: list = []
@@ -322,14 +305,12 @@ class FastSimOoo:
                 self.mstats.cycles_slow += 1
                 self._materialize(key)
                 root = _Node()
-                root.stamp = self.gen
                 root.key_cost = 8 * (8 + 6 * len(key[0]) + 33)
                 self.memo[key] = root
                 self.mstats.entries += 1
                 self._bill(root, root.key_cost)
                 key = self._slow_cycle(record=True, root=root)
             else:
-                node.stamp = self.gen
                 key = self._replay_packed(key, node)
             self._maybe_reclaim()
         self._materialize(key)
@@ -339,15 +320,10 @@ class FastSimOoo:
 
     def _bill(self, root: _Node, nbytes: int) -> None:
         """Charge ``nbytes`` to the memo table and to ``root``'s entry,
-        so eviction can refund the entry's exact accounted size."""
+        so packing and unpacking can re-account the entry exactly."""
         self.mstats.bytes_estimate += nbytes
         self.mstats.bytes_cumulative += nbytes
         root.nbytes += nbytes
-        if self._gen_step:
-            self._since_gen += nbytes
-            if self._since_gen >= self._gen_step:
-                self._since_gen -= self._gen_step
-                self.gen += 1
 
     def recount_bytes(self) -> int:
         """Recompute ``bytes_estimate`` by walking every surviving
@@ -419,55 +395,18 @@ class FastSimOoo:
         return total
 
     def _maybe_reclaim(self) -> None:
+        """Clear the whole memo table once it outgrows
+        ``memo_limit_bytes`` (the twin of :meth:`ActionCache.reclaim`)."""
         if (
             self.memo_limit_bytes is None
             or self.mstats.bytes_estimate <= self.memo_limit_bytes
         ):
             return
-        if self.memo_evict == "clear":
-            self.memo.clear()
-            self.pool.clear()
-            self.mstats.bytes_estimate = 0
-            self.mstats.bytes_shared = 0
-            self.mstats.clears += 1
-            return
-        # Generational partial eviction: drop the coldest entries until
-        # below the low watermark, refunding their exact charged bytes
-        # (including pooled bytes whose last reference this entry held).
-        target = int(self.memo_limit_bytes * self.memo_low_watermark)
-        mstats = self.mstats
-        for key, root in sorted(self.memo.items(), key=lambda kv: kv[1].stamp):
-            if mstats.bytes_estimate <= target:
-                break
-            del self.memo[key]
-            refund = self._release_root(root)
-            mstats.bytes_estimate -= refund
-            mstats.bytes_refunded += refund
-            mstats.entries_evicted += 1
-        mstats.evictions += 1
-        self.gen += 1
-        self._since_gen = 0
-
-    def _release_root(self, root: _Node) -> int:
-        """Total refund for dropping ``root``: its accounted entry
-        bytes plus any pooled bytes it held the last reference to."""
-        refund = root.nbytes
-        chain = root.packed
-        if chain is not None:
-            if chain.shared:
-                self.mstats.bytes_shared -= chain.local_bytes
-            pool = self.pool
-            kinds = chain.kinds
-            payload = chain.payload
-            sstream = chain.succ
-            for i in range(len(kinds)):
-                k = kinds[i]
-                if k == FS_END:
-                    continue
-                refund += pool.release(payload[i])
-                if k >= FS_CHECK_BASE and sstream[i] >= 0:
-                    refund += pool.release(sstream[i])
-        return refund
+        self.memo.clear()
+        self.pool.clear()
+        self.mstats.bytes_estimate = 0
+        self.mstats.bytes_shared = 0
+        self.mstats.clears += 1
 
     # -- fast replay ----------------------------------------------------------------
 
@@ -1042,7 +981,6 @@ def run_fastsim(
     memoize: bool = True,
     max_cycles: int = 10_000_000,
     memo_limit_bytes: int | None = None,
-    memo_evict: str = "clear",
     cache_dir=None,
     cache_load=None,
     cache_save=None,
@@ -1053,7 +991,6 @@ def run_fastsim(
         config,
         memoize=memoize,
         memo_limit_bytes=memo_limit_bytes,
-        memo_evict=memo_evict,
         replay_backend=replay_backend,
     )
     warm = None

@@ -11,8 +11,11 @@ non-fatal status.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
+from repro.facile import FastForwardEngine
 from repro.facile.cbackend import _reset_kernel_for_tests, load_kernel
 from repro.facile.replay_ir import (
     ExternTable,
@@ -186,53 +189,85 @@ def test_cold_parity_default_config(sim_name):
 
 
 @requires_cc
-@pytest.mark.parametrize("sim_name", ("functional", "ooo"))
+@pytest.mark.parametrize("sim_name", ENGINE_SIMS)
 def test_eviction_mid_run_parity_and_audit(sim_name):
-    """Generational eviction under a tight budget drops lowered chains
-    mid-run; results and byte accounting stay exact."""
+    """A tight budget clears the whole cache mid-run, dropping every
+    lowered chain and resetting the kernel's pool mirror; results, every
+    cache and run statistic, and the byte accounting match the Python
+    backend."""
     program = build_cached("compress", 2)
-    kw = dict(cache_limit_bytes=48_000, cache_evict="generational",
-              trace_jit=False)
+    kw = dict(cache_limit_bytes=48_000, trace_jit=False)
     dig_p, eng_p, _ = _run(sim_name, program, "python", **kw)
     dig_c, eng_c, _ = _run(sim_name, program, "c", **kw)
     assert dig_c == dig_p
-    assert eng_c.cache.stats.evictions > 0
+    assert asdict(eng_c.cache.stats) == asdict(eng_p.cache.stats)
+    assert asdict(eng_c.stats) == asdict(eng_p.stats)
+    assert eng_c.cache.stats.clears > 0
+    assert eng_c._cnative.runs > 0
     assert_billing(eng_c.cache)
-    assert eng_c.cache.stats.evictions == eng_p.cache.stats.evictions
-    assert eng_c.cache.stats.entries_evicted == eng_p.cache.stats.entries_evicted
+    assert_billing(eng_p.cache)
+
+
+# Keys cycle 0 -> 1 -> 2.  Keys 0 and 2 replay one fixed chain; at key 1
+# a ``?verify`` pins a counter that never repeats, so every pass after
+# the first misses there, recovers, and records the new value as
+# placeholder data of the action that follows.
+CHURN_SRC = """
+val init = 0;
+val n = 0;
+val acc = 0;
+fun main(pc) {
+  acc = acc + pc * 5 + 7;
+  if (pc == 1) {
+    n = n + 1;
+    acc = acc + n?verify * 3;
+  }
+  init = (pc + 1) % 3;
+}
+"""
 
 
 @requires_cc
-def test_pool_mirror_stays_bounded_under_eviction(monkeypatch):
-    """Generational eviction frees pool values all run long.  The
-    kernel's pool mirror forgets each one and compacts, so after every
-    eviction round it holds at most twice the live pool; results stay
-    equal to the Python backend."""
-    from repro.facile.runtime import ActionCache
+def test_pool_mirror_stays_bounded_under_recovery_churn(monkeypatch):
+    """Every recovery unpacks its entry, freeing the pool values only
+    that entry held (all of them mirrored by the kernel), and the
+    repack interns them again.  The mirror forgets the freed values and
+    compacts, so after each recovery it holds at most twice the live
+    pool; results and statistics equal the Python backend's."""
+    from repro.facile.compiler import compile_source
 
+    sim = compile_source(CHURN_SRC).simulator
     samples = []
-    reclaim = ActionCache.reclaim
+    recover = FastForwardEngine._recover
 
-    def sampled(cache, pinned=None):
-        out = reclaim(cache, pinned)
-        if cache.native is not None:
-            samples.append((cache.native.summary()["values_mirrored"],
-                            cache.pool.live_values()))
-        return out
+    def sampled(engine, entry, results):
+        recover(engine, entry, results)
+        native = engine.cache.native
+        if native is not None:
+            samples.append((native.summary()["values_mirrored"],
+                            engine.cache.pool.live_values()))
 
-    monkeypatch.setattr(ActionCache, "reclaim", sampled)
-    program = build_cached("compress", 2)
-    kw = dict(cache_limit_bytes=48_000, cache_evict="generational",
-              trace_jit=False)
-    dig_c, eng_c, _ = _run("ooo", program, "c", **kw)
-    dig_p, eng_p, _ = _run("ooo", program, "python", **kw)
-    assert dig_c == dig_p
-    assert _cache_digest(eng_c) == _cache_digest(eng_p)
-    assert len(samples) > 10
+    monkeypatch.setattr(FastForwardEngine, "_recover", sampled)
+    engines = {}
+    for backend in ("c", "python"):
+        ctx = sim.make_context()
+        ctx.write_global("init", 0)
+        engine = FastForwardEngine(sim, ctx, trace_jit=False,
+                                   replay_backend=backend)
+        engine.run(max_steps=120)
+        engines[backend] = engine
+    eng_c, eng_p = engines["c"], engines["python"]
+    assert eng_c.backend_status["active"] == "c"
+    assert eng_c.ctx.read_global("acc") == eng_p.ctx.read_global("acc")
+    assert asdict(eng_c.cache.stats) == asdict(eng_p.cache.stats)
+    assert asdict(eng_c.stats) == asdict(eng_p.stats)
+    assert eng_c.stats.steps_recovered == 39  # every pass after the first
+    assert len(samples) == 39
     assert all(mirrored <= 2 * live for mirrored, live in samples), samples
-    ns = eng_c._cnative.summary()
-    assert 0 < ns["values_mirrored"] <= 2 * eng_c.cache.pool.live_values()
-    assert ns["bodies_registered"] > 0
+    # The chains of keys 0 and 2 stay registered, so their values stay
+    # mirrored through every compaction.
+    assert all(mirrored > 0 for mirrored, _ in samples), samples
+    assert_billing(eng_c.cache)
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,9 @@ class TestWorkloads:
 
 class TestCacheLimitDefaults:
     def test_cache_limit_alone_matches_the_runner_api(self, capsys):
-        """``--cache-limit`` without ``--cache-evict`` reclaims with the
-        runners' default policy, so the CLI and the API report the same
-        eviction stats for the same job."""
+        """``--cache-limit`` clears the cache exactly as the runner API
+        does with the same ``cache_limit_bytes``, so the CLI and the API
+        report the same ``cache:`` line for the same job."""
         from repro.cli import _report_run
         from repro.ooo.facile_ooo import run_facile_ooo
         from repro.workloads.suite import build_cached
@@ -165,7 +165,7 @@ class TestCacheLimitDefaults:
 class TestRunnerDefaults:
     """With no flags given, every keyword the CLI passes to a runner
     equals that runner's own default, so the CLI and the API cannot
-    drift apart on a knob (``cache_evict`` once did)."""
+    drift apart on a knob."""
 
     RUNNERS = {
         "functional": "run_facile_functional",

@@ -1,13 +1,11 @@
-"""Generational partial eviction and byte-accounting tests.
+"""Cache-entry refund and engine-edge regressions.
 
-Covers the facile-engine side of the cache-limit machinery: eviction
-triggered by the byte budget, exact refunds (``bytes_current`` always
-equals a from-scratch walk of the surviving record trees), trace
-invalidation on partial eviction, and result identity across the
-``clear`` / ``generational`` policies and an unlimited baseline.  Also
-the satellite regressions: stale-entry refunds in ``create_entry``,
+Stale-entry refunds in ``create_entry`` (an overwritten entry's bytes
+and pool references come back exactly, and links to it are rejected),
 dict freezing, the ``pop_verify`` desync guard, and the mutable-init
-``likely_next`` identity-check soundness fix.
+``likely_next`` identity-check soundness fix.  Clearing a full cache is
+covered in ``test_runtime.py``, ``test_flatpack.py`` and
+``test_cbackend.py``.
 """
 
 import pytest
@@ -23,122 +21,9 @@ from repro.facile.runtime import (
 )
 
 from .accounting import assert_billing
-from .toyisa import (
-    HALT_WORD,
-    add_imm,
-    bz,
-    compile_toy,
-    run_memoized,
-)
 
 
-@pytest.fixture(scope="module")
-def toy():
-    return compile_toy().simulator
-
-
-def straight_line(n: int) -> list[int]:
-    """n add instructions at distinct pcs (one cache entry each)."""
-    return [add_imm(1, 1, 1) for _ in range(n)] + [HALT_WORD]
-
-
-def multi_loop_program(n_loops: int, iters: int) -> list[int]:
-    """n_loops sequential countdown loops.  While loop k runs, its
-    entries are the hot working set; earlier loops are dead cold code —
-    the access pattern where partial eviction beats a full clear.
-
-    The straight-line preamble varies per loop so loops do not all have
-    the same cache footprint: with uniform footprints the byte limit is
-    crossed at the same intra-loop phase every time, and a full clear
-    can degenerately land only at loop boundaries (where it wipes
-    nothing that will ever be revisited), hiding the policy difference
-    this program exists to expose."""
-    words: list[int] = []
-    for k in range(n_loops):
-        words += [add_imm(2, 2, j + 1) for j in range(k % 3)]
-        words += [
-            add_imm(1, 0, iters),   # r1 = iters
-            add_imm(1, 1, 0x1FFF),  # r1 -= 1
-            bz(1, 8),               # exit to next loop
-            bz(0, -8),              # back edge
-        ]
-    return words + [HALT_WORD]
-
-
-def registers(ctx):
-    return list(ctx.read_global("R"))
-
-
-# -- ActionCache unit behavior --------------------------------------------------
-
-
-class TestGenerationalCache:
-    def fill(self, cache, keys):
-        for key in keys:
-            m = Memoizer(cache)
-            m.begin_step((key,))
-            m.action(0, (key, key))
-            m.end_step()
-
-    def test_evicts_coldest_until_watermark(self):
-        cache = ActionCache(limit_bytes=200, evict_policy="generational")
-        self.fill(cache, [(1, 1), (2, 2), (3, 3), (4, 4)])
-        assert cache.stats.bytes_current > 200
-        cleared, evicted = cache.maybe_reclaim()
-        assert not cleared and evicted
-        assert cache.stats.clears == 0
-        assert cache.stats.evictions == 1
-        assert cache.stats.bytes_current <= 100  # low watermark = 0.5
-        # Evicted entries are unreachable and marked stale for links.
-        for entry in evicted:
-            assert entry.generation == -1
-            assert cache.lookup((entry.key[0],)) is None
-
-    def test_refund_is_exact(self):
-        cache = ActionCache(limit_bytes=200, evict_policy="generational")
-        self.fill(cache, [(i, i) for i in range(8)])
-        cache.maybe_reclaim()
-        assert_billing(cache)
-        assert cache.stats.bytes_refunded > 0
-
-    def test_age_orders_eviction(self):
-        cache = ActionCache(limit_bytes=10_000, evict_policy="generational")
-        self.fill(cache, [(1, 1)])
-        cache.gen += 1
-        self.fill(cache, [(2, 2)])
-        cache.gen += 1
-        # Touching the old entry makes it hotter than (2, 2).
-        assert cache.lookup(((1, 1),)) is not None
-        cache.limit_bytes = cache.stats.bytes_current - 1
-        cache.low_watermark = 0.6  # target forces exactly one eviction
-        _, evicted = cache.reclaim()
-        assert [e.key for e in evicted] == [((2, 2),)]
-        assert cache.lookup(((1, 1),)) is not None
-
-    def test_pinned_entries_evicted_last(self):
-        cache = ActionCache(limit_bytes=10_000, evict_policy="generational")
-        self.fill(cache, [(1, 1)])
-        cache.gen += 1
-        self.fill(cache, [(2, 2)])
-        pinned_entry = cache.entries[((1, 1),)]  # colder of the two
-        cache.limit_bytes = cache.stats.bytes_current - 1
-        cache.low_watermark = 0.6
-        # (1, 1) is colder but pinned (covered by a live trace), so the
-        # hotter unpinned entry goes first.
-        _, evicted = cache.reclaim(pinned={id(pinned_entry): None})
-        assert [e.key for e in evicted] == [((2, 2),)]
-
-    def test_clear_policy_unchanged(self):
-        cache = ActionCache(limit_bytes=50, evict_policy="clear")
-        self.fill(cache, [(1, 1), (2, 2)])
-        cleared, evicted = cache.maybe_reclaim()
-        assert cleared and not evicted
-        assert cache.stats.clears == 1
-        assert not cache.entries and cache.stats.bytes_current == 0
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="eviction policy"):
-            ActionCache(evict_policy="lru")
+# -- stale-entry refunds --------------------------------------------------------
 
 
 class TestCreateEntryRefund:
@@ -166,86 +51,6 @@ class TestCreateEntryRefund:
         stale = cache.create_entry((7,))
         cache.create_entry((7,))
         assert stale.generation == -1  # likely_next guard fails on it
-
-
-# -- engine-level eviction ------------------------------------------------------
-
-
-class TestEngineEviction:
-    def test_limit_triggers_eviction_not_clear(self, toy):
-        _, engine, _ = run_memoized(
-            toy, straight_line(120),
-            cache_limit_bytes=2_000, cache_evict="generational",
-        )
-        stats = engine.cache.stats
-        assert stats.evictions > 0
-        assert stats.clears == 0
-        assert stats.bytes_current <= 2_000
-
-    def test_byte_refund_exact_after_eviction(self, toy):
-        _, engine, _ = run_memoized(
-            toy, straight_line(120),
-            cache_limit_bytes=2_000, cache_evict="generational",
-        )
-        assert engine.cache.stats.evictions > 0
-        assert_billing(engine.cache)
-
-    def test_results_identical_across_policies(self, toy):
-        prog = straight_line(150)
-        ctx_unlimited, _, _ = run_memoized(toy, prog)
-        ctx_clear, engine_clear, _ = run_memoized(
-            toy, prog, cache_limit_bytes=2_000, cache_evict="clear"
-        )
-        ctx_gen, engine_gen, _ = run_memoized(
-            toy, prog, cache_limit_bytes=2_000, cache_evict="generational"
-        )
-        assert engine_clear.cache.stats.clears > 0
-        assert engine_gen.cache.stats.evictions > 0
-        assert registers(ctx_unlimited) == registers(ctx_clear) == registers(ctx_gen)
-        assert (
-            ctx_unlimited.retired_total
-            == ctx_clear.retired_total
-            == ctx_gen.retired_total
-        )
-
-    def test_eviction_invalidates_covering_traces(self, toy):
-        # Each loop gets traced while hot; once execution moves on, its
-        # entries go cold and are evicted, which must kill the covering
-        # trace rather than leave it replaying stale chains.
-        prog = multi_loop_program(20, 50)
-        ctx, engine, _ = run_memoized(
-            toy, prog, max_steps=100_000,
-            cache_limit_bytes=2_000, cache_evict="generational",
-            trace_jit=True, trace_threshold=8,
-        )
-        assert ctx.halted
-        assert engine.traces is not None
-        assert engine.traces.stats.traces_compiled > 0
-        assert engine.traces.stats.traces_invalidated > 0
-        assert engine.cache.stats.evictions > 0
-        assert engine.cache.stats.clears == 0
-        assert_billing(engine.cache)
-
-    def test_hot_loop_survives_eviction(self, toy):
-        # A full clear wipes the running loop's entries at every trip;
-        # generational eviction drops only the dead previous loops, so
-        # it re-records strictly fewer steps.
-        prog = multi_loop_program(20, 50)
-        ctx_gen, engine_gen, stats_gen = run_memoized(
-            toy, prog, max_steps=100_000,
-            cache_limit_bytes=2_000, cache_evict="generational",
-            trace_jit=False,
-        )
-        ctx_clear, engine_clear, stats_clear = run_memoized(
-            toy, prog, max_steps=100_000,
-            cache_limit_bytes=2_000, cache_evict="clear",
-            trace_jit=False,
-        )
-        assert engine_gen.cache.stats.evictions > 0
-        assert engine_clear.cache.stats.clears >= 3
-        assert registers(ctx_gen) == registers(ctx_clear)
-        assert ctx_gen.retired_total == ctx_clear.retired_total
-        assert stats_gen.steps_slow < stats_clear.steps_slow
 
 
 # -- freeze() on dicts ----------------------------------------------------------

@@ -184,14 +184,11 @@ class TestMemoLimitUnderChurn:
 
     SRC = TestAlternatingBranch.SRC
 
-    @pytest.mark.parametrize("evict", ["clear", "generational"])
     @pytest.mark.parametrize("limit", [4_000, 20_000, 100_000])
-    def test_limited_matches_reference(self, limit, evict):
+    def test_limited_matches_reference(self, limit):
         program = assemble(self.SRC)
         ref = run_reference(program)
-        fast = run_fastsim(
-            program, memoize=True, memo_limit_bytes=limit, memo_evict=evict
-        )
+        fast = run_fastsim(program, memoize=True, memo_limit_bytes=limit)
         assert sig(ref.stats) == sig(fast.stats)
 
     def test_clears_observed(self):
@@ -199,20 +196,7 @@ class TestMemoLimitUnderChurn:
         fast = run_fastsim(program, memoize=True, memo_limit_bytes=4_000)
         assert fast.mstats.clears > 0
 
-    def test_generational_evicts_without_clearing(self):
+    def test_accounting_leak_free(self):
         program = assemble(self.SRC)
-        fast = run_fastsim(
-            program, memoize=True, memo_limit_bytes=4_000,
-            memo_evict="generational",
-        )
-        assert fast.mstats.evictions > 0
-        assert fast.mstats.clears == 0
-        assert fast.mstats.bytes_refunded > 0
-
-    @pytest.mark.parametrize("evict", ["clear", "generational"])
-    def test_accounting_leak_free(self, evict):
-        program = assemble(self.SRC)
-        fast = run_fastsim(
-            program, memoize=True, memo_limit_bytes=4_000, memo_evict=evict
-        )
+        fast = run_fastsim(program, memoize=True, memo_limit_bytes=4_000)
         assert fast.mstats.bytes_estimate == fast.recount_bytes()

@@ -251,8 +251,7 @@ class TestActionCache:
         cache = ActionCache(limit_bytes=50)
         entry = cache.create_entry((1,) * 32)
         entry.complete = True
-        cleared, evicted = cache.maybe_reclaim()
-        assert cleared and not evicted
+        assert cache.reclaim()
         assert cache.lookup((1,) * 32) is None
         assert cache.stats.clears == 1
         assert cache.stats.bytes_current == 0
@@ -261,13 +260,13 @@ class TestActionCache:
         cache = ActionCache(limit_bytes=50)
         cache.create_entry((1,) * 32)
         total = cache.stats.bytes_cumulative
-        cache.maybe_reclaim()
+        assert cache.reclaim()
         assert cache.stats.bytes_cumulative == total
 
     def test_no_limit_never_clears(self):
         cache = ActionCache()
         cache.create_entry((1,) * 1000)
-        assert cache.maybe_reclaim() is None
+        assert not cache.reclaim()
         assert cache.stats.clears == 0
 
 

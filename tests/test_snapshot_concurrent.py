@@ -66,12 +66,12 @@ class TestAtomicWriteRace:
         fp = engine_fingerprint(compiled_functional_sim().simulator, program)
 
         # Two complete, loadable blobs of the same fingerprint with
-        # different content (the second run's cache is budget-bound).
+        # different content (the second run's cache is budget-bound: it
+        # clears mid-run, so it ends with fewer entries).
         p_a, p_b = tmp_path / "a.facsnap", tmp_path / "b.facsnap"
         run_facile_functional(program, cache_save=str(p_a))
         run_facile_functional(
-            program, cache_limit_bytes=1_000_000,
-            cache_evict="generational", cache_save=str(p_b),
+            program, cache_limit_bytes=80_000, cache_save=str(p_b),
         )
         blob_a, blob_b = p_a.read_bytes(), p_b.read_bytes()
         entries_ok = set()
@@ -79,6 +79,7 @@ class TestAtomicWriteRace:
             info = load_action_cache(_fresh_cache(), path, fp)
             assert info.hit, info.reason
             entries_ok.add(info.entries)
+        assert len(entries_ok) == 2
 
         dest = str(tmp_path / "store" / "racy.facsnap")
         writers = [
