@@ -22,8 +22,8 @@ per-body work happens once per engine, in two kernel-side tables:
   flattened into one ``int64`` arena (non-int members travel as object
   registry ids) with its kind and placeholder shape.  The pool's
   release hook makes the mirror forget an index whose last reference
-  died, and the arena compacts once forgotten values outnumber live
-  ones, so its size follows the live pool;
+  died, so a reused index is mirrored afresh; a clear resets the
+  arena;
 * the **body table** maps ``(action, shape)`` to a body program,
   compiled by :func:`~repro.facile.replay_ir.compile_body` and passed
   through the verifier gate (:func:`~repro.facile.ir_verify.assert_lowerable`)
@@ -248,8 +248,7 @@ typedef struct {
 } Chain;
 
 /* One mirrored intern-pool value: its kind (PK_*), shape id and words
- * in the arena.  Every mirrored value takes at least one word, so live
- * values have distinct offsets (compaction remaps by them). */
+ * in the arena. */
 typedef struct {
     i64 kind, shape, off, len;
 } PVal;
@@ -279,7 +278,7 @@ typedef struct {
     i64 npool;
     i64 *arena;
     i64 arena_n, arena_cap;
-    i64 nmirrored, ndead;   /* values holding arena words; forgotten ones */
+    i64 nmirrored;          /* values mirrored into the arena */
     Chain **chains;
     i64 nchains, chaincap;
     page_fn page_cb;
@@ -365,7 +364,7 @@ i64 ffc_add_body(St *st, i64 action, i64 shape, const i64 *code, i64 n,
 /* Mirror pool values: meta holds (index, kind, shape, len) per value,
  * words their arena words back to back. */
 i64 ffc_mirror(St *st, i64 n, const i64 *meta, const i64 *words) {
-    i64 top = 0, total = n;
+    i64 top = 0, total = 0;
     for (i64 k = 0; k < n; k++) {
         if (meta[4 * k] >= top) top = meta[4 * k] + 1;
         total += meta[4 * k + 3];
@@ -379,72 +378,31 @@ i64 ffc_mirror(St *st, i64 n, const i64 *meta, const i64 *words) {
     st->arena = arena;
     for (i64 k = 0; k < n; k++, meta += 4) {
         PVal *v = &pool[meta[0]];
-        if (v->kind != PK_NONE) st->ndead++;
         v->kind = meta[1];
         v->shape = meta[2];
         v->len = meta[3];
         v->off = st->arena_n;
         memcpy(arena + st->arena_n, words, v->len * sizeof(i64));
         words += v->len;
-        st->arena_n += v->len ? v->len : 1;
+        st->arena_n += v->len;
         st->nmirrored++;
     }
     return 0;
 }
 
-/* Move the live values into a fresh arena and remap every registered
- * chain's data offsets with them (offsets are unique per value). */
-static void compact(St *st) {
-    i64 words = 0;
-    for (i64 p = 0; p < st->npool; p++)
-        if (st->pool[p].kind != PK_NONE)
-            words += st->pool[p].len ? st->pool[p].len : 1;
-    i64 *na = (i64 *)malloc((words ? words : 1) * sizeof(i64));
-    i64 *remap = (i64 *)malloc((st->arena_n ? st->arena_n : 1) * sizeof(i64));
-    if (!na || !remap) {
-        free(na);
-        free(remap);
-        return;
-    }
-    i64 w = 0;
-    for (i64 p = 0; p < st->npool; p++) {
-        PVal *v = &st->pool[p];
-        if (v->kind == PK_NONE) continue;
-        memcpy(na + w, st->arena + v->off, v->len * sizeof(i64));
-        remap[v->off] = w;
-        v->off = w;
-        w += v->len ? v->len : 1;
-    }
-    for (i64 c = 0; c < st->nchains; c++) {
-        Chain *ch = st->chains[c];
-        if (!ch) continue;
-        for (i64 i = 0; i < ch->n; i++)
-            if (ch->kinds[i] != K_END) ch->doffs[i] = remap[ch->doffs[i]];
-    }
-    free(remap);
-    free(st->arena);
-    st->arena = na;
-    st->arena_n = w;
-    st->arena_cap = words ? words : 1;
-    st->nmirrored -= st->ndead;
-    st->ndead = 0;
-}
-
-/* Forget released pool indices; compact once forgotten values hold
- * more of the arena than live ones. */
+/* Forget released pool indices: a later registration that needs one
+ * again (the pool reuses freed indices) mirrors its new value afresh.
+ * Their arena words stay until the next clear; a value dies only when
+ * a verify turns into a jump table or a stale entry is overwritten. */
 void ffc_forget(St *st, const i64 *idx, i64 n) {
     for (i64 k = 0; k < n; k++) {
         i64 p = idx[k];
-        if (p >= 0 && p < st->npool && st->pool[p].kind != PK_NONE) {
-            st->pool[p].kind = PK_NONE;
-            st->ndead++;
-        }
+        if (p >= 0 && p < st->npool) st->pool[p].kind = PK_NONE;
     }
-    if (st->ndead > st->nmirrored - st->ndead) compact(st);
 }
 
-/* Values holding arena words: live ones plus forgotten ones awaiting
- * compaction. */
+/* Values mirrored into the arena since the last clear, forgotten ones
+ * included. */
 i64 ffc_mirrored(St *st) {
     return st->nmirrored;
 }
@@ -594,7 +552,6 @@ void ffc_drop_all_chains(St *st) {
     if (st->pool) memset(st->pool, 0, st->npool * sizeof(PVal));
     st->arena_n = 0;
     st->nmirrored = 0;
-    st->ndead = 0;
 }
 
 /* Link tag of the live init value: (value << 1) | isobj. */
@@ -1758,7 +1715,7 @@ class CReplayBackend:
     """Per-engine C replay state: lowered chains, mirrors, callbacks.
 
     Installed as ``engine.cache.native`` so the cache can drop lowered
-    chains in lockstep with unpacks, stale overwrites, and clears.  The
+    chains in lockstep with reopens, stale overwrites, and clears.  The
     public surface the engine uses is :meth:`run_entry` (returns
     ``None`` to fall back to the Python tiers for this call), plus the
     :meth:`drop_entry`/:meth:`drop_all` invalidation hooks.
@@ -2285,7 +2242,7 @@ class CReplayBackend:
             return None
         cache = engine.cache
         entry = cache.entries.get(key)
-        if entry is None or not entry.complete or entry.packed is None:
+        if entry is None or not entry.complete:
             return None
         end = self._ends[ex.cid][ex.end_ix]
         end.likely_next = (raw, entry)
@@ -2380,10 +2337,8 @@ class CReplayBackend:
 
     def summary(self) -> dict:
         """Lowering and dispatch statistics.  ``values_mirrored`` counts
-        the pool values holding words in the kernel's arena, forgotten
-        ones not yet compacted away included."""
-        if self._released:
-            self._forget_released()
+        the pool values mirrored into the kernel's arena since the last
+        clear, forgotten ones included."""
         return {
             "chains_lowered": self.chains_lowered,
             "chains_unlowerable": self.chains_unlowerable,

@@ -14,7 +14,7 @@ from .analysis import CheckReport
 from .analysis import why_dynamic as _why_dynamic
 from .bta import DYNAMIC
 from .compiler import CompilationResult
-from .runtime import ActionCache, CacheEntry, entry_first_record
+from .runtime import ENDMARK, PENDING, ActionCache, CacheEntry
 
 
 def explain_division(result: CompilationResult) -> str:
@@ -96,33 +96,48 @@ def why_dynamic(result: CompilationResult, name: str) -> list[str]:
 
 
 def dump_entry(entry: CacheEntry, max_depth: int = 200) -> str:
-    """Render one specialized-action-cache entry as a tree (Figure 3).
-
-    Flat-packed entries are transiently reconstructed into record form
-    for rendering (no accounting side effects)."""
-    packed = " packed" if entry.packed is not None else ""
-    lines = [f"entry key={_short(entry.key)} complete={entry.complete}{packed}"]
-    _dump_chain(entry_first_record(entry), lines, indent=1, budget=[max_depth])
+    """Render one specialized-action-cache entry as a tree (Figure 3),
+    read straight off its packed lanes (no accounting side effects)."""
+    lines = [f"entry key={_short(entry.key)} complete={entry.complete}"]
+    _dump_chain(entry.packed, 0, lines, indent=1, budget=[max_depth])
     return "\n".join(lines)
 
 
-def _dump_chain(rec, lines: list[str], indent: int, budget: list[int]) -> None:
+def _dump_chain(chain, i: int, lines: list[str], indent: int,
+                budget: list[int]) -> None:
     pad = "  " * indent
-    while rec is not None and budget[0] > 0:
+    nums = chain.nums
+    values = chain.pool.values
+    while i < len(nums) and budget[0] > 0:
         budget[0] -= 1
-        if rec.is_end:
+        num = nums[i]
+        if num == ENDMARK:
             lines.append(f"{pad}END")
             return
-        if rec.is_verify:
-            lines.append(f"{pad}verify action {rec.num} data={_short(rec.data)}")
-            for value, succ in rec.succ.items():
-                lines.append(f"{pad}  result {value!r} ->")
-                _dump_chain(succ, lines, indent + 2, budget)
-            return
-        lines.append(f"{pad}action {rec.num} data={_short(rec.data)}")
-        rec = rec.next
+        data = _short(values[chain.data[i]])
+        if num >= 0:
+            lines.append(f"{pad}action {num} data={data}")
+            i += 1
+            continue
+        lines.append(f"{pad}verify action {~num} data={data}")
+        for value, j in _successors(chain, i):
+            lines.append(f"{pad}  result {value!r} ->")
+            _dump_chain(chain, j, lines, indent + 2, budget)
+        return
     if budget[0] <= 0:
         lines.append(f"{pad}... (truncated)")
+
+
+def _successors(chain, i: int) -> list[tuple]:
+    """``(observed value, next slot)`` arms of the verify in slot ``i``:
+    none while its result is pending, one for a single successor, a
+    jump table's arms in recording order."""
+    s = chain.succ[i]
+    if s == PENDING:
+        return []
+    if s >= 0:
+        return [(chain.pool.values[s], i + 1)]
+    return list(chain.tables[~s].items())
 
 
 def cache_summary(cache: ActionCache, engine=None) -> str:
@@ -136,11 +151,14 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
     n_records = 0
     max_succ = 0
     for entry in cache.entries.values():
-        for rec in _walk_records(entry):
+        chain = entry.packed
+        for i, num in enumerate(chain.nums):
+            if num == ENDMARK:
+                continue
             n_records += 1
-            if rec.is_verify:
+            if num < 0:
                 n_forks += 1
-                max_succ = max(max_succ, len(rec.succ))
+                max_succ = max(max_succ, len(_successors(chain, i)))
     lines = [
         "specialized action cache",
         f"  entries:          {len(cache.entries)} live "
@@ -156,7 +174,7 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
         f"{stats.misses_verify:,} verify misses)",
     ]
     pool = cache.pool
-    n_packed = sum(1 for e in cache.entries.values() if e.packed is not None)
+    n_packed = sum(1 for e in cache.entries.values() if e.complete)
     pack_ratio = n_packed / max(1, len(cache.entries))
     hit_rate = 100 * pool.hits / max(1, pool.hits + pool.misses)
     lines += [
@@ -170,7 +188,7 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
     if stats.snapshot_entries or stats.snapshot_rejected or stats.bytes_shared:
         n_shared = sum(
             1 for e in cache.entries.values()
-            if e.packed is not None and e.packed.shared
+            if e.packed.shared
         )
         lines.append(
             f"  snapshot:         {stats.snapshot_entries} entries loaded, "
@@ -227,23 +245,6 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
                 if why and kind != "native":
                     lines.append(f"      why not native: {why}")
     return "\n".join(lines)
-
-
-def _walk_records(entry: CacheEntry):
-    seen = set()
-    stack = [entry_first_record(entry)]
-    while stack:
-        rec = stack.pop()
-        if rec is None or id(rec) in seen:
-            continue
-        seen.add(id(rec))
-        if rec.is_end:
-            continue
-        yield rec
-        if rec.is_verify:
-            stack.extend(rec.succ.values())
-        else:
-            stack.append(rec.next)
 
 
 def hot_actions(engine, result: CompilationResult, top: int = 10) -> str:

@@ -4,14 +4,15 @@ This module implements the machinery shared by every compiled
 simulator:
 
 * the **specialized action cache** — entries keyed by ``main``'s
-  run-time static input, holding linked *action records*; actions that
-  test dynamic values (*dynamic result tests*) have one successor chain
-  per observed result value (Figure 2);
-* the **memoizer** driving the slow/complete engine — it appends action
-  records while recording, and during **miss recovery** walks the
-  existing records, verifying action numbers and feeding previously
-  replayed dynamic results back to the slow simulator from the
-  *recovery stack* (Figure 10's emboldened code);
+  run-time static input, each holding its action chain as packed
+  lanes (action number, interned placeholder data, successor); actions
+  that test dynamic values (*dynamic result tests*) have one successor
+  path per observed result value (Figure 2);
+* the **memoizer** driving the slow/complete engine — it appends slots
+  to an entry's lanes while recording, and during **miss recovery**
+  walks the existing slots with a cursor, verifying action numbers and
+  feeding previously replayed dynamic results back to the slow
+  simulator from the *recovery stack* (Figure 10's emboldened code);
 * the **fast/residual engine driver** — a loop that reads action
   numbers and dispatches to compiled dynamic basic blocks (Figure 9);
 * the **simulation context** — all dynamic simulator state (slots,
@@ -193,12 +194,13 @@ POOL_SLOT_BYTES = 8
 class InternPool:
     """Process-wide interning pool for recorded placeholder data.
 
-    Flat-packed entries do not store their data tuples inline: each
-    packed slot holds an index into this pool, and equal values —
-    however many records across however many entries reference them —
-    are stored **once** and billed once.  The pool is reference-counted
-    so unpacks and stale overwrites stay exact: :meth:`release` returns
-    the refunded bytes when (and only when) the last reference dies.
+    Packed entries do not store their data tuples inline: each slot
+    holds an index into this pool, and equal values — however many
+    records across however many entries reference them — are stored
+    **once** and billed once.  The pool is reference-counted so jump
+    table conversions and stale overwrites stay exact: :meth:`release`
+    returns the refunded bytes when (and only when) the last reference
+    dies.
 
     Keys are compared by equality, like the verify successor dicts they
     feed, so ``True``/``1`` conflate — harmless, since every consumer
@@ -292,36 +294,8 @@ class InternPool:
 
 
 # ---------------------------------------------------------------------------
-# Action records and the specialized action cache
+# The specialized action cache: entries as packed lanes
 # ---------------------------------------------------------------------------
-
-
-class ActionRecord:
-    """A recorded dynamic basic block: action number + placeholder data."""
-
-    __slots__ = ("num", "data", "next")
-
-    def __init__(self, num: int, data: tuple):
-        self.num = num
-        self.data = data
-        self.next: object | None = None
-
-    is_verify = False
-    is_end = False
-
-
-class VerifyRecord:
-    """A dynamic result test: successors keyed by the observed value."""
-
-    __slots__ = ("num", "data", "succ")
-
-    def __init__(self, num: int, data: tuple):
-        self.num = num
-        self.data = data
-        self.succ: dict[Any, object] = {}
-
-    is_verify = True
-    is_end = False
 
 
 class EndRecord:
@@ -338,27 +312,23 @@ class EndRecord:
     def __init__(self) -> None:
         self.likely_next: tuple | None = None
 
-    is_verify = False
-    is_end = True
-    num = -1
-    data = ()
-
-
-# ---------------------------------------------------------------------------
-# Flat-packed entries: parallel index streams instead of object trees
-# ---------------------------------------------------------------------------
-
 
 #: ``nums`` value marking an end-of-step slot.  Far outside the action
 #: number range, and distinct from every ``~num`` verify encoding.
 ENDMARK = -(1 << 62)
 
-#: Accounted cost of one packed slot.  The streams model the paper's C
+#: ``succ`` value of a verify slot whose result has not been observed
+#: yet (recorded by ``begin_verify``, filled in by ``note_verify``).
+#: Only an entry whose step was interrupted keeps one; it is negative,
+#: so nothing reads it as a pool index.
+PENDING = ENDMARK
+
+#: Accounted cost of one packed slot.  The lanes model the paper's C
 #: layout — a 4-byte action number, 4-byte pool index, and 4-byte
-#: successor lane — mirroring the 12-byte record header of the unpacked
-#: form with the next-pointer replaced by contiguity.  (The Python
-#: ``array('q')`` backing spends 8 bytes per lane; the accounting, like
-#: ``value_bytes``, models the compact layout, not CPython overhead.)
+#: successor lane — with the next-pointer replaced by contiguity.  (The
+#: Python ``array('q')`` backing spends 8 bytes per lane; the
+#: accounting, like ``value_bytes``, models the compact layout, not
+#: CPython overhead.)
 PACKED_SLOT_BYTES = 12
 #: Accounted cost of one multi-successor jump table, plus one entry per
 #: recorded successor value (value ref + target slot).
@@ -366,11 +336,20 @@ PACKED_TABLE_OVERHEAD = 16
 PACKED_JUMP_BYTES = 8
 
 
-class PackedChain:
-    """One complete entry's record tree, flat-packed (the tentpole).
+def lane_bytes(n_slots: int, tables: list[dict]) -> int:
+    """Entry-local accounted size of ``n_slots`` packed slots plus their
+    jump tables (the shared pool bytes are billed by the pool)."""
+    return PACKED_SLOT_BYTES * n_slots + sum(
+        PACKED_TABLE_OVERHEAD + PACKED_JUMP_BYTES * len(t) for t in tables
+    )
 
-    Parallel streams, one slot per record, laid out so every
-    straight-line run is contiguous:
+
+class PackedChain:
+    """One entry's action chain as packed lanes, from its first record.
+
+    Parallel lanes, one slot per record.  The slow engine appends to
+    them while it records, and miss recovery appends each new path at
+    their end, so every straight-line run is contiguous:
 
     * ``nums[i]``  — action number: ``num`` (>= 0) for a plain action,
       ``~num`` (< 0) for a dynamic result test, :data:`ENDMARK` for a
@@ -383,36 +362,38 @@ class PackedChain:
       the overwhelmingly common case costs one ``==`` and no dict.  A
       verify with several successors holds ``~t`` where ``tables[t]``
       maps observed value -> jump slot.  End slots hold an index into
-      ``ends``, which keeps the original :class:`EndRecord` objects so
-      ``likely_next`` links survive pack/unpack by identity.
+      ``ends``, the entry's :class:`EndRecord` objects, so ``likely_next``
+      links survive recovery by identity.
 
     ``knums``/``datavals``/``sux`` are the *replay view*: the canonical
-    streams with their pool indices resolved once at pack time, so the
+    lanes with their pool indices resolved once at seal time, so the
     hot loop never touches the pool.  ``knums`` mirrors ``nums`` as a
     plain list (list indexing skips the array's per-read boxing);
     ``datavals[i]`` is the pooled placeholder value itself; ``sux[i]``
-    is None for plain actions, a one-entry fall-through dict
-    ``{expected: i + 1}`` or the shared jump table for verifies, and
-    the :class:`EndRecord` for end slots.  Every reference in the view
+    is None for plain actions, the expected value for a
+    single-successor verify or the shared jump table, and the
+    :class:`EndRecord` for end slots.  Every reference in the view
     aliases a pooled value or a canonical-lane object, so it carries no
-    accounted bytes of its own — accounting, release, and unpack all
-    read the canonical ``data``/``succ`` streams.
+    accounted bytes of its own — accounting and release read the
+    canonical ``data``/``succ`` lanes.  An open entry (recording or
+    recovering) has no view.
 
-    ``n_records``/``depth`` cache the tree shape (record count, max
-    multi-successor nesting) for the trace compiler; ``local_bytes`` is
-    the entry-local accounted size (slots + jump tables), excluding the
-    shared pool bytes.
+    ``n_records``/``depth`` give the chain's shape (record count, max
+    multi-successor nesting) for the trace compiler, set at seal time;
+    ``local_bytes`` is the entry-local accounted size (slots + jump
+    tables), excluding the shared pool bytes, kept current as the lanes
+    grow.
 
-    ``shared`` marks a chain whose canonical streams are read-only
+    ``shared`` marks a chain whose canonical lanes are read-only
     ``memoryview`` slices of an mmap-backed snapshot (see
     :mod:`repro.facile.snapshot`) rather than private arrays.  Shared
     chains arrive with no replay view (``knums is None``); the view is
     built lazily by :func:`build_replay_view` on the entry's first
     replay, so unused snapshot entries cost no private RSS.  Everything
-    that reads the canonical streams (replay, unpack, release, the
-    trace compiler) indexes them identically either way; a recovery
-    unpack turns the entry private (copy-on-miss) and repacking builds
-    fresh private arrays.
+    that reads the canonical lanes (replay, recovery, release, the
+    trace compiler) indexes them identically either way; reopening an
+    entry for recovery copies shared lanes into private arrays
+    (copy-on-miss).
     """
 
     __slots__ = (
@@ -421,117 +402,33 @@ class PackedChain:
         "n_records", "depth", "local_bytes", "shared",
     )
 
-
-def _pack_records(first, pool: InternPool) -> tuple[PackedChain, int]:
-    """Flatten a complete record tree into a :class:`PackedChain`.
-
-    Returns ``(chain, pool_charged)`` where ``pool_charged`` counts the
-    bytes newly charged to the interning pool (first references only).
-    """
-    nums = array("q")
-    data = array("q")
-    succ = array("q")
-    datavals: list = []
-    sux: list = []
-    tables: list[dict] = []
-    ends: list[EndRecord] = []
-    pool_charged = 0
-    n_records = 0
-    depth_max = 0
-    intern = pool.intern
-    values = pool.values
-    # (record, jump table index or -1, table key, multi-succ depth)
-    pending: deque = deque([(first, -1, None, 0)])
-    while pending:
-        rec, t, val, depth = pending.popleft()
-        if t >= 0:
-            tables[t][val] = len(nums)
-        while True:
-            if rec is None:
-                raise SimulationError(
-                    "cannot pack: recorded chain ended without an end marker"
-                )
-            if rec.is_end:
-                nums.append(ENDMARK)
-                data.append(-1)
-                succ.append(len(ends))
-                ends.append(rec)
-                datavals.append(None)
-                sux.append(rec)
-                break
-            n_records += 1
-            idx, charged = intern(rec.data)
-            pool_charged += charged
-            if not rec.is_verify:
-                nums.append(rec.num)
-                data.append(idx)
-                succ.append(0)
-                datavals.append(values[idx])
-                sux.append(None)
-                rec = rec.next
-                continue
-            sd = rec.succ
-            if len(sd) == 1:
-                ((value, nxt),) = sd.items()
-                vidx, charged = intern(value)
-                pool_charged += charged
-                nums.append(~rec.num)
-                data.append(idx)
-                succ.append(vidx)
-                datavals.append(values[idx])
-                # Replay view: the pooled expected value itself; match
-                # falls through on ``==`` with no dict probe.  Frozen
-                # values are never dicts (freeze converts them to
-                # DICT_TAG tuples), so the replay loop can discriminate
-                # this from a jump table by class.
-                sux.append(values[vidx])
-                rec = nxt
-                continue
-            depth += 1
-            if depth > depth_max:
-                depth_max = depth
-            t2 = len(tables)
-            table: dict = {}
-            tables.append(table)
-            nums.append(~rec.num)
-            data.append(idx)
-            succ.append(~t2)
-            datavals.append(values[idx])
-            # The shared table object: BFS fills it as successors are
-            # laid out, and the replay view sees the same dict.
-            sux.append(table)
-            for value, nxt in sd.items():
-                pending.append((nxt, t2, value, depth))
-            break
-    chain = PackedChain()
-    chain.nums = nums
-    chain.data = data
-    chain.succ = succ
-    chain.tables = tables
-    chain.ends = ends
-    chain.pool = pool
-    chain.knums = nums.tolist()
-    chain.datavals = datavals
-    chain.sux = sux
-    chain.n_records = n_records
-    chain.depth = depth_max
-    chain.local_bytes = PACKED_SLOT_BYTES * len(nums) + sum(
-        PACKED_TABLE_OVERHEAD + PACKED_JUMP_BYTES * len(t) for t in tables
-    )
-    chain.shared = False
-    return chain, pool_charged
+    @classmethod
+    def empty(cls, pool: InternPool) -> PackedChain:
+        """Private lanes with no slots yet, for a new entry."""
+        chain = cls()
+        chain.nums = array("q")
+        chain.data = array("q")
+        chain.succ = array("q")
+        chain.tables = []
+        chain.ends = []
+        chain.pool = pool
+        chain.knums = chain.datavals = chain.sux = None
+        chain.n_records = chain.depth = chain.local_bytes = 0
+        chain.shared = False
+        return chain
 
 
 def build_replay_view(chain: PackedChain) -> None:
     """Materialize the resolved replay view (``knums``/``datavals``/
-    ``sux``) from the canonical streams.
+    ``sux``) from the canonical lanes.
 
-    Chains packed by :func:`_pack_records` build their view inline;
-    mmap-loaded chains arrive without one and call this lazily on their
-    first replay.  The resolution is identical: pool indices become the
-    pooled values themselves, single-successor verifies resolve to the
-    expected value, jump tables and end records alias the canonical
-    lane objects.
+    Sealing an entry builds its view; mmap-loaded chains arrive
+    without one and call this lazily on their first replay.  Pool
+    indices become the pooled values themselves, single-successor
+    verifies resolve to the expected value, jump tables and end records
+    alias the canonical lane objects.  Frozen values are never dicts
+    (freeze converts them to ``DICT_TAG`` tuples), so the replay loop
+    tells an expected value from a jump table by class.
     """
     knums = list(chain.nums)
     dstream = chain.data
@@ -556,82 +453,51 @@ def build_replay_view(chain: PackedChain) -> None:
     chain.sux = sux
 
 
-def _packed_to_records(chain: PackedChain):
-    """Rebuild the mutable record tree from a packed chain (the lazy
-    unpack path: recovery needs object records the Memoizer can grow).
-
-    End slots reuse the chain's original :class:`EndRecord` objects, so
-    identity-based ``likely_next`` links into and out of this entry keep
-    holding across a pack/unpack round trip.  No accounting happens
-    here; callers adjust bytes and release pool references themselves.
-    """
+def _table_depth(chain: PackedChain) -> int:
+    """Deepest nesting of jump tables along any path of a chain: the
+    trace compiler's ``max_depth`` gate."""
     nums = chain.nums
-    dstream = chain.data
     sstream = chain.succ
-    values = chain.pool.values
-    n = len(nums)
-    recs: list = [None] * n
-    for i in range(n):
-        num = nums[i]
-        if num == ENDMARK:
-            recs[i] = chain.ends[sstream[i]]
-        elif num >= 0:
-            recs[i] = ActionRecord(num, values[dstream[i]])
-        else:
-            recs[i] = VerifyRecord(~num, values[dstream[i]])
-    for i in range(n):
-        num = nums[i]
-        if num == ENDMARK:
-            continue
-        if num >= 0:
-            recs[i].next = recs[i + 1]
-        else:
-            s = sstream[i]
-            if s >= 0:
-                recs[i].succ[values[s]] = recs[i + 1]
-            else:
-                recs[i].succ = {
-                    val: recs[j] for val, j in chain.tables[~s].items()
-                }
-    return recs[0]
-
-
-def entry_first_record(entry):
-    """First record of an entry's chain.  Complete entries are packed,
-    so this rebuilds their record tree from the streams (without any
-    accounting side effects); an entry still recording or recovering
-    answers its live tree.  Inspection helpers and tests read entries
-    through this."""
-    if entry.packed is not None:
-        return _packed_to_records(entry.packed)
-    return entry.first
+    tables = chain.tables
+    deepest = 0
+    stack = [(0, 0)]
+    while stack:
+        i, depth = stack.pop()
+        while True:
+            num = nums[i]
+            if num == ENDMARK:
+                break
+            if num < 0 and sstream[i] < 0:
+                depth += 1
+                if depth > deepest:
+                    deepest = depth
+                stack.extend((j, depth) for j in tables[~sstream[i]].values())
+                break
+            i += 1
+    return deepest
 
 
 class CacheEntry:
     """One action-cache entry.
 
-    ``key_cost`` is the key's accounted size plus ``ENTRY_OVERHEAD``,
-    computed once when the entry is made (recorded or loaded).
-    ``nbytes`` is the entry's billed local size — ``key_cost`` plus
-    every recorded record, or plus the packed streams once packed —
-    kept equal to :meth:`ActionCache.entry_bytes` by every charge,
-    pack, unpack and refund, so none of them re-walks a key or a record
-    tree (the same shape as FastSim's ``_Node.nbytes``/``key_cost``)."""
+    ``packed`` holds the entry's lanes from its first record on;
+    ``complete`` says whether they are sealed (replayable) or open
+    (recording, or reopened by miss recovery).  ``key_cost`` is the
+    key's accounted size plus ``ENTRY_OVERHEAD``, computed once when
+    the entry is made (recorded or loaded).  ``nbytes`` is the entry's
+    billed local size, ``key_cost`` plus the lanes' ``local_bytes``, so
+    no refund re-walks a key or a chain (the same shape as FastSim's
+    ``_Node.nbytes``/``key_cost``)."""
 
     __slots__ = (
-        "key", "first", "packed", "complete", "generation", "hot",
-        "trace", "cnative", "key_cost", "nbytes",
+        "key", "packed", "complete", "generation", "hot",
+        "trace", "cnative", "key_cost",
     )
 
-    def __init__(self, key: tuple, generation: int = 0):
+    def __init__(self, key: tuple, chain: PackedChain, generation: int = 0):
         self.key = key
         self.key_cost = value_bytes(key) + ENTRY_OVERHEAD
-        self.nbytes = self.key_cost
-        self.first: object | None = None
-        # Flat-packed form (PackedChain), installed when the entry
-        # completes; exactly one of first/packed is live for a complete
-        # entry (recovery unpacks lazily back to ``first``).
-        self.packed: PackedChain | None = None
+        self.packed = chain
         self.complete = False
         self.generation = generation
         # Trace-JIT bookkeeping: interpreted-replay count and the
@@ -641,6 +507,10 @@ class CacheEntry:
         # C replay backend: None = not yet lowered, -1 = unlowerable,
         # else the kernel-side chain id (repro.facile.cbackend).
         self.cnative: int | None = None
+
+    @property
+    def nbytes(self) -> int:
+        return self.key_cost + self.packed.local_bytes
 
 
 @dataclass
@@ -654,12 +524,12 @@ class CacheStats:
     hits: int = 0
     misses_new_key: int = 0
     misses_verify: int = 0
-    # Flat-pack accounting.
+    # Seals (completed slow or recovered steps) and reopens (recoveries).
     packs: int = 0
     unpacks: int = 0
     # Snapshot (warm-start) accounting.  ``bytes_shared`` is the slice
     # of ``bytes_current`` billed to mmap-backed (shared) chains; the
-    # rest is process-private.  A copy-on-miss unpack or a stale
+    # rest is process-private.  A copy-on-miss reopen or a stale
     # overwrite of a shared entry moves its bytes out of the shared
     # bucket; a clear empties it.
     bytes_shared: int = 0
@@ -669,20 +539,30 @@ class CacheStats:
 
 #: Fixed accounted cost of one cache entry beyond its key.
 ENTRY_OVERHEAD = 24
-#: Accounted cost of one record beyond its data (action number, data
+#: Record-model cost of one record beyond its data (action number, data
 #: and next pointers), and the extra a verify pays for its successor
 #: map.  An end record bills ``RECORD_BYTES`` plus its empty data.
+#: ``bytes_cumulative`` (Table 2) charges every recorded record this
+#: way; ``bytes_current`` bills the packed lanes that hold it.
 RECORD_BYTES = 12
 VERIFY_BYTES = 16
 _END_BYTES = RECORD_BYTES + value_bytes(())
+#: A pooled value costs ``POOL_SLOT_BYTES + value_bytes(data)``, so a
+#: record's model cost is its data's pool cost plus this.
+_RECORD_OVER_POOL = RECORD_BYTES - POOL_SLOT_BYTES
 
 
 class ActionCache:
     """The specialized action cache, with byte-limited reclamation.
 
-    Entries record as linked record trees; :class:`Memoizer` packs each
-    one into a :class:`PackedChain` when its step completes, and miss
-    recovery unpacks it back to the tree while it grows.
+    Every entry holds packed lanes (:class:`PackedChain`) from its first
+    record on.  :class:`Memoizer` appends slots while the slow engine
+    records (:meth:`append`, :meth:`expect`, :meth:`append_end`) and
+    seals the entry when its step completes (:meth:`pack_entry`); miss
+    recovery reopens it (:meth:`unpack_entry`), grows an arm at the
+    missed verify (:meth:`fork`) and appends the new path at the end of
+    the lanes.  Each slot, jump-table arm and new pool value is billed
+    as it is added.
 
     ``limit_bytes`` mirrors the paper's 256 MB cap (§6.2): once the
     accounted size exceeds it, :meth:`reclaim` drops everything and
@@ -691,15 +571,15 @@ class ActionCache:
 
     def __init__(self, limit_bytes: int | None = None):
         self.limit_bytes = limit_bytes
-        # Interned placeholder data of the packed entries.
+        # Interned placeholder data of every entry's lanes.
         self.pool = InternPool()
         self.entries: dict[tuple, CacheEntry] = {}
         self.stats = CacheStats()
         # The C replay backend (repro.facile.cbackend.CReplayBackend)
         # when one is driving this cache; lowered chains must die in
-        # lockstep with unpacks, stale overwrites, and clears.
+        # lockstep with reopens, stale overwrites, and clears.
         self.native = None
-        # Keep-alive handles for mmap-backed snapshots whose streams
+        # Keep-alive handles for mmap-backed snapshots whose lanes
         # live entries may still reference (repro.facile.snapshot).
         self.snapshots: list = []
         # Identity-link epoch: bumped only by a full clear, compared by
@@ -721,153 +601,179 @@ class ActionCache:
         if stale is not None:
             # An interrupted step left an incomplete entry behind (or a
             # caller is re-recording a key).  Refund its charged bytes
-            # (releasing any pooled data it references) before replacing
-            # it, or ``bytes_current`` drifts upward and triggers
-            # spurious reclaims.
+            # (releasing the pool references its lanes hold) before
+            # replacing it, or ``bytes_current`` drifts upward and
+            # triggers spurious reclaims.
             self._release_entry(stale)
             stale.generation = -1
-        entry = CacheEntry(key, self.generation)
-        self._charge(entry.key_cost)
+        entry = CacheEntry(key, PackedChain.empty(self.pool), self.generation)
+        stats = self.stats
+        stats.bytes_current += entry.key_cost
+        stats.bytes_cumulative += entry.key_cost
         self.entries[key] = entry
-        self.stats.entries_created += 1
+        stats.entries_created += 1
         return entry
 
-    def charge_record(self, entry: CacheEntry, record: Any) -> None:
-        """Bill one recorded record to the cache and to ``entry``."""
-        self.stats.records_created += 1
-        cost = RECORD_BYTES + value_bytes(record.data)
-        if record.is_verify:
+    # -- recording -------------------------------------------------------
+
+    def append(self, entry: CacheEntry, num: int, data: Any) -> int:
+        """Append one record to ``entry``'s lanes and return its slot:
+        ``num`` for a plain action, ``~num`` for a dynamic result test
+        (its successor lane stays :data:`PENDING` until :meth:`expect`).
+        ``bytes_cumulative`` gets the record-model charge, with the
+        data's size read from the pool; ``bytes_current`` gets the slot
+        plus whatever the pool newly charged."""
+        pool = self.pool
+        idx, charged = pool.intern(data)
+        chain = entry.packed
+        nums = chain.nums
+        slot = len(nums)
+        nums.append(num)
+        chain.data.append(idx)
+        cost = _RECORD_OVER_POOL + pool._costs[idx]
+        if num < 0:
+            chain.succ.append(PENDING)
             cost += VERIFY_BYTES
-        entry.nbytes += cost
-        self._charge(cost)
-
-    def _charge(self, nbytes: int) -> None:
+        else:
+            chain.succ.append(0)
+        chain.local_bytes += PACKED_SLOT_BYTES
         stats = self.stats
-        stats.bytes_current += nbytes
-        stats.bytes_cumulative += nbytes
+        stats.records_created += 1
+        stats.bytes_cumulative += cost
+        stats.bytes_current += PACKED_SLOT_BYTES + charged
+        return slot
 
-    def _adjust(self, delta: int) -> None:
-        """Re-account an entry changing layout (pack/unpack).  Only
-        ``bytes_current`` moves: no new data was recorded, so the
-        cumulative total stays put."""
-        self.stats.bytes_current += delta
+    def expect(self, entry: CacheEntry, slot: int, value: Any) -> None:
+        """Intern ``value`` (frozen) as the single expected result of the
+        verify at ``slot``."""
+        idx, charged = self.pool.intern(value)
+        entry.packed.succ[slot] = idx
+        self.stats.bytes_current += charged
 
-    # -- flat packing ----------------------------------------------------
+    def append_end(self, entry: CacheEntry) -> None:
+        """Append the end-of-step slot, with a fresh :class:`EndRecord`."""
+        chain = entry.packed
+        chain.nums.append(ENDMARK)
+        chain.data.append(-1)
+        chain.succ.append(len(chain.ends))
+        chain.ends.append(EndRecord())
+        chain.local_bytes += PACKED_SLOT_BYTES
+        stats = self.stats
+        stats.records_created += 1
+        stats.bytes_cumulative += _END_BYTES
+        stats.bytes_current += PACKED_SLOT_BYTES
+
+    def fork(self, entry: CacheEntry, slot: int, value: Any) -> None:
+        """Grow an arm for ``value`` at the verify in ``slot`` (a miss
+        fork), targeting the end of the lanes where recovery appends the
+        new path.  A single-successor verify becomes a jump table
+        ``{expected: slot + 1, value: end}`` and releases its pool
+        reference to the expected value."""
+        chain = entry.packed
+        target = len(chain.nums)
+        s = chain.succ[slot]
+        if s >= 0:
+            pool = self.pool
+            chain.succ[slot] = ~len(chain.tables)
+            chain.tables.append({pool.values[s]: slot + 1, value: target})
+            grown = PACKED_TABLE_OVERHEAD + 2 * PACKED_JUMP_BYTES
+            self.stats.bytes_current += grown - pool.release(s)
+        else:
+            chain.tables[~s][value] = target
+            grown = PACKED_JUMP_BYTES
+            self.stats.bytes_current += grown
+        chain.local_bytes += grown
+
+    # -- sealing and reopening -------------------------------------------
 
     def pack_entry(self, entry: CacheEntry) -> None:
-        """Flat-pack one complete entry: replace its record tree with
-        parallel index streams, interning placeholder data.  Exact
-        re-accounting: the entry's billed tree bytes are swapped for the
-        packed local bytes plus whatever the pool newly charged."""
-        if entry.packed is not None or entry.first is None:
+        """Seal an entry whose step completed: build its replay view,
+        record its shape and mark it complete (replayable)."""
+        if entry.complete:
             return
-        chain, pool_charged = _pack_records(entry.first, self.pool)
-        entry.packed = chain
-        entry.first = None
-        old = entry.nbytes
-        entry.nbytes = entry.key_cost + chain.local_bytes
-        self._adjust(entry.nbytes + pool_charged - old)
+        chain = entry.packed
+        nums = chain.nums
+        if not nums or nums[-1] != ENDMARK:
+            raise SimulationError(
+                "cannot seal: recorded chain ended without an end marker"
+            )
+        build_replay_view(chain)
+        chain.n_records = len(nums) - len(chain.ends)
+        chain.depth = _table_depth(chain) if chain.tables else 0
+        entry.complete = True
         self.stats.packs += 1
 
     def unpack_entry(self, entry: CacheEntry) -> None:
-        """Lazily unpack an entry back to the mutable record tree (miss
-        recovery needs objects the Memoizer can grow).  Releases every
-        pool reference the packed form held; the inverse of
-        :meth:`pack_entry`, including in the accounting."""
-        chain = entry.packed
-        if chain is None:
+        """Reopen a complete entry for miss recovery: drop the kernel's
+        copy of its chain and its replay view, and make mmap-shared
+        lanes private (copy-on-miss) so recovery can append to them."""
+        if not entry.complete:
             return
         if self.native is not None:
             self.native.drop_entry(entry)
-        entry.first = _packed_to_records(chain)
-        entry.packed = None
+        chain = entry.packed
         if chain.shared:
-            # Copy-on-miss: the entry leaves the mmap-backed tier and
-            # becomes process-private (repacking builds fresh arrays).
+            # The entry leaves the mmap-backed tier: its lanes become
+            # process-private arrays.
+            chain.nums = array("q", chain.nums.tobytes())
+            chain.data = array("q", chain.data.tobytes())
+            chain.succ = array("q", chain.succ.tobytes())
+            chain.shared = False
             self.stats.bytes_shared -= chain.local_bytes
-        tree, pool_freed = self._release_chain(chain)
-        old = entry.nbytes
-        entry.nbytes = entry.key_cost + tree
-        self._adjust(entry.nbytes - old - pool_freed)
+        chain.knums = chain.datavals = chain.sux = None
+        entry.complete = False
         self.stats.unpacks += 1
 
     def _release_entry(self, entry: CacheEntry) -> None:
-        """Refund a stale entry being overwritten, releasing its pool
-        references when packed."""
+        """Refund a stale entry being overwritten, releasing the pool
+        references its lanes hold."""
         if self.native is not None:
             self.native.drop_entry(entry)
-        freed = entry.nbytes
         chain = entry.packed
-        if chain is not None:
-            if chain.shared:
-                self.stats.bytes_shared -= chain.local_bytes
-            freed += self._release_chain(chain)[1]
-        self.stats.bytes_current -= freed
+        if chain.shared:
+            self.stats.bytes_shared -= chain.local_bytes
+        self.stats.bytes_current -= entry.nbytes + self._release_chain(chain)
 
-    def _release_chain(self, chain: PackedChain) -> tuple[int, int]:
-        """Drop every pool reference a packed chain holds.  Returns
-        ``(tree, freed)``: the billed size of the record tree the chain
-        packs, derived from the pool's stored costs without walking a
-        value, and the pool bytes whose last reference died."""
-        costs = self.pool._costs
+    def _release_chain(self, chain: PackedChain) -> int:
+        """Drop every pool reference a chain's lanes hold: each record's
+        data and each single-successor verify's expected value (a
+        pending verify holds none).  Returns the pool bytes whose last
+        reference died."""
         release = self.pool.release
         nums = chain.nums
         dstream = chain.data
         sstream = chain.succ
-        tree = 0
         freed = 0
         for i in range(len(nums)):
             num = nums[i]
             if num == ENDMARK:
-                # End records are billed when recorded, like any other.
-                tree += _END_BYTES
                 continue
-            d = dstream[i]
-            # A pooled value costs POOL_SLOT_BYTES + value_bytes(data).
-            tree += RECORD_BYTES - POOL_SLOT_BYTES + costs[d]
-            freed += release(d)
-            if num < 0:
-                tree += VERIFY_BYTES
-                s = sstream[i]
-                if s >= 0:
-                    freed += release(s)
-        return tree, freed
+            freed += release(dstream[i])
+            if num < 0 and sstream[i] >= 0:
+                freed += release(sstream[i])
+        return freed
 
     # -- accounting ------------------------------------------------------
 
     @staticmethod
     def entry_bytes(entry: CacheEntry) -> int:
-        """Exact accounted size of one entry, walked from scratch: key +
-        overhead plus every record in its tree, verify successor chains
-        included — the inverse of every charge made while recording it.
-        For a packed entry this is the entry-local size only; the shared
-        pool bytes live in ``pool.bytes_live``.  An audit: the cache
-        itself reads the billed ``entry.nbytes``, which must equal
-        this."""
-        total = value_bytes(entry.key) + ENTRY_OVERHEAD
-        if entry.packed is not None:
-            return total + entry.packed.local_bytes
-        stack = [entry.first]
-        while stack:
-            rec = stack.pop()
-            if rec is None:
-                continue
-            total += RECORD_BYTES + value_bytes(rec.data)
-            if rec.is_verify:
-                total += VERIFY_BYTES
-                stack.extend(rec.succ.values())
-            elif not rec.is_end:
-                stack.append(rec.next)
-        return total
+        """Exact accounted size of one entry, from scratch: key +
+        overhead plus its slots and jump tables.  The shared pool bytes
+        live in ``pool.bytes_live``.  An audit: the cache itself reads
+        the billed ``entry.nbytes``, which must equal this."""
+        chain = entry.packed
+        return (
+            value_bytes(entry.key) + ENTRY_OVERHEAD
+            + lane_bytes(len(chain.nums), chain.tables)
+        )
 
     def recount_bytes(self) -> int:
-        """Recompute ``bytes_current`` from scratch by walking every
-        surviving entry's record tree (packed entries contribute their
-        local streams) plus a from-scratch recount of the live interning
-        pool.  The accounting invariant — and what the tests assert
-        after clears, unpacks and stale overwrites — is that this always
-        equals ``stats.bytes_current`` exactly.  An audit only: no cache
-        path calls it."""
+        """Recompute ``bytes_current`` from scratch: every surviving
+        entry's :meth:`entry_bytes` plus a from-scratch recount of the
+        live interning pool.  The accounting invariant — and what the
+        tests assert after recording, recovery, clears and stale
+        overwrites — is that this always equals ``stats.bytes_current``
+        exactly.  An audit only: no cache path calls it."""
         return sum(
             self.entry_bytes(e) for e in self.entries.values()
         ) + self.pool.recount()
@@ -876,11 +782,11 @@ class ActionCache:
         """Recompute ``bytes_shared`` from scratch: the local bytes of
         every surviving mmap-backed chain.  Audited alongside
         :meth:`recount_bytes` after snapshot loads, copy-on-miss
-        unpacks, and clears."""
+        reopens, and clears."""
         return sum(
             e.packed.local_bytes
             for e in self.entries.values()
-            if e.packed is not None and e.packed.shared
+            if e.packed.shared
         )
 
     # -- reclamation -----------------------------------------------------
@@ -1081,11 +987,6 @@ class SimContext:
 # ---------------------------------------------------------------------------
 
 
-_ATTACH_ENTRY = 0  # next record becomes entry.first
-_ATTACH_NEXT = 1  # next record goes into record.next
-_ATTACH_SUCC = 2  # next record goes into record.succ[value]
-
-
 class Memoizer:
     """Recording/recovery state machine used by generated slow code.
 
@@ -1098,16 +999,22 @@ class Memoizer:
       ``M.note_verify(v)``;
     * step boundary:   ``begin_step``/``begin_recovery`` before calling
       the slow function, ``end_step`` after it returns.
+
+    Recording appends to the entry's packed lanes through the cache
+    (which bills every slot).  Recovery walks the sealed lanes with a
+    slot cursor, checking each action number, until the last recovered
+    result: there the missed verify grows an arm to the end of the
+    lanes, and recording resumes by appending the new path.
     """
 
     def __init__(self, cache: ActionCache):
         self.cache = cache
         self.recover = False
         self.entry: CacheEntry | None = None
-        self._attach_kind = _ATTACH_ENTRY
-        self._attach_rec: Any = None
-        self._attach_val: Any = None
-        self._cursor: Any = None
+        # Recovery: slot cursor into the entry's lanes.  Recording: slot
+        # of the verify whose result note_verify fills in.
+        self._cursor = 0
+        self._verify = 0
         self._rstack: deque = deque()
 
     # -- step control ------------------------------------------------------
@@ -1115,8 +1022,6 @@ class Memoizer:
     def begin_step(self, key: tuple) -> None:
         self.recover = False
         self.entry = self.cache.create_entry(key)
-        self._attach_kind = _ATTACH_ENTRY
-        self._attach_rec = None
 
     def begin_recovery(self, entry: CacheEntry, results: list) -> None:
         """Restart the slow simulator after an action-cache miss.
@@ -1126,53 +1031,50 @@ class Memoizer:
         """
         self.recover = True
         self.entry = entry
-        # Recovery grows the mutable record tree: unpack a packed entry
-        # (lazily, misses only); ``end_step`` repacks it.
+        # Reopen the entry (misses only); ``end_step`` seals it again.
         self.cache.unpack_entry(entry)
-        self._cursor = entry.first
+        self._cursor = 0
         self._rstack = deque(results)
-        self._attach_rec = None
 
     def end_step(self) -> None:
         if self.recover:
             raise SimulationError("step ended while still recovering from a miss")
-        end = EndRecord()
-        self._attach(end)
         entry = self.entry
         self.entry = None
         if entry is not None:
-            entry.complete = True
+            self.cache.append_end(entry)
             self.cache.pack_entry(entry)
 
     # -- recording / recovery operations -------------------------------------
 
+    def _expected(self) -> str:
+        """The record under the recovery cursor, for desync messages."""
+        num = self.entry.packed.nums[self._cursor]
+        if num == ENDMARK:
+            return "the end of the recorded chain"
+        return f"verify {~num}" if num < 0 else f"action {num}"
+
     def action(self, num: int, data: tuple) -> None:
         if self.recover:
-            cur = self._cursor
-            if cur is None or cur.is_verify or cur.num != num:
+            i = self._cursor
+            if self.entry.packed.nums[i] != num:
                 raise SimulationError(
-                    f"recovery desync: expected action {getattr(cur, 'num', None)}, got {num}"
+                    f"recovery desync: expected {self._expected()}, "
+                    f"got action {num}"
                 )
-            self._cursor = cur.next
+            self._cursor = i + 1
             return
-        rec = ActionRecord(num, data)
-        self._attach(rec)
-        self._attach_kind = _ATTACH_NEXT
-        self._attach_rec = rec
+        self.cache.append(self.entry, num, data)
 
     def begin_verify(self, num: int, data: tuple) -> None:
         if self.recover:
-            cur = self._cursor
-            if cur is None or not cur.is_verify or cur.num != num:
+            if self.entry.packed.nums[self._cursor] != ~num:
                 raise SimulationError(
-                    f"recovery desync: expected verify {getattr(cur, 'num', None)}, got {num}"
+                    f"recovery desync: expected {self._expected()}, "
+                    f"got verify {num}"
                 )
             return
-        rec = VerifyRecord(num, data)
-        self._attach(rec)
-        self._attach_kind = _ATTACH_SUCC
-        self._attach_rec = rec
-        self._attach_val = None  # set by note_verify
+        self._verify = self.cache.append(self.entry, ~num, data)
 
     def pop_verify(self) -> Any:
         """During recovery: feed back a dynamic result from the recovery
@@ -1182,45 +1084,33 @@ class Memoizer:
         if not self._rstack:
             raise SimulationError("recovery stack underflow")
         value = self._rstack.popleft()
-        cur = self._cursor
-        if cur is None or not cur.is_verify:
-            where = (
-                "the end of the recorded chain"
-                if cur is None or cur.is_end
-                else f"action {cur.num}"
-            )
+        i = self._cursor
+        chain = self.entry.packed
+        num = chain.nums[i]
+        if num >= 0 or num == ENDMARK:
             raise SimulationError(
-                f"recovery desync: dynamic result fed back at {where}, "
-                "not at a verify record"
+                f"recovery desync: dynamic result fed back at "
+                f"{self._expected()}, not at a verify record"
             )
         if self._rstack:
-            nxt = cur.succ.get(value)
+            s = chain.succ[i]
+            if s >= 0:
+                nxt = i + 1 if chain.pool.values[s] == value else None
+            else:
+                nxt = chain.tables[~s].get(value)
             if nxt is None:
                 raise SimulationError("recovery followed an unrecorded result path")
             self._cursor = nxt
         else:
             # This is the action where the miss occurred: switch to
-            # normal recording, attaching the new control-flow path as a
-            # fresh successor chain of this verify record.
+            # normal recording, appending the new control-flow path as a
+            # fresh arm of this verify.
             self.recover = False
-            self._attach_kind = _ATTACH_SUCC
-            self._attach_rec = cur
-            self._attach_val = value
+            self.cache.fork(self.entry, i, value)
         return value
 
     def note_verify(self, value: Any) -> None:
-        self._attach_val = freeze(value)
-
-    # -- linking -------------------------------------------------------------
-
-    def _attach(self, rec: Any) -> None:
-        if self._attach_kind == _ATTACH_ENTRY:
-            self.entry.first = rec
-        elif self._attach_kind == _ATTACH_NEXT:
-            self._attach_rec.next = rec
-        else:
-            self._attach_rec.succ[self._attach_val] = rec
-        self.cache.charge_record(self.entry, rec)
+        self.cache.expect(self.entry, self._verify, freeze(value))
 
 
 # ---------------------------------------------------------------------------
@@ -1685,7 +1575,7 @@ class FastForwardEngine:
                 if cached is None or cached[0] is not S[init_slot]:
                     break
                 nxt = cached[1]
-                if nxt.generation != generation or nxt.packed is None:
+                if nxt.generation != generation or not nxt.complete:
                     break
                 entry = nxt
                 links += 1

@@ -32,9 +32,9 @@ blob holds the hot replay lanes verbatim.  On load the stream blob is
 **not copied**: each chain's lanes become ``memoryview`` slices of the
 mapped file (marked ``shared``), and the resolved per-process replay
 view is built lazily on the entry's first replay, so untouched entries
-cost no private RSS.  Entries stay copy-on-miss: a verify miss unpacks
-the entry into private record objects (recovery then repacks it with
-fresh private arrays), leaving the mapped file untouched; clears and
+cost no private RSS.  Entries stay copy-on-miss: a verify miss reopens
+the entry and copies its lanes into private arrays, which recovery
+appends to, leaving the mapped file untouched; clears and
 the exact byte accounting keep working, with mmap-backed bytes tracked
 separately in ``bytes_shared``.
 
@@ -60,14 +60,12 @@ from typing import Any
 
 from .runtime import (
     ENDMARK,
-    PACKED_JUMP_BYTES,
-    PACKED_SLOT_BYTES,
-    PACKED_TABLE_OVERHEAD,
     POOL_SLOT_BYTES,
     DICT_TAG,
     CacheEntry,
     EndRecord,
     PackedChain,
+    lane_bytes,
 )
 
 MAGIC = b"FACSNAP\x01"
@@ -513,11 +511,11 @@ def _install_pool(pool, values: list, refs: list, costs: list) -> None:
 
 
 def save_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
-    """Serialize every complete (hence packed) entry plus the intern
+    """Serialize every complete (sealed) entry plus the intern
     pool.  The write is atomic (tmp file + rename), so several
     processes sharing one ``--cache-dir`` store can race on one store
     path safely."""
-    entries = [e for e in cache.entries.values() if e.packed is not None]
+    entries = [e for e in cache.entries.values() if e.complete]
     meta = bytearray()
     streams = bytearray()
     _encode_pool(meta, cache.pool)
@@ -601,10 +599,7 @@ def load_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
             chain.sux = None
             chain.n_records = n_records
             chain.depth = depth
-            chain.local_bytes = PACKED_SLOT_BYTES * n + sum(
-                PACKED_TABLE_OVERHEAD + PACKED_JUMP_BYTES * len(t)
-                for t in tables
-            )
+            chain.local_bytes = lane_bytes(n, tables)
             chain.shared = True
             built.append((key, chain))
         if qoff != len(qmv):
@@ -621,9 +616,7 @@ def load_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
     total = 0
     shared = 0
     for key, chain in built:
-        entry = CacheEntry(key, cache.generation)
-        entry.packed = chain
-        entry.nbytes = entry.key_cost + chain.local_bytes
+        entry = CacheEntry(key, chain, cache.generation)
         entry.complete = True
         cache.entries[key] = entry
         total += entry.nbytes
@@ -729,10 +722,7 @@ def load_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
             chain.kkinds = None
             chain.payload_vals = None
             chain.sux = None
-            chain.local_bytes = PACKED_SLOT_BYTES * n + sum(
-                PACKED_TABLE_OVERHEAD + PACKED_JUMP_BYTES * len(t)
-                for t in tables
-            )
+            chain.local_bytes = lane_bytes(n, tables)
             chain.shared = True
             built.append((key, chain))
         if qoff != len(qmv):

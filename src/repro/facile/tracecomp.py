@@ -5,27 +5,27 @@ The fast engine's packed replay loop
 Python function call per replayed action — the paper's §6.3 names this dispatch cost as the
 single largest target for compiler optimization.  This module removes
 it for the paths that actually execute: once a cache entry has replayed
-more than a promotion threshold, the chain walker flattens its record
-tree — following ``likely_next`` links across step boundaries — and the
+more than a promotion threshold, the chain walker follows its packed
+lanes — and ``likely_next`` links across step boundaries — and the
 emitter synthesizes **one Python function for the whole chain**:
 
-* each :class:`ActionRecord`'s generated body is spliced inline, with
-  its recorded placeholder data bound as function-local constants (no
-  ``actions[rec.num]`` dispatch, no per-action call, no unpack);
-* each :class:`VerifyRecord` is lowered to a specialized comparison
-  against its recorded successor value(s): single-successor verifies
-  become a flat early-exit guard, multi-successor verifies an
-  ``if``/``elif`` ladder; an unmatched value **side-exits** back to the
-  driver, which runs the normal miss-recovery path;
-* each :class:`EndRecord` either returns (end of trace, budget
-  exhausted, or ``halt``) or — when the next entry was chained at
-  compile time — re-guards the key by object identity and falls
+* each plain action slot's generated body is spliced inline, with its
+  recorded placeholder data bound as function-local constants (no
+  ``actions[num]`` dispatch, no per-action call, no unpack);
+* each verify slot is lowered to a specialized comparison against its
+  recorded successor value(s): single-successor verifies become a flat
+  early-exit guard, jump tables an ``if``/``elif`` ladder; an
+  unmatched value **side-exits** back to the driver, which runs the
+  normal miss-recovery path;
+* each end slot's :class:`EndRecord` either returns (end of trace,
+  budget exhausted, or ``halt``) or — when the next entry was chained
+  at compile time — re-guards the key by object identity and falls
   through into the next step's inlined chain.
 
 Step counts, replayed-action counts, and already-consumed verify values
-are all path constants of the record tree, so they are embedded as
-literals at each exit: a compiled trace does **zero** per-record
-bookkeeping at run time.
+are all path constants of the chain, so they are embedded as literals
+at each exit: a compiled trace does **zero** per-record bookkeeping at
+run time.
 
 Trace protocol (returned tuples)::
 
@@ -43,7 +43,7 @@ Invalidation rules (enforced by :class:`TraceManager` + the engine):
 * a cache clear bumps ``ActionCache.generation``; every trace stores
   the generation it was compiled at and is skipped (and dropped) when
   they disagree;
-* recording a **new successor** on any verify record reached through a
+* recording a **new successor** on any verify slot reached through a
   compiled trace would make its comparison ladder incomplete, so every
   recovery through entry *E* kills all traces whose chain covers *E*
   (the root entry's hotness resets, allowing later re-promotion).
@@ -130,11 +130,11 @@ class TraceJITStats:
 
 def _tree_shape(entry) -> tuple[int, int] | None:
     """(record count, max multi-successor nesting depth) of an entry's
-    record tree, or None if the entry is not packed (unfinished, or
-    mid-recovery).  Free: the packer computed the shape."""
-    chain = entry.packed
-    if chain is None:
+    chain, or None if the entry is not sealed (unfinished, or
+    mid-recovery).  Free: sealing computed the shape."""
+    if not entry.complete:
         return None
+    chain = entry.packed
     return chain.n_records, chain.depth
 
 
@@ -267,7 +267,7 @@ class _TraceEmitter:
     def emit_entry(
         self, entry, indent: int, steps: int, replayed: int, chain_left: int
     ) -> None:
-        """Emit the whole record tree of one complete cache entry,
+        """Emit the whole chain of one complete cache entry,
         walking its packed streams."""
         if id(entry) not in self._entry_ids:
             self._entry_ids.add(id(entry))

@@ -228,32 +228,40 @@ fun main(pc) {
 
 
 @requires_cc
-def test_pool_mirror_stays_bounded_under_recovery_churn(monkeypatch):
-    """Every recovery unpacks its entry, freeing the pool values only
-    that entry held (all of them mirrored by the kernel), and the
-    repack interns them again.  The mirror forgets the freed values and
-    compacts, so after each recovery it holds at most twice the live
-    pool; results and statistics equal the Python backend's."""
+def test_pool_index_freed_by_a_conversion_is_mirrored_afresh(monkeypatch):
+    """The first miss at key 1 turns the verify's single expected value
+    into a jump table, which releases that value's pool index, and the
+    new arm's placeholder data reuses the index at once.  The kernel had
+    mirrored the old value there, so it must forget it and mirror the
+    new one when the grown chain is lowered again: results and every
+    statistic equal the Python backend's."""
+    from repro.facile.cbackend import CReplayBackend
     from repro.facile.compiler import compile_source
 
     sim = compile_source(CHURN_SRC).simulator
-    samples = []
-    recover = FastForwardEngine._recover
+    events = []
+    mirror = CReplayBackend._mirror
 
-    def sampled(engine, entry, results):
-        recover(engine, entry, results)
-        native = engine.cache.native
-        if native is not None:
-            samples.append((native.summary()["values_mirrored"],
-                            engine.cache.pool.live_values()))
+    def logged_mirror(self, pidx, values):
+        events.append(("mirror", set(pidx)))
+        return mirror(self, pidx, values)
 
-    monkeypatch.setattr(FastForwardEngine, "_recover", sampled)
+    monkeypatch.setattr(CReplayBackend, "_mirror", logged_mirror)
     engines = {}
     for backend in ("c", "python"):
         ctx = sim.make_context()
         ctx.write_global("init", 0)
         engine = FastForwardEngine(sim, ctx, trace_jit=False,
                                    replay_backend=backend)
+        pool = engine.cache.pool
+        hook = pool.on_release
+
+        def on_release(idx, hook=hook, backend=backend):
+            events.append(("free", backend, idx))
+            if hook is not None:
+                hook(idx)
+
+        pool.on_release = on_release
         engine.run(max_steps=120)
         engines[backend] = engine
     eng_c, eng_p = engines["c"], engines["python"]
@@ -262,12 +270,20 @@ def test_pool_mirror_stays_bounded_under_recovery_churn(monkeypatch):
     assert asdict(eng_c.cache.stats) == asdict(eng_p.cache.stats)
     assert asdict(eng_c.stats) == asdict(eng_p.stats)
     assert eng_c.stats.steps_recovered == 39  # every pass after the first
-    assert len(samples) == 39
-    assert all(mirrored <= 2 * live for mirrored, live in samples), samples
-    # The chains of keys 0 and 2 stay registered, so their values stay
-    # mirrored through every compaction.
-    assert all(mirrored > 0 for mirrored, _ in samples), samples
+    # A stale mirror would make the kernel refuse the grown chain.
+    assert eng_c._cnative.chains_unlowerable == 0
+    # Later misses only add arms: one value dies, in both backends.
+    frees = [e for e in events if e[0] == "free"]
+    assert [e[1] for e in frees] == ["c", "python"]
+    assert frees[0][2] == frees[1][2]
+    idx = frees[0][2]
+    # Reused by a live value, and asked for again by the kernel after
+    # it was freed.
+    assert eng_c.cache.pool._refs[idx] > 0
+    after = events[events.index(frees[0]) + 1:]
+    assert any(e[0] == "mirror" and idx in e[1] for e in after), events
     assert_billing(eng_c.cache)
+    assert_billing(eng_p.cache)
 
 
 # ---------------------------------------------------------------------------

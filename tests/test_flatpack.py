@@ -1,16 +1,15 @@
-"""Flat-packed action cache tests (the perf-opt tentpole).
+"""Packed action cache tests: one chain format from the first record.
 
 Covers the contracts the packed layout must keep:
 
-* unpack -> pack is a lossless round trip — identical record-tree
-  structure, identical ``EndRecord`` objects (so ``likely_next``
-  identity links survive), and byte-exact accounting in both
-  directions;
+* reopening an entry for recovery and sealing it again keeps its
+  lanes, its ``EndRecord`` objects (so ``likely_next`` identity links
+  survive) and its bytes;
 * packed replay produces the same simulation as an independent oracle
   (the toy simulator's non-memoized build, ``FunctionalSim`` for
-  SPARC-lite), including through verify-miss recovery (which lazily
-  unpacks, grows the tree, and repacks), with self-consistent
-  ``RunStats``;
+  SPARC-lite), including through verify-miss recovery (which reopens
+  the entry, appends the new path to its lanes, and seals it again),
+  with self-consistent ``RunStats``;
 * accounting stays exact under interning — every release path (full
   clears, stale-entry overwrite) leaves ``bytes_current`` equal to a
   from-scratch recount;
@@ -32,9 +31,7 @@ from repro.facile.runtime import (
     InternPool,
     Memoizer,
     PackedChain,
-    _pack_records,
-    _packed_to_records,
-    entry_first_record,
+    SimulationError,
     freeze,
     thaw,
     value_bytes,
@@ -76,34 +73,12 @@ def multi_loop_program(n_loops: int, iters: int) -> list[int]:
     return words + [HALT_WORD]
 
 
-def tree_signature(rec):
-    """Canonical structural form of a record tree (identity-free)."""
-    if rec.is_end:
-        return ("E",)
-    if rec.is_verify:
-        return (
-            "V",
-            rec.num,
-            rec.data,
-            tuple(sorted(
-                (repr(val), tree_signature(s)) for val, s in rec.succ.items()
-            )),
-        )
-    return ("A", rec.num, rec.data, tree_signature(rec.next))
-
-
-def end_record_ids(rec):
-    out = []
-    stack = [rec]
-    while stack:
-        r = stack.pop()
-        if r.is_end:
-            out.append(id(r))
-        elif r.is_verify:
-            stack.extend(r.succ.values())
-        else:
-            stack.append(r.next)
-    return out
+def lanes(chain):
+    """A chain's canonical lanes and jump tables, as plain values."""
+    return (
+        list(chain.nums), list(chain.data), list(chain.succ),
+        [dict(t) for t in chain.tables],
+    )
 
 
 def run_stats_tuple(stats):
@@ -116,7 +91,7 @@ def run_stats_tuple(stats):
     )
 
 
-# -- pack/unpack round trip -----------------------------------------------------
+# -- pack/unpack (seal/reopen) round trip ---------------------------------------
 
 
 class TestPackUnpackRoundTrip:
@@ -128,57 +103,46 @@ class TestPackUnpackRoundTrip:
         cache = self.recorded_cache(toy, countdown_program(30))
         entries = [e for e in cache.entries.values() if e.complete]
         assert entries
-        packed_bytes = cache.stats.bytes_current
+        sealed_bytes = cache.stats.bytes_current
+        live = cache.pool.live_values()
         packs, unpacks = cache.stats.packs, cache.stats.unpacks
         shapes = {}
         for entry in entries:
-            assert entry.packed is not None and entry.first is None
+            chain = entry.packed
+            shapes[id(entry)] = (lanes(chain), list(chain.ends))
             cache.unpack_entry(entry)
-            assert entry.packed is None and entry.first is not None
-            shapes[id(entry)] = (
-                tree_signature(entry.first),
-                sorted(end_record_ids(entry.first)),
-            )
+            assert not entry.complete and chain.knums is None
             assert_billing(cache)
-        # Every pool reference was released on unpack.
-        assert cache.pool.live_values() == 0
-        assert cache.pool.bytes_live == 0
+        # Reopening keeps every pool reference and every byte.
+        assert cache.pool.live_values() == live
+        assert cache.stats.bytes_current == sealed_bytes
         for entry in entries:
             cache.pack_entry(entry)
-            assert entry.packed is not None and entry.first is None
+            assert entry.complete
             assert_billing(cache)
-            rebuilt = entry_first_record(entry)
-            # EndRecord objects come back by identity, so likely_next
-            # links into this entry's step boundaries stay valid.
-            assert (
-                tree_signature(rebuilt), sorted(end_record_ids(rebuilt))
-            ) == shapes[id(entry)]
-        assert cache.stats.bytes_current == packed_bytes
+            chain = entry.packed
+            # EndRecord objects stay by identity, so likely_next links
+            # into this entry's step boundaries stay valid.
+            assert (lanes(chain), list(chain.ends)) == shapes[id(entry)]
+            assert chain.knums == list(chain.nums)
+        assert cache.stats.bytes_current == sealed_bytes
         assert cache.stats.packs - packs == len(entries)
         assert cache.stats.unpacks - unpacks == len(entries)
 
-    def test_packed_form_is_smaller(self, toy):
-        cache = self.recorded_cache(toy, multi_loop_program(4, 40))
-        packed = cache.stats.bytes_current
-        for entry in list(cache.entries.values()):
-            if entry.complete:
-                cache.unpack_entry(entry)
-        assert cache.stats.bytes_current > packed
-        assert_billing(cache)
+    def test_inspection_reads_lanes_without_accounting(self, toy):
+        from repro.facile.inspect import cache_summary, dump_entry
 
-    def test_entry_first_record_reads_packed_without_accounting(self, toy):
         cache = self.recorded_cache(toy, countdown_program(10))
-        entry = next(e for e in cache.entries.values() if e.complete)
-        before = cache.stats.bytes_current
-        sig = tree_signature(entry_first_record(entry))
-        # Inspection must not disturb the accounting or the layout.
-        assert cache.stats.bytes_current == before
-        assert entry.packed is not None
-        cache.unpack_entry(entry)
-        assert tree_signature(entry.first) == sig
+        before = (cache.stats.bytes_current, cache.pool.hits,
+                  cache.pool.misses)
+        shapes = [lanes(e.packed) for e in cache.entries.values()]
+        assert "END" in dump_entry(next(iter(cache.entries.values())))
+        assert "records walked" in cache_summary(cache)
+        assert (cache.stats.bytes_current, cache.pool.hits,
+                cache.pool.misses) == before
+        assert [lanes(e.packed) for e in cache.entries.values()] == shapes
 
     def test_pack_records_interns_repeated_data(self):
-        pool = InternPool()
         cache = ActionCache()
         m = Memoizer(cache)
         data = (0x1000, 0x1000, 7)
@@ -187,15 +151,13 @@ class TestPackUnpackRoundTrip:
             m.action(0, data)
             m.action(1, data)
             m.end_step()
-        chains = []
-        for entry in cache.entries.values():
-            chain, _ = _pack_records(entry_first_record(entry), pool)
-            chains.append(chain)
-        # Four records, one pooled value.
+        # Four records, one pooled value, billed once.
+        pool = cache.pool
         assert pool.live_values() == 1
         assert pool.hits == 3
-        first = _packed_to_records(chains[0])
-        assert first.data == data and first.next.data == data
+        for entry in cache.entries.values():
+            assert entry.packed.datavals[:2] == [data, data]
+        assert_billing(cache)
 
     def test_incomplete_chain_refuses_to_pack(self):
         cache = ActionCache()
@@ -203,10 +165,8 @@ class TestPackUnpackRoundTrip:
         m.begin_step((1,))
         m.action(0, (1,))
         # No end_step: the chain has no end marker.
-        entry = cache.entries[(1,)]
-        from repro.facile.runtime import SimulationError
-        with pytest.raises(SimulationError):
-            _pack_records(entry.first, InternPool())
+        with pytest.raises(SimulationError, match="end marker"):
+            cache.pack_entry(cache.entries[(1,)])
 
 
 # -- packed replay equivalence --------------------------------------------------
@@ -244,8 +204,8 @@ class TestPackedReplayEquivalence:
 
     def test_recovery_unpacks_and_repacks(self, toy):
         # The countdown's bz verify forks (not-taken on the back edge,
-        # taken at exit), so the packed entry must unpack for recovery
-        # and repack with the grown tree.
+        # taken at exit), so the entry must reopen for recovery and
+        # seal again with the new path appended.
         (pc, pe, ps), (oc, _, os_) = self.run_both(
             toy, countdown_program(50), trace_jit=False
         )
@@ -254,10 +214,10 @@ class TestPackedReplayEquivalence:
         assert ps.steps_recovered > 0
         stats = pe.cache.stats
         assert stats.unpacks == ps.steps_recovered
-        assert stats.packs > stats.unpacks  # repacked after recovery
+        assert stats.packs > stats.unpacks  # sealed again after recovery
         for entry in pe.cache.entries.values():
-            if entry.complete:
-                assert entry.packed is not None
+            assert entry.complete and entry.packed.knums is not None
+        assert any(e.packed.tables for e in pe.cache.entries.values())
         assert_billing(pe.cache)
 
     def test_accounting_exact_after_run(self, toy):
@@ -267,11 +227,8 @@ class TestPackedReplayEquivalence:
         assert registers(pc) == registers(oc)
         cache = pe.cache
         assert_billing(cache)
-        # The packed form undercuts the record trees it replaced.
-        packed = cache.stats.bytes_current
         for entry in list(cache.entries.values()):
             cache.unpack_entry(entry)
-        assert cache.stats.bytes_current > packed
         assert_billing(cache)
 
     def test_packed_replay_with_profile(self, toy):
@@ -306,7 +263,7 @@ class TestPackedReplayEquivalence:
         manager = pe.traces
         assert manager.stats.traces_compiled > 0
         assert all(
-            e.packed is not None
+            e.complete
             for trace in manager.live_traces() for e in trace.entries
         )
         assert registers(pc) == registers(oc)
@@ -367,13 +324,55 @@ class TestPackedEviction:
         m.begin_step((1,))
         m.action(0, (42, 42))
         m.end_step()
-        assert cache.entries[(1,)].packed is not None
+        assert cache.entries[(1,)].complete
         live = cache.pool.live_values()
         assert live > 0
-        # Re-recording the same key must refund the packed entry,
+        # Re-recording the same key must refund the sealed entry,
         # pool references included.
         cache.create_entry((1,))
         assert cache.pool.live_values() < live
+        assert_billing(cache)
+
+    def test_interrupted_step_refunded_exactly(self):
+        """An interrupted step leaves an open entry that may end in a
+        verify with no observed value yet; overwriting it refunds every
+        byte and pool reference it holds."""
+        cache = ActionCache()
+        m = Memoizer(cache)
+        m.begin_step((1,))
+        m.action(0, (42, 42))
+        m.begin_verify(1, (43,))
+        m.note_verify(5)
+        m.begin_verify(2, (44,))  # the step dies before note_verify
+        assert_billing(cache)
+        cum = cache.stats.bytes_cumulative
+        m.begin_step((1,))
+        key_cost = cache.entries[(1,)].key_cost
+        assert cache.pool.live_values() == 0
+        assert cache.stats.bytes_current == key_cost
+        assert cache.stats.bytes_cumulative - cum == key_cost
+        assert_billing(cache)
+
+    def test_interrupted_recovery_refunded_exactly(self):
+        """A recovery that dies after its fork leaves a reopened entry
+        with a half-recorded arm; overwriting it is exact too."""
+        cache = ActionCache()
+        m = Memoizer(cache)
+        m.begin_step((1,))
+        m.begin_verify(1, ())
+        m.note_verify(0)
+        m.action(2, (7,))
+        m.end_step()
+        entry = cache.entries[(1,)]
+        m.begin_recovery(entry, [1])
+        m.begin_verify(1, ())
+        m.pop_verify()
+        m.action(3, (8,))  # ... and the step dies here
+        assert not entry.complete
+        assert_billing(cache)
+        m.begin_step((1,))
+        assert entry.generation == -1
+        assert cache.pool.live_values() == 0
         assert_billing(cache)
 
 
@@ -474,13 +473,17 @@ class TestDictPlaceholderData:
         m.action(2, ())
         m.end_step()
         entry = cache.entries[(1,)]
-        assert entry.packed is not None
-        sig = tree_signature(entry_first_record(entry))
+        chain = entry.packed
+        assert entry.complete
+        sig = lanes(chain)
         cache.unpack_entry(entry)
-        assert tree_signature(entry.first) == sig
-        assert thaw(entry.first.data) == {"pc": 0x1000, "regs": [1, 2]}
+        assert lanes(chain) == sig
+        assert thaw(cache.pool.values[chain.data[0]]) == {
+            "pc": 0x1000, "regs": [1, 2]}
         cache.pack_entry(entry)
-        assert tree_signature(entry_first_record(entry)) == sig
+        assert lanes(chain) == sig
+        assert chain.sux[1] == freeze({"taken": True})
+        assert_billing(cache)
 
     def test_frozen_values_are_never_dicts(self):
         # The packed replay loop discriminates a single-successor
@@ -628,11 +631,7 @@ class TestStreamEncoding:
         cache = ActionCache()
         m = Memoizer(cache)
         build(m)
-        pool = InternPool()
-        chain, charged = _pack_records(
-            entry_first_record(cache.entries[(1,)]), pool
-        )
-        return chain, pool, charged
+        return cache.entries[(1,)].packed, cache.pool
 
     def test_straight_line_layout(self):
         def build(m):
@@ -641,14 +640,14 @@ class TestStreamEncoding:
             m.action(4, (11,))
             m.end_step()
 
-        chain, pool, charged = self.pack_one(build)
+        chain, pool = self.pack_one(build)
         assert list(chain.nums) == [3, 4, ENDMARK]
         assert chain.nums.tolist() == chain.knums
         assert chain.data[-1] == -1 and chain.datavals[-1] is None
         assert chain.sux[0] is None and chain.sux[1] is None
         assert chain.sux[2] is chain.ends[0]
         assert chain.n_records == 2 and chain.depth == 0
-        assert charged == pool.bytes_live
+        assert chain.local_bytes == 3 * 12
 
     def test_single_successor_verify_falls_through(self):
         def build(m):
@@ -658,7 +657,7 @@ class TestStreamEncoding:
             m.action(0, ())
             m.end_step()
 
-        chain, pool, _ = self.pack_one(build)
+        chain, pool = self.pack_one(build)
         assert chain.nums[0] == ~2  # verify slots store ~num
         # Canonical lane: pool index of the expected value; replay
         # view: the pooled value itself (== fall-through, no dict).
@@ -687,14 +686,14 @@ class TestStreamEncoding:
         assert m.pop_verify() == 1
         m.action(1, ())
         m.end_step()
-        pool = InternPool()
-        chain, _ = _pack_records(entry_first_record(entry), pool)
-        assert len(chain.tables) == 1
-        table = chain.tables[0]
-        assert set(table) == {0, 1}
-        assert chain.sux[0] is table  # the replay view shares the dict
+        chain = entry.packed
+        # The old arm falls through; the new one was appended at the
+        # end of the lanes.
+        assert list(chain.nums) == [~2, 0, ENDMARK, 1, ENDMARK]
+        assert chain.tables == [{0: 1, 1: 3}]
+        assert chain.sux[0] is chain.tables[0]  # the view shares the dict
         assert chain.succ[0] == ~0
-        assert chain.depth == 1
-        # Round trip restores both arms.
-        rebuilt = _packed_to_records(chain)
-        assert set(rebuilt.succ) == {0, 1}
+        assert chain.depth == 1 and chain.n_records == 3
+        assert chain.local_bytes == 5 * 12 + 16 + 2 * 8
+        # The expected value's pool reference went with the conversion.
+        assert_billing(cache)

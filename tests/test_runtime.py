@@ -7,14 +7,11 @@ from hypothesis import given, strategies as st
 
 from repro.facile.runtime import (
     DICT_TAG,
+    ENDMARK,
     ActionCache,
-    ActionRecord,
-    EndRecord,
     Memoizer,
     Memory,
     SimulationError,
-    VerifyRecord,
-    entry_first_record,
     freeze,
     thaw,
     value_bytes,
@@ -284,15 +281,41 @@ def record_simple_chain(cache, key=(1,), nums=(0, 1, 2)):
 
 class TestMemoizerRecording:
     def test_records_linked_in_order(self):
+        """Records follow each other in the lanes in recording order:
+        contiguity is the link."""
         cache = ActionCache()
         record_simple_chain(cache)
         entry = cache.lookup((1,))
-        rec = entry_first_record(entry)
-        seen = []
-        while not rec.is_end:
-            seen.append(rec.num)
-            rec = rec.next
-        assert seen == [0, 1, 2]
+        chain = entry.packed
+        assert list(chain.nums) == [0, 1, 2, ENDMARK]
+        assert [chain.pool.values[d] for d in chain.data[:3]] == [
+            (0,), (10,), (20,)]
+        assert chain.data[3] == -1
+        assert chain.ends[chain.succ[3]] is chain.sux[3]
+        assert_billing(cache)
+
+    def test_every_record_billed_as_it_is_appended(self):
+        """Each record charges ``bytes_cumulative`` the record-model cost
+        and ``bytes_current`` its packed slot (plus any new pool value)
+        the moment it is recorded, not when the step ends."""
+        cache = ActionCache()
+        m = Memoizer(cache)
+        m.begin_step((1,))
+        entry = cache.entries[(1,)]
+        cum = cache.stats.bytes_cumulative
+        m.action(0, (5, 6))
+        # RECORD_BYTES + value_bytes((5, 6)).
+        assert cache.stats.bytes_cumulative - cum == 12 + 24
+        assert entry.nbytes == entry.key_cost + 12
+        assert_billing(cache)
+        m.begin_verify(1, ())
+        # A verify's expected value is still pending: no pool reference.
+        assert_billing(cache)
+        m.note_verify([1, 2])
+        assert cache.pool.values[entry.packed.succ[1]] == (1, 2)
+        assert_billing(cache)
+        m.end_step()
+        assert cache.stats.records_created == 3
         assert_billing(cache)
 
     def test_entry_completed(self):
@@ -308,19 +331,20 @@ class TestMemoizerRecording:
         m.note_verify(1)
         m.action(6, ())
         m.end_step()
-        entry = cache.lookup((2,))
-        vrec = entry_first_record(entry)
-        assert isinstance(vrec, VerifyRecord)
-        assert 1 in vrec.succ
-        assert vrec.succ[1].num == 6
+        chain = cache.lookup((2,)).packed
+        assert chain.nums[0] == ~5
+        # One successor: the expected value's pool index, falling
+        # through to the next slot.
+        assert chain.pool.values[chain.succ[0]] == 1
+        assert chain.nums[1] == 6
+        assert not chain.tables
         assert_billing(cache)
 
     def test_end_while_recovering_is_error(self):
         cache = ActionCache()
         m = Memoizer(cache)
-        entry = cache.create_entry((3,))
-        entry.first = EndRecord()
-        m.begin_recovery(entry, [0])
+        record_simple_chain(cache, key=(3,), nums=())
+        m.begin_recovery(cache.lookup((3,)), [0])
         with pytest.raises(SimulationError):
             m.end_step()
 
@@ -343,22 +367,83 @@ class TestMemoizerRecovery:
         m = Memoizer(cache)
         # The fast engine saw verify 1 produce value 7 (a miss).
         m.begin_recovery(entry, [7])
-        assert entry.packed is None  # unpacked for recovery
+        assert not entry.complete  # reopened for recovery
+        assert entry.packed.knums is None
         assert_billing(cache)
         m.action(0, ())  # verified against recorded chain
         m.begin_verify(1, ())
         value = m.pop_verify()
         assert value == 7
         assert m.recover is False
-        # Now recording resumes on the new successor branch.
+        # The verify became a jump table; the new arm targets the end
+        # of the lanes, where recording resumes.
+        chain = entry.packed
+        assert chain.tables == [{0: 2, 7: 4}]
+        assert chain.succ[1] == ~0
+        assert_billing(cache)
         m.action(3, ())
         assert_billing(cache)
         m.end_step()
-        assert entry.packed is not None  # repacked
-        vrec = entry_first_record(entry).next
-        assert set(vrec.succ) == {0, 7}
-        assert vrec.succ[7].num == 3
+        assert entry.complete  # sealed again
+        assert list(chain.nums) == [0, ~1, 2, ENDMARK, 3, ENDMARK]
+        assert chain.depth == 1 and chain.n_records == 4
         assert_billing(cache)
+
+    def test_second_miss_adds_an_arm(self):
+        cache = ActionCache()
+        entry = self.build_branchy_entry(cache)
+        m = Memoizer(cache)
+        for value, num in ((7, 3), (8, 4)):
+            m.begin_recovery(entry, [value])
+            m.action(0, ())
+            m.begin_verify(1, ())
+            m.pop_verify()
+            m.action(num, ())
+            m.end_step()
+            assert_billing(cache)
+        assert entry.packed.tables == [{0: 2, 7: 4, 8: 6}]
+        assert cache.stats.unpacks == 2 and cache.stats.packs == 3
+
+    def test_recovery_follows_a_jump_table(self):
+        cache = ActionCache()
+        entry = self.build_branchy_entry(cache)
+        m = Memoizer(cache)
+        m.begin_recovery(entry, [7])
+        m.action(0, ())
+        m.begin_verify(1, ())
+        m.pop_verify()
+        m.begin_verify(5, ())
+        m.note_verify(1)
+        m.end_step()
+        # Recover down the recorded 7-arm, then miss at its verify.
+        m.begin_recovery(entry, [7, 2])
+        m.action(0, ())
+        m.begin_verify(1, ())
+        assert m.pop_verify() == 7
+        assert m.recover is True
+        m.begin_verify(5, ())
+        assert m.pop_verify() == 2
+        m.end_step()
+        assert entry.packed.depth == 2
+        assert_billing(cache)
+
+    def test_unrecorded_result_path_detected(self):
+        cache = ActionCache()
+        entry = self.build_branchy_entry(cache)
+        m = Memoizer(cache)
+        m.begin_recovery(entry, [3, 5])
+        m.action(0, ())
+        m.begin_verify(1, ())
+        with pytest.raises(SimulationError, match="unrecorded result path"):
+            m.pop_verify()
+
+    def test_result_fed_back_at_a_plain_action_is_desync(self):
+        cache = ActionCache()
+        entry = self.build_branchy_entry(cache)
+        m = Memoizer(cache)
+        m.begin_recovery(entry, [0])
+        with pytest.raises(SimulationError, match="desync"):
+            m.pop_verify()
 
     def test_recovery_desync_detected(self):
         cache = ActionCache()
@@ -389,17 +474,3 @@ class TestMemoizerRecovery:
         m.begin_recovery(entry, [])
         with pytest.raises(SimulationError, match="underflow"):
             m.pop_verify()
-
-
-class TestRecordTypes:
-    def test_action_record_flags(self):
-        rec = ActionRecord(1, ())
-        assert not rec.is_verify and not rec.is_end
-
-    def test_verify_record_flags(self):
-        rec = VerifyRecord(1, ())
-        assert rec.is_verify and not rec.is_end
-
-    def test_end_record_flags(self):
-        rec = EndRecord()
-        assert rec.is_end and not rec.is_verify

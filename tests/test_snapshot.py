@@ -134,8 +134,7 @@ def test_loaded_entries_are_mmap_backed_and_lazy(tmp_path):
 
     engine.run(max_steps=1_000_000)
     assert any(
-        e.packed is not None and e.packed.knums is not None
-        for e in cache.entries.values()
+        e.packed.knums is not None for e in cache.entries.values()
     )
 
 
@@ -150,8 +149,11 @@ def test_copy_on_miss_unpack_updates_shared_bytes(tmp_path):
     before = cache.stats.bytes_shared
     entry = next(iter(cache.entries.values()))
     local = entry.packed.local_bytes
+    lanes = [list(entry.packed.nums), list(entry.packed.succ)]
     cache.unpack_entry(entry)
-    assert entry.packed is None
+    assert not entry.complete and not entry.packed.shared
+    assert not isinstance(entry.packed.nums, memoryview)
+    assert [list(entry.packed.nums), list(entry.packed.succ)] == lanes
     assert cache.stats.bytes_shared == before - local
     assert cache.recount_shared_bytes() == cache.stats.bytes_shared
     assert_billing(cache)
