@@ -362,8 +362,10 @@ class PackedChain:
       the overwhelmingly common case costs one ``==`` and no dict.  A
       verify with several successors holds ``~t`` where ``tables[t]``
       maps observed value -> jump slot.  End slots hold an index into
-      ``ends``, the entry's :class:`EndRecord` objects, so ``likely_next``
-      links survive recovery by identity.
+      ``ends``: the entry's :class:`EndRecord` objects in the action
+      cache, so ``likely_next`` links survive recovery by identity, and
+      the next cycle's key in FastSim's memo (:mod:`repro.ooo.fastsim`,
+      whose accounting never bills them).
 
     ``knums``/``datavals``/``sux`` are the *replay view*: the canonical
     lanes with their pool indices resolved once at seal time, so the
@@ -394,6 +396,11 @@ class PackedChain:
     trace compiler) indexes them identically either way; reopening an
     entry for recovery copies shared lanes into private arrays
     (copy-on-miss).
+
+    The lane operations that run once per step or per recovery live
+    here, shared by both memoizers: :meth:`end`, :meth:`fork` and
+    :meth:`reopen`.  They keep ``local_bytes`` current; the memoizer
+    bills one slot for :meth:`end` and what the other two return.
     """
 
     __slots__ = (
@@ -416,6 +423,48 @@ class PackedChain:
         chain.n_records = chain.depth = chain.local_bytes = 0
         chain.shared = False
         return chain
+
+    def end(self, successor: Any) -> None:
+        """Append an end slot whose successor lane indexes ``successor``
+        in ``ends``."""
+        self.nums.append(ENDMARK)
+        self.data.append(-1)
+        self.succ.append(len(self.ends))
+        self.ends.append(successor)
+        self.local_bytes += PACKED_SLOT_BYTES
+
+    def fork(self, slot: int, value: Any) -> int:
+        """Grow an arm for ``value`` at the verify in ``slot`` (a miss
+        fork), targeting the end of the lanes where recovery appends the
+        new path.  A single-successor verify becomes a jump table
+        ``{expected: slot + 1, value: end}`` and releases its pool
+        reference to the expected value.  Returns the change in billed
+        bytes: the table growth less any pool refund."""
+        target = len(self.nums)
+        s = self.succ[slot]
+        if s >= 0:
+            pool = self.pool
+            self.succ[slot] = ~len(self.tables)
+            self.tables.append({pool.values[s]: slot + 1, value: target})
+            grown = PACKED_TABLE_OVERHEAD + 2 * PACKED_JUMP_BYTES
+            self.local_bytes += grown
+            return grown - pool.release(s)
+        self.tables[~s][value] = target
+        self.local_bytes += PACKED_JUMP_BYTES
+        return PACKED_JUMP_BYTES
+
+    def reopen(self) -> int:
+        """Drop the replay view so recovery can append, copying
+        mmap-shared lanes into private arrays (copy-on-miss).  Returns
+        the bytes leaving the shared tier (0 for private lanes)."""
+        self.knums = self.datavals = self.sux = None
+        if not self.shared:
+            return 0
+        self.nums = array("q", self.nums.tobytes())
+        self.data = array("q", self.data.tobytes())
+        self.succ = array("q", self.succ.tobytes())
+        self.shared = False
+        return self.local_bytes
 
 
 def build_replay_view(chain: PackedChain) -> None:
@@ -486,8 +535,7 @@ class CacheEntry:
     key's accounted size plus ``ENTRY_OVERHEAD``, computed once when
     the entry is made (recorded or loaded).  ``nbytes`` is the entry's
     billed local size, ``key_cost`` plus the lanes' ``local_bytes``, so
-    no refund re-walks a key or a chain (the same shape as FastSim's
-    ``_Node.nbytes``/``key_cost``)."""
+    no refund re-walks a key or a chain."""
 
     __slots__ = (
         "key", "packed", "complete", "generation", "hot",
@@ -652,37 +700,16 @@ class ActionCache:
 
     def append_end(self, entry: CacheEntry) -> None:
         """Append the end-of-step slot, with a fresh :class:`EndRecord`."""
-        chain = entry.packed
-        chain.nums.append(ENDMARK)
-        chain.data.append(-1)
-        chain.succ.append(len(chain.ends))
-        chain.ends.append(EndRecord())
-        chain.local_bytes += PACKED_SLOT_BYTES
+        entry.packed.end(EndRecord())
         stats = self.stats
         stats.records_created += 1
         stats.bytes_cumulative += _END_BYTES
         stats.bytes_current += PACKED_SLOT_BYTES
 
     def fork(self, entry: CacheEntry, slot: int, value: Any) -> None:
-        """Grow an arm for ``value`` at the verify in ``slot`` (a miss
-        fork), targeting the end of the lanes where recovery appends the
-        new path.  A single-successor verify becomes a jump table
-        ``{expected: slot + 1, value: end}`` and releases its pool
-        reference to the expected value."""
-        chain = entry.packed
-        target = len(chain.nums)
-        s = chain.succ[slot]
-        if s >= 0:
-            pool = self.pool
-            chain.succ[slot] = ~len(chain.tables)
-            chain.tables.append({pool.values[s]: slot + 1, value: target})
-            grown = PACKED_TABLE_OVERHEAD + 2 * PACKED_JUMP_BYTES
-            self.stats.bytes_current += grown - pool.release(s)
-        else:
-            chain.tables[~s][value] = target
-            grown = PACKED_JUMP_BYTES
-            self.stats.bytes_current += grown
-        chain.local_bytes += grown
+        """Grow an arm for ``value`` at the verify in ``slot``
+        (:meth:`PackedChain.fork`) and bill it."""
+        self.stats.bytes_current += entry.packed.fork(slot, value)
 
     # -- sealing and reopening -------------------------------------------
 
@@ -711,16 +738,7 @@ class ActionCache:
             return
         if self.native is not None:
             self.native.drop_entry(entry)
-        chain = entry.packed
-        if chain.shared:
-            # The entry leaves the mmap-backed tier: its lanes become
-            # process-private arrays.
-            chain.nums = array("q", chain.nums.tobytes())
-            chain.data = array("q", chain.data.tobytes())
-            chain.succ = array("q", chain.succ.tobytes())
-            chain.shared = False
-            self.stats.bytes_shared -= chain.local_bytes
-        chain.knums = chain.datavals = chain.sux = None
+        self.stats.bytes_shared -= entry.packed.reopen()
         entry.complete = False
         self.stats.unpacks += 1
 

@@ -24,11 +24,12 @@ File layout (header integers little-endian)::
     96      8     byte-order probe (0x0102030405060708, host-endian)
     104     ...   meta blob (varint / tagged-value encoded), 8-padded
     ...     ...   stream blob: every entry's raw ``q`` lanes
-                  (nums/data/succ or kinds/payload/succ), concatenated
+                  (nums/data/succ), concatenated
 
 The meta blob holds everything object-shaped — pool values and
-refcounts, entry keys, jump tables, end-slot counts — while the stream
-blob holds the hot replay lanes verbatim.  On load the stream blob is
+refcounts, entry keys, jump tables, end-slot counts or FastSim's next
+keys — while the stream blob holds the hot replay lanes verbatim.
+Both kinds share one chain encoding.  On load the stream blob is
 **not copied**: each chain's lanes become ``memoryview`` slices of the
 mapped file (marked ``shared``), and the resolved per-process replay
 view is built lazily on the entry's first replay, so untouched entries
@@ -59,8 +60,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .runtime import (
-    ENDMARK,
-    POOL_SLOT_BYTES,
     DICT_TAG,
     CacheEntry,
     EndRecord,
@@ -355,7 +354,7 @@ def fastsim_fingerprint(program, config) -> str:
     """Content address for a fastsim memo snapshot: machine config ×
     workload (the event encoding is versioned by the leading tag)."""
     return combine_fingerprints(
-        "fastsim-memo-v1", repr(config), program_fingerprint(program)
+        "fastsim-memo-v2", repr(config), program_fingerprint(program)
     )
 
 
@@ -506,6 +505,49 @@ def _install_pool(pool, values: list, refs: list, costs: list) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Chain section (shared by both kinds)
+# ---------------------------------------------------------------------------
+
+
+def _encode_tables(meta: bytearray, tables: list[dict]) -> None:
+    _w_u(meta, len(tables))
+    for table in tables:
+        _w_u(meta, len(table))
+        for value, slot in table.items():
+            _encode_value_fast(meta, value)
+            _w_u(meta, slot)
+
+
+def _decode_tables(r: _Reader) -> list[dict]:
+    tables: list[dict] = []
+    for _ in range(r.u()):
+        table: dict = {}
+        for _ in range(r.u()):
+            value = r.value()
+            table[value] = r.u()
+        tables.append(table)
+    return tables
+
+
+def _mapped_chain(qmv: memoryview, qoff: int, n: int, tables: list[dict],
+                  ends: list, pool) -> PackedChain:
+    """A sealed chain whose ``n``-slot lanes are slices of the mapped
+    stream blob at ``qoff``; its replay view is built on first use."""
+    chain = PackedChain()
+    chain.nums = qmv[qoff:qoff + n]
+    chain.data = qmv[qoff + n:qoff + 2 * n]
+    chain.succ = qmv[qoff + 2 * n:qoff + 3 * n]
+    chain.tables = tables
+    chain.ends = ends
+    chain.pool = pool
+    chain.knums = chain.datavals = chain.sux = None
+    chain.n_records = chain.depth = 0
+    chain.local_bytes = lane_bytes(n, tables)
+    chain.shared = True
+    return chain
+
+
+# ---------------------------------------------------------------------------
 # Facile ActionCache snapshots (kind 1)
 # ---------------------------------------------------------------------------
 
@@ -530,12 +572,7 @@ def save_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
         _w_u(meta, len(chain.ends))
         _w_u(meta, chain.n_records)
         _w_u(meta, chain.depth)
-        _w_u(meta, len(chain.tables))
-        for table in chain.tables:
-            _w_u(meta, len(table))
-            for value, slot in table.items():
-                _encode_value_fast(meta, value)
-                _w_u(meta, slot)
+        _encode_tables(meta, chain.tables)
         streams += chain.nums.tobytes()
         streams += chain.data.tobytes()
         streams += chain.succ.tobytes()
@@ -577,30 +614,14 @@ def load_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
             n_ends = r.u()
             n_records = r.u()
             depth = r.u()
-            n_tables = r.u()
-            tables: list[dict] = []
-            for _ in range(n_tables):
-                count = r.u()
-                table: dict = {}
-                for _ in range(count):
-                    value = r.value()
-                    table[value] = r.u()
-                tables.append(table)
-            chain = PackedChain()
-            chain.nums = qmv[qoff:qoff + n]
-            chain.data = qmv[qoff + n:qoff + 2 * n]
-            chain.succ = qmv[qoff + 2 * n:qoff + 3 * n]
+            tables = _decode_tables(r)
+            chain = _mapped_chain(
+                qmv, qoff, n, tables,
+                [EndRecord() for _ in range(n_ends)], cache.pool,
+            )
             qoff += 3 * n
-            chain.tables = tables
-            chain.ends = [EndRecord() for _ in range(n_ends)]
-            chain.pool = cache.pool
-            chain.knums = None
-            chain.datavals = None
-            chain.sux = None
             chain.n_records = n_records
             chain.depth = depth
-            chain.local_bytes = lane_bytes(n, tables)
-            chain.shared = True
             built.append((key, chain))
         if qoff != len(qmv):
             raise SnapshotError("stream length mismatch")
@@ -642,35 +663,29 @@ def load_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
 
 
 def save_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
-    """Serialize a :class:`~repro.ooo.fastsim.FastSimOoo` memo table
-    (every completed cycle is packed; an unpacked root was interrupted
-    mid-record and is not replayable)."""
-    roots = [(key, root) for key, root in sim.memo.items()
-             if root.packed is not None]
+    """Serialize a :class:`~repro.ooo.fastsim.FastSimOoo` memo table:
+    every sealed chain (one with a replay view, or still mmap-backed).
+    An open chain was interrupted mid-record and is not replayable."""
+    chains = [(key, chain) for key, chain in sim.memo.items()
+              if chain.knums is not None or chain.shared]
     meta = bytearray()
     streams = bytearray()
     _encode_pool(meta, sim.pool)
-    _w_u(meta, len(roots))
-    _encode_value_fast(meta, tuple(key for key, _ in roots))
+    _w_u(meta, len(chains))
+    _encode_value_fast(meta, tuple(key for key, _ in chains))
     shared = 0
-    for key, root in roots:
-        chain = root.packed
-        _w_u(meta, len(chain.kinds))
-        _w_u(meta, len(chain.tables))
-        for table in chain.tables:
-            _w_u(meta, len(table))
-            for value, slot in table.items():
-                _encode_value_fast(meta, value)
-                _w_u(meta, slot)
-        _encode_value_fast(meta, tuple(chain.next_keys))
-        streams += chain.kinds.tobytes()
-        streams += chain.payload.tobytes()
+    for key, chain in chains:
+        _w_u(meta, len(chain.nums))
+        _encode_tables(meta, chain.tables)
+        _encode_value_fast(meta, tuple(chain.ends))
+        streams += chain.nums.tobytes()
+        streams += chain.data.tobytes()
         streams += chain.succ.tobytes()
         shared += chain.local_bytes
     blob = _frame(KIND_FASTSIM_MEMO, fingerprint, bytes(meta), bytes(streams))
     _atomic_write(path, blob)
     return SnapshotInfo(
-        path=str(path), hit=True, entries=len(roots), shared_bytes=shared,
+        path=str(path), hit=True, entries=len(chains), shared_bytes=shared,
         pool_values=sim.pool.live_values(), file_bytes=len(blob),
     )
 
@@ -678,7 +693,7 @@ def save_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
 def load_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
     """Load a fastsim memo snapshot; same contract as
     :func:`load_action_cache`."""
-    from ..ooo.fastsim import _PackedCycle, _Node
+    from ..ooo.fastsim import _key_cost
 
     info = SnapshotInfo(path=str(path))
     if sim.memo or sim.pool.values:
@@ -694,37 +709,20 @@ def load_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
         return info
     try:
         pool_values, pool_refs, pool_costs = _decode_pool_lists(r)
-        n_roots = r.u()
+        n_chains = r.u()
         keys = r.value()
-        if len(keys) != n_roots:
+        if len(keys) != n_chains:
             raise SnapshotError("key count mismatch")
         built = []
         qoff = 0
         for key in keys:
             n = r.u()
-            n_tables = r.u()
-            tables: list[dict] = []
-            for _ in range(n_tables):
-                count = r.u()
-                table: dict = {}
-                for _ in range(count):
-                    value = r.value()
-                    table[value] = r.u()
-                tables.append(table)
+            tables = _decode_tables(r)
             next_keys = list(r.value())
-            chain = _PackedCycle()
-            chain.kinds = qmv[qoff:qoff + n]
-            chain.payload = qmv[qoff + n:qoff + 2 * n]
-            chain.succ = qmv[qoff + 2 * n:qoff + 3 * n]
+            built.append(
+                (key, _mapped_chain(qmv, qoff, n, tables, next_keys, sim.pool))
+            )
             qoff += 3 * n
-            chain.tables = tables
-            chain.next_keys = next_keys
-            chain.kkinds = None
-            chain.payload_vals = None
-            chain.sux = None
-            chain.local_bytes = lane_bytes(n, tables)
-            chain.shared = True
-            built.append((key, chain))
         if qoff != len(qmv):
             raise SnapshotError("stream length mismatch")
         if not built:
@@ -738,12 +736,8 @@ def load_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
     total = 0
     shared = 0
     for key, chain in built:
-        root = _Node()
-        root.key_cost = 8 * (8 + 6 * len(key[0]) + 33)
-        root.packed = chain
-        root.nbytes = root.key_cost + chain.local_bytes
-        sim.memo[key] = root
-        total += root.nbytes
+        sim.memo[key] = chain
+        total += _key_cost(key) + chain.local_bytes
         shared += chain.local_bytes
     mstats.bytes_estimate += total + sim.pool.bytes_live
     mstats.bytes_shared += shared

@@ -23,24 +23,31 @@ the slow cycle feeding the already-replayed dynamic results back from a
 recovery list (never re-executing their effects or extern calls), and
 resumes normal recording at the miss fork.
 
-Per-key records form a tree: straight-line event runs with a dynamic
-result test at each fork, one successor per observed value — the same
-structure as Figure 2's specialized action cache.  Complete chains link
-cycle to cycle through ``next_key``, so steady-state execution replays
-entire loops without touching the bookkeeping at all.
+Per key, the memo holds one :class:`~repro.facile.runtime.PackedChain`,
+the action cache's own lane container: straight-line event runs with a
+dynamic result test at each fork, one successor per observed value —
+the same structure as Figure 2's specialized action cache.  A plain
+event's slot holds its ``EV_*`` kind and the interned event; a test
+holds ``~kind``, its interned payload and its expected value (or a jump
+table once it has forked); an ``ENDMARK`` slot ends the cycle, and its
+successor lane indexes the next cycle's key in ``ends``.  The recorder
+appends to the lanes from the cycle's first event, and miss recovery
+appends each new path at their end.  Complete chains link cycle to
+cycle through those next keys, so steady-state execution replays entire
+loops without touching the bookkeeping at all.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections import deque
 from dataclasses import dataclass
 
 from ..facile.runtime import (
-    PACKED_JUMP_BYTES,
+    ENDMARK,
     PACKED_SLOT_BYTES,
-    PACKED_TABLE_OVERHEAD,
     InternPool,
+    PackedChain,
+    build_replay_view,
+    lane_bytes,
 )
 from ..isa import sparclite as S
 from ..isa.funcsim import FunctionalSim
@@ -56,106 +63,14 @@ EV_BPRED = 4
 EV_BIND = 5
 EV_BCALL = 6
 
-CHECK_KINDS = frozenset((EV_CACHE, EV_BPRED, EV_BIND))
-
-# Packed-slot kind encodings (see _PackedCycle): plain events keep
-# their EV_* kind; a dynamic result test on EV_k packs as FS_CHECK_BASE
-# + k; FS_END marks the end of the cycle (successor lane indexes
-# ``next_keys``).
-FS_CHECK_BASE = 8
-FS_END = 64
-
 #: ``backend_status["reason"]`` of a ``replay_backend="c"`` request.
 FASTSIM_NO_C_REASON = "fastsim has no C replay path; it runs the Python loop"
 
 
-class _Node:
-    """A run of non-test events ending in either a dynamic result test
-    (with per-value successor nodes) or the next cycle's key.
-
-    ``nbytes``, ``key_cost``, and ``packed`` are meaningful on root
-    nodes only: the exact bytes charged against the entry (re-accounted
-    on pack and unpack), the accounted key size, and the flat-packed
-    form of the whole cycle tree once recording completed."""
-
-    __slots__ = (
-        "events", "check", "succ", "next_key", "nbytes", "key_cost",
-        "packed",
-    )
-
-    def __init__(self) -> None:
-        self.events: list[tuple] = []
-        self.check: tuple | None = None
-        self.succ: dict = {}
-        self.next_key: tuple | None = None
-        self.nbytes = 0
-        self.key_cost = 0
-        self.packed: _PackedCycle | None = None
-
-
-class _PackedCycle:
-    """One complete cycle tree, flat-packed — the same parallel-stream
-    layout as :class:`repro.facile.runtime.PackedChain`, so the
-    hand-coded ablation baseline carries the identical encoding:
-
-    * ``kinds[i]``   — EV_* for a plain event, ``FS_CHECK_BASE + EV_*``
-      for a dynamic result test, :data:`FS_END` at the cycle boundary;
-    * ``payload[i]`` — :class:`InternPool` index of the event tuple
-      (plain) or check payload (test); -1 at FS_END;
-    * ``succ[i]``    — 0 for plain events (fall through), the pool
-      index of the single expected value (match falls through) or
-      ``~t`` into ``tables`` for multi-successor tests, and the
-      ``next_keys`` index at FS_END.
-
-    ``local_bytes`` is the accounted entry-local size (slots + jump
-    tables); pooled event/value bytes are shared and live in the pool.
-    ``next_keys`` values are not billed, matching the unpacked
-    accounting, which never billed ``next_key``.
-
-    ``kkinds``/``payload_vals``/``sux`` are the replay view — the
-    canonical streams resolved once at pack time (kinds as a plain
-    list, payloads as the pooled objects, successors as the expected
-    value / shared jump table / next key), so the replay loop never
-    touches the pool.  The view aliases pooled and canonical-lane
-    objects and carries no accounted bytes; accounting, release, and
-    unpack read the canonical streams.
-
-    ``shared`` marks a cycle whose streams are ``memoryview`` slices of
-    an mmap-backed snapshot (:mod:`repro.facile.snapshot`); such cycles
-    arrive without a replay view (``kkinds is None``), built lazily by
-    :func:`_build_cycle_view` on first replay.  A recovery unpack turns
-    the entry private (copy-on-miss).
-    """
-
-    __slots__ = (
-        "kinds", "payload", "succ", "tables", "next_keys",
-        "kkinds", "payload_vals", "sux", "local_bytes", "shared",
-    )
-
-
-def _build_cycle_view(chain: "_PackedCycle", pool_values: list) -> None:
-    """Materialize the resolved replay view from the canonical streams
-    (the lazy path for mmap-loaded cycles; packing builds it inline)."""
-    kkinds = list(chain.kinds)
-    pstream = chain.payload
-    sstream = chain.succ
-    tables = chain.tables
-    next_keys = chain.next_keys
-    n = len(kkinds)
-    payload_vals: list = [None] * n
-    sux: list = [None] * n
-    for i in range(n):
-        k = kkinds[i]
-        if k == FS_END:
-            sux[i] = next_keys[sstream[i]]
-            continue
-        payload_vals[i] = pool_values[pstream[i]]
-        if k >= FS_CHECK_BASE:
-            s = sstream[i]
-            sux[i] = pool_values[s] if s >= 0 else tables[~s]
-    chain.kkinds = kkinds
-    chain.payload_vals = payload_vals
-    chain.sux = sux
+def _key_cost(key: tuple) -> int:
+    """Accounted size of a memo key: the window signature plus the
+    fixed pipeline state."""
+    return 8 * (8 + 6 * len(key[0]) + 33)
 
 
 @dataclass
@@ -168,19 +83,24 @@ class MemoStats:
     cycles_recovered: int = 0
     misses_new_key: int = 0
     misses_check: int = 0
+    #: Resident size in the packed model: keys, slots, jump tables and
+    #: live pool values, billed as the lanes grow.
     bytes_estimate: int = 0
-    #: Total bytes ever charged for recording (keys, events, checks,
-    #: recovery forks).  Never decremented by clears or pack/unpack
-    #: re-accounting — the memoized-data *volume* Table 2 reports,
-    #: mirroring ``CacheStats.bytes_cumulative`` on the facile side so
-    #: the two simulators' columns compare the same metric.
+    #: Total bytes ever charged for recording in FastSim's record model
+    #: (``16 + 8 * len(event)`` per event, 64 per check, 48 per recovery
+    #: fork, plus each new key).  Never decremented by clears — the
+    #: memoized-data *volume* Table 2 reports, mirroring
+    #: ``CacheStats.bytes_cumulative`` on the facile side so the two
+    #: simulators' columns compare the same metric.
     bytes_cumulative: int = 0
+    #: Seals (completed slow or recovered cycles) and reopens (check
+    #: misses).
     packs: int = 0
     unpacks: int = 0
     clears: int = 0
     #: Bytes of ``bytes_estimate`` billed to mmap-backed (shared)
-    #: packed cycles; the rest is process-private.  Decremented when a
-    #: shared entry is unpacked (copy-on-miss); a clear empties it.
+    #: chains; the rest is process-private.  Decremented when a shared
+    #: chain is reopened (copy-on-miss); a clear empties it.
     bytes_shared: int = 0
     #: Entries installed from a snapshot load.
     snapshot_entries: int = 0
@@ -228,7 +148,7 @@ class FastSimOoo:
         self.stats = C.OooStats()
         self.memoize = memoize
         self.pool = InternPool()
-        self.memo: dict[tuple, _Node] = {}
+        self.memo: dict[tuple, PackedChain] = {}
         self.memo_limit_bytes = memo_limit_bytes
         self.mstats = MemoStats()
         self.retired_fast = 0
@@ -295,62 +215,46 @@ class FastSimOoo:
     def run(self, max_cycles: int = 10_000_000) -> C.OooStats:
         if not self.memoize:
             while not self.done and self.stats.cycles < max_cycles:
-                self._slow_cycle(record=False)
+                self._slow_cycle(None)
             return self.stats
         key = self.state_key()
+        mstats = self.mstats
         while not self._key_is_done(key) and self.stats.cycles < max_cycles:
-            node = self.memo.get(key)
-            if node is None:
-                self.mstats.misses_new_key += 1
-                self.mstats.cycles_slow += 1
+            chain = self.memo.get(key)
+            if chain is None:
+                mstats.misses_new_key += 1
+                mstats.cycles_slow += 1
                 self._materialize(key)
-                root = _Node()
-                root.key_cost = 8 * (8 + 6 * len(key[0]) + 33)
-                self.memo[key] = root
-                self.mstats.entries += 1
-                self._bill(root, root.key_cost)
-                key = self._slow_cycle(record=True, root=root)
+                chain = PackedChain.empty(self.pool)
+                self.memo[key] = chain
+                mstats.entries += 1
+                cost = _key_cost(key)
+                mstats.bytes_estimate += cost
+                mstats.bytes_cumulative += cost
+                key = self._slow_cycle(chain)
             else:
-                key = self._replay_packed(key, node)
+                key = self._replay_packed(key, chain)
             self._maybe_reclaim()
         self._materialize(key)
         return self.stats
 
     # -- memo accounting / reclamation ----------------------------------------
 
-    def _bill(self, root: _Node, nbytes: int) -> None:
-        """Charge ``nbytes`` to the memo table and to ``root``'s entry,
-        so packing and unpacking can re-account the entry exactly."""
-        self.mstats.bytes_estimate += nbytes
-        self.mstats.bytes_cumulative += nbytes
-        root.nbytes += nbytes
-
     def recount_bytes(self) -> int:
-        """Recompute ``bytes_estimate`` by walking every surviving
-        entry's node tree (events, checks, recovery-attached forks) —
-        the leak-free-accounting invariant asserted by the tests."""
-        total = 0
-        for key, root in self.memo.items():
-            total += 8 * (8 + 6 * len(key[0]) + 33)
-            chain = root.packed
-            if chain is not None:
-                total += PACKED_SLOT_BYTES * len(chain.kinds) + sum(
-                    PACKED_TABLE_OVERHEAD + PACKED_JUMP_BYTES * len(t)
-                    for t in chain.tables
-                )
-                continue
-            total += self._tree_cost(root)
-        return total + self.pool.recount()
+        """Recompute ``bytes_estimate`` from scratch: every surviving
+        entry's key and lanes (slots and jump tables) plus the live
+        pool — the leak-free-accounting invariant asserted by the
+        tests."""
+        return sum(
+            _key_cost(key) + lane_bytes(len(chain.nums), chain.tables)
+            for key, chain in self.memo.items()
+        ) + self.pool.recount()
 
     def recount_shared_bytes(self) -> int:
-        """Recompute ``mstats.bytes_shared`` by walking surviving packed
-        cycles still backed by an mmap snapshot — the shared-accounting
+        """Recompute ``mstats.bytes_shared`` from the surviving chains
+        still backed by an mmap snapshot — the shared-accounting
         analogue of :meth:`recount_bytes`."""
-        return sum(
-            root.packed.local_bytes
-            for root in self.memo.values()
-            if root.packed is not None and root.packed.shared
-        )
+        return sum(c.local_bytes for c in self.memo.values() if c.shared)
 
     # -- snapshots -------------------------------------------------------------
 
@@ -378,22 +282,6 @@ class FastSimOoo:
         self.snapshot_save = info
         return info
 
-    @staticmethod
-    def _tree_cost(root: _Node) -> int:
-        """Accounted size of an unpacked node tree, excluding the key
-        cost — must match the incremental ``_bill`` charges."""
-        total = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            total += sum(16 + 8 * len(ev) for ev in node.events)
-            if node.check is not None:
-                # _check charges 64 (test + first successor); each
-                # fork attached during recovery charges 48 more.
-                total += 64 + 48 * (len(node.succ) - 1)
-            stack.extend(node.succ.values())
-        return total
-
     def _maybe_reclaim(self) -> None:
         """Clear the whole memo table once it outgrows
         ``memo_limit_bytes`` (the twin of :meth:`ActionCache.reclaim`)."""
@@ -410,32 +298,32 @@ class FastSimOoo:
 
     # -- fast replay ----------------------------------------------------------------
 
-    def _replay_packed(self, key: tuple, root: _Node) -> tuple:
-        """Replay one flat-packed cycle: an index-threaded walk over the
-        parallel streams with no node-attribute dispatch.  On a dynamic
-        result miss the entry is unpacked back to record form and the
-        slow simulator recovers from the consumed prefix, re-packing
-        the grown tree at cycle end."""
+    def _replay_packed(self, key: tuple, chain: PackedChain) -> tuple:
+        """Replay one packed cycle: an index-threaded walk over the
+        replay view with no per-event attribute dispatch.  On a dynamic
+        result miss the chain is reopened, the missed test grows an arm
+        to the end of the lanes, and the slow simulator recovers from
+        the consumed prefix, appending the new path there."""
         func = self.func
-        chain = root.packed
-        kinds = chain.kkinds
+        kinds = chain.knums
         if kinds is None:
             # mmap-loaded cycle replayed for the first time: build the
             # resolved view now, so unused entries cost no private RSS.
-            _build_cycle_view(chain, self.pool.values)
-            kinds = chain.kkinds
-        payload_vals = chain.payload_vals
+            build_replay_view(chain)
+            kinds = chain.knums
+        payload_vals = chain.datavals
         sux = chain.sux
         stats = self.stats
         mstats = self.mstats
         predictor = self.predictor
+        endmark = ENDMARK
         consumed: list[tuple] = []
         last_info = None
         n = 0
         i = 0
         while True:
             k = kinds[i]
-            if k < FS_CHECK_BASE:
+            if k >= 0:
                 ev = payload_vals[i]
                 if k == EV_EXEC:
                     last_info = func.exec_decoded(ev[2], ev[1])
@@ -451,8 +339,8 @@ class FastSimOoo:
                 n += 1
                 i += 1
                 continue
-            if k != FS_END:
-                ek = k - FS_CHECK_BASE
+            if k != endmark:
+                ek = ~k
                 value = self._perform_check(ek, payload_vals[i], last_info)
                 consumed.append((ek, value))
                 n += 1
@@ -465,162 +353,21 @@ class FastSimOoo:
                 elif sx == value:
                     i += 1
                     continue
-                # Action-cache miss: thaw the entry back to record
-                # form and recover via the slow simulator (which
-                # re-packs it at cycle end).
+                # Memo miss: reopen the chain, grow an arm for the new
+                # value and recover via the slow simulator, which
+                # appends the new path and seals the chain again.
                 mstats.events_replayed += n
                 mstats.misses_check += 1
                 mstats.cycles_recovered += 1
+                mstats.unpacks += 1
+                mstats.bytes_shared -= chain.reopen()
+                mstats.bytes_estimate += chain.fork(i, value)
+                mstats.bytes_cumulative += 48
                 self._materialize(key)
-                self._unpack_root(root)
-                return self._slow_cycle(record=True, root=root, recovery=consumed)
+                return self._slow_cycle(chain, consumed)
             mstats.events_replayed += n
             mstats.cycles_fast += 1
             return sux[i]
-
-    # -- flat packing ----------------------------------------------------------------
-
-    def _pack_root(self, root: _Node) -> None:
-        """Flatten a completed cycle tree into parallel streams and
-        re-account the entry at its packed size (pooled values billed
-        only on first reference)."""
-        pool = self.pool
-        values = pool.values
-        kinds = array("q")
-        payload = array("q")
-        succ = array("q")
-        payload_vals: list = []
-        sux: list = []
-        tables: list[dict] = []
-        next_keys: list[tuple] = []
-        pool_charged = 0
-        pending = deque([(root, -1, None)])
-        while pending:
-            node, t_idx, t_key = pending.popleft()
-            if t_idx >= 0:
-                tables[t_idx][t_key] = len(kinds)
-            while True:
-                for ev in node.events:
-                    idx, charged = pool.intern(ev)
-                    pool_charged += charged
-                    kinds.append(ev[0])
-                    payload.append(idx)
-                    succ.append(0)
-                    payload_vals.append(values[idx])
-                    sux.append(None)
-                if node.check is None:
-                    kinds.append(FS_END)
-                    payload.append(-1)
-                    succ.append(len(next_keys))
-                    next_keys.append(node.next_key)
-                    payload_vals.append(None)
-                    sux.append(node.next_key)
-                    break
-                ck, cpayload = node.check
-                idx, charged = pool.intern(cpayload)
-                pool_charged += charged
-                kinds.append(FS_CHECK_BASE + ck)
-                payload.append(idx)
-                payload_vals.append(values[idx])
-                if len(node.succ) == 1:
-                    ((value, nxt),) = node.succ.items()
-                    vidx, charged = pool.intern(value)
-                    pool_charged += charged
-                    succ.append(vidx)
-                    # Expected check results are scalars or tuples,
-                    # never dicts, so the replay loop discriminates
-                    # this fall-through form from a jump table by class.
-                    sux.append(values[vidx])
-                    node = nxt
-                    continue
-                table: dict = {}
-                tables.append(table)
-                succ.append(~(len(tables) - 1))
-                sux.append(table)
-                for value, nxt in node.succ.items():
-                    pending.append((nxt, len(tables) - 1, value))
-                break
-        chain = _PackedCycle()
-        chain.kinds = kinds
-        chain.payload = payload
-        chain.succ = succ
-        chain.tables = tables
-        chain.next_keys = next_keys
-        chain.kkinds = kinds.tolist()
-        chain.payload_vals = payload_vals
-        chain.sux = sux
-        chain.local_bytes = PACKED_SLOT_BYTES * len(kinds) + sum(
-            PACKED_TABLE_OVERHEAD + PACKED_JUMP_BYTES * len(t) for t in tables
-        )
-        chain.shared = False
-        old = root.nbytes
-        root.nbytes = root.key_cost + chain.local_bytes
-        root.packed = chain
-        root.events = []
-        root.check = None
-        root.succ = {}
-        root.next_key = None
-        self.mstats.bytes_estimate += root.nbytes + pool_charged - old
-        self.mstats.packs += 1
-
-    def _unpack_root(self, root: _Node) -> None:
-        """Rebuild the record tree from the packed streams (so the
-        recorder can walk it and attach a miss fork), release the pool
-        references, and re-account the entry at its unpacked size."""
-        chain = root.packed
-        kinds = chain.kinds
-        pstream = chain.payload
-        sstream = chain.succ
-        tables = chain.tables
-        next_keys = chain.next_keys
-        pool = self.pool
-        pool_vals = pool.values
-        root.events = []
-        root.check = None
-        root.succ = {}
-        root.next_key = None
-        pending = deque([(0, root)])
-        while pending:
-            i, node = pending.popleft()
-            while True:
-                k = kinds[i]
-                if k < FS_CHECK_BASE:
-                    node.events.append(pool_vals[pstream[i]])
-                    i += 1
-                    continue
-                if k == FS_END:
-                    node.next_key = next_keys[sstream[i]]
-                    break
-                node.check = (k - FS_CHECK_BASE, pool_vals[pstream[i]])
-                s = sstream[i]
-                if s >= 0:
-                    nxt = _Node()
-                    node.succ[pool_vals[s]] = nxt
-                    node = nxt
-                    i += 1
-                    continue
-                for value, j in tables[~s].items():
-                    child = _Node()
-                    node.succ[value] = child
-                    pending.append((j, child))
-                break
-        freed = 0
-        for i in range(len(kinds)):
-            k = kinds[i]
-            if k == FS_END:
-                continue
-            freed += pool.release(pstream[i])
-            if k >= FS_CHECK_BASE and sstream[i] >= 0:
-                freed += pool.release(sstream[i])
-        old = root.nbytes
-        root.nbytes = root.key_cost + self._tree_cost(root)
-        root.packed = None
-        if chain.shared:
-            # Copy-on-miss: the rebuilt tree is process-private; the
-            # mmap-backed streams no longer back a live entry.
-            self.mstats.bytes_shared -= chain.local_bytes
-        self.mstats.bytes_estimate += root.nbytes - old - freed
-        self.mstats.unpacks += 1
 
     def _perform_check(self, kind: int, payload, info) -> tuple | int:
         if kind == EV_CACHE:
@@ -646,19 +393,25 @@ class FastSimOoo:
 
     # -- slow path (records; supports miss recovery) -----------------------------------
 
-    def _slow_cycle(self, record: bool, root: _Node | None = None,
+    def _slow_cycle(self, chain: PackedChain | None,
                     recovery: list | None = None) -> tuple:
-        rec = _Recorder(self, record, root, recovery)
+        """Run one conventional cycle, recording into ``chain`` (None
+        records nothing) and sealing it at the next cycle's key."""
+        rec = _Recorder(self, chain, recovery)
         self._phase_stat(rec)
         self._phase_retire_norm()
         self._phase_execute()
         self._phase_issue()
         self._phase_fetch(rec)
-        if not record:
+        if chain is None:
             return ()
+        if rec._recovering():
+            raise RuntimeError("fastsim recovery desync: cycle ended mid-recovery")
         next_key = self.state_key()
-        rec.finish(next_key)
-        self._pack_root(root)
+        chain.end(next_key)
+        self.mstats.bytes_estimate += PACKED_SLOT_BYTES
+        build_replay_view(chain)
+        self.mstats.packs += 1
         return next_key
 
     def _phase_stat(self, rec: "_Recorder") -> None:
@@ -793,25 +546,24 @@ class _ReplayedInfo:
 
 
 class _Recorder:
-    """Mediates between the slow cycle and the memo tree.
+    """Mediates between the slow cycle and the memo lanes.
 
-    In plain record mode it appends events from the tree root.  With a
-    ``recovery`` prefix (already replayed by the fast engine), it
-    verifies event kinds, suppresses re-execution, feeds recorded
-    dynamic results back to the bookkeeping, walks the existing tree in
-    step, and at the miss fork attaches a fresh branch and switches to
-    live recording — the paper's recovery protocol, by hand.
+    In plain record mode it appends each event to the cycle's
+    :class:`PackedChain` (``chain``; None records nothing) as the slow
+    cycle performs it.  With a ``recovery`` prefix (already replayed by
+    the fast engine), it verifies event kinds, suppresses re-execution
+    and feeds recorded dynamic results back to the bookkeeping.  The
+    prefix ends at the missed test, whose new arm already points at the
+    end of the lanes, so once it is used up the recorder appends the new
+    path there — the paper's recovery protocol, by hand.
     """
 
-    def __init__(self, sim: FastSimOoo, record: bool, root: _Node | None,
+    def __init__(self, sim: FastSimOoo, chain: PackedChain | None,
                  recovery: list | None):
         self.sim = sim
-        self.record = record
+        self.chain = chain
         self.recovery = recovery or []
         self.rix = 0
-        self.root = root
-        self.node = root
-        self.on_tree = bool(self.recovery)  # walking existing records?
 
     # -- recovery helpers ----------------------------------------------------------
 
@@ -825,17 +577,6 @@ class _Recorder:
                 f"fastsim recovery desync: expected kind {expected_kind}, got {kind}"
             )
         self.rix += 1
-        if self.on_tree and kind in CHECK_KINDS:
-            nxt = self.node.succ.get(value)
-            if nxt is None:
-                # The miss fork: attach a fresh branch and go live.
-                fresh = _Node()
-                self.node.succ[value] = fresh
-                self.node = fresh
-                self.on_tree = False
-                self.sim._bill(self.root, 48)
-            else:
-                self.node = nxt
         return value
 
     # -- event emissions --------------------------------------------------------------
@@ -917,7 +658,7 @@ class _Recorder:
         else:
             self.sim.stats.loads += 1
         latency = self.sim.cache.access(info.mem_addr, self.sim.stats.cycles, is_store)
-        self._check((EV_CACHE, (is_store,)), latency)
+        self._check(EV_CACHE, (is_store,), latency)
         return latency
 
     def branch_resolve(self, info):
@@ -929,7 +670,7 @@ class _Recorder:
         if not correct:
             sim.stats.mispredicts += 1
         value = (info.taken, correct)
-        self._check((EV_BPRED, ()), value)
+        self._check(EV_BPRED, (), value)
         return value
 
     def indirect_resolve(self, info, is_ret: bool):
@@ -941,7 +682,7 @@ class _Recorder:
         if not correct:
             sim.stats.mispredicts += 1
         value = (info.target, correct)
-        self._check((EV_BIND, (is_ret,)), value)
+        self._check(EV_BIND, (is_ret,), value)
         return value
 
     def note_call(self, return_addr: int) -> None:
@@ -951,28 +692,33 @@ class _Recorder:
         self.sim.predictor.note_call(return_addr)
         self._emit((EV_BCALL, return_addr))
 
-    # -- tree building ----------------------------------------------------------------
+    # -- lane appends -----------------------------------------------------------------
 
     def _emit(self, event: tuple) -> None:
-        if not self.record:
-            return
-        self.node.events.append(event)
-        self.sim.mstats.events_recorded += 1
-        self.sim._bill(self.root, 16 + 8 * len(event))
+        if self.chain is not None:
+            self._append(event[0], event, 0, 16 + 8 * len(event))
 
-    def _check(self, check: tuple, value) -> None:
-        if not self.record:
-            return
-        self.node.check = check
-        fresh = _Node()
-        self.node.succ[value] = fresh
-        self.node = fresh
-        self.sim.mstats.events_recorded += 1
-        self.sim._bill(self.root, 64)
+    def _check(self, kind: int, payload: tuple, value) -> None:
+        if self.chain is not None:
+            vidx, charged = self.sim.pool.intern(value)
+            self._append(~kind, payload, vidx, 64, charged)
 
-    def finish(self, next_key: tuple) -> None:
-        if self.record:
-            self.node.next_key = next_key
+    def _append(self, num: int, data: tuple, succ: int, model_bytes: int,
+                charged: int = 0) -> None:
+        """Append one slot holding the interned ``data``.  The slot and
+        the pool growth go to ``bytes_estimate``; ``model_bytes``,
+        FastSim's record model, goes to ``bytes_cumulative``."""
+        sim = self.sim
+        idx, data_charged = sim.pool.intern(data)
+        chain = self.chain
+        chain.nums.append(num)
+        chain.data.append(idx)
+        chain.succ.append(succ)
+        chain.local_bytes += PACKED_SLOT_BYTES
+        mstats = sim.mstats
+        mstats.events_recorded += 1
+        mstats.bytes_estimate += PACKED_SLOT_BYTES + data_charged + charged
+        mstats.bytes_cumulative += model_bytes
 
 
 def run_fastsim(

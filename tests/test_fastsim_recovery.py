@@ -14,6 +14,8 @@ from repro.ooo.facile_ooo import run_facile_ooo
 from repro.ooo.fastsim import run_fastsim
 from repro.ooo.reference import run_reference
 
+from .accounting import assert_memo_billing
+
 
 def sig(stats):
     return (stats.cycles, stats.retired, stats.branches, stats.mispredicts,
@@ -199,4 +201,4 @@ class TestMemoLimitUnderChurn:
     def test_accounting_leak_free(self):
         program = assemble(self.SRC)
         fast = run_fastsim(program, memoize=True, memo_limit_bytes=4_000)
-        assert fast.mstats.bytes_estimate == fast.recount_bytes()
+        assert_memo_billing(fast)

@@ -37,7 +37,7 @@ from repro.facile.runtime import (
     value_bytes,
 )
 
-from .accounting import assert_billing
+from .accounting import assert_billing, assert_memo_billing
 from .toyisa import (
     HALT_WORD,
     add_imm,
@@ -583,35 +583,57 @@ class TestFastSimFlatPack:
         return (stats.cycles, stats.retired, stats.branches,
                 stats.mispredicts, stats.loads, stats.stores)
 
-    @staticmethod
-    def unpacked_bytes(sim):
-        """Accounted size of ``sim``'s memo with every cycle unpacked
-        back to its record tree (mutates ``sim``)."""
-        for root in sim.memo.values():
-            sim._unpack_root(root)
-        assert sim.mstats.bytes_estimate == sim.recount_bytes()
-        return sim.mstats.bytes_estimate
-
     def test_identical_cycles_and_exact_accounting(self):
         packed, oracle = self.run_pair()
         assert self.sig(packed.stats) == self.sig(oracle.stats)
         assert packed.func.regs == oracle.func.regs
         assert packed.mstats.packs > 0
-        assert packed.mstats.bytes_estimate == packed.recount_bytes()
-        size = packed.mstats.bytes_estimate
-        assert size < self.unpacked_bytes(packed)
+        assert_memo_billing(packed)
 
     def test_check_miss_unpacks_and_repacks(self):
-        # The alternating branch defeats the predictor, so packed
-        # cycles hit check misses -> unpack, recover, repack.
+        # The alternating branch defeats the predictor, so sealed
+        # cycles hit check misses -> reopen, recover, seal again.
         packed, oracle = self.run_pair()
         assert self.sig(packed.stats) == self.sig(oracle.stats)
         assert packed.mstats.misses_check > 0
         assert packed.mstats.unpacks == packed.mstats.misses_check
         assert packed.mstats.packs > packed.mstats.unpacks
-        for root in packed.memo.values():
-            assert root.packed is not None
+        for chain in packed.memo.values():
+            # Sealed: the lanes end at a cycle boundary and carry a
+            # replay view again.
+            assert chain.nums[-1] == ENDMARK
+            assert chain.knums == list(chain.nums)
         assert packed.pool.live_values() > 0
+
+    def test_first_miss_forks_the_check_into_a_table(self):
+        """After the first check miss, the missed test's successor lane
+        is ``~t``: ``tables[t]`` sends the old value on to ``slot + 1``
+        and the new one to the first slot recovery appended, and the
+        cycle's ``ends`` hold both next keys."""
+        from repro.isa.assembler import assemble
+        from repro.ooo.fastsim import FastSimOoo
+
+        sim = FastSimOoo(assemble(self.SRC))
+        before = {}
+        while sim.mstats.misses_check == 0:
+            before = {
+                key: (list(c.nums), list(c.sux), list(c.ends))
+                for key, c in sim.memo.items()
+            }
+            sim.run(sim.stats.cycles + 1)  # one cycle at a time
+        (key,) = [k for k, c in sim.memo.items() if c.tables]
+        chain = sim.memo[key]
+        nums, sux, ends = before[key]
+        assert list(chain.nums[:len(nums)]) == nums
+        (slot,) = [i for i, s in enumerate(chain.succ) if s < 0]
+        assert chain.succ[slot] == ~0
+        old = sux[slot]
+        (new,) = [v for v in chain.tables[0] if v != old]
+        assert chain.tables == [{old: slot + 1, new: len(nums)}]
+        assert chain.nums[-1] == ENDMARK and len(chain.nums) > len(nums)
+        assert chain.ends == ends + [sim.state_key()]
+        assert len(ends) == 1 and ends[0] != sim.state_key()
+        assert_memo_billing(sim)
 
     def test_limited_matches_unlimited(self):
         base, oracle = self.run_pair()
@@ -620,7 +642,7 @@ class TestFastSimFlatPack:
         assert self.sig(packed.stats) == self.sig(base.stats)
         assert self.sig(packed.stats) == self.sig(oracle.stats)
         assert packed.mstats.clears > 0
-        assert packed.mstats.bytes_estimate == packed.recount_bytes()
+        assert_memo_billing(packed)
 
 
 # -- the packed stream encoding itself ------------------------------------------

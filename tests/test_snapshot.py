@@ -27,7 +27,7 @@ from repro.ooo.facile_ooo import run_facile_ooo
 from repro.ooo.fastsim import run_fastsim
 from repro.workloads.suite import build_cached
 
-from .accounting import assert_billing
+from .accounting import assert_billing, assert_memo_billing
 
 
 def _run(sim_name, program, **snap):
@@ -99,9 +99,41 @@ def test_fastsim_accounting_reconciles_after_load(tmp_path):
     snap = tmp_path / "cache.facsnap"
     run_fastsim(program, cache_save=str(snap))
     sim = run_fastsim(program, cache_load=str(snap))
-    assert sim.recount_bytes() == sim.mstats.bytes_estimate
-    assert sim.recount_shared_bytes() == sim.mstats.bytes_shared
+    assert_memo_billing(sim)
     assert sim.mstats.bytes_shared > 0
+
+
+def test_fastsim_copy_on_miss_reopens_shared_lanes(tmp_path):
+    """A FastSim snapshot loaded under a different branch predictor
+    misses checks on mmap-shared chains.  Each miss reopens its chain
+    and copies the lanes; the run equals a cold run with that
+    predictor, both audits hold and the snapshot file is untouched."""
+    from repro.ooo.fastsim import FastSimOoo
+    from repro.uarch.branch import AlwaysTaken, FrontEndPredictor
+
+    program = build_cached("compress", 1)
+    snap = tmp_path / "cache.facsnap"
+    run_fastsim(program, cache_save=str(snap))
+    saved = snap.read_bytes()
+
+    def always_taken():
+        return FastSimOoo(
+            program, predictor=FrontEndPredictor(direction=AlwaysTaken())
+        )
+
+    cold = always_taken()
+    cold.run()
+    warm = always_taken()
+    info = warm.load_snapshot(str(snap))
+    assert info.hit, info.reason
+    warm.run()
+    assert warm.stats == cold.stats
+    assert warm.func.regs == cold.func.regs
+    m = warm.mstats
+    assert m.unpacks == m.misses_check > 0
+    assert m.bytes_shared < info.shared_bytes
+    assert_memo_billing(warm)
+    assert snap.read_bytes() == saved
 
 
 def _functional_engine_with_snapshot(tmp_path, program):
