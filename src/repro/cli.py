@@ -209,10 +209,18 @@ def _report_run(kind: str, result, elapsed: float) -> None:
     if load is not None:
         if load.hit:
             shared = getattr(cstats, "bytes_shared", 0) if cstats else 0
+            native = getattr(engine, "_cnative", None)
+            warm = ""
+            if native is not None:
+                ns = native.summary()
+                warm = (f"; {ns['chains_registered_at_load']:,} chains "
+                        f"registered at load, {ns['links_in_python']:,} "
+                        f"links in python, {ns['bodies_compiled']:,} "
+                        f"bodies compiled")
             print(f"snapshot: hit — {load.entries:,} entries, "
                   f"{load.pool_values:,} pool values, "
                   f"{load.file_bytes:,} file bytes "
-                  f"({shared:,} bytes still mmap-shared)")
+                  f"({shared:,} bytes still mmap-shared){warm}")
         else:
             print(f"snapshot: miss ({load.reason}) — cold start")
     save = getattr(holder, "snapshot_save", None)

@@ -11,23 +11,33 @@ whole runs of steps per call: it walks chains, runs bodies on a raw
 links by value tag, and only returns to Python on a verify miss, a link
 it cannot resolve, an exhausted budget, or a halt.
 
-Lowering is one kernel call per chain.  :func:`plan_chain` passes the
-chain's ``nums``/``data``/``succ`` lanes (private ``array('q')`` or
-mmap-backed snapshot ``memoryview`` alike, copied at C speed) and its
-multi-successor jump tables; lane registration checks every index and
-slot kind and builds the walker's per-chain arrays.  The per-value and
-per-body work happens once per engine, in two kernel-side tables:
+Chains register through one kernel entry point, ``ffc_add_chains``,
+which takes N chains' ``nums``/``data``/``succ`` lanes in place (private
+``array('q')`` or a snapshot's mapping alike) and their multi-successor
+jump tables; it checks every index and slot kind and builds the
+walker's per-chain arrays.  A snapshot load registers all of its chains
+in one call (:meth:`CReplayBackend.load_image`); a chain recorded cold
+registers with N = 1 on its first replay (:func:`plan_chain`).  Three
+tables back it:
 
 * the **pool mirror** holds each intern-pool value the kernel has seen,
   flattened into one ``int64`` arena (non-int members travel as object
-  registry ids) with its kind and placeholder shape.  The pool's
+  registry ids) with its kind and placeholder shape.  A snapshot brings
+  the whole mirror, built where the chains were recorded, and installs
+  it in one ``ffc_mirror`` call; cold chains mirror the values they
+  need through the same call.  The pool's
   release hook makes the mirror forget an index whose last reference
-  died, so a reused index is mirrored afresh; a clear resets the
-  arena;
+  died, so a reused index is mirrored afresh; a clear resets the arena;
 * the **body table** maps ``(action, shape)`` to a body program,
   compiled by :func:`~repro.facile.replay_ir.compile_body` and passed
   through the verifier gate (:func:`~repro.facile.ir_verify.assert_lowerable`)
-  the first time a chain needs it.
+  once per compiled simulator per process (:class:`BodyTable`); each
+  engine copies the programs it needs into its kernel;
+* the **object chains** name, per object registry id, the chain whose
+  key that object is, from a snapshot.  At a step boundary with no link
+  yet, an init slot holding such an object links the boundary in the
+  kernel, billed as a lookup and a hit; only the boundaries the kernel
+  cannot resolve return to Python (:meth:`CReplayBackend._link`).
 
 When registration meets a value or body it does not have yet, it says
 so; Python supplies it and calls again.
@@ -158,7 +168,7 @@ typedef uint64_t u64;
 #define PK_TUPLE 2
 #define PK_BAD 3
 
-/* ffc_add_chain results (>= 0 is the chain id) and refusal reasons. */
+/* ffc_add_chains results (>= 0 is the chain id) and refusal reasons. */
 #define R_NEED -1
 #define R_REFUSED -2
 #define R_NOMEM -3
@@ -232,6 +242,8 @@ typedef struct {
     i64 is_verify;
 } Prog;
 
+/* One registered chain.  Its arrays live in the same allocation, right
+ * after the struct (see chain_alloc). */
 typedef struct {
     i64 n;
     unsigned char *kinds;
@@ -281,6 +293,10 @@ typedef struct {
     i64 nmirrored;          /* values mirrored into the arena */
     Chain **chains;
     i64 nchains, chaincap;
+    /* Object registry id -> id of the chain whose key that object is,
+     * or -1 (set from a snapshot; see ffc_set_objchains). */
+    i64 *objchain;
+    i64 nobjchain, objchaincap;
     page_fn page_cb;
     extern_fn extern_cb;
     /* Native extern registry */
@@ -361,33 +377,105 @@ i64 ffc_add_body(St *st, i64 action, i64 shape, const i64 *code, i64 n,
     return st->nprogs++;
 }
 
-/* Mirror pool values: meta holds (index, kind, shape, len) per value,
- * words their arena words back to back. */
-i64 ffc_mirror(St *st, i64 n, const i64 *meta, const i64 *words) {
-    i64 top = 0, total = 0;
-    for (i64 k = 0; k < n; k++) {
-        if (meta[4 * k] >= top) top = meta[4 * k] + 1;
-        total += meta[4 * k + 3];
-    }
+/* Mirror n pool values: rows holds (pool index, kind, shape, offset,
+ * length) per value, offsets into the nwords words, which join the
+ * arena as one block.  shape_map, when given, turns the rows' shape
+ * ids into this kernel's (a snapshot's image numbers its own).  A
+ * cold chain mirrors the values it asks for; a snapshot load mirrors
+ * its whole pool in one call. */
+i64 ffc_mirror(St *st, i64 n, const i64 *rows, const i64 *words, i64 nwords,
+               const i64 *shape_map) {
+    i64 top = 0;
+    for (i64 k = 0; k < n; k++)
+        if (rows[5 * k] >= top) top = rows[5 * k] + 1;
     PVal *pool = (PVal *)grow(st->pool, &st->npool, top, sizeof(PVal));
     if (!pool) return -1;
     st->pool = pool;
-    i64 *arena = (i64 *)grow(st->arena, &st->arena_cap, st->arena_n + total,
+    i64 *arena = (i64 *)grow(st->arena, &st->arena_cap, st->arena_n + nwords,
                              sizeof(i64));
     if (!arena) return -1;
     st->arena = arena;
-    for (i64 k = 0; k < n; k++, meta += 4) {
-        PVal *v = &pool[meta[0]];
-        v->kind = meta[1];
-        v->shape = meta[2];
-        v->len = meta[3];
-        v->off = st->arena_n;
-        memcpy(arena + st->arena_n, words, v->len * sizeof(i64));
-        words += v->len;
-        st->arena_n += v->len;
+    if (nwords) memcpy(arena + st->arena_n, words, nwords * sizeof(i64));
+    for (i64 k = 0; k < n; k++, rows += 5) {
+        PVal *v = &pool[rows[0]];
+        v->kind = rows[1];
+        v->shape = shape_map && rows[1] == PK_TUPLE ? shape_map[rows[2]]
+                                                    : rows[2];
+        v->off = st->arena_n + rows[3];
+        v->len = rows[4];
         st->nmirrored++;
     }
+    st->arena_n += nwords;
     return 0;
+}
+
+/* Validate a snapshot's kernel image before anything is installed:
+ * nrows mirror rows as ffc_mirror reads them, for an npool-slot pool.
+ * Shape s is chars[soff[s]:soff[s + 1]], one 'i' or 'o' per member;
+ * objrefs holds (pool index, member) per object registry id, objsucc
+ * an entry index per registry id or -1.  Returns 0, or a CK_* code
+ * with *where the offending row or registry id. */
+#define CK_INDEX 1
+#define CK_MIRROR 2
+#define CK_OBJWORD 3
+#define CK_OBJREF 4
+#define CK_OBJCOUNT 5
+#define CK_OBJSUCC 6
+#define CK_NOMEM 7
+i64 ffc_check_image(i64 npool, i64 nrows, const i64 *rows, const i64 *arena,
+                    i64 narena, const char *chars, const i64 *soff,
+                    i64 nshapes, const i64 *objrefs, const i64 *objsucc,
+                    i64 nobjs, i64 nentries, i64 *where) {
+    i64 nobjwords = 0, code = 0;
+    i64 *rowof = (i64 *)malloc((npool ? npool : 1) * sizeof(i64));
+    if (!rowof) return CK_NOMEM;
+    memset(rowof, 0xff, (npool ? npool : 1) * sizeof(i64));
+    for (i64 k = 0; k < nrows && !code; k++) {
+        const i64 *r = rows + 5 * k;
+        *where = k;
+        if (r[0] < 0 || r[0] >= npool || rowof[r[0]] >= 0
+            || r[1] < PK_INT || r[1] > PK_BAD) {
+            code = CK_INDEX;
+            break;
+        }
+        rowof[r[0]] = k;
+        if (r[1] == PK_BAD) continue;
+        if (r[3] < 0 || r[4] < 0 || r[3] > narena || r[4] > narena - r[3]
+            || (r[1] == PK_INT && r[4] != 1)
+            || (r[1] == PK_TUPLE && (r[2] < 0 || r[2] >= nshapes
+                                     || soff[r[2] + 1] - soff[r[2]] != r[4]))) {
+            code = CK_MIRROR;
+            break;
+        }
+        if (r[1] != PK_TUPLE) continue;
+        const char *shape = chars + soff[r[2]];
+        for (i64 j = 0; j < r[4]; j++) {
+            if (shape[j] != 'o') continue;
+            i64 w = arena[r[3] + j];
+            if (w < 0 || w >= nobjs) {
+                code = CK_OBJWORD;
+                break;
+            }
+            nobjwords++;
+        }
+    }
+    for (i64 k = 0; k < nobjs && !code; k++) {
+        i64 p = objrefs[2 * k], m = objrefs[2 * k + 1];
+        const i64 *r = (p >= 0 && p < npool && rowof[p] >= 0)
+            ? rows + 5 * rowof[p] : 0;
+        *where = k;
+        if (!r || r[1] != PK_TUPLE || m < 0 || m >= r[4]
+            || chars[soff[r[2]] + m] != 'o' || arena[r[3] + m] != k)
+            code = CK_OBJREF;
+        else if (objsucc[k] < -1 || objsucc[k] >= nentries)
+            code = CK_OBJSUCC;
+    }
+    free(rowof);
+    if (code) return code;
+    /* Every object word is some registry id's, so each names exactly
+     * the member its objref names. */
+    *where = nobjwords;
+    return nobjwords == nobjs ? 0 : CK_OBJCOUNT;
 }
 
 /* Forget released pool indices: a later registration that needs one
@@ -407,104 +495,115 @@ i64 ffc_mirrored(St *st) {
     return st->nmirrored;
 }
 
-static void chain_free(Chain *ch) {
-    if (!ch) return;
-    free(ch->kinds); free(ch->progids); free(ch->doffs); free(ch->aux);
-    free(ch->tabs); free(ch->toffs);
-    free(ch->lset); free(ch->lexpect); free(ch->lnext);
-    free(ch);
+/* One block holding a Chain and its arrays (i64 arrays first, so every
+ * array stays aligned); 0 when memory runs out. */
+static Chain *chain_alloc(i64 n, i64 nends, i64 ntabw, i64 ntables) {
+    i64 m = n ? n : 1, e = nends ? nends : 1;
+    i64 words = 2 * m + (ntabw ? ntabw : 1) + (ntables ? ntables : 1) + 2 * e;
+    size_t size = sizeof(Chain) + words * sizeof(i64) + m * sizeof(int)
+                  + m + e;
+    Chain *ch = (Chain *)calloc(1, size);
+    if (!ch) return 0;
+    i64 *w = (i64 *)(ch + 1);
+    ch->doffs = w; w += m;
+    ch->aux = w; w += m;
+    ch->tabs = w; w += ntabw ? ntabw : 1;
+    ch->toffs = w; w += ntables ? ntables : 1;
+    ch->lexpect = w; w += e;
+    ch->lnext = w; w += e;
+    ch->progids = (int *)w;
+    ch->kinds = (unsigned char *)(ch->progids + m);
+    ch->lset = ch->kinds + m;
+    ch->n = n;
+    ch->nends = nends;
+    return ch;
 }
 
 static i64 pool_kind(St *st, i64 p) {
     return p < st->npool ? st->pool[p].kind : PK_NONE;
 }
 
-static i64 refuse(i64 *need, i64 why, i64 where, i64 what) {
-    need[0] = why;
-    need[1] = where;
-    need[2] = what;
+static i64 refuse(i64 *out, i64 why, i64 where, i64 what) {
+    out[0] = R_REFUSED;
+    out[1] = why;
+    out[2] = where;
+    out[3] = what;
     return R_REFUSED;
 }
 
 #define NEED(a, b) do { \
-        if (nneed < NEED_CAP) { \
-            need[1 + 2 * nneed] = (a); \
-            need[2 + 2 * nneed] = (b); \
+        if (need[0] < NEED_CAP) { \
+            need[1 + 2 * need[0]] = (a); \
+            need[2 + 2 * need[0]] = (b); \
+            need[0]++; \
         } \
-        nneed++; \
+        wants++; \
     } while (0)
 
-/* Register one packed chain from its nums/data/succ lanes (n slots,
- * nends end records, npool intern-pool values) and ntables jump
- * tables flattened as [len, key, target, ...] each.  Returns the chain
- * id; R_NEED with need[0] pairs after it, (pool index, -1) for a value
- * and (action, shape) for a body not mirrored yet; or R_REFUSED with
- * need = [F_* reason, slot (table for F_SUCC), detail]. */
-i64 ffc_add_chain(St *st, const i64 *nums, const i64 *data, const i64 *succ,
-                  i64 n, i64 nends, i64 npool, const i64 *tabs,
-                  i64 ntables, i64 *need) {
-    i64 nneed = 0, ntabw = 0;
+/* Check and register one chain: n slots of nums/data/succ lanes, nends
+ * end records, npool intern-pool values and ntables jump tables
+ * flattened as [len, key, target, ...] each in the tabw words at tabs.
+ * Writes the chain id, or R_NEED (needs appended to need), or
+ * R_REFUSED with (F_* reason, slot (table for F_SUCC), detail), or
+ * R_NOMEM, to out[0..3] and returns it. */
+static i64 add_chain(St *st, const i64 *nums, const i64 *data,
+                     const i64 *succ, i64 n, i64 nends, i64 npool,
+                     const i64 *tabs, i64 ntables, i64 tabw, i64 *out,
+                     i64 *need) {
+    i64 wants = 0, ntabw = 0;
+    out[1] = out[2] = out[3] = 0;
+    if (ntables < 0) {  /* tables the kernel cannot take (non-int keys) */
+        out[0] = R_NEED;
+        return R_NEED;
+    }
     for (i64 t = 0; t < ntables; t++) {
+        if (ntabw >= tabw) return refuse(out, F_SUCC, t, -1);
         i64 len = tabs[ntabw++];
+        if (len < 0 || len > (tabw - ntabw) / 2)
+            return refuse(out, F_SUCC, t, -1);
         for (i64 j = 0; j < len; j++, ntabw += 2)
             if (tabs[ntabw + 1] < 0 || tabs[ntabw + 1] > n)
-                return refuse(need, F_SUCC, t, tabs[ntabw + 1]);
+                return refuse(out, F_SUCC, t, tabs[ntabw + 1]);
     }
     for (i64 i = 0; i < n; i++) {
         i64 num = nums[i], d = data[i], s = succ[i];
         if (num == ENDMARK) {
-            if (s < 0 || s >= nends) return refuse(need, F_END, i, s);
+            if (s < 0 || s >= nends) return refuse(out, F_END, i, s);
             continue;
         }
-        if (d < 0 || d >= npool) return refuse(need, F_POOL, i, d);
+        if (d < 0 || d >= npool) return refuse(out, F_POOL, i, d);
         i64 k = pool_kind(st, d);
         if (k == PK_NONE) {
             NEED(d, -1);
         } else if (k != PK_TUPLE) {
-            return refuse(need, k == PK_INT ? F_SCALAR : F_DATA, i, d);
+            return refuse(out, k == PK_INT ? F_SCALAR : F_DATA, i, d);
         } else {
             i64 a = num < 0 ? ~num : num, shape = st->pool[d].shape;
             i64 pid = body_of(st, a, shape);
             if (pid < 0) NEED(a, shape);
             else if (st->progs[pid].is_verify != (num < 0))
-                return refuse(need, F_KIND, i, d);
+                return refuse(out, F_KIND, i, d);
         }
         if (num < 0 && s >= 0) {
-            if (s >= npool) return refuse(need, F_POOL, i, s);
+            if (s >= npool) return refuse(out, F_POOL, i, s);
             k = pool_kind(st, s);
             if (k == PK_NONE) NEED(s, -1);
-            else if (k != PK_INT) return refuse(need, F_EXPECT, i, s);
+            else if (k != PK_INT) return refuse(out, F_EXPECT, i, s);
         } else if (num < 0 && ~s >= ntables) {
-            return refuse(need, F_TABLE, i, ~s);
+            return refuse(out, F_TABLE, i, ~s);
         }
     }
-    if (nneed) {
-        need[0] = nneed < NEED_CAP ? nneed : NEED_CAP;
+    if (wants) {
+        out[0] = R_NEED;
         return R_NEED;
     }
+    out[0] = R_NOMEM;
     Chain **chains = (Chain **)grow(st->chains, &st->chaincap,
                                     st->nchains + 1, sizeof(Chain *));
     if (!chains) return R_NOMEM;
     st->chains = chains;
-    Chain *ch = (Chain *)calloc(1, sizeof(Chain));
+    Chain *ch = chain_alloc(n, nends, ntabw, ntables);
     if (!ch) return R_NOMEM;
-    i64 m = n ? n : 1, e = nends ? nends : 1;
-    ch->n = n;
-    ch->nends = nends;
-    ch->kinds = (unsigned char *)malloc(m);
-    ch->progids = (int *)malloc(m * sizeof(int));
-    ch->doffs = (i64 *)calloc(m, sizeof(i64));
-    ch->aux = (i64 *)malloc(m * sizeof(i64));
-    ch->tabs = (i64 *)malloc((ntabw ? ntabw : 1) * sizeof(i64));
-    ch->toffs = (i64 *)malloc((ntables ? ntables : 1) * sizeof(i64));
-    ch->lset = (unsigned char *)calloc(e, 1);
-    ch->lexpect = (i64 *)calloc(e, sizeof(i64));
-    ch->lnext = (i64 *)calloc(e, sizeof(i64));
-    if (!ch->kinds || !ch->progids || !ch->doffs || !ch->aux || !ch->tabs
-        || !ch->toffs || !ch->lset || !ch->lexpect || !ch->lnext) {
-        chain_free(ch);
-        return R_NOMEM;
-    }
     if (ntabw) memcpy(ch->tabs, tabs, ntabw * sizeof(i64));
     for (i64 t = 0, w = 0; t < ntables; t++) {
         ch->toffs[t] = w;
@@ -523,7 +622,6 @@ i64 ffc_add_chain(St *st, const i64 *nums, const i64 *data, const i64 *succ,
         ch->progids[i] = (int)body_of(st, num < 0 ? ~num : num, v->shape);
         if (num >= 0) {
             ch->kinds[i] = K_ACTION;
-            ch->aux[i] = 0;
         } else if (s >= 0) {
             ch->kinds[i] = K_VERIFY_EQ;
             ch->aux[i] = st->arena[st->pool[s].off];
@@ -533,22 +631,73 @@ i64 ffc_add_chain(St *st, const i64 *nums, const i64 *data, const i64 *succ,
         }
     }
     st->chains[st->nchains] = ch;
+    out[0] = st->nchains;
     return st->nchains++;
+}
+
+/* The one chain-registration entry point: register nchains packed
+ * chains.  Chain k's row (stride words apart in rows) starts with its
+ * slot and end-record counts; its lanes are the next n words of the
+ * nums, data and succ columns (nslots words each, chains back to
+ * back), and trows[2k], trows[2k + 1] give the offset of its jump
+ * tables in tabs (tabw words) and their count, -1 for tables the
+ * kernel cannot take.  out[4k..4k+3] receives the chain's add_chain
+ * result; need[0] counts the (pool index, -1) and (action, shape)
+ * pairs after it that the chains asked for (at most NEED_CAP).
+ * Returns the number of chains registered, or R_NOMEM when the lanes
+ * overrun their columns or memory runs out. */
+i64 ffc_add_chains(St *st, i64 nchains, const i64 *rows, i64 stride,
+                   const i64 *nums, const i64 *data, const i64 *succ,
+                   i64 nslots, const i64 *trows, const i64 *tabs, i64 tabw,
+                   i64 npool, i64 *out, i64 *need) {
+    i64 off = 0, added = 0;
+    need[0] = 0;
+    for (i64 k = 0; k < nchains; k++, rows += stride, out += 4) {
+        i64 n = rows[0], toff = trows[2 * k];
+        if (n < 0 || n > nslots - off || toff < 0 || toff > tabw)
+            return R_NOMEM;
+        i64 r = add_chain(st, nums + off, data + off, succ + off, n, rows[1],
+                          npool, tabs + toff, trows[2 * k + 1], tabw - toff,
+                          out, need);
+        if (r == R_NOMEM) return R_NOMEM;
+        if (r >= 0) added++;
+        off += n;
+    }
+    return added;
+}
+
+/* Name each object registry id's chain: objchain[r] is the id of the
+ * chain registered for entry objsucc[r] (out as ffc_add_chains wrote
+ * it for nentries chains), or -1. */
+i64 ffc_set_objchains(St *st, i64 nobjs, const i64 *objsucc,
+                      const i64 *out, i64 nentries) {
+    i64 *oc = (i64 *)grow(st->objchain, &st->objchaincap, nobjs,
+                          sizeof(i64));
+    if (!oc) return -1;
+    st->objchain = oc;
+    for (i64 r = 0; r < nobjs; r++) {
+        i64 e = objsucc[r];
+        oc[r] = (e >= 0 && e < nentries && out[4 * e] >= 0) ? out[4 * e] : -1;
+    }
+    st->nobjchain = nobjs;
+    return 0;
 }
 
 void ffc_drop_chain(St *st, i64 cid) {
     if (cid < 0 || cid >= st->nchains) return;
-    chain_free(st->chains[cid]);
+    free(st->chains[cid]);
     st->chains[cid] = 0;
 }
 
-/* Drop every chain and reset the pool mirror (bodies stay). */
+/* Drop every chain, the object-chain table and the pool mirror
+ * (bodies stay). */
 void ffc_drop_all_chains(St *st) {
     for (i64 i = 0; i < st->nchains; i++) {
-        chain_free(st->chains[i]);
+        free(st->chains[i]);
         st->chains[i] = 0;
     }
     st->nchains = 0;
+    st->nobjchain = 0;
     if (st->pool) memset(st->pool, 0, st->npool * sizeof(PVal));
     st->arena_n = 0;
     st->nmirrored = 0;
@@ -901,6 +1050,7 @@ void ffc_free(St *st) {
     free(st->pool);
     free(st->arena);
     free(st->chains);
+    free(st->objchain);
     free(st->nx_map);
     free(st->nx_hits);
     ffc_reset_pages(st);
@@ -1363,18 +1513,28 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
                     ex->code = X_BUDGET;
                     goto out;
                 }
-                if (ch->lset[end_ix]) {
-                    if (ch->lexpect[end_ix] == init_tag(st, init_slot)) {
-                        i64 nx = ch->lnext[end_ix];
-                        Chain *nc = (nx >= 0 && nx < st->nchains)
-                            ? st->chains[nx] : 0;
-                        if (nc) {
-                            links++;
-                            cid = nx;
-                            ch = nc;
-                            goto next_step;
+                i64 tag = init_tag(st, init_slot), nx = -1;
+                if (ch->lset[end_ix] && ch->lexpect[end_ix] == tag) {
+                    nx = ch->lnext[end_ix];
+                } else if (st->isobj[init_slot]) {
+                    /* No link yet: an init object that names its chain
+                     * links the boundary here, as _link would. */
+                    i64 r = st->slots[init_slot];
+                    if (r >= 0 && r < st->nobjchain) {
+                        nx = st->objchain[r];
+                        if (nx >= 0 && nx < st->nchains && st->chains[nx]) {
+                            ch->lset[end_ix] = 1;
+                            ch->lexpect[end_ix] = tag;
+                            ch->lnext[end_ix] = nx;
                         }
                     }
+                }
+                Chain *nc = (nx >= 0 && nx < st->nchains) ? st->chains[nx] : 0;
+                if (nc) {
+                    links++;
+                    cid = nx;
+                    ch = nc;
+                    goto next_step;
                 }
                 ex->code = X_NEXT;
                 goto out;
@@ -1505,8 +1665,10 @@ EXTERN_CB = ctypes.CFUNCTYPE(
 
 _LL = ctypes.c_longlong
 _PLL = ctypes.POINTER(ctypes.c_longlong)
-#: i64 words passed as ``bytes`` (zero-copy): lanes, tables, code.
+#: i64 words passed as ``bytes`` (zero-copy): tables, code, shapes.
 _BUF = ctypes.c_char_p
+#: i64 words passed by address (see _addr): lanes, images, outputs.
+_PTR = ctypes.c_void_p
 
 
 class Kernel:
@@ -1527,15 +1689,23 @@ def _declare(lib) -> None:
     lib.ffc_add_body.restype = _LL
     lib.ffc_add_body.argtypes = [ctypes.c_void_p, _LL, _LL, _BUF, _LL, _LL]
     lib.ffc_mirror.restype = _LL
-    lib.ffc_mirror.argtypes = [ctypes.c_void_p, _LL, _BUF, _BUF]
+    lib.ffc_mirror.argtypes = [ctypes.c_void_p, _LL, _PTR, _PTR, _LL, _BUF]
     lib.ffc_forget.restype = None
     lib.ffc_forget.argtypes = [ctypes.c_void_p, _BUF, _LL]
     lib.ffc_mirrored.restype = _LL
     lib.ffc_mirrored.argtypes = [ctypes.c_void_p]
-    lib.ffc_add_chain.restype = _LL
-    lib.ffc_add_chain.argtypes = [
-        ctypes.c_void_p, _BUF, _BUF, _BUF, _LL, _LL, _LL, _BUF, _LL, _PLL,
+    lib.ffc_check_image.restype = _LL
+    lib.ffc_check_image.argtypes = [
+        _LL, _LL, _PTR, _PTR, _LL, _BUF, _BUF, _LL, _PTR, _PTR, _LL, _LL,
+        _PLL,
     ]
+    lib.ffc_add_chains.restype = _LL
+    lib.ffc_add_chains.argtypes = [
+        ctypes.c_void_p, _LL, _PTR, _LL, _PTR, _PTR, _PTR, _LL, _PTR, _PTR,
+        _LL, _LL, _PTR, _PTR,
+    ]
+    lib.ffc_set_objchains.restype = _LL
+    lib.ffc_set_objchains.argtypes = [ctypes.c_void_p, _LL, _PTR, _PTR, _LL]
     lib.ffc_drop_chain.restype = None
     lib.ffc_drop_chain.argtypes = [ctypes.c_void_p, _LL]
     lib.ffc_drop_all_chains.restype = None
@@ -1711,6 +1881,84 @@ def _reset_kernel_for_tests() -> None:
 # ---------------------------------------------------------------------------
 
 
+class BodyTable:
+    """The body programs of one compiled simulator, kept for the life
+    of the process (``CompiledSimulator.body_table``).
+
+    Each ``(action, shape)`` body is compiled by
+    :func:`~repro.facile.replay_ir.compile_body` and passed through the
+    verifier gate once per process, the first time any engine of the
+    simulator needs it; a refusal is remembered and raised again for
+    every chain that needs the same body.  Shape ids and the extern
+    numbering baked into the programs live here too, so every engine's
+    kernel reads the same ids.  Engines copy the programs they need
+    into their own kernel state."""
+
+    def __init__(self, compiled):
+        self.compiled = compiled
+        self.externs = ExternTable()
+        # Placeholder shape strings ('i'/'o' per value) and their ids.
+        self.shapes: list[str] = []
+        self._shape_ids: dict[str, int] = {}
+        # (action, shape id) -> (code bytes, length, is_verify), or the
+        # (reason, span) of a refusal.
+        self._programs: dict[tuple[int, int], tuple] = {}
+        self._refused: dict[tuple[int, int], tuple] = {}
+        #: Bodies compiled and verified (or refused) in this process.
+        self.compiled_count = 0
+
+    def shape_id(self, shape: str) -> int:
+        sid = self._shape_ids.get(shape)
+        if sid is None:
+            sid = self._shape_ids[shape] = len(self.shapes)
+            self.shapes.append(shape)
+        return sid
+
+    def program(self, num: int, shape: int) -> tuple:
+        """``(code, length, is_verify)`` of action ``num``'s body for one
+        placeholder shape; raises :class:`Unlowerable` if it is
+        refused."""
+        prog = self._programs.get((num, shape))
+        if prog is not None:
+            return prog
+        refused = self._refused.get((num, shape))
+        if refused is not None:
+            raise Unlowerable(*refused)
+        self.compiled_count += 1
+        compiled = self.compiled
+        spans = getattr(compiled, "action_spans", None) or ()
+        span = spans[num] if num < len(spans) else None
+        shapes = self.shapes[shape]
+        try:
+            if num >= len(compiled.action_bodies):
+                raise Unlowerable(f"action {num}: no recorded body")
+            lines, n_ph, is_verify = compiled.action_bodies[num]
+            if n_ph != len(shapes):
+                raise Unlowerable(
+                    f"action {num}: data/body shape mismatch", span=span)
+            body = compile_body(num, lines, shapes, is_verify, self.externs,
+                                span=span)
+            # The kernel's hot loop does no per-op stack or bounds
+            # checking; no body reaches it unverified.
+            assert_lowerable(body, n_slots=compiled.slot_count,
+                             externs=self.externs)
+        except Unlowerable as exc:
+            self._refused[(num, shape)] = (str(exc), exc.span)
+            raise
+        prog = (array("q", body.code).tobytes(), len(body.code),
+                int(is_verify))
+        self._programs[(num, shape)] = prog
+        return prog
+
+
+def body_table(compiled) -> BodyTable:
+    """The simulator's :class:`BodyTable`, made on first use."""
+    table = compiled.body_table
+    if table is None:
+        table = compiled.body_table = BodyTable(compiled)
+    return table
+
+
 class CReplayBackend:
     """Per-engine C replay state: lowered chains, mirrors, callbacks.
 
@@ -1718,29 +1966,26 @@ class CReplayBackend:
     chains in lockstep with reopens, stale overwrites, and clears.  The
     public surface the engine uses is :meth:`run_entry` (returns
     ``None`` to fall back to the Python tiers for this call), plus the
-    :meth:`drop_entry`/:meth:`drop_all` invalidation hooks.
+    :meth:`drop_entry`/:meth:`drop_all` invalidation hooks and
+    :meth:`load_image` for snapshot loads.
     """
 
     def __init__(self, engine, kernel: Kernel):
         self.engine = engine
         self.kernel = kernel
         self.lib = kernel.lib
-        self.externs = ExternTable()
-        # Placeholder shape strings ('i'/'o' per value) and their ids in
-        # the kernel's body table.
-        self._shapes: list[str] = []
-        self._shape_ids: dict[str, int] = {}
-        # (action, shape id) -> (reason, span) for bodies the IR refuses.
-        self._refused_bodies: dict[tuple[int, int], tuple] = {}
+        self.bodies = body_table(engine.compiled)
+        self.externs = self.bodies.externs
         # Pool indices whose last reference died since the kernel last
         # heard of them (the pool's release hook appends here).
         self._released: list[int] = []
         engine.cache.pool.on_release = self._released.append
         # Pool length at the last mirror sweep (see _mirror).
         self._swept = 0
-        self._need = (ctypes.c_longlong * (1 + 2 * NEED_CAP))()
-        self._entries: dict[int, object] = {}
-        self._ends: dict[int, list] = {}
+        self._need = array("q", bytes(8 * (1 + 2 * NEED_CAP)))
+        self._out = array("q", bytes(32))
+        # Chain id -> its entry (None once dropped).
+        self._entries: list = []
         self._objs: list = []
         self._obj_ids: dict[int, int] = {}
         self._arrs: dict[int, tuple] = {}
@@ -1754,6 +1999,8 @@ class CReplayBackend:
         # Lowering / dispatch statistics (inspect reporting).
         self.chains_lowered = 0
         self.chains_unlowerable = 0
+        self.chains_registered_at_load = 0
+        self.links_in_python = 0
         self.bodies_registered = 0
         self.runs = 0
         self.python_fallbacks = 0
@@ -1811,59 +2058,63 @@ class CReplayBackend:
         cn = entry.cnative
         if cn is not None:
             return cn if cn >= 0 else None
-        chain = entry.packed
         try:
-            cid = self._add_chain(chain)
+            cid = self._add_chain(entry.packed)
         except Unlowerable as exc:
-            entry.cnative = -1
-            self.chains_unlowerable += 1
-            reason = str(exc)
-            self.unlowerable_reasons[reason] = (
-                self.unlowerable_reasons.get(reason, 0) + 1
-            )
+            self._refuse(entry, str(exc))
             return None
-        entry.cnative = cid
-        self._entries[cid] = entry
-        self._ends[cid] = chain.ends
-        self.chains_lowered += 1
+        self._lowered(entry, cid)
         return cid
 
+    def _lowered(self, entry, cid: int) -> None:
+        entry.cnative = cid
+        self._entries.append(entry)
+        self.chains_lowered += 1
+
+    def _refuse(self, entry, reason: str) -> None:
+        entry.cnative = -1
+        self.chains_unlowerable += 1
+        self.unlowerable_reasons[reason] = (
+            self.unlowerable_reasons.get(reason, 0) + 1
+        )
+
     def _add_chain(self, chain) -> int:
-        """Register one chain's lanes with the kernel, supplying each
-        pool value and body it asks for on the way."""
+        """Register one chain through the kernel's N-chain entry point
+        (N = 1), reading its lanes in place and supplying each pool
+        value and body it asks for on the way."""
         if self._released:
             self._forget_released()
         tables = chain.tables
-        tabs = _flatten_tables(tables) if tables else None
-        # Snapshot lanes are read-only mmap views: copy all three.
-        nums = chain.nums.tobytes()
-        data = chain.data.tobytes()
-        succ = chain.succ.tobytes()
-        if not len(nums) == len(data) == len(succ):
+        tabs = _flatten_tables(tables)
+        nums, data, succ = chain.nums, chain.data, chain.succ
+        n = len(nums)
+        if not n == len(data) == len(succ):
             raise Unlowerable("packed lanes of unequal length")
+        # The chain's row, then its table row (offset 0, count).
+        row = array("q", (n, len(chain.ends), 0, len(tables)))
         values = chain.pool.values
         need = self._need
+        out = self._out
         while True:
-            cid = self.lib.ffc_add_chain(
-                self._st_p, nums, data, succ, len(chain.nums),
-                len(chain.ends), len(values), tabs, len(tables), need,
-            )
+            if self.lib.ffc_add_chains(
+                self._st_p, 1, _addr(row), 4, _addr(nums), _addr(data),
+                _addr(succ), n, _addr(row) + 16, _addr(tabs), len(tabs),
+                len(values), _addr(out), _addr(need),
+            ) == R_NOMEM or out[0] == R_NOMEM:
+                raise Unlowerable("kernel out of memory")
+            cid = out[0]
             if cid >= 0:
                 return cid
-            if cid == R_NEED:
-                raw = need[1:1 + 2 * need[0]]
-                wants = set(zip(raw[0::2], raw[1::2]))
-                pidx = [a for a, b in wants if b < 0]
-                if pidx:
-                    self._mirror(pidx, values)
-                for num, shape in wants:
-                    if shape >= 0:
-                        self._add_body(num, shape)
-            elif cid == R_REFUSED:
-                raise Unlowerable(
-                    _refusal(chain, need[0], need[1], need[2]))
-            else:
-                raise Unlowerable("kernel out of memory")
+            if cid == R_REFUSED:
+                raise Unlowerable(_refusal(chain, out[1], out[2], out[3]))
+            wants = set(zip(need[1:1 + 2 * need[0]:2],
+                            need[2:2 + 2 * need[0]:2]))
+            pidx = [a for a, b in wants if b < 0]
+            if pidx:
+                self._mirror(pidx, values)
+            for num, shape in wants:
+                if shape >= 0:
+                    self._add_body(num, shape)
 
     def _mirror(self, pidx: list[int], values: list) -> None:
         """Flatten pool values into the kernel's arena, once each: the
@@ -1877,82 +2128,27 @@ class CReplayBackend:
             self._swept = top
         meta = array("q")
         words = array("q")
-        shape_id = self._shape_id
+        shape_id = self.bodies.shape_id
+        register = self._register
+
+        def obj_word(x, j):
+            return register(x)
+
         for p in pidx:
-            v = values[p]
             mark = len(words)
-            if type(v) is tuple:
-                try:
-                    words.extend(v)  # the common case: only i64 ints
-                    kind, shape = PK_TUPLE, shape_id("i" * len(v))
-                except (TypeError, OverflowError):
-                    del words[mark:]
-                    kind, shape = self._flatten_mixed(v, words)
-            elif (type(v) is int or type(v) is bool) and _I64_MIN <= v <= _I64_MAX:
-                words.append(v)
-                kind, shape = PK_INT, -1
-            else:
-                kind, shape = PK_BAD, -1
-            if kind == PK_BAD:
-                del words[mark:]
-            meta.extend((p, kind, shape, len(words) - mark))
-        if self.lib.ffc_mirror(self._st_p, len(pidx), meta.tobytes(),
-                               words.tobytes()) < 0:
+            kind, shape = _flatten_value(values[p], words, shape_id, obj_word)
+            meta.extend((p, kind, shape, mark, len(words) - mark))
+        if self.lib.ffc_mirror(self._st_p, len(pidx), _addr(meta),
+                               _addr(words), len(words), None) < 0:
             raise Unlowerable("kernel out of memory")
 
-    def _flatten_mixed(self, v: tuple, words: array) -> tuple[int, int]:
-        """Append a data tuple with non-int members to ``words``: ints
-        as themselves, other members as object registry ids.  Returns
-        ``(kind, shape id)``, kind ``PK_BAD`` for an int outside i64."""
-        shape = []
-        for x in v:
-            if type(x) is int or type(x) is bool:
-                if not _I64_MIN <= x <= _I64_MAX:
-                    return PK_BAD, -1
-                shape.append("i")
-                words.append(x)
-            else:
-                shape.append("o")
-                words.append(self._register(x))
-        return PK_TUPLE, self._shape_id("".join(shape))
-
-    def _shape_id(self, shape: str) -> int:
-        sid = self._shape_ids.get(shape)
-        if sid is None:
-            sid = self._shape_ids[shape] = len(self._shapes)
-            self._shapes.append(shape)
-        return sid
-
     def _add_body(self, num: int, shape: int) -> None:
-        """Compile, verify and register the body of action ``num`` for
-        one placeholder shape, once per engine.  A refusal is remembered
-        and raised again for every chain that needs the same body."""
-        refused = self._refused_bodies.get((num, shape))
-        if refused is not None:
-            raise Unlowerable(*refused)
-        compiled = self.engine.compiled
-        spans = getattr(compiled, "action_spans", None) or ()
-        span = spans[num] if num < len(spans) else None
-        shapes = self._shapes[shape]
-        try:
-            if num >= len(compiled.action_bodies):
-                raise Unlowerable(f"action {num}: no recorded body")
-            lines, n_ph, is_verify = compiled.action_bodies[num]
-            if n_ph != len(shapes):
-                raise Unlowerable(
-                    f"action {num}: data/body shape mismatch", span=span)
-            prog = compile_body(num, lines, shapes, is_verify, self.externs,
-                                span=span)
-            # The kernel's hot loop does no per-op stack or bounds
-            # checking; no body reaches it unverified.
-            assert_lowerable(prog, n_slots=compiled.slot_count,
-                             externs=self.externs)
-        except Unlowerable as exc:
-            self._refused_bodies[(num, shape)] = (str(exc), exc.span)
-            raise
-        code = array("q", prog.code).tobytes()
-        if self.lib.ffc_add_body(self._st_p, num, shape, code,
-                                 len(prog.code), int(is_verify)) < 0:
+        """Copy the body of action ``num`` for one placeholder shape from
+        the simulator's :class:`BodyTable` into this kernel (compiling it
+        there on first use).  Raises the body's refusal."""
+        code, n, is_verify = self.bodies.program(num, shape)
+        if self.lib.ffc_add_body(self._st_p, num, shape, code, n,
+                                 is_verify) < 0:
             raise Unlowerable("kernel out of memory")
         self.bodies_registered += 1
 
@@ -1962,6 +2158,96 @@ class CReplayBackend:
             self._st_p, array("q", released).tobytes(), len(released))
         released.clear()
 
+    # -- warm starts -----------------------------------------------------
+
+    def check_image(self, image) -> str | None:
+        """Why a snapshot's kernel image (:class:`~repro.facile.snapshot.
+        KernelImage`) cannot be installed, or None.  Runs before the
+        load installs anything, so a bad image rejects the snapshot."""
+        if self._objs or self._entries:
+            # The image's object ids start at 0: they must be the first.
+            return "kernel image: engine already running"
+        chars, soff = _shape_blob(image.shapes)
+        where = ctypes.c_longlong(0)
+        code = self.lib.ffc_check_image(
+            image.n_pool, len(image.mirror) // 5, _addr(image.mirror),
+            _addr(image.arena), len(image.arena), chars, soff,
+            len(image.shapes), _addr(image.objrefs), _addr(image.objsucc),
+            len(image.objsucc), image.n_entries, ctypes.byref(where),
+        )
+        if code == CK_NOMEM:
+            return "kernel image: out of memory"
+        if code:
+            what = ("mirror row" if code <= 3 else
+                    "object words" if code == 5 else "object")
+            return (f"kernel image: {_CHECK_REASONS[code]} "
+                    f"({what} {where.value})")
+        bodies = image.bodies
+        if len(bodies) and (min(bodies) < 0
+                            or max(bodies[1::2]) >= len(image.shapes)):
+            return "kernel image: body shape out of range"
+        return None
+
+    def load_image(self, image, entries: list) -> None:
+        """Install a checked kernel image for the just-loaded ``entries``
+        in bulk: the object registry in the image's order (so arena
+        words are already registry ids), the pool mirror in one kernel
+        call, the bodies the chains run (from the simulator's table),
+        every chain in one kernel call, and the chain each init object
+        names.  A chain the bulk call cannot take registers alone, the
+        way a cold chain does, so refusals read as they would then."""
+        pool = self.engine.cache.pool
+        values = pool.values
+        refs = image.objrefs
+        objs = [values[p][m] for p, m in zip(refs[0::2], refs[1::2])]
+        self._objs.extend(objs)
+        self._obj_ids.update(zip(map(id, objs), range(len(objs))))
+        shape_id = self.bodies.shape_id
+        shape_map = array("q", [shape_id(s) for s in image.shapes] or [0])
+        lib = self.lib
+        if lib.ffc_mirror(self._st_p, len(image.mirror) // 5,
+                          _addr(image.mirror), _addr(image.arena),
+                          len(image.arena), shape_map.tobytes()) < 0:
+            return  # out of memory: every chain registers lazily
+        self._swept = len(values)
+        bodies = image.bodies
+        for num, shape in zip(bodies[0::2], bodies[1::2]):
+            try:
+                self._add_body(num, shape_map[shape])
+            except Unlowerable:
+                pass  # remembered; its chains are refused below
+        n = len(entries)
+        out = array("q", (R_NEED, 0, 0, 0)) * n
+        lib.ffc_add_chains(
+            self._st_p, n, _addr(image.rows), image.row_words,
+            _addr(image.nums), _addr(image.data), _addr(image.succ),
+            len(image.nums), _addr(image.trows), _addr(image.ktabs),
+            len(image.ktabs), len(values), _addr(out), _addr(self._need),
+        )
+        cids = out[0::4]
+        alone = []
+        for k, (entry, cid) in enumerate(zip(entries, cids)):
+            if cid >= 0:
+                entry.cnative = cid
+            elif cid == R_REFUSED:
+                self._refuse(entry, _refusal(entry.packed, out[4 * k + 1],
+                                             out[4 * k + 2], out[4 * k + 3]))
+            else:
+                # Needs Python (a body refused or missing, tables the
+                # kernel cannot take) or memory: register alone.
+                alone.append(k)
+        # Chain ids are dense: the bulk ones in entry order, then the
+        # ones registered alone (_lower counts those).
+        base = len(self._entries)
+        self._entries.extend([e for e, cid in zip(entries, cids) if cid >= 0])
+        self.chains_lowered += len(self._entries) - base
+        for k in alone:
+            cid = self._lower(entries[k])
+            out[4 * k] = -1 if cid is None else cid
+        self.chains_registered_at_load += len(self._entries) - base
+        lib.ffc_set_objchains(self._st_p, len(image.objsucc),
+                              _addr(image.objsucc), _addr(out), n)
+
     # -- invalidation hooks (called by ActionCache) ----------------------
 
     def drop_entry(self, entry) -> None:
@@ -1969,17 +2255,16 @@ class CReplayBackend:
         entry.cnative = None
         if cid is not None and cid >= 0:
             self.lib.ffc_drop_chain(self._st_p, cid)
-            self._entries.pop(cid, None)
-            self._ends.pop(cid, None)
+            self._entries[cid] = None
 
     def drop_all(self) -> None:
         """The cache cleared: drop every chain and reset the pool
         mirror (body programs stay registered)."""
         self.lib.ffc_drop_all_chains(self._st_p)
-        for entry in self._entries.values():
-            entry.cnative = None
+        for entry in self._entries:
+            if entry is not None:
+                entry.cnative = None
         self._entries.clear()
-        self._ends.clear()
         self._released.clear()
         self._swept = 0
         # The mirror referenced the object registry; all gone together.
@@ -2244,8 +2529,9 @@ class CReplayBackend:
         entry = cache.entries.get(key)
         if entry is None or not entry.complete:
             return None
-        end = self._ends[ex.cid][ex.end_ix]
+        end = self._entries[ex.cid].packed.ends[ex.end_ix]
         end.likely_next = (raw, entry)
+        self.links_in_python += 1
         cid2 = self._lower(entry)
         if cid2 is None:
             # Unlowerable successor: the Python driver follows the
@@ -2331,17 +2617,25 @@ class CReplayBackend:
             cstats.misses_verify += 1
             engine._recover(self._entries[ex.cid], consumed)
             return None, total_steps
-        return self._ends[ex.cid][ex.end_ix], total_steps
+        return self._entries[ex.cid].packed.ends[ex.end_ix], total_steps
 
     # -- reporting -------------------------------------------------------
 
     def summary(self) -> dict:
         """Lowering and dispatch statistics.  ``values_mirrored`` counts
         the pool values mirrored into the kernel's arena since the last
-        clear, forgotten ones included."""
+        clear, forgotten ones included; ``chains_registered_at_load``
+        the chains a snapshot load registered in bulk;
+        ``links_in_python`` the step boundaries :meth:`_link` resolved;
+        ``bodies_compiled`` the bodies this simulator's table compiled
+        in this process (``bodies_registered`` counts the copies into
+        this engine's kernel)."""
         return {
             "chains_lowered": self.chains_lowered,
             "chains_unlowerable": self.chains_unlowerable,
+            "chains_registered_at_load": self.chains_registered_at_load,
+            "links_in_python": self.links_in_python,
+            "bodies_compiled": self.bodies.compiled_count,
             "bodies_registered": self.bodies_registered,
             "values_mirrored": self.lib.ffc_mirrored(self._st_p),
             "runs": self.runs,
@@ -2366,7 +2660,7 @@ def plan_chain(backend: CReplayBackend, entry=None, after=None) -> int | None:
     return backend._lower(entry)
 
 
-def _flatten_tables(tables: list[dict]) -> bytes:
+def _flatten_tables(tables: list[dict]) -> array:
     """A chain's multi-successor jump tables as the kernel's i64 words:
     ``[len, key, target, key, target, ...]`` per table."""
     words = array("q")
@@ -2379,7 +2673,137 @@ def _flatten_tables(tables: list[dict]) -> bytes:
                 raise Unlowerable(f"non-int verify value {value!r}")
             words.append(value)
             words.append(slot)
-    return words.tobytes()
+    return words
+
+
+def _flatten_value(v, words: array, shape_id, obj_word) -> tuple[int, int]:
+    """Append one pool value's arena words to ``words`` and return its
+    mirror ``(kind, shape id)``: an i64 int is one word (``PK_INT``); a
+    tuple is one word per member (``PK_TUPLE``), ints as themselves and
+    anything else as ``obj_word(member, position)``, an object registry
+    id; anything else, or an int outside i64, is ``PK_BAD`` with no
+    words."""
+    mark = len(words)
+    if type(v) is tuple:
+        try:
+            words.extend(v)  # the common case: only i64 ints
+            return PK_TUPLE, shape_id("i" * len(v))
+        except (TypeError, OverflowError):
+            del words[mark:]
+        shape = []
+        for j, x in enumerate(v):
+            if type(x) is int or type(x) is bool:
+                if not _I64_MIN <= x <= _I64_MAX:
+                    del words[mark:]
+                    return PK_BAD, -1
+                shape.append("i")
+                words.append(x)
+            else:
+                shape.append("o")
+                words.append(obj_word(x, j))
+        return PK_TUPLE, shape_id("".join(shape))
+    if (type(v) is int or type(v) is bool) and _I64_MIN <= v <= _I64_MAX:
+        words.append(v)
+        return PK_INT, -1
+    return PK_BAD, -1
+
+
+def kernel_image(pool, chains: list, nums: array, data: array,
+                 entry_of) -> dict:
+    """The kernel image a snapshot stores for ``chains`` (sealed, in
+    file order, their lanes concatenated in ``nums``/``data``): the
+    pool mirror as :meth:`CReplayBackend._mirror` builds it (one
+    ``ffc_mirror`` row per live value), with every non-int tuple member
+    numbered by its position in ``objrefs`` (pool index, member) and
+    ``objsucc`` holding ``entry_of(member)``, the index of the entry
+    that member keys or -1; the distinct ``(action, shape)`` bodies the
+    chains run; and the jump tables as kernel words (count -1 for a
+    chain with a non-int table key).  Shape ids index ``shapes``."""
+    values = pool.values
+    refs = pool._refs
+    shape_ids: dict[str, int] = {}
+
+    def shape_id(shape: str) -> int:
+        return shape_ids.setdefault(shape, len(shape_ids))
+
+    mirror = array("q")
+    arena = array("q")
+    objrefs = array("q")
+    objsucc = array("q")
+    for p, v in enumerate(values):
+        if refs[p] <= 0:
+            continue
+        mark, omark = len(arena), len(objrefs)
+
+        def obj_word(x, j, p=p):
+            objrefs.extend((p, j))
+            objsucc.append(entry_of(x))
+            return len(objsucc) - 1
+
+        kind, shape = _flatten_value(v, arena, shape_id, obj_word)
+        if kind == PK_BAD:
+            del objrefs[omark:]
+            del objsucc[omark // 2:]
+        mirror.extend((p, kind, shape, mark, len(arena) - mark))
+    shape_of = {p: shape for p, kind, shape in zip(
+        mirror[0::5], mirror[1::5], mirror[2::5]) if kind == PK_TUPLE}
+    bodies = array("q")
+    for body in {
+        (num if num >= 0 else ~num, shape_of[p])
+        for num, p in set(zip(nums, data))
+        if num != ENDMARK and p in shape_of
+    }:
+        bodies.extend(body)
+    trows = array("q", bytes(16 * len(chains)))
+    ktabs = array("q")
+    for k, chain in enumerate(chains):
+        if not chain.tables:
+            continue
+        try:
+            words = _flatten_tables(chain.tables)
+        except Unlowerable:
+            trows[2 * k + 1] = -1
+            continue
+        trows[2 * k] = len(ktabs)
+        trows[2 * k + 1] = len(chain.tables)
+        ktabs.extend(words)
+    return {
+        "shapes": tuple(shape_ids), "mirror": mirror, "arena": arena,
+        "objrefs": objrefs, "objsucc": objsucc, "bodies": bodies,
+        "trows": trows, "ktabs": ktabs,
+    }
+
+
+def _addr(words) -> int | None:
+    """Address of the first word of an ``array('q')`` or of a writable
+    ``memoryview`` (a snapshot's copy-on-write mapping), read in place;
+    None when empty (the kernel reads no words)."""
+    if not len(words):
+        return None
+    if type(words) is array:
+        return words.buffer_info()[0]
+    return ctypes.addressof(ctypes.c_char.from_buffer(words))
+
+
+def _shape_blob(shapes) -> tuple[bytes, bytes]:
+    """Shape strings as the kernel's check reads them: the characters
+    back to back, and each shape's start (plus the end) as i64 words."""
+    offs = array("q", [0])
+    for shape in shapes:
+        offs.append(offs[-1] + len(shape))
+    return "".join(shapes).encode("ascii"), offs.tobytes()
+
+
+#: ffc_check_image codes -> rejection reasons.
+CK_NOMEM = 7
+_CHECK_REASONS = {
+    1: "pool index or value kind out of range",
+    2: "mirror offset out of range",
+    3: "object word out of range",
+    4: "object reference does not match the arena",
+    5: "object count mismatch",
+    6: "object successor out of range",
+}
 
 
 def _refusal(chain, why: int, where: int, what: int) -> str:

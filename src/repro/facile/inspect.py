@@ -214,8 +214,11 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
             ns = native.summary()
             lines.append(
                 f"  native replay:    {ns['chains_lowered']:,} chains "
-                f"lowered ({ns['chains_unlowerable']:,} unlowerable), "
-                f"{ns['bodies_registered']:,} bodies registered, "
+                f"lowered ({ns['chains_unlowerable']:,} unlowerable, "
+                f"{ns['chains_registered_at_load']:,} registered at "
+                f"load), {ns['links_in_python']:,} links in python, "
+                f"{ns['bodies_registered']:,} bodies registered "
+                f"({ns['bodies_compiled']:,} compiled for the simulator), "
                 f"{ns['values_mirrored']:,} pool values mirrored, "
                 f"{ns['runs']:,} kernel runs, "
                 f"{ns['python_fallbacks']:,} python fallbacks"

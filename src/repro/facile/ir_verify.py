@@ -420,10 +420,10 @@ def wrap_census(prog: BodyProgram) -> dict[str, int]:
 def assert_lowerable(prog: BodyProgram, *, n_slots: int | None,
                      externs: ExternTable | None) -> None:
     """The C backend's per-body gate: raise :class:`Unlowerable` if the
-    verifier finds any error in ``prog``.  The backend registers each
-    ``(action, shapes)`` body once per engine, so this runs once per
-    body; chain-level checks (lane indices, slot kinds, successors)
-    happen in the kernel's lane registration."""
+    verifier finds any error in ``prog``.  The backend compiles each
+    ``(action, shapes)`` body once per compiled simulator per process,
+    so this runs once per body; chain-level checks (lane indices, slot
+    kinds, successors) happen in the kernel's lane registration."""
     errors = [f for f in verify_body(prog, n_slots=n_slots, externs=externs)
               if f.is_error]
     if errors:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Callable
 
 
@@ -209,6 +210,10 @@ class InternPool:
     ``on_release`` (when set) is called with each index whose last
     reference dies, before the index can be reused: the C replay
     backend's mirror of the pool forgets it.
+
+    A snapshot load installs values without their value -> index map
+    (``_index`` None); the first :meth:`intern` or :meth:`release`
+    builds it, so a warm run that records nothing never hashes them.
     """
 
     __slots__ = (
@@ -232,7 +237,10 @@ class InternPool:
         """Return ``(index, charged_bytes)`` for one more reference to
         ``value``; ``charged_bytes`` is 0 when the value was already
         pooled (the accounting win interning exists for)."""
-        idx = self._index.get(value)
+        index = self._index
+        if index is None:
+            index = self._build_index()
+        idx = index.get(value)
         if idx is not None:
             self._refs[idx] += 1
             self.hits += 1
@@ -250,9 +258,15 @@ class InternPool:
             self.values.append(value)
             self._refs.append(1)
             self._costs.append(cost)
-        self._index[value] = idx
+        index[value] = idx
         self.bytes_live += cost
         return idx, cost
+
+    def _build_index(self) -> dict:
+        refs = self._refs
+        self._index = dict(zip(compress(self.values, refs),
+                               compress(range(len(refs)), refs)))
+        return self._index
 
     def release(self, idx: int) -> int:
         """Drop one reference; returns the bytes freed (0 unless this
@@ -262,7 +276,10 @@ class InternPool:
         if refs:
             return 0
         cost = self._costs[idx]
-        del self._index[self.values[idx]]
+        index = self._index
+        if index is None:
+            index = self._build_index()
+        del index[self.values[idx]]
         self.values[idx] = None
         self._costs[idx] = 0
         self._free.append(idx)
@@ -272,7 +289,7 @@ class InternPool:
         return cost
 
     def live_values(self) -> int:
-        return len(self._index)
+        return len(self.values) - len(self._free)
 
     def recount(self) -> int:
         """Recompute ``bytes_live`` from scratch (accounting audits)."""
@@ -285,7 +302,7 @@ class InternPool:
     def clear(self) -> None:
         """Drop every value (a full cache clear kills all references).
         Cumulative hit/miss/saved counters survive; live state resets."""
-        self._index.clear()
+        self._index = {}
         self.values.clear()
         self._refs.clear()
         self._costs.clear()
@@ -533,18 +550,20 @@ class CacheEntry:
     ``complete`` says whether they are sealed (replayable) or open
     (recording, or reopened by miss recovery).  ``key_cost`` is the
     key's accounted size plus ``ENTRY_OVERHEAD``, computed once when
-    the entry is made (recorded or loaded).  ``nbytes`` is the entry's
-    billed local size, ``key_cost`` plus the lanes' ``local_bytes``, so
-    no refund re-walks a key or a chain."""
+    the entry is recorded (a snapshot load passes the saved one).
+    ``nbytes`` is the entry's billed local size, ``key_cost`` plus the
+    lanes' ``local_bytes``, so no refund re-walks a key or a chain."""
 
     __slots__ = (
         "key", "packed", "complete", "generation", "hot",
         "trace", "cnative", "key_cost",
     )
 
-    def __init__(self, key: tuple, chain: PackedChain, generation: int = 0):
+    def __init__(self, key: tuple, chain: PackedChain, generation: int = 0,
+                 key_cost: int | None = None):
         self.key = key
-        self.key_cost = value_bytes(key) + ENTRY_OVERHEAD
+        self.key_cost = (value_bytes(key) + ENTRY_OVERHEAD
+                         if key_cost is None else key_cost)
         self.packed = chain
         self.complete = False
         self.generation = generation
@@ -1181,6 +1200,9 @@ class CompiledSimulator:
     # it (repro.facile.snapshot).  Hand-built simulators may leave it
     # empty; the snapshot layer then computes one on demand.
     fingerprint: str = ""
+    # The C backend's compiled body programs, made on first use and
+    # kept for the process (repro.facile.cbackend.BodyTable).
+    body_table: Any = field(default=None, repr=False, compare=False)
 
     def make_context(self, externs: dict[str, Callable] | None = None) -> SimContext:
         ctx = SimContext(self.slot_count, self.global_slots, externs)
@@ -1293,9 +1315,16 @@ class FastForwardEngine:
         later warm starts; returns a SnapshotInfo."""
         from .snapshot import save_action_cache
 
-        info = save_action_cache(self.cache, path, fingerprint)
+        info = save_action_cache(self.cache, path, fingerprint,
+                                 key_of=self._freeze_key)
         self.snapshot_save = info
         return info
+
+    def snapshot_stamp(self) -> tuple:
+        """Counters that move whenever the saved content of the cache
+        can change: a new entry, a seal, a reopen or a clear."""
+        s = self.cache.stats
+        return (s.entries_created, s.packs, s.unpacks, s.clears)
 
     def profile(self, enabled: bool = True) -> None:
         """Count fast-engine executions per action number (hot-action

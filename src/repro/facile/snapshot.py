@@ -14,49 +14,74 @@ without duplicating the streams in RSS.
 File layout (header integers little-endian)::
 
     offset  size  field
-    0       8     magic  b"FACSNAP\\x01"
-    8       4     format version (currently 1)
+    0       8     magic  b"FACSNAP\x01"
+    8       4     format version (currently 2)
     12      4     kind (1 = facile ActionCache, 2 = fastsim memo)
     16      32    content-address fingerprint (sha-256 digest)
     48      8     meta length (bytes, before padding)
     56      8     stream length (bytes, multiple of 8)
     64      32    sha-256 of the payload (meta + padding + streams)
     96      8     byte-order probe (0x0102030405060708, host-endian)
-    104     ...   meta blob (varint / tagged-value encoded), 8-padded
-    ...     ...   stream blob: every entry's raw ``q`` lanes
-                  (nums/data/succ), concatenated
+    104     ...   meta blob: counts (varints) and one marshal blob of the
+                  pool values, keys and jump tables, 8-padded
+    ...     ...   stream blob: ``q`` sections (below)
 
-The meta blob holds everything object-shaped — pool values and
-refcounts, entry keys, jump tables, end-slot counts or FastSim's next
-keys — while the stream blob holds the hot replay lanes verbatim.
-Both kinds share one chain encoding.  On load the stream blob is
-**not copied**: each chain's lanes become ``memoryview`` slices of the
-mapped file (marked ``shared``), and the resolved per-process replay
-view is built lazily on the entry's first replay, so untouched entries
-cost no private RSS.  Entries stay copy-on-miss: a verify miss reopens
-the entry and copies its lanes into private arrays, which recovery
-appends to, leaving the mapped file untouched; clears and
-the exact byte accounting keep working, with mmap-backed bytes tracked
-separately in ``bytes_shared``.
+The meta blob holds everything object-shaped.  Keys are mostly the very
+objects the pool values hold (the next key a step writes into init), so
+the pool values, keys, jump tables and FastSim's next keys share one
+``marshal`` blob, which stores each shared object once; values marshal
+cannot round-trip exactly follow it through a tagged codec.  The stream
+blob holds fixed-width ``q`` sections that load without decoding: the
+pool's refcounts and accounted costs, one row per chain (slots, end
+slots, records, table depth, key cost, lane bytes), and the chains'
+``nums``/``data``/``succ`` lanes as three columns.  An action-cache
+snapshot adds the C kernel's image of them: the pool mirror (index,
+kind, shape, offset and length per live value, plus the ``int64``
+arena),
+the object references (pool index, member) of every non-int tuple
+member, in registry order, with the index of the entry each one keys
+(or -1), the ``(action, shape)`` bodies the chains run, and the jump
+tables as kernel words.  The Python backend ignores the image; a C
+engine installs it and registers every chain in one kernel call
+(:meth:`repro.facile.cbackend.CReplayBackend.load_image`).
+
+On load the stream blob is **not copied**: each chain's lanes become
+``memoryview`` slices of the mapped file (marked ``shared``), and the
+resolved per-process replay view is built lazily on the entry's first
+replay, so untouched entries cost no private RSS.  The file is mapped
+copy-on-write, which nothing writes, so the kernel can read the lanes
+in place.  Entries stay copy-on-miss: a verify miss reopens the entry
+and copies its lanes into private arrays, which recovery appends to,
+leaving the mapped file untouched; clears and the exact byte
+accounting keep working, with mmap-backed bytes tracked separately in
+``bytes_shared``.
 
 A stale or corrupt snapshot can never produce a wrong simulation.  The
 fingerprint covers the exact generated engine sources (action numbering
 and machine parameters are baked into them) and the workload's memory
-image; the payload is sha-256 checksummed; and any rejection — bad
-magic, version skew, truncation, checksum or fingerprint mismatch,
-empty snapshot — counts a ``snapshot_rejected`` stat and degrades to a
-cold start.
+image; the payload is sha-256 checksummed; a C engine checks the
+kernel image's offsets and indices before installing anything; and any
+rejection — bad magic, version skew, truncation, checksum or
+fingerprint mismatch, a bad kernel image, empty snapshot — counts a
+``snapshot_rejected`` stat and degrades to a cold start.  A warm run
+that changed nothing does not rewrite the file it loaded
+(:meth:`WarmStart.finish`).
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import marshal
 import mmap
 import os
 import pathlib
 import struct
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
 from typing import Any
 
 from .runtime import (
@@ -64,11 +89,11 @@ from .runtime import (
     CacheEntry,
     EndRecord,
     PackedChain,
-    lane_bytes,
+    SimulationError,
 )
 
 MAGIC = b"FACSNAP\x01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 KIND_ACTION_CACHE = 1
 KIND_FASTSIM_MEMO = 2
 
@@ -414,7 +439,10 @@ def _open_snapshot(
         size = os.fstat(f.fileno()).st_size
         if size < _HEADER.size:
             raise SnapshotError("truncated header")
-        mm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        # Copy-on-write: pages stay shared with the page cache (and every
+        # process mapping the file) until written, which nothing does,
+        # and the C kernel can read the lanes in place.
+        mm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
     magic, version, fkind, digest, meta_len, stream_len, payload_sha, bom = (
         _HEADER.unpack_from(mm, 0)
     )
@@ -446,105 +474,191 @@ def _open_snapshot(
 
 
 # ---------------------------------------------------------------------------
-# Pool section (shared by both kinds)
+# Sections shared by both kinds: the pool and the chains
 # ---------------------------------------------------------------------------
 
+#: Words per entry row: slots, end slots, records, table depth, key
+#: cost and lane bytes.  The load reads each entry's accounting from
+#: here instead of re-sizing its key and tables.
+ROW_WORDS = 6
 
-def _encode_pool(meta: bytearray, pool) -> None:
-    """Serialize the pool slot-for-slot (free slots are one byte), so
-    the packed streams' pool indices stay valid verbatim and the save
-    path can dump the ``q`` lanes without remapping.  Accounted costs
-    are stored rather than recomputed at load — they are checksummed
-    with everything else and recomputing ``value_bytes`` per slot is
-    pure load-time overhead.  The leading marshal version guards the
-    ``_T_MARSHAL`` fast path across interpreter upgrades."""
+
+def _encode_chains(meta: bytearray, lanes: list, pool, keyed: list,
+                   extra: tuple = ()) -> None:
+    """Write the sections both kinds share for the sealed chains in
+    ``keyed`` (``(key, chain, key_cost)`` each, in file order).
+
+    ``meta`` gets the counts and one ``marshal`` blob holding the pool
+    values, every key, the jump tables and the kind's ``extra``
+    objects.  One blob, because the keys are mostly the very objects
+    the pool values hold (the next key a step writes into init):
+    ``marshal`` stores each shared object once, and the load gets them
+    back shared.  A value ``marshal`` cannot round-trip exactly is
+    left out of the blob and sent through the tagged codec after it.
+    ``lanes`` gets the ``q`` sections: pool refcounts and accounted
+    costs (slot for slot, free slots included, so the lanes' pool
+    indices stay valid verbatim), one row per chain, and the chains'
+    ``nums``, ``data`` and ``succ`` lanes as three columns.  The
+    leading marshal version guards the blob across interpreter
+    upgrades."""
     values = pool.values
-    refs = pool._refs
-    costs = pool._costs
     _w_u(meta, marshal.version)
     _w_u(meta, len(values))
-    for i in range(len(values)):
-        r = refs[i]
-        _w_u(meta, r)
-        if r > 0:
-            _w_u(meta, costs[i])
-            _encode_value_fast(meta, values[i])
+    _w_u(meta, len(keyed))
+    safe = list(values)
+    patches = [i for i, v in enumerate(values) if not _marshal_safe(v)]
+    for i in patches:
+        safe[i] = None
+    parts = [
+        tuple(key for key, _, _ in keyed),
+        tuple((k, tuple(tuple(t.items()) for t in chain.tables))
+              for k, (_, chain, _) in enumerate(keyed) if chain.tables),
+        *extra,
+    ]
+    tagged = {id(part) for part in parts if not _marshal_safe(part)}
+    raw = marshal.dumps((safe, *[None if id(part) in tagged else part
+                                 for part in parts]))
+    _w_u(meta, len(raw))
+    meta += raw
+    _w_u(meta, len(patches))
+    for i in patches:
+        _w_u(meta, i)
+        _encode_value(meta, values[i])
+    for part in parts:
+        if id(part) in tagged:
+            _encode_value(meta, part)
+    rows = array("q")
+    cols = (array("q"), array("q"), array("q"))
+    for _, chain, key_cost in keyed:
+        rows.extend((len(chain.nums), len(chain.ends), chain.n_records,
+                     chain.depth, key_cost, chain.local_bytes))
+        cols[0].frombytes(memoryview(chain.nums).cast("B"))
+        cols[1].frombytes(memoryview(chain.data).cast("B"))
+        cols[2].frombytes(memoryview(chain.succ).cast("B"))
+    lanes += [array("q", pool._refs), array("q", pool._costs), rows, *cols]
 
 
-def _decode_pool_lists(r: _Reader) -> tuple[list, list, list]:
+@dataclass
+class _Chains:
+    """The shared sections of a snapshot, decoded (nothing installed)."""
+
+    values: list
+    refs: list
+    costs: list
+    keys: tuple
+    rows: memoryview
+    cols: tuple  # nums, data, succ columns
+    tables: dict  # chain index -> its jump tables
+    extra: tuple  # the kind's own objects
+
+
+def _decode_chains(r: _Reader, qmv: memoryview,
+                   n_extra: int = 0) -> tuple[_Chains, int]:
+    """Decode :func:`_encode_chains`' sections (``n_extra`` extra
+    objects); returns them and the ``q`` offset where the kind's own
+    sections start."""
     if r.u() != marshal.version:
         raise SnapshotError("marshal version mismatch")
+    n_pool = r.u()
     n = r.u()
-    values: list = []
-    refs: list = []
-    costs: list = []
-    for _ in range(n):
-        rc = r.u()
-        refs.append(rc)
-        if rc > 0:
-            costs.append(r.u())
-            values.append(r.value())
-        else:
-            costs.append(0)
-            values.append(None)
-    return values, refs, costs
+    blob = marshal.loads(r.raw(r.u()))
+    if type(blob) is not tuple or len(blob) != 3 + n_extra:
+        raise SnapshotError("bad object blob")
+    values, *parts = blob
+    if type(values) is not list or len(values) != n_pool:
+        raise SnapshotError("pool size mismatch")
+    for _ in range(r.u()):
+        i = r.u()
+        if i >= n_pool:
+            raise SnapshotError("pool index out of range")
+        values[i] = r.value()
+    parts = [r.value() if part is None else part for part in parts]
+    keys, tabled, *extra = parts
+    if type(keys) is not tuple or len(keys) != n:
+        raise SnapshotError("key count mismatch")
+    tables = {}
+    for k, tabs in tabled:
+        if not 0 <= k < n:
+            raise SnapshotError("table owner out of range")
+        tables[k] = [dict(t) for t in tabs]
+    refs = qmv[:n_pool].tolist()
+    costs = qmv[n_pool:2 * n_pool].tolist()
+    q = 2 * n_pool
+    rows = qmv[q:q + ROW_WORDS * n]
+    q += ROW_WORDS * n
+    if len(rows) != ROW_WORDS * n:
+        raise SnapshotError("stream length mismatch")
+    if n and min(rows) < 0:
+        raise SnapshotError("negative entry row")
+    if n_pool and (min(refs) < 0 or min(costs) < 0):
+        raise SnapshotError("negative pool refcount or cost")
+    total = sum(rows[0::ROW_WORDS])
+    cols = tuple(qmv[q + j * total:q + (j + 1) * total] for j in range(3))
+    q += 3 * total
+    if q > len(qmv):
+        raise SnapshotError("stream length mismatch")
+    return _Chains(values, refs, costs, keys, rows, cols, tables,
+                   tuple(extra)), q
 
 
-def _install_pool(pool, values: list, refs: list, costs: list) -> None:
+def _mapped_chains(sec: _Chains, pool, ends_of) -> list[PackedChain]:
+    """Sealed chains whose lanes are slices of the mapped lane columns,
+    with the accounting the rows saved; ``ends_of(k, n_ends)`` makes
+    chain ``k``'s ``ends``.  Replay views are built on first use."""
+    nums_c, data_c, succ_c = sec.cols
+    rl = sec.rows.tolist()
+    tables = sec.tables
+    chains = []
+    off = 0
+    for k, (n, n_ends, n_records, depth, local) in enumerate(zip(
+        rl[0::ROW_WORDS], rl[1::ROW_WORDS], rl[2::ROW_WORDS],
+        rl[3::ROW_WORDS], rl[5::ROW_WORDS],
+    )):
+        end = off + n
+        chain = PackedChain()
+        chain.nums = nums_c[off:end]
+        chain.data = data_c[off:end]
+        chain.succ = succ_c[off:end]
+        chain.tables = tables.get(k) or []
+        chain.ends = ends_of(k, n_ends)
+        chain.pool = pool
+        chain.knums = chain.datavals = chain.sux = None
+        chain.n_records = n_records
+        chain.depth = depth
+        chain.local_bytes = local
+        chain.shared = True
+        chains.append(chain)
+        off = end
+    return chains
+
+
+@contextmanager
+def _bulk_build():
+    """A load builds hundreds of thousands of objects (keys, pool
+    values, chains, entries) and no reference cycles, so cyclic
+    collections during it would only walk them again: measured over the
+    54 suite snapshots, they took about 60% of the load time."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _install_pool(pool, sec: _Chains) -> None:
+    """Install the pool slot for slot; its value index is built on the
+    first intern or release."""
     if pool.values:
         raise SnapshotError("cannot load a snapshot into a non-empty pool")
-    for i, (v, rc, cost) in enumerate(zip(values, refs, costs)):
-        pool.values.append(v)
-        pool._refs.append(rc)
-        pool._costs.append(cost)
-        if rc > 0:
-            pool._index[v] = i
-            pool.bytes_live += cost
-        else:
-            pool._free.append(i)
-
-
-# ---------------------------------------------------------------------------
-# Chain section (shared by both kinds)
-# ---------------------------------------------------------------------------
-
-
-def _encode_tables(meta: bytearray, tables: list[dict]) -> None:
-    _w_u(meta, len(tables))
-    for table in tables:
-        _w_u(meta, len(table))
-        for value, slot in table.items():
-            _encode_value_fast(meta, value)
-            _w_u(meta, slot)
-
-
-def _decode_tables(r: _Reader) -> list[dict]:
-    tables: list[dict] = []
-    for _ in range(r.u()):
-        table: dict = {}
-        for _ in range(r.u()):
-            value = r.value()
-            table[value] = r.u()
-        tables.append(table)
-    return tables
-
-
-def _mapped_chain(qmv: memoryview, qoff: int, n: int, tables: list[dict],
-                  ends: list, pool) -> PackedChain:
-    """A sealed chain whose ``n``-slot lanes are slices of the mapped
-    stream blob at ``qoff``; its replay view is built on first use."""
-    chain = PackedChain()
-    chain.nums = qmv[qoff:qoff + n]
-    chain.data = qmv[qoff + n:qoff + 2 * n]
-    chain.succ = qmv[qoff + 2 * n:qoff + 3 * n]
-    chain.tables = tables
-    chain.ends = ends
-    chain.pool = pool
-    chain.knums = chain.datavals = chain.sux = None
-    chain.n_records = chain.depth = 0
-    chain.local_bytes = lane_bytes(n, tables)
-    chain.shared = True
-    return chain
+    values, refs, costs = sec.values, sec.refs, sec.costs
+    pool.values.extend(values)
+    pool._refs.extend(refs)
+    pool._costs.extend(costs)
+    pool._index = None
+    pool._free.extend(compress(range(len(refs)), map(not_, refs)))
+    pool.bytes_live += sum(compress(costs, refs))
 
 
 # ---------------------------------------------------------------------------
@@ -552,43 +666,114 @@ def _mapped_chain(qmv: memoryview, qoff: int, n: int, tables: list[dict],
 # ---------------------------------------------------------------------------
 
 
-def save_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
-    """Serialize every complete (sealed) entry plus the intern
-    pool.  The write is atomic (tmp file + rename), so several
-    processes sharing one ``--cache-dir`` store can race on one store
-    path safely."""
+@dataclass
+class KernelImage:
+    """What the C replay kernel needs to take a snapshot's chains in
+    bulk (see :meth:`repro.facile.cbackend.CReplayBackend.load_image`).
+    Every lane is a ``q`` view of the mapped file."""
+
+    shapes: tuple  # placeholder shape strings ('i'/'o' per member)
+    mirror: memoryview  # per live value: index, kind, shape, offset, length
+    arena: memoryview  # the mirrored values' words
+    objrefs: memoryview  # per object registry id: pool index, member
+    objsucc: memoryview  # per registry id: index of the entry it keys
+    bodies: memoryview  # (action, shape) of every body the chains run
+    rows: memoryview  # the entries' rows (ROW_WORDS apart)
+    row_words: int
+    nums: memoryview  # the lane columns
+    data: memoryview
+    succ: memoryview
+    trows: memoryview  # per entry: offset of its tables in ktabs, count
+    ktabs: memoryview  # jump tables as [len, key, target, ...] words
+    n_pool: int
+    n_entries: int
+
+
+def save_action_cache(cache, path, fingerprint: str, key_of=None) -> SnapshotInfo:
+    """Serialize every complete (sealed) entry plus the intern pool and
+    the kernel image of both.  ``key_of`` turns an init value into the
+    key it would look up (the engine's ``_freeze_key``); with it, the
+    image names the entry each pooled object keys, so a C engine
+    warm-started from the file follows those boundaries in the kernel.
+    The write is atomic (tmp file + rename), so several processes
+    sharing one ``--cache-dir`` store can race on one store path
+    safely."""
+    from .cbackend import kernel_image
+
     entries = [e for e in cache.entries.values() if e.complete]
     meta = bytearray()
-    streams = bytearray()
-    _encode_pool(meta, cache.pool)
-    _w_u(meta, len(entries))
-    # All keys as one bulk blob: the marshal fast path decodes the
-    # whole key set at C speed instead of per-element in Python.
-    _encode_value_fast(meta, tuple(e.key for e in entries))
-    shared = 0
-    for entry in entries:
-        chain = entry.packed
-        _w_u(meta, len(chain.nums))
-        _w_u(meta, len(chain.ends))
-        _w_u(meta, chain.n_records)
-        _w_u(meta, chain.depth)
-        _encode_tables(meta, chain.tables)
-        streams += chain.nums.tobytes()
-        streams += chain.data.tobytes()
-        streams += chain.succ.tobytes()
-        shared += chain.local_bytes
-    blob = _frame(KIND_ACTION_CACHE, fingerprint, bytes(meta), bytes(streams))
+    lanes: list = []
+    _encode_chains(meta, lanes, cache.pool,
+                   [(e.key, e.packed, e.key_cost) for e in entries])
+    position = {id(e): k for k, e in enumerate(entries)}
+    live = cache.entries
+
+    def entry_of(obj) -> int:
+        if key_of is None:
+            return -1
+        try:
+            entry = live.get(key_of(obj))
+        except (SimulationError, TypeError):
+            return -1
+        return -1 if entry is None else position.get(id(entry), -1)
+
+    image = kernel_image(cache.pool, [e.packed for e in entries],
+                         lanes[3], lanes[4], entry_of)
+    shapes = image.pop("shapes")
+    for name in ("mirror", "arena", "objrefs", "bodies", "ktabs"):
+        _w_u(meta, len(image[name]))
+    _encode_value_fast(meta, shapes)
+    lanes += [image[name] for name in (
+        "mirror", "arena", "objrefs", "objsucc", "bodies", "trows", "ktabs")]
+    blob = _frame(KIND_ACTION_CACHE, fingerprint, bytes(meta),
+                  b"".join(lanes))
     _atomic_write(path, blob)
     return SnapshotInfo(
-        path=str(path), hit=True, entries=len(entries), shared_bytes=shared,
+        path=str(path), hit=True, entries=len(entries),
+        shared_bytes=sum(e.packed.local_bytes for e in entries),
         pool_values=cache.pool.live_values(), file_bytes=len(blob),
     )
+
+
+def _decode_image(r: _Reader, qmv: memoryview, q: int,
+                  sec: _Chains) -> KernelImage:
+    n = len(sec.keys)
+    n_mirror, n_arena, n_objrefs, n_bodies, n_ktabs = (
+        r.u(), r.u(), r.u(), r.u(), r.u())
+    shapes = r.value()
+    if type(shapes) is not tuple or not all(type(x) is str for x in shapes):
+        raise SnapshotError("bad shape table")
+    parts = []
+    for size in (n_mirror, n_arena, n_objrefs, n_objrefs // 2, n_bodies,
+                 2 * n, n_ktabs):
+        parts.append(qmv[q:q + size])
+        q += size
+    if q != len(qmv) or n_mirror % 5 or n_objrefs % 2 or n_bodies % 2:
+        raise SnapshotError("stream length mismatch")
+    mirror, arena, objrefs, objsucc, bodies, trows, ktabs = parts
+    return KernelImage(shapes, mirror, arena, objrefs, objsucc, bodies,
+                       sec.rows, ROW_WORDS, *sec.cols, trows, ktabs,
+                       len(sec.values), n)
+
+
+def _end_records(k: int, n_ends: int) -> list:
+    if n_ends == 1:
+        return [EndRecord()]
+    return [EndRecord() for _ in range(n_ends)]
 
 
 def load_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
     """Load a snapshot into an empty cache.  Never raises for a bad
     file: any rejection counts ``stats.snapshot_rejected`` and returns
-    ``hit=False`` with the reason; a missing file is a plain miss."""
+    ``hit=False`` with the reason; a missing file is a plain miss.
+
+    A C engine (``cache.native``) takes the kernel image in bulk:
+    every chain registered in one kernel call, before the run."""
+    with _bulk_build():
+        return _load_action_cache(cache, path, fingerprint)
+
+
+def _load_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
     info = SnapshotInfo(path=str(path))
     if cache.entries or cache.pool.values:
         raise SnapshotError("cannot load a snapshot into a non-empty cache")
@@ -601,56 +786,46 @@ def load_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
         cache.stats.snapshot_rejected += 1
         info.reason = str(exc)
         return info
+    native = cache.native
     try:
-        pool_values, pool_refs, pool_costs = _decode_pool_lists(r)
-        n_entries = r.u()
-        keys = r.value()
-        if len(keys) != n_entries:
-            raise SnapshotError("key count mismatch")
-        built: list[tuple[Any, PackedChain]] = []
-        qoff = 0
-        for key in keys:
-            n = r.u()
-            n_ends = r.u()
-            n_records = r.u()
-            depth = r.u()
-            tables = _decode_tables(r)
-            chain = _mapped_chain(
-                qmv, qoff, n, tables,
-                [EndRecord() for _ in range(n_ends)], cache.pool,
-            )
-            qoff += 3 * n
-            chain.n_records = n_records
-            chain.depth = depth
-            built.append((key, chain))
-        if qoff != len(qmv):
-            raise SnapshotError("stream length mismatch")
-        if not built:
+        sec, q = _decode_chains(r, qmv)
+        image = _decode_image(r, qmv, q, sec)
+        if not sec.keys:
             raise SnapshotError("empty")
+        if native is not None:
+            why = native.check_image(image)
+            if why is not None:
+                raise SnapshotError(why)
+        chains = _mapped_chains(sec, cache.pool, _end_records)
     except Exception as exc:  # decode failed: reject, stay cold
         cache.stats.snapshot_rejected += 1
         info.reason = str(exc) or type(exc).__name__
         return info
     # Install phase: plain assignments only, cannot fail halfway.
-    _install_pool(cache.pool, pool_values, pool_refs, pool_costs)
+    _install_pool(cache.pool, sec)
     stats = cache.stats
+    generation = cache.generation
+    entries = []
     total = 0
-    shared = 0
-    for key, chain in built:
-        entry = CacheEntry(key, chain, cache.generation)
+    for key, chain, key_cost in zip(sec.keys, chains,
+                                    sec.rows[4::ROW_WORDS].tolist()):
+        entry = CacheEntry(key, chain, generation, key_cost)
         entry.complete = True
         cache.entries[key] = entry
-        total += entry.nbytes
-        shared += chain.local_bytes
+        entries.append(entry)
+        total += key_cost
+    shared = sum(sec.rows[5::ROW_WORDS])
     # Loaded bytes enter bytes_current (they are resident cache state
     # and recount_bytes must reconcile) but not bytes_cumulative, which
     # counts recording volume — nothing was recorded.
-    stats.bytes_current += total + cache.pool.bytes_live
+    stats.bytes_current += total + shared + cache.pool.bytes_live
     stats.bytes_shared += shared
-    stats.snapshot_entries += len(built)
+    stats.snapshot_entries += len(entries)
     cache.snapshots.append(handle)
+    if native is not None:
+        native.load_image(image, entries)
     info.hit = True
-    info.entries = len(built)
+    info.entries = len(entries)
     info.shared_bytes = shared
     info.pool_values = cache.pool.live_values()
     info.file_bytes = len(handle.mm)
@@ -664,28 +839,24 @@ def load_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
 
 def save_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
     """Serialize a :class:`~repro.ooo.fastsim.FastSimOoo` memo table:
-    every sealed chain (one with a replay view, or still mmap-backed).
-    An open chain was interrupted mid-record and is not replayable."""
+    every sealed chain (one with a replay view, or still mmap-backed)
+    and its next keys.  An open chain was interrupted mid-record and is
+    not replayable."""
+    from ..ooo.fastsim import _key_cost
+
     chains = [(key, chain) for key, chain in sim.memo.items()
               if chain.knums is not None or chain.shared]
     meta = bytearray()
-    streams = bytearray()
-    _encode_pool(meta, sim.pool)
-    _w_u(meta, len(chains))
-    _encode_value_fast(meta, tuple(key for key, _ in chains))
-    shared = 0
-    for key, chain in chains:
-        _w_u(meta, len(chain.nums))
-        _encode_tables(meta, chain.tables)
-        _encode_value_fast(meta, tuple(chain.ends))
-        streams += chain.nums.tobytes()
-        streams += chain.data.tobytes()
-        streams += chain.succ.tobytes()
-        shared += chain.local_bytes
-    blob = _frame(KIND_FASTSIM_MEMO, fingerprint, bytes(meta), bytes(streams))
+    lanes: list = []
+    _encode_chains(meta, lanes, sim.pool,
+                   [(key, chain, _key_cost(key)) for key, chain in chains],
+                   (tuple(tuple(chain.ends) for _, chain in chains),))
+    blob = _frame(KIND_FASTSIM_MEMO, fingerprint, bytes(meta),
+                  b"".join(lanes))
     _atomic_write(path, blob)
     return SnapshotInfo(
-        path=str(path), hit=True, entries=len(chains), shared_bytes=shared,
+        path=str(path), hit=True, entries=len(chains),
+        shared_bytes=sum(chain.local_bytes for _, chain in chains),
         pool_values=sim.pool.live_values(), file_bytes=len(blob),
     )
 
@@ -693,8 +864,11 @@ def save_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
 def load_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
     """Load a fastsim memo snapshot; same contract as
     :func:`load_action_cache`."""
-    from ..ooo.fastsim import _key_cost
+    with _bulk_build():
+        return _load_fastsim_memo(sim, path, fingerprint)
 
+
+def _load_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
     info = SnapshotInfo(path=str(path))
     if sim.memo or sim.pool.values:
         raise SnapshotError("cannot load a snapshot into a non-empty memo")
@@ -708,43 +882,31 @@ def load_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
         info.reason = str(exc)
         return info
     try:
-        pool_values, pool_refs, pool_costs = _decode_pool_lists(r)
-        n_chains = r.u()
-        keys = r.value()
-        if len(keys) != n_chains:
-            raise SnapshotError("key count mismatch")
-        built = []
-        qoff = 0
-        for key in keys:
-            n = r.u()
-            tables = _decode_tables(r)
-            next_keys = list(r.value())
-            built.append(
-                (key, _mapped_chain(qmv, qoff, n, tables, next_keys, sim.pool))
-            )
-            qoff += 3 * n
-        if qoff != len(qmv):
+        sec, q = _decode_chains(r, qmv, 1)
+        if q != len(qmv):
             raise SnapshotError("stream length mismatch")
-        if not built:
+        (next_keys,) = sec.extra
+        if type(next_keys) is not tuple or len(next_keys) != len(sec.keys):
+            raise SnapshotError("next-key count mismatch")
+        if not sec.keys:
             raise SnapshotError("empty")
+        chains = _mapped_chains(sec, sim.pool,
+                                lambda k, n_ends: list(next_keys[k]))
     except Exception as exc:
         sim.mstats.snapshot_rejected += 1
         info.reason = str(exc) or type(exc).__name__
         return info
-    _install_pool(sim.pool, pool_values, pool_refs, pool_costs)
+    _install_pool(sim.pool, sec)
+    sim.memo.update(zip(sec.keys, chains))
+    shared = sum(sec.rows[5::ROW_WORDS])
     mstats = sim.mstats
-    total = 0
-    shared = 0
-    for key, chain in built:
-        sim.memo[key] = chain
-        total += _key_cost(key) + chain.local_bytes
-        shared += chain.local_bytes
-    mstats.bytes_estimate += total + sim.pool.bytes_live
+    mstats.bytes_estimate += (sum(sec.rows[4::ROW_WORDS]) + shared
+                              + sim.pool.bytes_live)
     mstats.bytes_shared += shared
-    mstats.snapshot_entries += len(built)
+    mstats.snapshot_entries += len(chains)
     sim.snapshots.append(handle)
     info.hit = True
-    info.entries = len(built)
+    info.entries = len(chains)
     info.shared_bytes = shared
     info.pool_values = sim.pool.live_values()
     info.file_bytes = len(handle.mm)
@@ -756,23 +918,41 @@ def load_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
 # ---------------------------------------------------------------------------
 
 
+#: ``SnapshotInfo.reason`` of a save skipped because the run changed
+#: nothing.
+UNCHANGED = "unchanged since load, not saved"
+
+
 @dataclass
 class WarmStart:
     """Resolved snapshot paths for one run: load happened at
-    construction (via :func:`warm_start`), :meth:`finish` saves."""
+    construction (via :func:`warm_start`), :meth:`finish` saves.
+    ``stamp`` is the target's ``snapshot_stamp()`` right after the
+    load."""
 
     target: Any
     fingerprint: str
     save_path: str | None
     load_info: SnapshotInfo | None = None
     save_info: SnapshotInfo | None = field(default=None)
+    stamp: tuple = ()
 
     def finish(self) -> SnapshotInfo | None:
-        """Save the (possibly grown) cache after the run.  Save
-        failures are reported, never raised — the simulation results in
-        hand are already correct."""
+        """Save the (possibly grown) cache after the run, unless it
+        would rewrite the file just loaded with what it already holds:
+        a hit from the save path, and no entry made, sealed, reopened
+        or cleared since.  Save failures are reported, never raised —
+        the simulation results in hand are already correct."""
         if self.save_path is None:
             return None
+        load = self.load_info
+        if (load is not None and load.hit
+                and load.path == str(self.save_path)
+                and self.target.snapshot_stamp() == self.stamp):
+            info = SnapshotInfo(path=str(self.save_path), reason=UNCHANGED)
+            self.target.snapshot_save = info
+            self.save_info = info
+            return info
         try:
             info = self.target.save_snapshot(self.save_path, self.fingerprint)
         except (OSError, SnapshotError) as exc:
@@ -803,4 +983,5 @@ def warm_start(
     ws = WarmStart(target=target, fingerprint=fingerprint, save_path=save_path)
     if load_path is not None:
         ws.load_info = target.load_snapshot(load_path, fingerprint)
+        ws.stamp = target.snapshot_stamp()
     return ws

@@ -149,6 +149,12 @@ class FastSimOoo:
         self.memoize = memoize
         self.pool = InternPool()
         self.memo: dict[tuple, PackedChain] = {}
+        # Successors by identity: id(next key) -> (next key, its chain),
+        # for the next keys the end slots hold, so a replayed cycle
+        # finds its successor without hashing the whole key again (the
+        # twin of EndRecord.likely_next).  Per process, never billed or
+        # saved, and emptied with the memo.
+        self._successors: dict[int, tuple] = {}
         self.memo_limit_bytes = memo_limit_bytes
         self.mstats = MemoStats()
         self.retired_fast = 0
@@ -219,14 +225,22 @@ class FastSimOoo:
             return self.stats
         key = self.state_key()
         mstats = self.mstats
+        successors = self._successors
         while not self._key_is_done(key) and self.stats.cycles < max_cycles:
-            chain = self.memo.get(key)
+            known = successors.get(id(key))
+            if known is not None and known[0] is key:
+                chain = known[1]
+            else:
+                chain = self.memo.get(key)
+                if chain is not None:
+                    successors[id(key)] = (key, chain)
             if chain is None:
                 mstats.misses_new_key += 1
                 mstats.cycles_slow += 1
                 self._materialize(key)
                 chain = PackedChain.empty(self.pool)
                 self.memo[key] = chain
+                successors[id(key)] = (key, chain)
                 mstats.entries += 1
                 cost = _key_cost(key)
                 mstats.bytes_estimate += cost
@@ -273,6 +287,12 @@ class FastSimOoo:
         self.snapshot_load = info
         return info
 
+    def snapshot_stamp(self) -> tuple:
+        """Counters that move whenever the saved content of the memo
+        can change: a new entry, a seal, a reopen or a clear."""
+        m = self.mstats
+        return (m.entries, m.packs, m.unpacks, m.clears)
+
     def save_snapshot(self, path, fingerprint: str | None = None):
         from ..facile.snapshot import save_fastsim_memo
 
@@ -291,6 +311,7 @@ class FastSimOoo:
         ):
             return
         self.memo.clear()
+        self._successors.clear()
         self.pool.clear()
         self.mstats.bytes_estimate = 0
         self.mstats.bytes_shared = 0

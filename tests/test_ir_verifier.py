@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 from array import array
 
 import pytest
@@ -699,8 +700,11 @@ class TestLaneRegistration:
         ref.run(max_steps=100)
         assert _lane_digest(engine) == _lane_digest(ref)
 
-    def test_each_body_is_verified_once_per_engine(self, monkeypatch):
-        from repro.facile import cbackend
+    def test_each_body_is_verified_once_per_simulator(self, monkeypatch):
+        """Bodies are compiled and verified once per compiled simulator
+        per process: a second engine on the same simulator verifies
+        nothing and copies the programs it needs into its kernel."""
+        from repro.facile import FastForwardEngine, cbackend
 
         verified = []
         real = cbackend.assert_lowerable
@@ -715,8 +719,92 @@ class TestLaneRegistration:
         native = engine._cnative
         assert verified and len(verified) == len(set(verified))
         assert native.summary()["bodies_registered"] == len(verified)
+        assert native.summary()["bodies_compiled"] == len(verified)
         # Recovery re-registers chains; their bodies are not re-verified.
         assert native.chains_lowered > len(engine.cache.entries)
+        n = len(verified)
+        ctx = engine.compiled.make_context(
+            {"srcv": lambda v: (v * 7) % 10, "parity": lambda v: v & 1})
+        ctx.write_global("init", 0)
+        second = FastForwardEngine(engine.compiled, ctx, replay_backend="c",
+                                   trace_jit=False)
+        second.run(max_steps=200)
+        assert len(verified) == n
+        assert second._cnative.summary()["bodies_registered"] > 0
+        assert second._cnative.summary()["bodies_compiled"] == n
+
+
+#: Content address for the lane-program snapshots below.
+LANE_FP = "cd" * 32
+
+
+@requires_cc
+class TestSnapshotLaneRegistration:
+    """The bulk registration a snapshot load runs makes every check lane
+    registration makes: each malformed lane, corrupted in the file under
+    a re-sealed checksum, refuses that chain alone, with the reason a
+    cold registration gives."""
+
+    @pytest.fixture(scope="class")
+    def good(self, tmp_path_factory):
+        """A snapshot of the lane program 40 steps in, its entry with
+        both a jump table and a single expected value, and that chain."""
+        engine = _lane_engine("python")
+        engine.run(max_steps=40)
+        # A live pool value outside i64 for the data_exceeds_i64 case.
+        engine.cache.pool.intern((1 << 70,))
+        entries = [e for e in engine.cache.entries.values() if e.complete]
+        k = next(i for i, e in enumerate(entries)
+                 if {"eq", "table"} <= set(_slot_kinds(e.packed)))
+        path = tmp_path_factory.mktemp("lanes") / "good.facsnap"
+        engine.save_snapshot(str(path), LANE_FP)
+        return path, k, entries[k].packed
+
+    def _corrupt(self, good, case, tmp_path):
+        from repro.facile.cbackend import _flatten_tables
+
+        from .snapfile import patch, read_sections, reseal
+
+        path, k, chain = good
+        offsets, words = read_sections(path, LANE_FP)
+        first = sum(words["rows"][0:6 * k:6])  # chain k's lane offset
+        blob = bytearray(path.read_bytes())
+        for name, value in CORRUPTIONS[case][0](chain).items():
+            if name == "tables":
+                toff = words["trows"][2 * k]
+                for i, w in enumerate(_flatten_tables(value)):
+                    patch(blob, offsets["ktabs"], toff + i, w)
+                continue
+            for i, (old, new) in enumerate(zip(getattr(chain, name), value)):
+                if old != new:
+                    patch(blob, offsets[name], first + i, new)
+        bad = tmp_path / "bad.facsnap"
+        bad.write_bytes(reseal(blob))
+        return bad
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corrupt_lane_in_file_is_refused(self, good, case, tmp_path):
+        path, k, chain = good
+        bad = self._corrupt(good, case, tmp_path)
+        engine = _lane_engine("c")
+        info = engine.load_snapshot(str(bad), LANE_FP)
+        assert info.hit, info.reason
+        native = engine._cnative
+        entries = list(engine.cache.entries.values())
+        assert [e.cnative for e in entries].count(-1) == 1
+        assert entries[k].cnative == -1
+        assert native.chains_unlowerable == 1
+        (reason,) = native.unlowerable_reasons
+        assert re.search(CORRUPTIONS[case][1], reason), reason
+        # The refused chain replays on the Python loop from good lanes.
+        loaded = entries[k].packed
+        for name in ("nums", "data", "succ"):
+            setattr(loaded, name, array("q", getattr(chain, name)))
+        engine.run(max_steps=60)
+        ref = _lane_engine("python")
+        assert ref.load_snapshot(str(path), LANE_FP).hit
+        ref.run(max_steps=60)
+        assert _lane_digest(engine) == _lane_digest(ref)
 
 
 # ---------------------------------------------------------------------------

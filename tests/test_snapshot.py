@@ -347,20 +347,23 @@ def test_no_exception_escapes_from_garbage(tmp_path, snapshot_blob):
     caught by the decode phase, not escape to the caller."""
     import hashlib
     import struct
-    from repro.facile.snapshot import MAGIC, _BOM, _HEADER, KIND_ACTION_CACHE
+    from repro.facile.snapshot import (
+        _BOM, _HEADER, FORMAT_VERSION, KIND_ACTION_CACHE, MAGIC,
+    )
 
     path, program = snapshot_blob
     engine, fp = _functional_engine_with_snapshot(tmp_path, program)
     meta = b"\xff" * 64  # nonsense varints
     payload = meta + b"\0" * ((-len(meta)) % 8)
     header = _HEADER.pack(
-        MAGIC, 1, KIND_ACTION_CACHE, bytes.fromhex(fp),
+        MAGIC, FORMAT_VERSION, KIND_ACTION_CACHE, bytes.fromhex(fp),
         len(meta), 0, hashlib.sha256(payload).digest(), _BOM,
     )
     bad = tmp_path / "garbage.facsnap"
     bad.write_bytes(header + payload)
     info = engine.load_snapshot(str(bad), fp)
     assert not info.hit
+    assert "version mismatch" not in info.reason
     assert engine.cache.stats.snapshot_rejected == 1
 
 
@@ -432,6 +435,28 @@ def test_cli_warm_start_smoke(tmp_path, capsys):
     assert cycles_line(first) == cycles_line(second)
 
 
+def test_cli_c_warm_start_reports_the_bulk_load(tmp_path, capsys):
+    """On the C backend the warm run's hit line says what the load did
+    (every chain registered at load, no boundary linked in Python), and
+    the unchanged cache is not saved again."""
+    from repro.cli import main
+    from repro.facile.cbackend import load_kernel
+
+    if not load_kernel().status.available:
+        pytest.skip("C kernel unavailable")
+    argv = ["workloads", "compress", "--scale", "1", "--sim", "ooo",
+            "--replay-backend=c", "--cache-dir", str(tmp_path / "store")]
+    assert main(argv) == 0
+    assert "snapshot: saved" in capsys.readouterr().out
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+    hit = next(l for l in warm.splitlines() if l.startswith("snapshot: hit"))
+    entries = hit.split("— ")[1].split(" entries")[0]
+    assert f"; {entries} chains registered at load, 0 links in python" in hit
+    assert "snapshot: unchanged since load, not saved" in warm
+    assert "snapshot: saved" not in warm
+
+
 def test_cache_summary_reports_shared_split(tmp_path):
     from repro.facile.inspect import cache_summary
 
@@ -443,3 +468,222 @@ def test_cache_summary_reports_shared_split(tmp_path):
     assert "mmap-shared" in text
     assert "snapshot:" in text
     assert "rejected" in text
+
+
+# ---------------------------------------------------------------------------
+# Format version 2: the kernel image and its checks
+# ---------------------------------------------------------------------------
+
+
+def test_version_1_snapshot_is_refused(tmp_path, snapshot_blob):
+    """A file written in the version-1 layout is refused with its
+    reason, counted, and the run starts cold."""
+    import struct
+
+    path, program = snapshot_blob
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 8, 1)
+    info = _load_rejected(tmp_path, program, bytes(blob), "version mismatch")
+    assert info.reason == "version mismatch (snapshot v1, expected v2)"
+
+
+def _c_functional_engine(program):
+    from repro.facile.runtime import FastForwardEngine
+    from repro.isa.simulate import _prepare_context, compiled_functional_sim
+
+    compiled = compiled_functional_sim().simulator
+    ctx = _prepare_context(compiled, program)
+    engine = FastForwardEngine(compiled, ctx, replay_backend="c",
+                               trace_jit=False)
+    return engine, engine_fingerprint(compiled, program)
+
+
+@pytest.mark.parametrize("section, reason", [
+    ("objsucc", "object successor out of range"),
+    ("mirror", "mirror offset out of range"),
+])
+def test_bad_kernel_image_rejects_the_snapshot(tmp_path, snapshot_blob,
+                                               section, reason):
+    """An object-successor index or a mirror offset out of range, under
+    a re-sealed checksum, rejects the snapshot on a C engine with a
+    reason; the run starts cold and is correct.  The Python backend
+    ignores the kernel image and still hits."""
+    from repro.facile.cbackend import PK_TUPLE, load_kernel
+
+    from .snapfile import patch, read_sections, reseal
+
+    if not load_kernel().status.available:
+        pytest.skip("C kernel unavailable")
+    path, program = snapshot_blob
+    engine, fp = _c_functional_engine(program)
+    offsets, words = read_sections(path, fp)
+    blob = bytearray(path.read_bytes())
+    if section == "objsucc":
+        assert words["objsucc"], "no pooled objects to corrupt"
+        patch(blob, offsets["objsucc"], 0, len(words["rows"]) // 6)
+    else:
+        mirror = words["mirror"]
+        row = next(i for i in range(0, len(mirror), 5)
+                   if mirror[i + 1] == PK_TUPLE)
+        patch(blob, offsets["mirror"], row + 3, len(words["arena"]))
+    bad = tmp_path / "bad.facsnap"
+    bad.write_bytes(reseal(blob))
+    info = engine.load_snapshot(str(bad), fp)
+    assert not info.hit
+    assert reason in info.reason
+    assert engine.cache.stats.snapshot_rejected == 1
+    assert not engine.cache.entries
+    engine.run(max_steps=1_000_000)
+    cold = run_facile_functional(program)
+    assert engine.ctx.retired_total == cold.retired
+    assert engine.stats.steps_slow == cold.engine.stats.steps_slow
+    py, _ = _functional_engine_with_snapshot(tmp_path, program)
+    assert py.load_snapshot(str(bad), fp).hit
+
+
+@pytest.mark.parametrize("sim_name", ("functional", "inorder", "ooo"))
+def test_c_warm_start_runs_in_the_kernel(tmp_path, sim_name):
+    """A C warm start from the same run registers every chain at load
+    and resolves no step boundary in Python.  The first one may compile
+    bodies of chains the cold run never replayed; once the simulator's
+    table holds them, the next compiles none."""
+    from repro.facile.cbackend import load_kernel
+
+    if not load_kernel().status.available:
+        pytest.skip("C kernel unavailable")
+    program = build_cached("compress", 1)
+    snap = tmp_path / "cache.facsnap"
+    cold_digest, cold, _ = _run(sim_name, program, replay_backend="c",
+                                cache_save=str(snap))
+    table = cold.compiled.body_table
+    for _ in range(2):
+        compiled_before = table.compiled_count
+        digest, warm, _ = _run(sim_name, program, replay_backend="c",
+                               cache_load=str(snap))
+        ns = warm._cnative.summary()
+        assert digest == cold_digest
+        assert warm.snapshot_load.hit
+        assert ns["chains_registered_at_load"] == warm.snapshot_load.entries
+        assert ns["links_in_python"] == 0
+        assert warm.stats.steps_slow == 0
+    assert table.compiled_count == compiled_before
+    assert ns["bodies_compiled"] == compiled_before
+
+
+# ---------------------------------------------------------------------------
+# Saves skip an unchanged cache
+# ---------------------------------------------------------------------------
+
+
+def _stat(path):
+    st = path.stat()
+    return path.read_bytes(), st.st_mtime_ns
+
+
+@pytest.mark.parametrize("sim_name", ("ooo", "fastsim"))
+def test_unchanged_warm_run_does_not_resave(tmp_path, sim_name):
+    """A warm --cache-dir run that records nothing leaves the file as
+    it was, and says so."""
+    from repro.facile.snapshot import UNCHANGED
+
+    program = build_cached("compress", 1)
+    _run(sim_name, program, cache_dir=str(tmp_path))
+    (snap,) = tmp_path.glob("*.facsnap")
+    before = _stat(snap)
+    _, holder, _ = _run(sim_name, program, cache_dir=str(tmp_path))
+    assert holder.snapshot_load.hit
+    assert not holder.snapshot_save.hit
+    assert holder.snapshot_save.reason == UNCHANGED
+    assert _stat(snap) == before
+
+
+@pytest.mark.parametrize("sim_name", ("ooo", "fastsim"))
+def test_explicit_save_path_is_always_written(tmp_path, sim_name):
+    """--cache-load A --cache-save B still writes B."""
+    program = build_cached("compress", 1)
+    a, b = tmp_path / "a.facsnap", tmp_path / "b.facsnap"
+    _run(sim_name, program, cache_save=str(a))
+    _, holder, _ = _run(sim_name, program, cache_load=str(a),
+                        cache_save=str(b))
+    assert holder.snapshot_load.hit
+    assert holder.snapshot_save.hit
+    assert b.exists()
+
+
+def test_warm_action_cache_run_that_recovers_resaves(tmp_path):
+    """A warm run whose dynamic results differ from the recorded ones
+    recovers, so the cache changed and the save goes through."""
+    from repro.facile import FastForwardEngine
+    from repro.facile.compiler import compile_source
+
+    sim = compile_source("""
+    val init = 0;
+    val acc = 0;
+    extern srcv(1);
+    fun main(pc) {
+      if (srcv(pc) > 3) { acc = acc + 1; } else { acc = acc - 1; }
+      init = (pc + 1) % 4;
+    }
+    """).simulator
+    fp = "ef" * 32
+
+    def run(offset):
+        ctx = sim.make_context({"srcv": lambda v: (v + offset) % 8})
+        ctx.write_global("init", 0)
+        engine = FastForwardEngine(sim, ctx)
+        warm = warm_start(engine, fp, cache_dir=str(tmp_path))
+        engine.run(max_steps=40)
+        warm.finish()
+        return engine
+
+    run(0)
+    (snap,) = tmp_path.glob("*.facsnap")
+    before = _stat(snap)
+    engine = run(3)
+    assert engine.snapshot_load.hit
+    assert engine.cache.stats.unpacks > 0
+    assert engine.snapshot_save.hit
+    assert _stat(snap) != before
+
+
+def test_warm_fastsim_run_that_recovers_resaves(tmp_path):
+    """FastSim's twin: another predictor misses checks on the loaded
+    memo, and the save goes through."""
+    from repro.ooo.fastsim import FastSimOoo
+    from repro.uarch.branch import AlwaysTaken, FrontEndPredictor
+
+    program = build_cached("compress", 1)
+    run_fastsim(program, cache_dir=str(tmp_path))
+    (snap,) = tmp_path.glob("*.facsnap")
+    before = _stat(snap)
+    sim = FastSimOoo(program,
+                     predictor=FrontEndPredictor(direction=AlwaysTaken()))
+    warm = warm_start(sim, sim.snapshot_fingerprint, cache_dir=str(tmp_path))
+    sim.run()
+    warm.finish()
+    assert sim.snapshot_load.hit
+    assert sim.mstats.unpacks > 0
+    assert sim.snapshot_save.hit
+    assert _stat(snap) != before
+
+
+# ---------------------------------------------------------------------------
+# FastSim follows its successors by identity
+# ---------------------------------------------------------------------------
+
+
+def test_fastsim_successors_never_outlive_a_clear():
+    """Clearing the memo mid-run empties the successor table with it:
+    no stale successor is followed, so a limited run equals an
+    unlimited one and the billing audit holds."""
+    program = build_cached("compress", 1)
+    full = run_fastsim(program)
+    limited = run_fastsim(program,
+                          memo_limit_bytes=full.mstats.bytes_estimate // 4)
+    assert limited.mstats.clears > 0
+    assert limited.stats == full.stats
+    assert limited.func.regs == full.func.regs
+    assert_memo_billing(limited)
+    assert limited._successors
+    for key, chain in limited._successors.values():
+        assert limited.memo[key] is chain
