@@ -61,9 +61,17 @@ Contract with the Python backend (the behavior reference):
   on the Python tiers.  Slot values the kernel cannot mirror (huge ints,
   aliased lists) fall back per call.  A missing C compiler (or
   ``FACILE_NO_CC=1``) degrades the whole engine to the Python backend
-  with a reported, non-fatal status.  A guarded kernel error (division
-  by zero, bad shift, address out of range) raises ``SimulationError``;
-  it does not fall back.
+  with a reported, non-fatal status.
+* **Same integers.**  The spec's integers are unbounded; the kernel's
+  are i64.  An op the kernel cannot compute as the spec does (a result
+  outside i64, a shift or width outside ``[0, 63]``, a zero divisor,
+  an address outside the page table, a counter outside the table, an
+  object read as an int) hands its body back: the kernel exits with
+  the op's pc and the body's operand stack and locals, and
+  :func:`~repro.facile.replay_ir.interpret_body` runs the body on from
+  that op with Python ints, raising where the spec raises; the Python
+  packed loop then finishes the step (:meth:`CReplayBackend._resume`).
+  ``handbacks`` counts these exits by reason.
 
 State synchronization: scalar slots, register-file lists, statistics,
 and counters are mirrored into a C-side ``St`` struct around each
@@ -87,8 +95,11 @@ from array import array
 from dataclasses import dataclass
 
 from .ir_verify import assert_lowerable
-from .replay_ir import ExternTable, OP_NAMES, Unlowerable, compile_body
-from .runtime import ENDMARK, SimulationError
+from .replay_ir import (
+    ExternTable, OP_NAMES, Unlowerable, compile_body, interpret_body,
+    register_extern_table,
+)
+from .runtime import ENDMARK, SimulationError, build_replay_view, freeze
 
 # ---------------------------------------------------------------------------
 # Kernel exit / error codes (shared with the C source below)
@@ -99,26 +110,34 @@ X_HALTED = 1  # target halted at a step boundary
 X_MISS = 2    # verify miss: recover through the slow engine
 X_NEXT = 3    # step boundary, link unset/stale: Python resolves
 X_ERR = 4     # kernel error (see E_*); wrapper raises
+X_RESUME = 5  # body handed back at an op (see E_*); the spec finishes it
 
+# Reasons for an exit.  E_EXTERN, E_BADOP and E_CONSUMED end an X_ERR
+# exit; the others end an X_RESUME exit, where the kernel stops a body
+# at an op it cannot compute as the spec does and interpret_body takes
+# the op over with unbounded ints (it raises where the spec raises).
 E_NONE = 0
-E_DIV0 = 1     # division by zero (Python would raise ZeroDivisionError)
-E_SHIFT = 2    # shift/width out of the kernel's i64 domain
+E_DIV0 = 1     # division by zero
+E_SHIFT = 2    # shift amount or width outside [0, 63]
 E_COUNTER = 3  # stat_count id outside [0, 256)
 E_EXTERN = 4   # extern callback raised (wrapper re-raises the original)
 E_SLOT = 5     # object slot read into computation / bad element index
 E_BADOP = 6    # malformed bytecode or chain (compiler bug)
 E_ADDR = 7     # memory address outside the kernel's 32-bit page table
 E_CONSUMED = 8  # more than MAX_CONSUMED verify values in one step
+E_OVF = 9      # result outside i64
 
 E_NAMES = [
     "E_NONE", "E_DIV0", "E_SHIFT", "E_COUNTER", "E_EXTERN", "E_SLOT",
-    "E_BADOP", "E_ADDR", "E_CONSUMED",
+    "E_BADOP", "E_ADDR", "E_CONSUMED", "E_OVF",
 ]
 
 #: Mirrored limits (keep in sync with the C source).
 MAX_SLOTS = 64
 NCOUNTERS = 256
 MAX_CONSUMED = 8192
+VM_STACK = 128
+VM_LOCALS = 32
 
 # Pool-mirror value kinds, lane-registration results and refusal
 # reasons (keep in sync with the C source).
@@ -188,6 +207,7 @@ typedef uint64_t u64;
 #define X_MISS 2
 #define X_NEXT 3
 #define X_ERR 4
+#define X_RESUME 5
 
 #define E_NONE 0
 #define E_DIV0 1
@@ -198,6 +218,7 @@ typedef uint64_t u64;
 #define E_BADOP 6
 #define E_ADDR 7
 #define E_CONSUMED 8
+#define E_OVF 9
 
 #define MAX_SLOTS 64
 #define NCOUNTERS 256
@@ -240,6 +261,7 @@ typedef struct {
     i64 *code;
     i64 n;
     i64 is_verify;
+    i64 action, shape;
 } Prog;
 
 /* One registered chain.  Its arrays live in the same allocation, right
@@ -265,7 +287,7 @@ typedef struct {
     i64 kind, shape, off, len;
 } PVal;
 
-/* The leading fields up to and including nconsumed are mirrored by the
+/* The leading fields up to and including r_loc are mirrored by the
  * ctypes _StPrefix structure in cbackend.py; do not reorder them
  * (ffc_prefix_bytes lets the tests check the two layouts agree). */
 typedef struct {
@@ -278,6 +300,12 @@ typedef struct {
     unsigned char cdirty[NCOUNTERS];
     i64 consumed[MAX_CONSUMED];
     i64 nconsumed;
+    /* A body handed back (X_RESUME): its (action, shape), the pc just
+     * past the op it stopped at, and its operand stack and locals before
+     * that op.  r_pc is -1 when no body was handed back. */
+    i64 r_action, r_shape, r_pc, r_sp;
+    i64 r_stack[VM_STACK];
+    i64 r_loc[VM_LOCALS];
     /* --- C-only state below (opaque to Python) --- */
     unsigned char **pt[PT1];
     Prog *progs;
@@ -373,6 +401,8 @@ i64 ffc_add_body(St *st, i64 action, i64 shape, const i64 *code, i64 n,
     np[st->nprogs].code = copy;
     np[st->nprogs].n = n;
     np[st->nprogs].is_verify = is_verify;
+    np[st->nprogs].action = action;
+    np[st->nprogs].shape = shape;
     st->btab[shape * st->bcols + action] = (int)st->nprogs;
     return st->nprogs++;
 }
@@ -1185,18 +1215,33 @@ static i64 asr(i64 a, i64 b) {
 /* Returns 0 on END, 1 on RETURN (*ret set), -1 on error (st->err set).
  * Stack discipline is guaranteed by the Python-side compiler
  * (max depth <= 120 < VM_STACK, no underflow), so the hot loop does no
- * per-op stack checks. */
+ * per-op stack checks.
+ *
+ * Integers in the spec are unbounded.  An op whose result would leave
+ * i64, or that the kernel cannot compute as interpret_body does (a
+ * shift or width outside [0, 63], a zero divisor, an address outside
+ * the page table, a counter outside the table, an object where an int
+ * is read), hands the body back: HANDBACK saves the pc past the op and
+ * the stack and locals as they were before it, and Python resumes the
+ * body at that op.  Every case checks before it writes, so
+ * stack[0..sp0) still holds the op's operands there.  The checks are
+ * marked unlikely so the compiler keeps the common path straight. */
+
+#define UNLIKELY(x) __builtin_expect(!!(x), 0)
+#define HANDBACK(e, detail) \
+    do { st->err = (e); st->err_a = (detail); goto handback; } while (0)
 
 static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
     i64 stack[VM_STACK];
     i64 loc[VM_LOCALS];
     i64 *code = p->code;
-    i64 pc = 0, sp = 0;
+    i64 pc = 0, sp = 0, sp0;
     memset(loc, 0, sizeof(loc));
     for (;;) {
         i64 op = code[pc], arg = code[pc + 1];
         pc += 2;
-        i64 a, b;
+        sp0 = sp;
+        i64 a, b, r;
         switch (op) {
         case OP_END:
             return 0;
@@ -1210,14 +1255,13 @@ static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
             stack[sp++] = ph[arg];
             break;
         case OP_SLOT:
-            if (st->isobj[arg]) { st->err = E_SLOT; st->err_a = arg; return -1; }
+            if (UNLIKELY(st->isobj[arg])) HANDBACK(E_SLOT, arg);
             stack[sp++] = st->slots[arg];
             break;
         case OP_ELEM:
             a = stack[--sp];
-            if (!st->arrp[arg] || a < 0 || a >= st->arrlen[arg]) {
-                st->err = E_SLOT; st->err_a = arg; return -1;
-            }
+            if (UNLIKELY(!st->arrp[arg] || a < 0 || a >= st->arrlen[arg]))
+                HANDBACK(E_SLOT, arg);
             stack[sp++] = st->arrp[arg][a];
             break;
         case OP_LOCAL:
@@ -1236,9 +1280,8 @@ static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
         case OP_STORE_ELEM:
             b = stack[--sp];
             a = stack[--sp];
-            if (!st->arrp[arg] || a < 0 || a >= st->arrlen[arg]) {
-                st->err = E_SLOT; st->err_a = arg; return -1;
-            }
+            if (UNLIKELY(!st->arrp[arg] || a < 0 || a >= st->arrlen[arg]))
+                HANDBACK(E_SLOT, arg);
             st->arrp[arg][a] = b;
             break;
         case OP_STORE_LOCAL:
@@ -1246,15 +1289,21 @@ static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
             break;
         case OP_ADD:
             b = stack[--sp];
-            stack[sp - 1] = (i64)((u64)stack[sp - 1] + (u64)b);
+            if (UNLIKELY(__builtin_add_overflow(stack[sp - 1], b, &r)))
+                HANDBACK(E_OVF, b);
+            stack[sp - 1] = r;
             break;
         case OP_SUB:
             b = stack[--sp];
-            stack[sp - 1] = (i64)((u64)stack[sp - 1] - (u64)b);
+            if (UNLIKELY(__builtin_sub_overflow(stack[sp - 1], b, &r)))
+                HANDBACK(E_OVF, b);
+            stack[sp - 1] = r;
             break;
         case OP_MUL:
             b = stack[--sp];
-            stack[sp - 1] = (i64)((u64)stack[sp - 1] * (u64)b);
+            if (UNLIKELY(__builtin_mul_overflow(stack[sp - 1], b, &r)))
+                HANDBACK(E_OVF, b);
+            stack[sp - 1] = r;
             break;
         case OP_AND:
             b = stack[--sp];
@@ -1270,16 +1319,20 @@ static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
             break;
         case OP_SHL:
             b = stack[--sp];
-            if (b < 0 || b > 63) { st->err = E_SHIFT; st->err_a = b; return -1; }
-            stack[sp - 1] = (i64)((u64)stack[sp - 1] << b);
+            a = stack[sp - 1];
+            if (UNLIKELY(b < 0 || b > 63)) HANDBACK(E_SHIFT, b);
+            r = (i64)((u64)a << b);
+            if (UNLIKELY((r >> b) != a)) HANDBACK(E_OVF, b);
+            stack[sp - 1] = r;
             break;
         case OP_SHR:
             b = stack[--sp];
-            if (b < 0) { st->err = E_SHIFT; st->err_a = b; return -1; }
+            if (UNLIKELY(b < 0)) HANDBACK(E_SHIFT, b);
             stack[sp - 1] = asr(stack[sp - 1], b);
             break;
         case OP_NEG:
-            stack[sp - 1] = (i64)(0 - (u64)stack[sp - 1]);
+            if (UNLIKELY(stack[sp - 1] == INT64_MIN)) HANDBACK(E_OVF, 0);
+            stack[sp - 1] = -stack[sp - 1];
             break;
         case OP_NOT:
             stack[sp - 1] = stack[sp - 1] ? 0 : 1;
@@ -1326,7 +1379,7 @@ static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
             break;
         case OP_SEXT: {
             b = stack[--sp];
-            if (b < 1 || b > 63) { st->err = E_SHIFT; st->err_a = b; return -1; }
+            if (UNLIKELY(b < 1 || b > 63)) HANDBACK(E_SHIFT, b);
             u64 m = (1ULL << b) - 1;
             u64 v = (u64)stack[sp - 1] & m;
             stack[sp - 1] = (v >> (b - 1)) & 1
@@ -1335,7 +1388,7 @@ static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
         }
         case OP_ZEXT:
             b = stack[--sp];
-            if (b < 0 || b > 63) { st->err = E_SHIFT; st->err_a = b; return -1; }
+            if (UNLIKELY(b < 0 || b > 63)) HANDBACK(E_SHIFT, b);
             stack[sp - 1] = (i64)((u64)stack[sp - 1] & ((1ULL << b) - 1));
             break;
         case OP_S32: {
@@ -1345,16 +1398,20 @@ static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
         }
         case OP_BIT:
             b = stack[--sp];
-            if (b < 0) { st->err = E_SHIFT; st->err_a = b; return -1; }
+            if (UNLIKELY(b < 0)) HANDBACK(E_SHIFT, b);
             stack[sp - 1] = (asr(stack[sp - 1], b)) & 1;
             break;
         case OP_BITS: {
             i64 hi = stack[--sp];
             i64 lo = stack[--sp];
             i64 width = hi - lo + 1;
-            if (lo < 0 || width < 1) { st->err = E_SHIFT; st->err_a = lo; return -1; }
+            if (UNLIKELY(lo < 0 || width < 1)) HANDBACK(E_SHIFT, lo);
+            a = asr(stack[sp - 1], lo);
+            /* 64 or more bits of a negative value: a positive result
+             * of 64 bits or more. */
+            if (UNLIKELY(width >= 64 && a < 0)) HANDBACK(E_OVF, width);
             u64 m = width >= 64 ? ~0ULL : (1ULL << width) - 1;
-            stack[sp - 1] = (i64)((u64)asr(stack[sp - 1], lo) & m);
+            stack[sp - 1] = (i64)((u64)a & m);
             break;
         }
         case OP_POPCOUNT:
@@ -1370,18 +1427,20 @@ static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
             break;
         case OP_ABS:
             a = stack[sp - 1];
-            stack[sp - 1] = a < 0 ? (i64)(0 - (u64)a) : a;
+            if (UNLIKELY(a == INT64_MIN)) HANDBACK(E_OVF, 0);
+            stack[sp - 1] = a < 0 ? -a : a;
             break;
         case OP_IDIV:
             b = stack[--sp];
             a = stack[sp - 1];
-            if (b == 0) { st->err = E_DIV0; return -1; }
-            stack[sp - 1] = b == -1 ? (i64)(0 - (u64)a) : a / b;
+            if (UNLIKELY(b == 0)) HANDBACK(E_DIV0, 0);
+            if (UNLIKELY(b == -1 && a == INT64_MIN)) HANDBACK(E_OVF, b);
+            stack[sp - 1] = a / b;
             break;
         case OP_IMOD:
             b = stack[--sp];
             a = stack[sp - 1];
-            if (b == 0) { st->err = E_DIV0; return -1; }
+            if (UNLIKELY(b == 0)) HANDBACK(E_DIV0, 0);
             stack[sp - 1] = b == -1 ? 0 : a %% b;
             break;
         case OP_UMUL32:
@@ -1393,7 +1452,7 @@ static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
             b = stack[--sp];
             if (b == 0) { stack[sp - 1] = 0; break; }
             u64 ub = (u64)b & M32;
-            if (ub == 0) { st->err = E_DIV0; return -1; }
+            if (UNLIKELY(ub == 0)) HANDBACK(E_DIV0, b);
             stack[sp - 1] = (i64)((((u64)stack[sp - 1] & M32) / ub) & M32);
             break;
         }
@@ -1413,28 +1472,34 @@ static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
             stack[sp - 1] = h_cc_br(stack[sp - 1], b);
             break;
         case OP_MEM_R8:
-            if (mem_read(st, stack[sp - 1], 1, &stack[sp - 1])) return -1;
+            if (UNLIKELY(mem_read(st, stack[sp - 1], 1, &stack[sp - 1])))
+                goto handback;
             break;
         case OP_MEM_R16:
-            if (mem_read(st, stack[sp - 1], 2, &stack[sp - 1])) return -1;
+            if (UNLIKELY(mem_read(st, stack[sp - 1], 2, &stack[sp - 1])))
+                goto handback;
             break;
         case OP_MEM_R32:
-            if (mem_read(st, stack[sp - 1], 4, &stack[sp - 1])) return -1;
+            if (UNLIKELY(mem_read(st, stack[sp - 1], 4, &stack[sp - 1])))
+                goto handback;
             break;
         case OP_MEM_W8:
             b = stack[--sp];
             a = stack[--sp];
-            if (mem_write(st, a, 1, b)) return -1;
+            if (UNLIKELY(mem_write(st, a, 1, b)))
+                goto handback;
             break;
         case OP_MEM_W16:
             b = stack[--sp];
             a = stack[--sp];
-            if (mem_write(st, a, 2, b)) return -1;
+            if (UNLIKELY(mem_write(st, a, 2, b)))
+                goto handback;
             break;
         case OP_MEM_W32:
             b = stack[--sp];
             a = stack[--sp];
-            if (mem_write(st, a, 4, b)) return -1;
+            if (UNLIKELY(mem_write(st, a, 4, b)))
+                goto handback;
             break;
         case OP_STAT_RETIRE:
             a = stack[--sp];
@@ -1447,9 +1512,7 @@ static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
         case OP_STAT_COUNT:
             b = stack[--sp];
             a = stack[--sp];
-            if (a < 0 || a >= NCOUNTERS) {
-                st->err = E_COUNTER; st->err_a = a; return -1;
-            }
+            if (UNLIKELY(a < 0 || a >= NCOUNTERS)) HANDBACK(E_COUNTER, a);
             st->counters[a] += b;
             st->cdirty[a] = 1;
             break;
@@ -1477,22 +1540,30 @@ static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
             return -1;
         }
     }
+  handback:
+    st->r_action = p->action;
+    st->r_shape = p->shape;
+    st->r_pc = pc;
+    st->r_sp = sp0;
+    memcpy(st->r_stack, stack, sp0 * sizeof(i64));
+    memcpy(st->r_loc, loc, sizeof(loc));
+    return -1;
 }
 
 /* -- chain walker ------------------------------------------------------- */
 
 void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
-    i64 steps = 0, actions = 0, links = 0;
+    i64 steps = 0, actions = 0, links = 0, i = 0;
     st->err = 0;
+    st->r_pc = -1;
     Chain *ch = st->chains[cid];
-    ex->slot = 0;
     if (!ch) {
         st->err = E_BADOP;
         goto err;
     }
     for (;;) {
         st->nconsumed = 0;
-        i64 i = 0;
+        i = 0;
         while (i < ch->n) {
             int k = ch->kinds[i];
             if (k == K_ACTION) {
@@ -1541,6 +1612,7 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
               out:
                 ex->err = E_NONE;
                 ex->cid = cid;
+                ex->slot = i;
                 ex->end_ix = end_ix;
                 ex->steps = steps;
                 ex->actions = actions;
@@ -1589,9 +1661,11 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
       next_step: ;
     }
   err:
-    ex->code = X_ERR;
+    /* A body handed back resumes in Python at slot i of chain cid. */
+    ex->code = st->r_pc >= 0 ? X_RESUME : X_ERR;
     ex->err = st->err;
     ex->cid = cid;
+    ex->slot = i;
     ex->end_ix = -1;
     ex->steps = steps;
     ex->actions = actions;
@@ -1641,6 +1715,12 @@ class _StPrefix(ctypes.Structure):
         ("cdirty", ctypes.c_ubyte * NCOUNTERS),
         ("consumed", ctypes.c_longlong * MAX_CONSUMED),
         ("nconsumed", ctypes.c_longlong),
+        ("r_action", ctypes.c_longlong),
+        ("r_shape", ctypes.c_longlong),
+        ("r_pc", ctypes.c_longlong),
+        ("r_sp", ctypes.c_longlong),
+        ("r_stack", ctypes.c_longlong * VM_STACK),
+        ("r_loc", ctypes.c_longlong * VM_LOCALS),
     ]
 
 
@@ -1892,7 +1972,9 @@ class BodyTable:
     every chain that needs the same body.  Shape ids and the extern
     numbering baked into the programs live here too, so every engine's
     kernel reads the same ids.  Engines copy the programs they need
-    into their own kernel state."""
+    into their own kernel state; a body the kernel hands back resumes
+    in :func:`~repro.facile.replay_ir.interpret_body` on the same
+    program (:meth:`body`)."""
 
     def __init__(self, compiled):
         self.compiled = compiled
@@ -1900,9 +1982,10 @@ class BodyTable:
         # Placeholder shape strings ('i'/'o' per value) and their ids.
         self.shapes: list[str] = []
         self._shape_ids: dict[str, int] = {}
-        # (action, shape id) -> (code bytes, length, is_verify), or the
-        # (reason, span) of a refusal.
+        # (action, shape id) -> (code bytes, length, is_verify) and its
+        # BodyProgram, or the (reason, span) of a refusal.
         self._programs: dict[tuple[int, int], tuple] = {}
+        self._bodies: dict[tuple[int, int], object] = {}
         self._refused: dict[tuple[int, int], tuple] = {}
         #: Bodies compiled and verified (or refused) in this process.
         self.compiled_count = 0
@@ -1945,10 +2028,17 @@ class BodyTable:
         except Unlowerable as exc:
             self._refused[(num, shape)] = (str(exc), exc.span)
             raise
+        register_extern_table(body, self.externs)
         prog = (array("q", body.code).tobytes(), len(body.code),
                 int(is_verify))
         self._programs[(num, shape)] = prog
+        self._bodies[(num, shape)] = body
         return prog
+
+    def body(self, num: int, shape: int):
+        """The :class:`~repro.facile.replay_ir.BodyProgram` behind
+        :meth:`program` (which compiled it)."""
+        return self._bodies[(num, shape)]
 
 
 def body_table(compiled) -> BodyTable:
@@ -2004,6 +2094,8 @@ class CReplayBackend:
         self.bodies_registered = 0
         self.runs = 0
         self.python_fallbacks = 0
+        # Bodies the kernel handed back, by reason (E_* name).
+        self.handbacks: dict[str, int] = {}
         # Why-not provenance: refusal reason -> count for unlowerable
         # chains, and extern name -> reason for Python-callback externs.
         self.unlowerable_reasons: dict[str, int] = {}
@@ -2600,24 +2692,71 @@ class CReplayBackend:
             ctx.in_fast = False
         engine.stats.actions_replayed += total_actions
         code = ex.code
-        if code == X_ERR:
-            self._sync_out(ctx)
+        self._sync_out(ctx)
+        if code == X_ERR or code == X_RESUME:
+            # A page the callback could not supply also hands its body
+            # back; its exception wins.
             exc = self._extern_exc
             self._extern_exc = None
             if exc is not None:
                 raise exc
+            if code == X_RESUME:
+                return self._resume(ex, total_steps)
             name = E_NAMES[ex.err] if 0 <= ex.err < len(E_NAMES) else ex.err
             raise SimulationError(
                 f"C replay kernel error {name} (chain {ex.cid}, "
                 f"detail {st.err_a})"
             )
-        self._sync_out(ctx)
         if code == X_MISS:
             consumed = [st.consumed[i] for i in range(st.nconsumed)]
             cstats.misses_verify += 1
             engine._recover(self._entries[ex.cid], consumed)
             return None, total_steps
         return self._entries[ex.cid].packed.ends[ex.end_ix], total_steps
+
+    def _resume(self, ex, steps: int):
+        """On an X_RESUME exit (the context already synced out): run the
+        handed-back body on from the op the kernel stopped at, in the
+        spec interpreter with unbounded ints, then finish the step on
+        the Python packed loop.  Returns :meth:`run_entry`'s result."""
+        st = self._st
+        engine = self.engine
+        ctx = engine.ctx
+        name = E_NAMES[ex.err]
+        self.handbacks[name] = self.handbacks.get(name, 0) + 1
+        entry = self._entries[ex.cid]
+        chain = entry.packed
+        if chain.knums is None:
+            build_replay_view(chain)
+        i = ex.slot
+        body = self.bodies.body(st.r_action, st.r_shape)
+        consumed = st.consumed[:st.nconsumed]
+        ctx.in_fast = True
+        try:
+            value = interpret_body(
+                body, ctx, ctx.S, chain.datavals[i], pc=st.r_pc - 2,
+                stack=st.r_stack[:st.r_sp], locals_=st.r_loc[:VM_LOCALS],
+            )
+        finally:
+            ctx.in_fast = False
+        engine.stats.actions_replayed += 1
+        if chain.knums[i] >= 0:
+            i += 1
+        else:
+            # A verify body: follow its value as the packed loop does.
+            value = freeze(value)
+            consumed.append(value)
+            sx = chain.sux[i]
+            if sx.__class__ is dict:
+                i = sx.get(value)
+            else:
+                i = i + 1 if sx == value else None
+            if i is None:
+                engine.cache.stats.misses_verify += 1
+                engine._recover(entry, consumed)
+                return None, steps
+        end, n = engine._fast_step_packed(entry, 1, i, consumed)
+        return end, steps + n
 
     # -- reporting -------------------------------------------------------
 
@@ -2629,7 +2768,8 @@ class CReplayBackend:
         ``links_in_python`` the step boundaries :meth:`_link` resolved;
         ``bodies_compiled`` the bodies this simulator's table compiled
         in this process (``bodies_registered`` counts the copies into
-        this engine's kernel)."""
+        this engine's kernel); ``handbacks`` the bodies the kernel
+        handed back to the spec interpreter, by reason."""
         return {
             "chains_lowered": self.chains_lowered,
             "chains_unlowerable": self.chains_unlowerable,
@@ -2640,6 +2780,7 @@ class CReplayBackend:
             "values_mirrored": self.lib.ffc_mirrored(self._st_p),
             "runs": self.runs,
             "python_fallbacks": self.python_fallbacks,
+            "handbacks": dict(self.handbacks),
             "externs": self.extern_counts(),
             "unlowerable_reasons": dict(self.unlowerable_reasons),
             "extern_whynot": dict(self.extern_whynot),

@@ -107,7 +107,7 @@ CODES: dict[str, CodeInfo] = _registry([
     ("FAC402", ERROR, "malformed replay-IR bytecode"),
     ("FAC403", ERROR, "replay-IR operand-kind violation"),
     ("FAC404", ERROR, "replay-IR operand or index out of range"),
-    ("FAC405", WARNING, "provably divergent 64-bit semantics between backends"),
+    ("FAC405", WARNING, "op the C kernel hands back to the Python spec on every run"),
     ("FAC410", INFO, "action body stays on the Python replay backend"),
     ("FAC411", INFO, "extern stays on the Python callback path"),
     ("FAC501", WARNING, "uarch model array state missing from state_arrays()"),
@@ -148,7 +148,7 @@ CODE_EXAMPLES: dict[str, str] = {
     "FAC402": "jump target 7 misaligned or out of range",
     "FAC403": "object placeholder used in computation",
     "FAC404": "slot index 91 outside [0, 64)",
-    "FAC405": "x << 64  // kernel raises E_SHIFT, Python keeps shifting",
+    "FAC405": "x << 64  // kernel hands the body back, Python keeps shifting",
     "FAC410": "log_value(pc);  // host-object traffic, chain stays Python",
     "FAC411": "extern bound to a model the native registry cannot match",
     "FAC501": "self.table = array('q', ...) not listed in state_arrays()",

@@ -223,6 +223,10 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
                 f"{ns['runs']:,} kernel runs, "
                 f"{ns['python_fallbacks']:,} python fallbacks"
             )
+            if ns["handbacks"]:
+                lines.append("    bodies handed back to the spec: " + ", ".join(
+                    f"{name} ×{n:,}"
+                    for name, n in sorted(ns["handbacks"].items())))
             # Why-not provenance: each distinct Unlowerable reason the
             # verifier/lowering gate recorded, with occurrence counts.
             for reason, n in sorted(ns["unlowerable_reasons"].items())[:8]:

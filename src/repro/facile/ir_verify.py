@@ -13,13 +13,14 @@ compiler".  Until now that guarantee was only implicit in
   local definite-initialization, operand-kind discipline (an ``'o'``
   placeholder may only flow into ``STORE_SLOT_OBJ``), jump-target
   sanity (forward-only, instruction-aligned), slot/placeholder/local
-  index bounds, i64 constant range, and a 64-bit semantics audit that
-  flags *provable* divergence between the C kernel (guarded, wrapping)
-  and :func:`~repro.facile.replay_ir.interpret_body` (unbounded Python
-  ints): constant shift amounts outside ``[0, 63]``, constant zero
+  index bounds, i64 constant range, and an audit that flags the ops
+  the C kernel provably cannot compute as
+  :func:`~repro.facile.replay_ir.interpret_body` (unbounded Python
+  ints) does, so it hands the body back to that interpreter every time
+  it runs: constant shift amounts outside ``[0, 63]``, constant zero
   divisors, constant counter keys outside the kernel's table.
-* :func:`wrap_census` — which C-guarded / wrapping operations a body
-  uses at all (``repro check`` reports the aggregate per file).
+* :func:`wrap_census` — which C-guarded / overflow-checked operations
+  a body uses at all (``repro check`` reports the aggregate per file).
 * :func:`assert_lowerable` — the gate the C backend calls on each body
   before registering it with the kernel: any error-severity finding
   raises :class:`~repro.facile.replay_ir.Unlowerable`, so a bad program
@@ -96,12 +97,12 @@ _EFFECT = {
     OP_HALT: (0, 0),
 }
 
-#: Ops where the C kernel guards (E_SHIFT/E_DIV0/E_COUNTER) what
-#: Python computes unbounded — the audit census.
+#: Ops where the C kernel guards an operand (E_SHIFT/E_DIV0/E_COUNTER)
+#: that Python takes unbounded — the audit census.
 GUARDED_OPS = (OP_SHL, OP_SHR, OP_IDIV, OP_IMOD, OP_UDIV32, OP_STAT_COUNT)
-#: Ops the C kernel evaluates with wrapping u64 arithmetic where
-#: interpret_body uses unbounded Python ints (agreement holds because
-#: generated bodies keep values in i64; the census makes usage visible).
+#: Ops whose result can leave i64 (the kernel checks them and hands the
+#: body back, E_OVF) or that wrap to 32 bits in both backends; the
+#: census makes usage visible.
 WRAPPING_OPS = (OP_ADD, OP_SUB, OP_MUL, OP_NEG, OP_SHL,
                 OP_UMUL32, OP_CC_ADD, OP_CC_SUB)
 
@@ -360,7 +361,7 @@ class _Verify:
                 return
 
     def _audit_consts(self, op, operands, pc) -> None:
-        """Flag provable C-vs-Python divergence on constant operands."""
+        """Flag constant operands the kernel always hands back."""
         if not operands:
             return
         top = operands[-1]
@@ -369,23 +370,25 @@ class _Verify:
         c = top[1]
         if op == OP_SHL and not 0 <= c <= 63:
             self.bad("FAC405", pc,
-                     f"shift amount {c}: the kernel raises E_SHIFT where "
-                     "Python computes an unbounded shift")
+                     f"shift amount {c}: the kernel hands the body back "
+                     "(E_SHIFT) every time; Python computes an unbounded "
+                     "shift")
         elif op == OP_SHR and c < 0:
             self.bad("FAC405", pc,
-                     f"shift amount {c}: the kernel raises E_SHIFT where "
-                     "Python computes an unbounded shift")
+                     f"shift amount {c}: the kernel hands the body back "
+                     "(E_SHIFT) every time; Python raises ValueError")
         elif op in (OP_IDIV, OP_IMOD, OP_UDIV32) and c == 0:
             self.bad("FAC405", pc,
-                     "constant zero divisor: the kernel raises E_DIV0 "
-                     "where Python raises ZeroDivisionError mid-replay")
+                     "constant zero divisor: the kernel hands the body "
+                     "back (E_DIV0) and Python raises ZeroDivisionError "
+                     "mid-replay")
         elif op == OP_STAT_COUNT:
             key = operands[0][1]
             if key is not None and not 0 <= key < KERNEL_NCOUNTERS:
                 self.bad("FAC405", pc,
                          f"counter key {key} outside the kernel table "
-                         f"[0, {KERNEL_NCOUNTERS}): the kernel raises "
-                         "E_COUNTER where Python counts it")
+                         f"[0, {KERNEL_NCOUNTERS}): the kernel hands the "
+                         "body back (E_COUNTER) every time; Python counts it")
 
 
 def verify_body(prog: BodyProgram, *, n_slots: int | None = None,
@@ -393,8 +396,8 @@ def verify_body(prog: BodyProgram, *, n_slots: int | None = None,
     """Abstractly interpret one body program; returns all findings.
 
     Error-severity findings (FAC401–FAC404) mean the program must not
-    reach the C emitter; FAC405 warnings mark provable 64-bit semantics
-    divergence between the backends.
+    reach the C emitter; FAC405 warnings mark ops the kernel provably
+    hands back to the Python spec every time they run.
     """
     return _Verify(prog, n_slots, externs).run()
 

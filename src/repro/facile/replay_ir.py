@@ -539,7 +539,9 @@ def compile_body(num: int, body_lines: list[str], shapes: str,
 # ---------------------------------------------------------------------------
 
 
-def interpret_body(prog: BodyProgram, ctx, S: list, data: tuple) -> Any:
+def interpret_body(prog: BodyProgram, ctx, S: list, data: tuple,
+                   pc: int = 0, stack: list | None = None,
+                   locals_: list | None = None) -> Any:
     """Execute one body program with ordinary Python semantics.
 
     ``data`` is the record's placeholder tuple (raw values, exactly
@@ -549,6 +551,10 @@ def interpret_body(prog: BodyProgram, ctx, S: list, data: tuple) -> Any:
     the C kernel must agree with it on every lowerable body — the test
     suite checks the former exhaustively and the golden runs the
     latter.
+
+    ``pc``, ``stack`` and ``locals_`` resume a body part-way through:
+    the C kernel hands a body back at an op it cannot compute in i64,
+    with its operand stack and locals as they were before that op.
     """
     from .builtins import (
         bit, bits, cc_add, cc_branch_taken, cc_logic, cc_sub, popcount,
@@ -557,12 +563,13 @@ def interpret_body(prog: BodyProgram, ctx, S: list, data: tuple) -> Any:
     from .codegen import idiv, imod
 
     code = prog.code
-    stack: list = []
+    if stack is None:
+        stack = []
     push = stack.append
     pop = stack.pop
-    locals_ = [0] * (prog.n_locals or 1)
+    if locals_ is None:
+        locals_ = [0] * (prog.n_locals or 1)
     mem = ctx.mem
-    pc = 0
     while True:
         op = code[pc]
         arg = code[pc + 1]

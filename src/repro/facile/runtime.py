@@ -1543,7 +1543,8 @@ class FastForwardEngine:
     # -- fast path -------------------------------------------------------
 
     def _fast_step_packed(
-        self, entry: CacheEntry, budget: int
+        self, entry: CacheEntry, budget: int, start: int = 0,
+        consumed: list | None = None,
     ) -> tuple[EndRecord | None, int]:
         """Replay through the flat-packed streams: an index-threaded,
         bytecode-style loop over the parallel arrays — no per-record
@@ -1558,6 +1559,11 @@ class FastForwardEngine:
         None when a verify miss ended the run — the missed step has
         already recovered through the slow engine and is not counted in
         ``steps_done``.
+
+        ``start`` and ``consumed`` begin the first step part-way through:
+        at slot ``start``, with the verify values the step has consumed
+        so far.  The C backend finishes a step whose body it handed back
+        this way (it never runs under the profiler).
         """
         if self.action_profile is not None:
             return self._fast_step_packed_profiled(entry)
@@ -1573,6 +1579,9 @@ class FastForwardEngine:
         replayed = 0
         links = 0
         end: EndRecord | None = None
+        i = start
+        if consumed is None:
+            consumed = []
         ctx.in_fast = True
         try:
             while True:
@@ -1586,8 +1595,6 @@ class FastForwardEngine:
                     nums = chain.knums
                 datavals = chain.datavals
                 sux = chain.sux
-                consumed: list = []
-                i = 0
                 while True:
                     num = nums[i]
                     if num >= 0:
@@ -1626,6 +1633,8 @@ class FastForwardEngine:
                     break
                 entry = nxt
                 links += 1
+                consumed = []
+                i = 0
         finally:
             ctx.in_fast = False
             if links:

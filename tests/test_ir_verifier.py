@@ -452,34 +452,24 @@ class TestKernelFuzzParity:
         assert outs[0] == outs[1]
 
 
-#: ROADMAP item 1, pinned so it shows on every run: the kernel computes
-#: in wrapping 64-bit arithmetic where the spec's integers are
-#: unbounded, so a value that overflows inside a kernel run diverges.
-#: Fixing item 1 removes these marks.
-_WRAPS_64 = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1: the C kernel wraps 64-bit intermediates "
-    "that the Python spec keeps unbounded",
-)
-
-
 @requires_cc
 @pytest.mark.parametrize("expr", [
-    pytest.param("(((x*x)+x) / ((((x+x)+x)&7)+1))", marks=_WRAPS_64),
-    pytest.param("(((x + (x + x)) < (x + (x * x))) * 3)", marks=_WRAPS_64),
-    pytest.param("((((x*x)*x) >> 70) & 7)", marks=_WRAPS_64),
-    # Drawn by TestKernelFuzzParity: C -4597383177734899256 and
-    # -1620285085078521180, Python 32296104969684203976 and
-    # 53719947136050133668.
-    pytest.param("((x + x) + ((x + x) * (x >> 3)))", marks=_WRAPS_64),
-    pytest.param("((x + x) * (x / (((x + x) & 7) + 1)))", marks=_WRAPS_64),
-    # Control: ``out`` itself outgrows i64, so the kernel refuses to
-    # mirror it and those calls replay in Python, which agrees.
+    "(((x*x)+x) / ((((x+x)+x)&7)+1))",
+    "(((x + (x + x)) < (x + (x * x))) * 3)",
+    "((((x*x)*x) >> 70) & 7)",
+    # Drawn by TestKernelFuzzParity when the kernel still wrapped: C
+    # -4597383177734899256 and -1620285085078521180, Python
+    # 32296104969684203976 and 53719947136050133668.
+    "((x + x) + ((x + x) * (x >> 3)))",
+    "((x + x) * (x / (((x + x) & 7) + 1)))",
+    # ``out`` itself outgrows i64, so the kernel refuses to mirror it
+    # and those calls replay in Python.
     "(x*x*x)",
 ])
 def test_known_overflow_divergence(expr):
-    """``TestKernelFuzzParity``'s program, run 24 steps per backend."""
+    """``TestKernelFuzzParity``'s program, run 24 steps per backend: an
+    intermediate that leaves i64 hands its body back to the spec
+    interpreter, after the body's two extern calls ran in the kernel."""
     from repro.facile import FastForwardEngine
     from repro.facile.compiler import compile_source
 
@@ -506,7 +496,114 @@ def test_known_overflow_divergence(expr):
             sim, ctx, replay_backend=backend, trace_jit=False)
         engine.run(max_steps=24)
         outs[backend] = ctx.read_global("out")
+        if backend == "c" and expr != "(x*x*x)":
+            assert engine._cnative.handbacks.get("E_OVF", 0) > 0, (
+                engine._cnative.summary())
     assert outs["c"] == outs["python"]
+
+
+#: Extern results at the edges the kernel checks: products near 2^32
+#: and 2^63 (3037000499**2 fits in i64, 3037000500**2 does not) and
+#: values near +-2^63.
+_EDGES = [
+    0, 1, -1, 7, 3037000499, 3037000500, -3037000500, 1 << 31,
+    (1 << 32) - 1, 1 << 32, 1 << 62, -(1 << 62),
+    (1 << 63) - 1, -(1 << 63), (1 << 63) - 2, -(1 << 63) + 1,
+]
+
+# One statement per guarded op; each overflows i64 on some pair of
+# edges.  The last two are dynamic result tests, so the value that
+# leaves i64 is a verify body's.
+_EDGE_STMTS = [
+    "out = (out * 31 + (x + y)) % 1000000007;",
+    "out = (out * 31 + (x - y)) % 1000000007;",
+    "out = (out * 31 + x * y) % 1000000007;",
+    "out = (out * 31 + -x) % 1000000007;",
+    "out = (out * 31 + abs(x)) % 1000000007;",
+    "out = (out * 31 + (x << (y & 63))) % 1000000007;",
+    "out = (out * 31 + x / (y | 1)) % 1000000007;",
+    "out = (out * 31 + x?bits(0, 63 + (y & 1))) % 1000000007;",
+    "if (x * y > x) { out = out + 1; }",
+    "if (x + y > 0) { out = out + 1; }",
+]
+
+
+EDGE_FP = "ed" * 32
+
+
+def _edge_sim(stmt):
+    """The edge program for ``stmt`` and its externs: step ``pc`` reads
+    the pair ``(_EDGES[pc // n], _EDGES[pc % n])``."""
+    from repro.facile.compiler import compile_source
+
+    n = len(_EDGES)
+    sim = compile_source(f"""
+    val init = 0;
+    val out = 0;
+    extern xv(1);
+    extern yv(1);
+    fun main(pc) {{
+      val x = xv(pc);
+      val y = yv(pc);
+      {stmt}
+      init = (pc + 1) % {n * n};
+    }}
+    """).simulator
+    externs = {
+        "xv": lambda pc: _EDGES[pc // n],
+        "yv": lambda pc: _EDGES[pc % n],
+    }
+    return sim, externs
+
+
+def _edge_run(sim, externs, backend, steps, snapshot=None):
+    from repro.facile import FastForwardEngine
+
+    ctx = sim.make_context(externs)
+    ctx.write_global("init", 0)
+    engine = FastForwardEngine(
+        sim, ctx, replay_backend=backend, trace_jit=False)
+    if snapshot is not None:
+        assert engine.load_snapshot(str(snapshot), EDGE_FP).hit
+    engine.run(max_steps=steps)
+    return engine
+
+
+@requires_cc
+@pytest.mark.parametrize("stmt", _EDGE_STMTS)
+def test_kernel_edge_values_agree(stmt):
+    """Every pair of edges, recorded once and replayed once per
+    backend: the kernel hands each overflowing body back and ends with
+    the spec's ``out``."""
+    from repro.facile.inspect import cache_summary
+
+    sim, externs = _edge_sim(stmt)
+    steps = 2 * len(_EDGES) ** 2
+    py = _edge_run(sim, externs, "python", steps)
+    c = _edge_run(sim, externs, "c", steps)
+    native = c._cnative
+    assert c.backend_status["active"] == "c"
+    assert native.chains_unlowerable == 0, native.summary()
+    assert native.handbacks, native.summary()
+    assert "handed back to the spec: E_OVF" in cache_summary(c.cache, c)
+    assert c.ctx.read_global("out") == py.ctx.read_global("out")
+
+
+@requires_cc
+@pytest.mark.parametrize("stmt", [_EDGE_STMTS[2], _EDGE_STMTS[8]])
+def test_kernel_edge_values_agree_warm(stmt, tmp_path):
+    """The same pairs replayed by an engine warm-started from a
+    snapshot: the handed-back body's chain has no replay view until the
+    hand-back builds it."""
+    sim, externs = _edge_sim(stmt)
+    steps = len(_EDGES) ** 2
+    snap = tmp_path / "edges.facsnap"
+    _edge_run(sim, externs, "c", steps).save_snapshot(str(snap), EDGE_FP)
+    py = _edge_run(sim, externs, "python", steps)
+    c = _edge_run(sim, externs, "c", steps, snapshot=snap)
+    assert c.stats.steps_slow == 0
+    assert c._cnative.handbacks.get("E_OVF", 0) > 0, c._cnative.summary()
+    assert c.ctx.read_global("out") == py.ctx.read_global("out")
 
 
 # ---------------------------------------------------------------------------
