@@ -35,8 +35,8 @@ def main() -> None:
         return out, time.perf_counter() - start
 
     ref, t_ref = timed("ref", run_reference, program)
-    fast, t_fast = timed("fastsim", run_fastsim, program, memoize=True)
-    fast_plain, t_fp = timed("fastsim-", run_fastsim, program, memoize=False)
+    fast, t_fast = timed("fastsim", run_fastsim, program, memoized=True)
+    fast_plain, t_fp = timed("fastsim-", run_fastsim, program, memoized=False)
     facile, t_fac = timed("facile", run_facile_ooo, program, memoized=True)
     facile_plain, t_fcp = timed("facile-", run_facile_ooo, program, memoized=False)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from ..facile.runtime import RunStats
 from ..isa.program import Program
 from ..ooo.facile_ooo import run_facile_ooo
 from ..ooo.fastsim import run_fastsim
@@ -33,7 +34,8 @@ class Measurement:
     seconds: float
     retired: int
     cycles: int
-    # Fast-forwarding statistics (zero for non-memoizing simulators).
+    # Fast-forwarding statistics (a non-memoizing simulator takes every
+    # step slow).
     retired_fast: int = 0
     steps_fast: int = 0
     steps_slow: int = 0
@@ -70,62 +72,34 @@ def measure(
     """Run `program` to completion on the named simulator configuration."""
     start = time.perf_counter()
     if simulator == "simplescalar":
-        sim = run_reference(program, max_cycles=max_cycles)
-        elapsed = time.perf_counter() - start
-        return Measurement(
-            workload_name, simulator, elapsed, sim.stats.retired, sim.stats.cycles
-        )
-    if simulator in ("fastsim", "fastsim-nomemo"):
-        sim = run_fastsim(
-            program,
-            memoize=simulator == "fastsim",
-            max_cycles=max_cycles,
-            memo_limit_bytes=cache_limit_bytes,
-        )
-        elapsed = time.perf_counter() - start
-        return Measurement(
-            workload_name,
-            simulator,
-            elapsed,
-            sim.stats.retired,
-            sim.stats.cycles,
-            retired_fast=sim.retired_fast,
-            steps_fast=sim.mstats.cycles_fast,
-            steps_slow=sim.mstats.cycles_slow,
-            steps_recovered=sim.mstats.cycles_recovered,
-            memo_bytes=sim.mstats.bytes_cumulative,
-            memo_bytes_current=sim.mstats.bytes_estimate,
-            memo_clears=sim.mstats.clears,
-        )
-    if simulator in ("facile", "facile-nomemo"):
-        memoized = simulator == "facile"
-        run = run_facile_ooo(
-            program,
-            memoized=memoized,
-            max_steps=max_cycles,
-            cache_limit_bytes=cache_limit_bytes,
-        )
-        elapsed = time.perf_counter() - start
-        if memoized:
-            cache_stats = run.engine.cache.stats
-            return Measurement(
-                workload_name,
-                simulator,
-                elapsed,
-                run.stats.retired,
-                run.stats.cycles,
-                retired_fast=run.retired_fast,
-                steps_fast=run.run_stats.steps_fast,
-                steps_slow=run.run_stats.steps_slow,
-                steps_recovered=run.run_stats.steps_recovered,
-                memo_bytes=cache_stats.bytes_cumulative,
-                memo_bytes_current=cache_stats.bytes_current,
-                memo_clears=cache_stats.clears,
-            )
-        return Measurement(
-            workload_name, simulator, elapsed, run.stats.retired, run.stats.cycles
-        )
-    raise ValueError(f"unknown simulator {simulator!r}")
+        run = run_reference(program, max_cycles=max_cycles)
+    elif simulator in ("fastsim", "fastsim-nomemo"):
+        run = run_fastsim(program, max_cycles=max_cycles,
+                          memoized=simulator == "fastsim",
+                          cache_limit_bytes=cache_limit_bytes)
+    elif simulator in ("facile", "facile-nomemo"):
+        run = run_facile_ooo(program, max_steps=max_cycles,
+                             memoized=simulator == "facile",
+                             cache_limit_bytes=cache_limit_bytes)
+    else:
+        raise ValueError(f"unknown simulator {simulator!r}")
+    elapsed = time.perf_counter() - start
+    r = run.report
+    steps = r.steps or RunStats()
+    return Measurement(
+        workload_name,
+        simulator,
+        elapsed,
+        r.retired,
+        r.stats.cycles,
+        retired_fast=r.retired_fast,
+        steps_fast=steps.steps_fast,
+        steps_slow=steps.steps_slow,
+        steps_recovered=steps.steps_recovered,
+        memo_bytes=r.memo_bytes,
+        memo_bytes_current=r.memo_bytes_current,
+        memo_clears=r.clears,
+    )
 
 
 def harmonic_mean_coverage(values: list[float]) -> tuple[float, int, int]:

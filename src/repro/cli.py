@@ -12,14 +12,16 @@ Commands
 
 ``run FILE.s``
     Assemble and simulate a SPARC-lite program on the golden model, the
-    Facile functional simulator, or one of the pipeline models.
+    Facile functional simulator, or one of the pipeline models, and
+    print the run's report.  Exits 1 when the program does not halt
+    within the simulator's step budget.
 
 ``minic FILE.c``
     Compile a minic program (optionally print the generated assembly)
     and run it, showing the ``out()`` buffer.
 
 ``workloads``
-    List or run the SPEC95-analogue workloads.
+    List or run the SPEC95-analogue workloads (exit status as ``run``).
 
 ``check FILE.fac ...``
     Run the static-analysis passes (batched diagnostics, BTA-soundness
@@ -34,8 +36,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 
 from .facile import compile_source
+from .facile.run import REPLAY_BACKENDS, RunConfig
 from .isa.assembler import assemble
 from .isa.disasm import disassemble_program
 from .isa.simulate import run_facile_functional, run_golden
@@ -96,150 +100,38 @@ def _cmd_asm(args: argparse.Namespace) -> int:
 
 
 _RUNNERS = {
-    "golden": lambda p, a: run_golden(p),
-    "functional": lambda p, a: run_facile_functional(
-        p, memoized=not a.plain, trace_jit=a.trace_jit,
-        trace_threshold=a.trace_threshold,
-        cache_limit_bytes=a.cache_limit,
-        cache_dir=a.cache_dir, cache_load=a.cache_load, cache_save=a.cache_save,
-        replay_backend=a.replay_backend, profile=a.profile,
-    ),
-    "inorder": lambda p, a: run_facile_inorder(
-        p, memoized=not a.plain, trace_jit=a.trace_jit,
-        trace_threshold=a.trace_threshold,
-        cache_limit_bytes=a.cache_limit,
-        cache_dir=a.cache_dir, cache_load=a.cache_load, cache_save=a.cache_save,
-        replay_backend=a.replay_backend, profile=a.profile,
-    ),
-    "inorder-ref": lambda p, a: run_inorder(p),
-    "ooo": lambda p, a: run_facile_ooo(
-        p, memoized=not a.plain, trace_jit=a.trace_jit,
-        trace_threshold=a.trace_threshold,
-        cache_limit_bytes=a.cache_limit,
-        cache_dir=a.cache_dir, cache_load=a.cache_load, cache_save=a.cache_save,
-        replay_backend=a.replay_backend, profile=a.profile,
-    ),
-    "ooo-ref": lambda p, a: run_reference(p),
-    "ooo-fastsim": lambda p, a: run_fastsim(
-        p, memoize=not a.plain,
-        memo_limit_bytes=a.cache_limit,
-        cache_dir=a.cache_dir, cache_load=a.cache_load, cache_save=a.cache_save,
-        replay_backend=a.replay_backend,
-    ),
+    "golden": lambda p, s: run_golden(p),
+    "functional": lambda p, s: run_facile_functional(p, settings=s),
+    "inorder": lambda p, s: run_facile_inorder(p, settings=s),
+    "inorder-ref": lambda p, s: run_inorder(p),
+    "ooo": lambda p, s: run_facile_ooo(p, settings=s),
+    "ooo-ref": lambda p, s: run_reference(p),
+    "ooo-fastsim": lambda p, s: run_fastsim(p, settings=s),
 }
 
 
-def _report_run(kind: str, result, elapsed: float) -> None:
-    if kind == "golden":
-        print(f"retired {result.instret:,} instructions in {elapsed:.2f}s "
-              f"({result.instret / max(elapsed, 1e-9) / 1000:.1f} kips)")
-        return
-    stats = getattr(result, "stats", None)
-    if stats is not None and hasattr(stats, "cycles") and getattr(stats, "cycles", 0):
-        print(f"cycles {stats.cycles:,}  retired {stats.retired:,}  "
-              f"IPC {stats.retired / max(1, stats.cycles):.2f}")
-        if hasattr(stats, "branches"):
-            print(f"branches {stats.branches:,} ({stats.mispredicts:,} mispredicted), "
-                  f"loads {stats.loads:,}, stores {stats.stores:,}")
-    retired = getattr(result, "retired", None) or getattr(
-        getattr(result, "stats", None), "retired", 0
-    )
-    print(f"host time {elapsed:.2f}s ({retired / max(elapsed, 1e-9) / 1000:.1f} kips)")
-    if hasattr(result, "run_stats") and result.run_stats is not None:
-        rs = result.run_stats
-        if getattr(rs, "steps_total", 0):
-            print(f"steps: {rs.steps_total:,} total, {rs.steps_fast:,} fast, "
-                  f"{rs.steps_slow:,} slow, {rs.steps_recovered:,} recovered")
-    engine = getattr(result, "engine", None)
-    # Replay backend status (printed whenever a non-default backend was
-    # requested; the CI smoke greps for "replay backend: ...").
-    bstat = getattr(engine, "backend_status", None) or getattr(
-        result, "backend_status", None
-    )
-    if bstat is not None and (
-        bstat["requested"] != "python" or bstat["active"] != "python"
-    ):
-        if bstat["active"] == "c":
-            # Only the Facile engines have a C path (FastSim degrades).
-            ns = engine._cnative.summary()
-            print(f"replay backend: c "
-                  f"(kernel ready in {bstat['compile_ms']:.1f} ms; "
-                  f"{ns['chains_lowered']:,} chains lowered, "
-                  f"{ns['runs']:,} kernel runs, "
-                  f"{ns['python_fallbacks']:,} python fallbacks)")
-            by_name = ns["externs"]
-            n_native = sum(c["native"] for c in by_name.values())
-            n_python = sum(c["python"] for c in by_name.values())
-            detail = ", ".join(
-                f"{name} {c['native']:,}/{c['python']:,}"
-                for name, c in sorted(by_name.items())
-            )
-            print(f"externs: {n_native:,} native / {n_python:,} python"
-                  + (f" ({detail})" if detail else ""))
-        else:
-            print(f"replay backend: python "
-                  f"(requested {bstat['requested']}: {bstat['reason']})")
-    manager = getattr(engine, "traces", None)
-    if manager is not None and manager.stats.traces_compiled:
-        agg = manager.aggregate()
-        print(f"traces: {manager.stats.traces_compiled} compiled "
-              f"({manager.stats.traces_invalidated} invalidated), "
-              f"{agg['steps']:,} steps replayed in {agg['calls']:,} calls, "
-              f"{agg['side_exits']:,} side exits")
-    cstats = getattr(getattr(engine, "cache", None), "stats", None) or getattr(
-        result, "mstats", None
-    )
-    if cstats is not None and cstats.clears:
-        print(f"cache: {cstats.clears} clears")
-    if cstats is not None and getattr(cstats, "packs", 0):
-        pool = getattr(getattr(engine, "cache", None), "pool", None) or getattr(
-            result, "pool", None
-        )
-        line = (f"flat pack: {cstats.packs:,} packs, "
-                f"{cstats.unpacks:,} unpacks")
-        if pool is not None:
-            hit_rate = 100 * pool.hits / max(1, pool.hits + pool.misses)
-            line += (f"; intern pool {pool.bytes_live:,} bytes live, "
-                     f"{hit_rate:.1f}% hit rate, "
-                     f"{pool.bytes_saved:,} bytes saved")
-        print(line)
-    # Snapshot outcome lines (the CI smoke greps for "snapshot: hit").
-    holder = engine if engine is not None else result
-    load = getattr(holder, "snapshot_load", None)
-    if load is not None:
-        if load.hit:
-            shared = getattr(cstats, "bytes_shared", 0) if cstats else 0
-            native = getattr(engine, "_cnative", None)
-            warm = ""
-            if native is not None:
-                ns = native.summary()
-                warm = (f"; {ns['chains_registered_at_load']:,} chains "
-                        f"registered at load, {ns['links_in_python']:,} "
-                        f"links in python, {ns['bodies_compiled']:,} "
-                        f"bodies compiled")
-            print(f"snapshot: hit — {load.entries:,} entries, "
-                  f"{load.pool_values:,} pool values, "
-                  f"{load.file_bytes:,} file bytes "
-                  f"({shared:,} bytes still mmap-shared){warm}")
-        else:
-            print(f"snapshot: miss ({load.reason}) — cold start")
-    save = getattr(holder, "snapshot_save", None)
-    if save is not None:
-        if save.hit:
-            print(f"snapshot: saved {save.entries:,} entries "
-                  f"({save.file_bytes:,} bytes) to {save.path}")
-        else:
-            print(f"snapshot: {save.reason}")
+def run_config(args: argparse.Namespace) -> RunConfig:
+    """The run settings the ``run``/``workloads`` flags name: each flag
+    stores into the :class:`RunConfig` field of its name."""
+    flags = vars(args)
+    return RunConfig(**{f.name: flags[f.name] for f in fields(RunConfig)
+                        if f.name in flags})
+
+
+def _simulate(program, args: argparse.Namespace) -> int:
+    """Run ``program`` on the chosen simulator and print its report;
+    exit status 1 when it did not halt within its budget."""
+    settings = run_config(args)
+    start = time.perf_counter()
+    result = _RUNNERS[args.sim](program, settings)
+    elapsed = time.perf_counter() - start
+    report = result.report
+    print("\n".join(report.lines(elapsed)))
+    return 0 if report.halted else 1
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    program = assemble(open(args.file).read())
-    runner = _RUNNERS[args.sim]
-    start = time.perf_counter()
-    result = runner(program, args)
-    elapsed = time.perf_counter() - start
-    _report_run(args.sim, result, elapsed)
-    return 0
+    return _simulate(assemble(open(args.file).read()), args)
 
 
 def _cmd_minic(args: argparse.Namespace) -> int:
@@ -315,13 +207,7 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
         for w in WORKLOADS.values():
             print(f"{w.name:<10} {w.category:<5} {w.description}")
         return 0
-    program = build_cached(args.name, args.scale)
-    runner = _RUNNERS[args.sim]
-    start = time.perf_counter()
-    result = runner(program, args)
-    elapsed = time.perf_counter() - start
-    _report_run(args.sim, result, elapsed)
-    return 0
+    return _simulate(build_cached(args.name, args.scale), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="assemble and simulate a SPARC-lite program")
     p.add_argument("file")
     p.add_argument("--sim", choices=sorted(_RUNNERS), default="golden")
-    p.add_argument("--plain", action="store_true", help="disable memoization")
-    _add_trace_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("minic", help="compile and run a minic program")
@@ -388,16 +273,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", help="workload to run (omit to list)")
     p.add_argument("--scale", type=int, default=None)
     p.add_argument("--sim", choices=sorted(_RUNNERS), default="ooo")
-    p.add_argument("--plain", action="store_true")
-    _add_trace_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_workloads)
     return parser
 
 
-def _add_trace_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The :class:`RunConfig` flags, with its defaults."""
+    p.add_argument(
+        "--plain", dest="memoized", action="store_false",
+        default=RunConfig.memoized, help="disable memoization",
+    )
     g = p.add_mutually_exclusive_group()
     g.add_argument(
-        "--trace-jit", dest="trace_jit", action="store_true", default=True,
+        "--trace-jit", dest="trace_jit", action="store_true",
+        default=RunConfig.trace_jit,
         help="compile hot replay chains to superblocks (default)",
     )
     g.add_argument(
@@ -405,42 +295,40 @@ def _add_trace_flags(p: argparse.ArgumentParser) -> None:
         help="replay through the interpreter only",
     )
     p.add_argument(
-        "--trace-threshold", type=int, default=64, metavar="N",
-        help="replays before a chain is promoted to a trace (default 64)",
+        "--trace-threshold", type=int, default=RunConfig.trace_threshold,
+        metavar="N",
+        help="replays before a chain is promoted to a trace "
+        "(default %(default)s)",
     )
     p.add_argument(
-        "--cache-limit", type=int, default=None, metavar="BYTES",
+        "--cache-limit", dest="cache_limit_bytes", type=int,
+        default=RunConfig.cache_limit_bytes, metavar="BYTES",
         help="action-cache byte budget; the whole cache is cleared when "
         "it is exceeded (paper §6.2; default: unlimited, the paper uses "
         "256 MB)",
     )
     p.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
+        "--cache-dir", default=RunConfig.cache_dir, metavar="DIR",
         help="content-addressed snapshot store: load a warm action "
         "cache for this (simulator × workload) pair if present, and "
         "save the cache back after the run",
     )
     p.add_argument(
-        "--cache-load", default=None, metavar="FILE",
+        "--cache-load", default=RunConfig.cache_load, metavar="FILE",
         help="load the action cache from a specific snapshot file "
         "(overrides the --cache-dir load path)",
     )
     p.add_argument(
-        "--cache-save", default=None, metavar="FILE",
+        "--cache-save", default=RunConfig.cache_save, metavar="FILE",
         help="save the action cache to a specific snapshot file after "
         "the run (overrides the --cache-dir save path)",
     )
     p.add_argument(
-        "--replay-backend", choices=("python", "c"), default="python",
+        "--replay-backend", choices=REPLAY_BACKENDS,
+        default=RunConfig.replay_backend,
         help="packed-chain replay backend: the Python loop (default) or "
         "a C kernel compiled once per process, degrading to Python "
         "when no C compiler is available",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="count fast-engine executions per action (hot-action "
-        "analysis); forces the interpreter tiers, so traces and the C "
-        "replay kernel are bypassed for the run",
     )
 
 

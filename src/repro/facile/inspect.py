@@ -143,8 +143,8 @@ def _successors(chain, i: int) -> list[tuple]:
 def cache_summary(cache: ActionCache, engine=None) -> str:
     """Aggregate statistics plus a path-shape census of the cache.
 
-    With ``engine`` (a :class:`FastForwardEngine`), also reports the
-    active replay backend, the C-kernel compile status, and the native
+    With ``engine`` (a :class:`FastForwardEngine`), also renders its
+    report's replay backend, C-kernel compile status, and native
     lowering/dispatch counters."""
     stats = cache.stats
     n_forks = 0
@@ -195,8 +195,9 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
             f"{n_shared} still mmap-backed, "
             f"{stats.snapshot_rejected} snapshots rejected"
         )
-    bstat = getattr(engine, "backend_status", None)
-    if bstat is not None:
+    if engine is not None:
+        report = engine.report
+        bstat = report.backend
         if bstat["active"] == "c":
             lines.append(
                 f"  replay backend:   c (kernel ready in "
@@ -209,9 +210,8 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
             )
         else:
             lines.append("  replay backend:   python")
-        native = getattr(engine, "_cnative", None)
-        if native is not None:
-            ns = native.summary()
+        ns = report.native
+        if ns is not None:
             lines.append(
                 f"  native replay:    {ns['chains_lowered']:,} chains "
                 f"lowered ({ns['chains_unlowerable']:,} unlowerable, "
@@ -223,14 +223,7 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
                 f"{ns['runs']:,} kernel runs, "
                 f"{ns['python_fallbacks']:,} python fallbacks"
             )
-            if ns["handbacks"]:
-                lines.append("    bodies handed back to the spec: " + ", ".join(
-                    f"{name} ×{n:,}"
-                    for name, n in sorted(ns["handbacks"].items())))
-            # Why-not provenance: each distinct Unlowerable reason the
-            # verifier/lowering gate recorded, with occurrence counts.
-            for reason, n in sorted(ns["unlowerable_reasons"].items())[:8]:
-                lines.append(f"    unlowerable ×{n}: {reason}")
+            lines += [f"    {line}" for line in report.declined()]
             by_name = ns["externs"]
             n_native = sum(c["native"] for c in by_name.values())
             n_python = sum(c["python"] for c in by_name.values())

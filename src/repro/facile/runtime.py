@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Any, Callable
+
+from .run import RunConfig, RunReport
 
 
 class SimulationError(Exception):
@@ -1210,6 +1212,16 @@ class CompiledSimulator:
         return ctx
 
 
+def _counted(num: int, fn: Callable, counts: Counter) -> Callable:
+    """Action function ``fn``, counting each call under ``num``."""
+
+    def counted(ctx, S, data):
+        counts[num] += 1
+        return fn(ctx, S, data)
+
+    return counted
+
+
 class FastForwardEngine:
     """The two-engine driver: fast replay with slow fallback (Figure 1).
 
@@ -1227,17 +1239,15 @@ class FastForwardEngine:
         self,
         compiled: CompiledSimulator,
         ctx: SimContext,
-        cache_limit_bytes: int | None = None,
-        index_links: bool = True,
-        trace_jit: bool = True,
-        trace_threshold: int = 64,
-        replay_backend: str = "python",
+        settings: RunConfig | None = None,
+        **fields: Any,
     ):
         from .tracecomp import TraceManager
 
+        settings = RunConfig.of(settings, **fields)
         self.compiled = compiled
         self.ctx = ctx
-        self.cache = ActionCache(limit_bytes=cache_limit_bytes)
+        self.cache = ActionCache(limit_bytes=settings.cache_limit_bytes)
         self.memoizer = Memoizer(self.cache)
         # Dispatch table for the packed replay loop: a bare list of
         # action functions (verify-ness is encoded in the stream sign,
@@ -1246,14 +1256,14 @@ class FastForwardEngine:
         self.stats = RunStats()
         # The paper's INDEX_ACTION chaining; disable to force a full
         # cache lookup at every step boundary (ablation).
-        self.index_links = index_links
+        self.index_links = settings.index_links
         # The trace-compilation tier.  Needs action bodies from the
         # code generator; simulators built before that existed (or by
         # hand in tests) silently fall back to the interpreter.
         self.traces: TraceManager | None = None
-        if trace_jit and compiled.action_bodies:
+        if settings.trace_jit and compiled.action_bodies:
             self.traces = TraceManager(
-                compiled, self.cache, threshold=trace_threshold
+                compiled, self.cache, threshold=settings.trace_threshold
             )
         # Optional per-action replay counts; enable with profile().
         self.action_profile: Counter[int] | None = None
@@ -1265,14 +1275,12 @@ class FastForwardEngine:
         # ``active == "python"`` with a reason, never a hard failure).
         self._cnative = None
         self.backend_status = {
-            "requested": replay_backend,
+            "requested": settings.replay_backend,
             "active": "python",
             "reason": "",
             "compile_ms": 0.0,
         }
-        if replay_backend not in ("python", "c"):
-            raise ValueError(f"unknown replay backend {replay_backend!r}")
-        if replay_backend == "c":
+        if settings.replay_backend == "c":
             self._init_cbackend()
 
     def _init_cbackend(self) -> None:
@@ -1330,24 +1338,57 @@ class FastForwardEngine:
         """Count fast-engine executions per action number (hot-action
         analysis; see repro.facile.inspect.hot_actions).
 
-        Compiled traces do no per-record bookkeeping, so while
-        profiling is enabled the driver bypasses trace execution and
-        suspends promotion: every replay goes through the interpreter
-        and is attributed per action.  Call before :meth:`run`.
+        Enabling swaps the replay loop's action functions for counting
+        wrappers, and disabling restores the plain ones, so the one
+        packed loop serves both.  Compiled traces do no per-record
+        bookkeeping, so while profiling is enabled the driver bypasses
+        trace execution and suspends promotion: every replay goes
+        through the packed loop and is attributed per action.  Call
+        before :meth:`run`.
 
         The C replay kernel is bypassed for the same reason, and the
         downgrade is surfaced in ``backend_status`` so run reports say
         why a "c" request executed on the interpreter.
         """
-        self.action_profile = Counter() if enabled else None
-        status = getattr(self, "backend_status", None)
-        if status is not None and status["requested"] == "c":
-            if enabled and self._cnative is not None:
-                status["active"] = "python"
-                status["reason"] = "profiling forces the interpreter tiers"
-            elif not enabled and self._cnative is not None:
-                status["active"] = "c"
-                status["reason"] = ""
+        fns = [fn for fn, _ in self.compiled.fast_actions]
+        if enabled:
+            counts: Counter[int] = Counter()
+            fns = [_counted(num, fn, counts) for num, fn in enumerate(fns)]
+            self.action_profile = counts
+        else:
+            self.action_profile = None
+        self._action_fns = fns
+        if self._cnative is not None:
+            status = self.backend_status
+            status["active"] = "python" if enabled else "c"
+            status["reason"] = (
+                "profiling forces the interpreter tiers" if enabled else ""
+            )
+
+    @property
+    def report(self) -> RunReport:
+        """The run so far, read off this engine's counters."""
+        ctx, cs, pool = self.ctx, self.cache.stats, self.cache.pool
+        traces = None
+        if self.traces is not None:
+            ts = self.traces.stats
+            traces = {"compiled": ts.traces_compiled,
+                      "invalidated": ts.traces_invalidated,
+                      **self.traces.aggregate()}
+        native = self._cnative
+        return RunReport(
+            retired=ctx.retired_total, halted=ctx.halted,
+            retired_fast=ctx.retired_fast, steps=replace(self.stats),
+            backend=dict(self.backend_status),
+            native=None if native is None else native.summary(),
+            traces=traces, clears=cs.clears, packs=cs.packs,
+            unpacks=cs.unpacks, memo_bytes=cs.bytes_cumulative,
+            memo_bytes_current=cs.bytes_current,
+            bytes_shared=cs.bytes_shared,
+            pool=(pool.bytes_live, pool.hits, pool.misses, pool.bytes_saved),
+            snapshot_load=self.snapshot_load,
+            snapshot_save=self.snapshot_save,
+        )
 
     def _freeze_key(self, raw) -> tuple:
         # When init is written by a flush action the stored value is
@@ -1391,14 +1432,9 @@ class FastForwardEngine:
         threshold = traces.threshold if traces is not None else 0
         # Packed replay may chain across step boundaries inside one
         # call (absorbing the per-step driver overhead) only when no
-        # other tier needs per-step control: no trace promotion, no
-        # profiling, and identity-trustworthy likely-next links.
-        chain_steps = (
-            traces is None
-            and self.action_profile is None
-            and index_links
-            and id_links
-        )
+        # other tier needs per-step control: no trace promotion, and
+        # identity-trustworthy likely-next links.
+        chain_steps = traces is None and index_links and id_links
         # The C replay backend, when active.  Profiling needs per-action
         # attribution, so it forces the interpreter tiers.  Kernel-side
         # link chaining is sound on the same terms as Python chaining
@@ -1554,8 +1590,8 @@ class FastForwardEngine:
 
         Runs up to ``budget`` completed steps, following likely-next
         links across step boundaries while they keep holding (the
-        driver passes budget 1 when the trace tier or the profiler
-        needs per-step control).  Returns ``(end, steps_done)``; end is
+        driver passes budget 1 when the trace tier needs per-step
+        control).  Returns ``(end, steps_done)``; end is
         None when a verify miss ended the run — the missed step has
         already recovered through the slow engine and is not counted in
         ``steps_done``.
@@ -1563,10 +1599,8 @@ class FastForwardEngine:
         ``start`` and ``consumed`` begin the first step part-way through:
         at slot ``start``, with the verify values the step has consumed
         so far.  The C backend finishes a step whose body it handed back
-        this way (it never runs under the profiler).
+        this way.
         """
-        if self.action_profile is not None:
-            return self._fast_step_packed_profiled(entry)
         ctx = self.ctx
         S = ctx.S
         fns = self._action_fns
@@ -1643,66 +1677,6 @@ class FastForwardEngine:
         self.stats.actions_replayed += replayed
         return end, steps_done
 
-    def _fast_step_packed_profiled(
-        self, entry: CacheEntry
-    ) -> tuple[EndRecord | None, int]:
-        """Single-step packed replay with per-action profile counting.
-
-        Profiling forces budget-1 dispatch (the driver needs per-step
-        control), so this variant skips the chaining machinery and the
-        hot loop above stays free of per-slot profile checks."""
-        ctx = self.ctx
-        S = ctx.S
-        fns = self._action_fns
-        _freeze = freeze
-        prof = self.action_profile
-        endmark = ENDMARK
-        replayed = 0
-        chain = entry.packed
-        nums = chain.knums
-        if nums is None:
-            build_replay_view(chain)
-            nums = chain.knums
-        datavals = chain.datavals
-        sux = chain.sux
-        consumed: list = []
-        i = 0
-        ctx.in_fast = True
-        try:
-            while True:
-                num = nums[i]
-                if num >= 0:
-                    prof[num] += 1
-                    fns[num](ctx, S, datavals[i])
-                    replayed += 1
-                    i += 1
-                    continue
-                if num != endmark:
-                    num = ~num
-                    prof[num] += 1
-                    value = _freeze(fns[num](ctx, S, datavals[i]))
-                    replayed += 1
-                    consumed.append(value)
-                    sx = sux[i]
-                    if sx.__class__ is dict:
-                        j = sx.get(value)
-                        if j is not None:
-                            i = j
-                            continue
-                    elif sx == value:
-                        i += 1
-                        continue
-                    self.cache.stats.misses_verify += 1
-                    self.stats.actions_replayed += replayed
-                    self._recover(entry, consumed)
-                    return None, 0
-                end = sux[i]
-                break
-        finally:
-            ctx.in_fast = False
-        self.stats.actions_replayed += replayed
-        return end, 1
-
     def _recover(self, entry: CacheEntry, results: list) -> None:
         # Recovery appends a fresh successor chain to a verify record of
         # this entry, so any compiled trace whose comparison ladder was
@@ -1743,6 +1717,13 @@ class PlainEngine:
         if self.compiled.param_count > 1:
             return value
         return (value,)
+
+    @property
+    def report(self) -> RunReport:
+        """The run so far, read off this engine's counters."""
+        ctx = self.ctx
+        return RunReport(retired=ctx.retired_total, halted=ctx.halted,
+                         steps=replace(self.stats))
 
     def run(self, max_steps: int | None = None) -> RunStats:
         ctx = self.ctx

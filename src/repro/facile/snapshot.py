@@ -79,7 +79,7 @@ import pathlib
 import struct
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from operator import not_
 from typing import Any
@@ -934,7 +934,6 @@ class WarmStart:
     fingerprint: str
     save_path: str | None
     load_info: SnapshotInfo | None = None
-    save_info: SnapshotInfo | None = field(default=None)
     stamp: tuple = ()
 
     def finish(self) -> SnapshotInfo | None:
@@ -951,7 +950,6 @@ class WarmStart:
                 and self.target.snapshot_stamp() == self.stamp):
             info = SnapshotInfo(path=str(self.save_path), reason=UNCHANGED)
             self.target.snapshot_save = info
-            self.save_info = info
             return info
         try:
             info = self.target.save_snapshot(self.save_path, self.fingerprint)
@@ -960,7 +958,6 @@ class WarmStart:
                 path=self.save_path, hit=False, reason=f"save failed: {exc}"
             )
             self.target.snapshot_save = info
-        self.save_info = info
         return info
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..facile.builtins import cc_add, cc_branch_taken, cc_logic, cc_sub
+from ..facile.run import RunReport
 from ..facile.runtime import Memory
 from . import sparclite as S
 from .program import Program
@@ -145,6 +146,11 @@ class FunctionalSim:
         self.npc = new_npc
         self.instret += 1
         return info
+
+    @property
+    def report(self) -> RunReport:
+        """The golden run, read off its counters."""
+        return RunReport(retired=self.instret, halted=self.halted)
 
     def run(self, max_steps: int = 1_000_000) -> int:
         steps = 0

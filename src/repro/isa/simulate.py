@@ -7,9 +7,11 @@ These are the building blocks the benchmarks and tests share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from ..facile import CompilationResult, FastForwardEngine, PlainEngine, compile_source
+from ..facile import CompilationResult, compile_source
+from ..facile.run import RunConfig, RunReport
+from ..facile.snapshot import engine_fingerprint
 from .facile_src import functional_sim_source
 from .funcsim import FunctionalSim
 from .program import Program
@@ -30,6 +32,10 @@ class FunctionalRun:
     regs: list[int]
     halted: bool
 
+    @cached_property
+    def report(self) -> RunReport:
+        return self.engine.report
+
 
 def _prepare_context(sim, program: Program):
     ctx = sim.make_context()
@@ -41,40 +47,19 @@ def _prepare_context(sim, program: Program):
 
 def run_facile_functional(
     program: Program,
-    memoized: bool = True,
     max_steps: int = 1_000_000,
-    cache_limit_bytes: int | None = None,
-    trace_jit: bool = True,
-    trace_threshold: int = 64,
-    cache_dir=None,
-    cache_load=None,
-    cache_save=None,
-    replay_backend: str = "python",
-    profile: bool = False,
+    settings: RunConfig | None = None,
+    **fields,
 ) -> FunctionalRun:
     """Run a program to completion on the Facile functional simulator."""
+    settings = RunConfig.of(settings, **fields)
     compiled = compiled_functional_sim().simulator
     ctx = _prepare_context(compiled, program)
-    warm = None
-    if memoized:
-        engine = FastForwardEngine(
-            compiled, ctx, cache_limit_bytes=cache_limit_bytes,
-            trace_jit=trace_jit, trace_threshold=trace_threshold,
-            replay_backend=replay_backend,
-        )
-        if profile:
-            engine.profile(True)
-        from ..facile.snapshot import engine_fingerprint, warm_start
-
-        warm = warm_start(
-            engine, engine_fingerprint(compiled, program),
-            cache_dir=cache_dir, cache_load=cache_load, cache_save=cache_save,
-        )
-    else:
-        engine = PlainEngine(compiled, ctx)
-    stats = engine.run(max_steps=max_steps)
-    if warm is not None:
-        warm.finish()
+    engine = settings.engine(compiled, ctx)
+    stats = settings.drive(
+        engine, lambda: engine_fingerprint(compiled, program),
+        lambda: engine.run(max_steps=max_steps),
+    )
     return FunctionalRun(
         ctx=ctx,
         engine=engine,

@@ -173,6 +173,16 @@ class OooStats:
     def ipc(self) -> float:
         return self.retired / self.cycles if self.cycles else 0.0
 
+    @classmethod
+    def of_context(cls, ctx) -> OooStats:
+        """The counts a compiled Facile pipeline model keeps in ``ctx``
+        (its counters 0-3: loads, stores, branches, mispredicts)."""
+        counts = ctx.counters
+        return cls(cycles=ctx.cycles, retired=ctx.retired_total,
+                   branches=counts.get("2", 0),
+                   mispredicts=counts.get("3", 0),
+                   loads=counts.get("0", 0), stores=counts.get("1", 0))
+
 
 def default_uarch(config: MachineConfig):
     """Fresh (cache, predictor) pair for one simulation run."""

@@ -14,10 +14,12 @@ resolutions are dynamic result tests, exactly as in the OOO simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
-from ..facile import CompilationResult, FastForwardEngine, PlainEngine, compile_source
+from ..facile import CompilationResult, compile_source
+from ..facile.run import RunConfig, RunReport
+from ..facile.snapshot import engine_fingerprint
 from ..isa import sparclite as S
 from ..isa.facile_src import isa_declarations
 from ..isa.program import Program
@@ -183,13 +185,15 @@ class InOrderRun:
     stats: C.OooStats
     halted: bool
 
+    @cached_property
+    def report(self) -> RunReport:
+        return replace(self.engine.report, stats=self.stats)
+
 
 class FacileInOrderSim:
     def __init__(self, program: Program, config: C.MachineConfig | None = None,
-                 memoized: bool = True, trace_jit: bool = True,
-                 trace_threshold: int = 64,
-                 cache_limit_bytes: int | None = None,
-                 replay_backend: str = "python"):
+                 settings: RunConfig | None = None, **fields):
+        self.settings = RunConfig.of(settings, **fields)
         self.config = config or C.MachineConfig()
         self.program = program
         self.compiled = compiled_inorder_sim(self.config).simulator
@@ -209,15 +213,7 @@ class FacileInOrderSim:
         self.ctx.write_global(
             "init", (program.entry, program.entry + 4, 0, ready, 0, 0, 0, 0)
         )
-        if memoized:
-            self.engine = FastForwardEngine(
-                self.compiled, self.ctx,
-                cache_limit_bytes=cache_limit_bytes,
-                trace_jit=trace_jit, trace_threshold=trace_threshold,
-                replay_backend=replay_backend,
-            )
-        else:
-            self.engine = PlainEngine(self.compiled, self.ctx)
+        self.engine = self.settings.engine(self.compiled, self.ctx)
 
     def _externs(self) -> dict:
         def xcache(addr, is_store, wait):
@@ -239,42 +235,15 @@ class FacileInOrderSim:
     def run(self, max_steps: int = 50_000_000) -> InOrderRun:
         run_stats = self.engine.run(max_steps=max_steps)
         ctx = self.ctx
-        stats = C.OooStats(
-            cycles=ctx.cycles,
-            retired=ctx.retired_total,
-            branches=ctx.counters.get("2", 0),
-            mispredicts=ctx.counters.get("3", 0),
-            loads=ctx.counters.get("0", 0),
-            stores=ctx.counters.get("1", 0),
-        )
+        stats = C.OooStats.of_context(ctx)
         return InOrderRun(ctx, self.engine, run_stats, stats, ctx.halted)
 
 
 def run_facile_inorder(
-    program: Program, config: C.MachineConfig | None = None, memoized: bool = True,
-    trace_jit: bool = True, trace_threshold: int = 64,
-    cache_limit_bytes: int | None = None,
-    cache_dir=None, cache_load=None, cache_save=None,
-    replay_backend: str = "python",
-    profile: bool = False,
+    program: Program, config: C.MachineConfig | None = None,
+    settings: RunConfig | None = None, **fields,
 ) -> InOrderRun:
-    sim = FacileInOrderSim(
-        program, config, memoized=memoized,
-        trace_jit=trace_jit, trace_threshold=trace_threshold,
-        cache_limit_bytes=cache_limit_bytes,
-        replay_backend=replay_backend,
+    sim = FacileInOrderSim(program, config, settings, **fields)
+    return sim.settings.drive(
+        sim.engine, lambda: engine_fingerprint(sim.compiled, program), sim.run
     )
-    if profile and hasattr(sim.engine, "profile"):
-        sim.engine.profile(True)
-    warm = None
-    if memoized:
-        from ..facile.snapshot import engine_fingerprint, warm_start
-
-        warm = warm_start(
-            sim.engine, engine_fingerprint(sim.compiled, program),
-            cache_dir=cache_dir, cache_load=cache_load, cache_save=cache_save,
-        )
-    result = sim.run()
-    if warm is not None:
-        warm.finish()
-    return result

@@ -28,10 +28,12 @@ fetch-halt flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
-from ..facile import CompilationResult, FastForwardEngine, PlainEngine, compile_source
+from ..facile import CompilationResult, compile_source
+from ..facile.run import RunConfig, RunReport
+from ..facile.snapshot import engine_fingerprint
 from ..isa.facile_src import isa_declarations
 from ..isa.program import Program
 from . import common as C
@@ -322,6 +324,10 @@ class FacileOooRun:
     def fast_fraction(self) -> float:
         return self.retired_fast / self.stats.retired if self.stats.retired else 0.0
 
+    @cached_property
+    def report(self) -> RunReport:
+        return replace(self.engine.report, stats=self.stats)
+
 
 class FacileOooSim:
     """Driver wiring the compiled Facile OOO simulator to a program and
@@ -331,18 +337,14 @@ class FacileOooSim:
         self,
         program: Program,
         config: C.MachineConfig | None = None,
-        memoized: bool = True,
-        cache_limit_bytes: int | None = None,
         flush_policy: str = "live",
         coalesce: bool = True,
-        index_links: bool = True,
-        trace_jit: bool = True,
-        trace_threshold: int = 64,
-        replay_backend: str = "python",
+        settings: RunConfig | None = None,
+        **fields,
     ):
+        self.settings = RunConfig.of(settings, **fields)
         self.config = config or C.MachineConfig()
         self.program = program
-        self.memoized = memoized
         result = compiled_ooo_sim(self.config, flush_policy=flush_policy, coalesce=coalesce)
         self.compiled = result.simulator
         self.dcache, self.predictor = C.default_uarch(self.config)
@@ -358,18 +360,7 @@ class FacileOooSim:
         program.load_into(self.ctx.mem)
         self.ctx.read_global("R")[14] = program.stack_top
         self.ctx.write_global("init", self._initial_key())
-        if memoized:
-            self.engine = FastForwardEngine(
-                self.compiled,
-                self.ctx,
-                cache_limit_bytes=cache_limit_bytes,
-                index_links=index_links,
-                trace_jit=trace_jit,
-                trace_threshold=trace_threshold,
-                replay_backend=replay_backend,
-            )
-        else:
-            self.engine = PlainEngine(self.compiled, self.ctx)
+        self.engine = self.settings.engine(self.compiled, self.ctx)
 
     def _initial_key(self) -> tuple:
         lw = tuple([-1] * 33)
@@ -398,14 +389,7 @@ class FacileOooSim:
     def run(self, max_steps: int = 10_000_000) -> FacileOooRun:
         run_stats = self.engine.run(max_steps=max_steps)
         ctx = self.ctx
-        stats = C.OooStats(
-            cycles=ctx.cycles,
-            retired=ctx.retired_total,
-            branches=ctx.counters.get("2", 0),
-            mispredicts=ctx.counters.get("3", 0),
-            loads=ctx.counters.get("0", 0),
-            stores=ctx.counters.get("1", 0),
-        )
+        stats = C.OooStats.of_context(ctx)
         return FacileOooRun(
             ctx=ctx,
             engine=self.engine,
@@ -419,43 +403,15 @@ class FacileOooSim:
 def run_facile_ooo(
     program: Program,
     config: C.MachineConfig | None = None,
-    memoized: bool = True,
     max_steps: int = 10_000_000,
-    cache_limit_bytes: int | None = None,
     flush_policy: str = "live",
     coalesce: bool = True,
-    index_links: bool = True,
-    trace_jit: bool = True,
-    trace_threshold: int = 64,
-    cache_dir=None,
-    cache_load=None,
-    cache_save=None,
-    replay_backend: str = "python",
-    profile: bool = False,
+    settings: RunConfig | None = None,
+    **fields,
 ) -> FacileOooRun:
-    sim = FacileOooSim(
-        program,
-        config,
-        memoized=memoized,
-        cache_limit_bytes=cache_limit_bytes,
-        flush_policy=flush_policy,
-        coalesce=coalesce,
-        index_links=index_links,
-        trace_jit=trace_jit,
-        trace_threshold=trace_threshold,
-        replay_backend=replay_backend,
+    sim = FacileOooSim(program, config, flush_policy, coalesce, settings,
+                       **fields)
+    return sim.settings.drive(
+        sim.engine, lambda: engine_fingerprint(sim.compiled, program),
+        lambda: sim.run(max_steps=max_steps),
     )
-    if profile and hasattr(sim.engine, "profile"):
-        sim.engine.profile(True)
-    warm = None
-    if memoized:
-        from ..facile.snapshot import engine_fingerprint, warm_start
-
-        warm = warm_start(
-            sim.engine, engine_fingerprint(sim.compiled, program),
-            cache_dir=cache_dir, cache_load=cache_load, cache_save=cache_save,
-        )
-    result = sim.run(max_steps=max_steps)
-    if warm is not None:
-        warm.finish()
-    return result

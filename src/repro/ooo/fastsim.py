@@ -39,13 +39,15 @@ loops without touching the bookkeeping at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from ..facile.run import RunConfig, RunReport
 from ..facile.runtime import (
     ENDMARK,
     PACKED_SLOT_BYTES,
     InternPool,
     PackedChain,
+    RunStats,
     build_replay_view,
     lane_bytes,
 )
@@ -120,21 +122,19 @@ class _Entry:
 
 
 class FastSimOoo:
-    """The memoizing OOO simulator.  ``memoize=False`` degrades it to a
+    """The memoizing OOO simulator.  ``memoized=False`` degrades it to a
     conventional simulator (the paper's 'without memoization' bars)."""
 
     def __init__(
         self,
         program: Program,
         config: C.MachineConfig | None = None,
-        memoize: bool = True,
-        memo_limit_bytes: int | None = None,
         cache=None,
         predictor=None,
-        replay_backend: str = "python",
+        settings: RunConfig | None = None,
+        **fields,
     ):
-        if replay_backend not in ("python", "c"):
-            raise ValueError(f"unknown replay backend {replay_backend!r}")
+        self.settings = settings = RunConfig.of(settings, **fields)
         self.config = config or C.MachineConfig()
         self.program = program
         default_cache, default_pred = C.default_uarch(self.config)
@@ -146,7 +146,6 @@ class FastSimOoo:
         self.stall = 0
         self.fetch_halted = False
         self.stats = C.OooStats()
-        self.memoize = memoize
         self.pool = InternPool()
         self.memo: dict[tuple, PackedChain] = {}
         # Successors by identity: id(next key) -> (next key, its chain),
@@ -155,7 +154,6 @@ class FastSimOoo:
         # twin of EndRecord.likely_next).  Per process, never billed or
         # saved, and emptied with the memo.
         self._successors: dict[int, tuple] = {}
-        self.memo_limit_bytes = memo_limit_bytes
         self.mstats = MemoStats()
         self.retired_fast = 0
         self._decode_cache: dict[int, S.Decoded] = {}
@@ -169,9 +167,9 @@ class FastSimOoo:
         # cycles: a "c" request degrades to it with a stable reason, in
         # the same report shape as every other backend degrade.
         self.backend_status = {
-            "requested": replay_backend,
+            "requested": settings.replay_backend,
             "active": "python",
-            "reason": FASTSIM_NO_C_REASON if replay_backend == "c" else "",
+            "reason": FASTSIM_NO_C_REASON if settings.replay_backend == "c" else "",
             "compile_ms": 0.0,
         }
 
@@ -218,8 +216,30 @@ class FastSimOoo:
     def done(self) -> bool:
         return self.fetch_halted and not self.window
 
+    @property
+    def report(self) -> RunReport:
+        """The run so far, read off the counters.  A conventional run
+        takes every cycle slow."""
+        m, st, pool = self.mstats, self.stats, self.pool
+        slow = m.cycles_slow if self.settings.memoized else st.cycles
+        return RunReport(
+            retired=st.retired, halted=self.done,
+            retired_fast=self.retired_fast, stats=replace(st),
+            steps=RunStats(m.cycles_fast + slow + m.cycles_recovered,
+                           m.cycles_fast, slow, m.cycles_recovered,
+                           m.events_replayed),
+            backend=dict(self.backend_status), clears=m.clears,
+            packs=m.packs, unpacks=m.unpacks,
+            memo_bytes=m.bytes_cumulative,
+            memo_bytes_current=m.bytes_estimate,
+            bytes_shared=m.bytes_shared,
+            pool=(pool.bytes_live, pool.hits, pool.misses, pool.bytes_saved),
+            snapshot_load=self.snapshot_load,
+            snapshot_save=self.snapshot_save,
+        )
+
     def run(self, max_cycles: int = 10_000_000) -> C.OooStats:
-        if not self.memoize:
+        if not self.settings.memoized:
             while not self.done and self.stats.cycles < max_cycles:
                 self._slow_cycle(None)
             return self.stats
@@ -304,11 +324,9 @@ class FastSimOoo:
 
     def _maybe_reclaim(self) -> None:
         """Clear the whole memo table once it outgrows
-        ``memo_limit_bytes`` (the twin of :meth:`ActionCache.reclaim`)."""
-        if (
-            self.memo_limit_bytes is None
-            or self.mstats.bytes_estimate <= self.memo_limit_bytes
-        ):
+        ``cache_limit_bytes`` (the twin of :meth:`ActionCache.reclaim`)."""
+        limit = self.settings.cache_limit_bytes
+        if limit is None or self.mstats.bytes_estimate <= limit:
             return
         self.memo.clear()
         self._successors.clear()
@@ -745,33 +763,11 @@ class _Recorder:
 def run_fastsim(
     program: Program,
     config: C.MachineConfig | None = None,
-    memoize: bool = True,
     max_cycles: int = 10_000_000,
-    memo_limit_bytes: int | None = None,
-    cache_dir=None,
-    cache_load=None,
-    cache_save=None,
-    replay_backend: str = "python",
+    settings: RunConfig | None = None,
+    **fields,
 ) -> FastSimOoo:
-    sim = FastSimOoo(
-        program,
-        config,
-        memoize=memoize,
-        memo_limit_bytes=memo_limit_bytes,
-        replay_backend=replay_backend,
-    )
-    warm = None
-    if memoize:
-        from ..facile.snapshot import warm_start
-
-        warm = warm_start(
-            sim,
-            sim.snapshot_fingerprint,
-            cache_dir=cache_dir,
-            cache_load=cache_load,
-            cache_save=cache_save,
-        )
-    sim.run(max_cycles)
-    if warm is not None:
-        warm.finish()
+    sim = FastSimOoo(program, config, settings=settings, **fields)
+    sim.settings.drive(sim, lambda: sim.snapshot_fingerprint,
+                       lambda: sim.run(max_cycles))
     return sim

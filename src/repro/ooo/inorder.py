@@ -26,6 +26,7 @@ tables (classic scoreboarding):
 
 from __future__ import annotations
 
+from ..facile.run import RunReport
 from ..isa import sparclite as S
 from ..isa.funcsim import FunctionalSim
 from ..isa.program import Program
@@ -113,6 +114,12 @@ class InOrderSim:
         # Mispredict: stall the front end (reservations keep aging).
         if penalty:
             self._advance(penalty)
+
+    @property
+    def report(self) -> RunReport:
+        """The run, read off its counters."""
+        return RunReport(retired=self.stats.retired, halted=self.func.halted,
+                         stats=self.stats)
 
     def run(self, max_instructions: int = 50_000_000) -> C.OooStats:
         while not self.func.halted and self.stats.retired < max_instructions:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..facile.run import RunReport
 from ..isa import sparclite as S
 from ..isa.funcsim import FunctionalSim
 from ..isa.program import Program
@@ -56,6 +57,12 @@ class ReferenceOooSim:
         self._execute()
         self._issue()
         self._fetch()
+
+    @property
+    def report(self) -> RunReport:
+        """The run, read off its counters."""
+        return RunReport(retired=self.stats.retired, halted=self.done,
+                         stats=self.stats)
 
     def run(self, max_cycles: int = 10_000_000) -> C.OooStats:
         while not self.done and self.stats.cycles < max_cycles:

@@ -1,11 +1,12 @@
 """Tests for the command-line interface."""
 
-import inspect
+import re
 
 import pytest
 
 from repro import cli
 from repro.cli import main
+from repro.facile.run import RunConfig
 
 ASM = """
         set 5, %o0
@@ -73,6 +74,10 @@ class TestAsm:
         assert "loop:" in out
 
 
+#: The simulators that fast-forward through a memo table.
+MEMOIZING = ("functional", "inorder", "ooo", "ooo-fastsim")
+
+
 class TestRun:
     @pytest.mark.parametrize(
         "sim", ["golden", "functional", "inorder", "inorder-ref", "ooo", "ooo-ref", "ooo-fastsim"]
@@ -81,6 +86,18 @@ class TestRun:
         assert main(["run", asm_file, "--sim", sim]) == 0
         out = capsys.readouterr().out
         assert "kips" in out
+        if sim in MEMOIZING:
+            assert "retired" in out
+            assert re.search(r"^steps: ", out, re.M)
+
+    def test_run_cut_off_at_its_budget_fails(self, tmp_path, capsys):
+        """A program still running when the runner's step budget ends
+        is reported as such, and the command fails."""
+        path = tmp_path / "spin.s"
+        path.write_text("loop:   ba loop\n        nop\n        halt\n")
+        assert main(["run", str(path), "--sim", "functional"]) == 1
+        out = capsys.readouterr().out
+        assert "did not halt within 1,000,000 steps" in out
 
     def test_plain_mode(self, asm_file, capsys):
         assert main(["run", asm_file, "--sim", "ooo", "--plain"]) == 0
@@ -140,7 +157,6 @@ class TestCacheLimitDefaults:
         """``--cache-limit`` clears the cache exactly as the runner API
         does with the same ``cache_limit_bytes``, so the CLI and the API
         report the same ``cache:`` line for the same job."""
-        from repro.cli import _report_run
         from repro.ooo.facile_ooo import run_facile_ooo
         from repro.workloads.suite import build_cached
 
@@ -152,8 +168,7 @@ class TestCacheLimitDefaults:
         cli = capsys.readouterr().out.splitlines()
         run = run_facile_ooo(build_cached("compress", 1), cache_limit_bytes=limit)
         assert run.engine.cache.stats.clears > 0
-        _report_run("ooo", run, 1.0)
-        api = capsys.readouterr().out.splitlines()
+        api = run.report.lines()
 
         def cache_lines(lines):
             return [line for line in lines if line.startswith("cache:")]
@@ -163,9 +178,9 @@ class TestCacheLimitDefaults:
 
 
 class TestRunnerDefaults:
-    """With no flags given, every keyword the CLI passes to a runner
-    equals that runner's own default, so the CLI and the API cannot
-    drift apart on a knob."""
+    """With no flags given, the CLI hands every memoizing runner
+    ``RunConfig()``, the one source of each run default, so the CLI and
+    the API cannot drift apart on a knob."""
 
     RUNNERS = {
         "functional": "run_facile_functional",
@@ -176,11 +191,42 @@ class TestRunnerDefaults:
 
     @pytest.mark.parametrize("sim", list(RUNNERS))
     def test_cli_defaults_equal_runner_defaults(self, monkeypatch, sim):
-        name = self.RUNNERS[sim]
-        params = inspect.signature(getattr(cli, name)).parameters
         calls = []
-        monkeypatch.setattr(cli, name, lambda *args, **kw: calls.append(kw))
-        cli._RUNNERS[sim](None, cli.build_parser().parse_args(["workloads"]))
-        [passed] = calls
-        assert passed
-        assert passed == {k: params[k].default for k in passed}
+        monkeypatch.setattr(cli, self.RUNNERS[sim],
+                            lambda program, **kw: calls.append(kw))
+        args = cli.build_parser().parse_args(["workloads", "--sim", sim])
+        cli._RUNNERS[sim](None, cli.run_config(args))
+        assert calls == [{"settings": RunConfig()}]
+
+
+class TestReportParity:
+    """The CLI prints exactly the lines of the run's ``report``, so a
+    run driven through the API explains itself the same way."""
+
+    #: One configuration per memoizing simulator: CLI flags, and the
+    #: same settings as runner keywords.
+    CASES = {
+        "functional": (["--trace-threshold", "4"], {"trace_threshold": 4}),
+        "inorder": (["--no-trace-jit"], {"trace_jit": False}),
+        "ooo": (["--cache-limit", "500000"], {"cache_limit_bytes": 500_000}),
+        "ooo-fastsim": (["--cache-limit", "500000"],
+                        {"cache_limit_bytes": 500_000}),
+    }
+
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    @pytest.mark.parametrize("sim", MEMOIZING)
+    def test_cli_and_api_print_the_same_report(self, capsys, sim, backend):
+        from repro.facile.cbackend import load_kernel
+        from repro.workloads.suite import build_cached
+
+        if backend == "c" and not load_kernel().status.available:
+            pytest.skip("no C compiler")
+        flags, keywords = self.CASES[sim]
+        assert main(["workloads", "compress", "--scale", "1", "--sim", sim,
+                     "--replay-backend", backend, *flags]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith("host time")]
+        runner = getattr(cli, TestRunnerDefaults.RUNNERS[sim])
+        run = runner(build_cached("compress", 1), replay_backend=backend,
+                     **keywords)
+        assert printed == run.report.lines()

@@ -25,7 +25,7 @@ def sig(stats):
 def assert_all_agree(src):
     program = assemble(src)
     ref = run_reference(program)
-    fast = run_fastsim(program, memoize=True)
+    fast = run_fastsim(program, memoized=True)
     facile = run_facile_ooo(program, memoized=True)
     assert sig(ref.stats) == sig(fast.stats), "fastsim diverged"
     assert sig(ref.stats) == sig(facile.stats), "facile diverged"
@@ -64,7 +64,7 @@ class TestAlternatingBranch:
 
     def test_both_paths_recorded_then_replayed(self):
         program = assemble(self.SRC)
-        fast = run_fastsim(program, memoize=True)
+        fast = run_fastsim(program, memoized=True)
         # After warm-up the alternation replays without further misses,
         # because both successor chains exist.
         assert fast.mstats.cycles_fast > fast.mstats.cycles_slow
@@ -109,7 +109,7 @@ class TestAlternatingIndirect:
 
     def test_indirect_forks_replayed(self):
         program = assemble(self.SRC)
-        fast = run_fastsim(program, memoize=True)
+        fast = run_fastsim(program, memoized=True)
         assert fast.mstats.cycles_fast > 0
         assert fast.mstats.misses_check >= 1
 
@@ -144,7 +144,7 @@ class TestCacheLatencyDrift:
 
     def test_recoveries_happen_and_converge(self):
         program = assemble(self.SRC)
-        fast = run_fastsim(program, memoize=True)
+        fast = run_fastsim(program, memoized=True)
         assert fast.mstats.misses_check >= 1
         # Once the cache is warm, the hit-latency paths replay cleanly.
         assert fast.mstats.cycles_fast > fast.mstats.cycles_recovered
@@ -190,15 +190,15 @@ class TestMemoLimitUnderChurn:
     def test_limited_matches_reference(self, limit):
         program = assemble(self.SRC)
         ref = run_reference(program)
-        fast = run_fastsim(program, memoize=True, memo_limit_bytes=limit)
+        fast = run_fastsim(program, memoized=True, cache_limit_bytes=limit)
         assert sig(ref.stats) == sig(fast.stats)
 
     def test_clears_observed(self):
         program = assemble(self.SRC)
-        fast = run_fastsim(program, memoize=True, memo_limit_bytes=4_000)
+        fast = run_fastsim(program, memoized=True, cache_limit_bytes=4_000)
         assert fast.mstats.clears > 0
 
     def test_accounting_leak_free(self):
         program = assemble(self.SRC)
-        fast = run_fastsim(program, memoize=True, memo_limit_bytes=4_000)
+        fast = run_fastsim(program, memoized=True, cache_limit_bytes=4_000)
         assert_memo_billing(fast)

@@ -574,7 +574,7 @@ class TestFastSimFlatPack:
         from repro.ooo.reference import run_reference
 
         program = assemble(self.SRC)
-        packed = run_fastsim(program, memoize=True, **kw)
+        packed = run_fastsim(program, memoized=True, **kw)
         oracle = run_reference(program)
         return packed, oracle
 
@@ -638,7 +638,7 @@ class TestFastSimFlatPack:
     def test_limited_matches_unlimited(self):
         base, oracle = self.run_pair()
         limit = base.mstats.bytes_estimate // 3
-        packed, _ = self.run_pair(memo_limit_bytes=limit)
+        packed, _ = self.run_pair(cache_limit_bytes=limit)
         assert self.sig(packed.stats) == self.sig(base.stats)
         assert self.sig(packed.stats) == self.sig(oracle.stats)
         assert packed.mstats.clears > 0

@@ -85,7 +85,7 @@ def stat_sig(stats):
 
 def run_all_three(program, config=None):
     ref = run_reference(program, config)
-    fast = run_fastsim(program, config, memoize=True)
+    fast = run_fastsim(program, config, memoized=True)
     facile = run_facile_ooo(program, config, memoized=True)
     return ref, fast, facile
 
@@ -112,8 +112,8 @@ class TestCycleExactAgreement:
 
     def test_memoized_equals_nonmemoized(self, src):
         program = assemble(src)
-        memo = run_fastsim(program, memoize=True)
-        plain = run_fastsim(program, memoize=False)
+        memo = run_fastsim(program, memoized=True)
+        plain = run_fastsim(program, memoized=False)
         assert stat_sig(memo.stats) == stat_sig(plain.stats)
         facile_m = run_facile_ooo(program, memoized=True)
         facile_p = run_facile_ooo(program, memoized=False)
@@ -214,7 +214,7 @@ class TestFastForwardingBehaviour:
 
     def test_fastsim_replays_most_cycles(self):
         program = assemble(self.LONG_LOOP)
-        sim = run_fastsim(program, memoize=True)
+        sim = run_fastsim(program, memoized=True)
         assert sim.mstats.cycles_fast > 5 * sim.mstats.cycles_slow
 
     def test_facile_replays_most_cycles(self):
@@ -224,8 +224,8 @@ class TestFastForwardingBehaviour:
 
     def test_fastsim_memo_limit_preserves_results(self):
         program = assemble(LOOP_SRC)
-        limited = run_fastsim(program, memoize=True, memo_limit_bytes=4000)
-        unlimited = run_fastsim(program, memoize=True)
+        limited = run_fastsim(program, memoized=True, cache_limit_bytes=4000)
+        unlimited = run_fastsim(program, memoized=True)
         assert limited.mstats.clears > 0
         assert stat_sig(limited.stats) == stat_sig(unlimited.stats)
 
@@ -253,7 +253,7 @@ class TestWorkloadAgreement:
     def test_three_way_cycle_exact(self, name):
         program = build_cached(name, WORKLOADS[name].test_scale)
         ref = run_reference(program)
-        fast = run_fastsim(program, memoize=True)
+        fast = run_fastsim(program, memoized=True)
         facile = run_facile_ooo(program, memoized=True)
         assert stat_sig(ref.stats) == stat_sig(fast.stats) == stat_sig(facile.stats)
 
@@ -266,6 +266,6 @@ class TestFullMatrixAgreement:
     def test_three_way_cycle_exact(self, name):
         program = build_cached(name, WORKLOADS[name].test_scale)
         ref = run_reference(program)
-        fast = run_fastsim(program, memoize=True)
+        fast = run_fastsim(program, memoized=True)
         facile = run_facile_ooo(program, memoized=True)
         assert stat_sig(ref.stats) == stat_sig(fast.stats) == stat_sig(facile.stats)

@@ -679,7 +679,7 @@ def test_fastsim_successors_never_outlive_a_clear():
     program = build_cached("compress", 1)
     full = run_fastsim(program)
     limited = run_fastsim(program,
-                          memo_limit_bytes=full.mstats.bytes_estimate // 4)
+                          cache_limit_bytes=full.mstats.bytes_estimate // 4)
     assert limited.mstats.clears > 0
     assert limited.stats == full.stats
     assert limited.func.regs == full.func.regs
