@@ -14,7 +14,7 @@ Commands
     Assemble and simulate a SPARC-lite program on the golden model, the
     Facile functional simulator, or one of the pipeline models, and
     print the run's report.  Exits 1 when the program does not halt
-    within the simulator's step budget.
+    within the step budget (``--max-steps``).
 
 ``minic FILE.c``
     Compile a minic program (optionally print the generated assembly)
@@ -39,7 +39,7 @@ import time
 from dataclasses import fields
 
 from .facile import compile_source
-from .facile.run import REPLAY_BACKENDS, RunConfig
+from .facile.run import DEFAULT_MAX_STEPS, REPLAY_BACKENDS, RunConfig
 from .isa.assembler import assemble
 from .isa.disasm import disassemble_program
 from .isa.simulate import run_facile_functional, run_golden
@@ -99,15 +99,33 @@ def _cmd_asm(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Each simulator's runner, given the program, the run settings and
+#: the budget keyword from :func:`_budget`, if any.
 _RUNNERS = {
-    "golden": lambda p, s: run_golden(p),
-    "functional": lambda p, s: run_facile_functional(p, settings=s),
-    "inorder": lambda p, s: run_facile_inorder(p, settings=s),
-    "inorder-ref": lambda p, s: run_inorder(p),
-    "ooo": lambda p, s: run_facile_ooo(p, settings=s),
-    "ooo-ref": lambda p, s: run_reference(p),
-    "ooo-fastsim": lambda p, s: run_fastsim(p, settings=s),
+    "golden": lambda p, s, **b: run_golden(p, **b),
+    "functional": lambda p, s, **b: run_facile_functional(p, settings=s, **b),
+    "inorder": lambda p, s, **b: run_facile_inorder(p, settings=s, **b),
+    "inorder-ref": lambda p, s, **b: run_inorder(p, **b),
+    "ooo": lambda p, s, **b: run_facile_ooo(p, settings=s, **b),
+    "ooo-ref": lambda p, s, **b: run_reference(p, **b),
+    "ooo-fastsim": lambda p, s, **b: run_fastsim(p, settings=s, **b),
 }
+
+#: The budget keyword of each runner that does not call it ``max_steps``.
+_BUDGET_KEYWORDS = {
+    "inorder-ref": "max_instructions",
+    "ooo-ref": "max_cycles",
+    "ooo-fastsim": "max_cycles",
+}
+
+
+def _budget(args: argparse.Namespace) -> dict:
+    """``--max-steps`` as the chosen runner's budget keyword; empty when
+    the flag is not given, so the runner's own default applies."""
+    if args.max_steps is None:
+        return {}
+    sim = getattr(args, "sim", "golden")
+    return {_BUDGET_KEYWORDS.get(sim, "max_steps"): args.max_steps}
 
 
 def run_config(args: argparse.Namespace) -> RunConfig:
@@ -123,7 +141,7 @@ def _simulate(program, args: argparse.Namespace) -> int:
     exit status 1 when it did not halt within its budget."""
     settings = run_config(args)
     start = time.perf_counter()
-    result = _RUNNERS[args.sim](program, settings)
+    result = _RUNNERS[args.sim](program, settings, **_budget(args))
     elapsed = time.perf_counter() - start
     report = result.report
     print("\n".join(report.lines(elapsed)))
@@ -140,7 +158,7 @@ def _cmd_minic(args: argparse.Namespace) -> int:
         print(compiler.assembly())
         return 0
     program = compiler.compile()
-    sim = run_golden(program, max_steps=args.max_steps)
+    sim = run_golden(program, **_budget(args))
     if not sim.halted:
         print("program did not halt within the step budget", file=sys.stderr)
         return 1
@@ -236,13 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="assemble and simulate a SPARC-lite program")
     p.add_argument("file")
     p.add_argument("--sim", choices=sorted(_RUNNERS), default="golden")
+    _add_budget_flag(p)
     _add_run_flags(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("minic", help="compile and run a minic program")
     p.add_argument("file")
     p.add_argument("--emit-asm", action="store_true", help="print generated assembly")
-    p.add_argument("--max-steps", type=int, default=50_000_000)
+    _add_budget_flag(p)
     p.set_defaults(func=_cmd_minic)
 
     p = sub.add_parser("check", help="run static analysis over Facile sources")
@@ -273,9 +292,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", help="workload to run (omit to list)")
     p.add_argument("--scale", type=int, default=None)
     p.add_argument("--sim", choices=sorted(_RUNNERS), default="ooo")
+    _add_budget_flag(p)
     _add_run_flags(p)
     p.set_defaults(func=_cmd_workloads)
     return parser
+
+
+def _add_budget_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--max-steps", type=int, default=None, metavar="N",
+        help="stop a run that has not halted after N steps (cycles for "
+        "the out-of-order models, instructions for inorder-ref; "
+        f"default: the runner's own, {DEFAULT_MAX_STEPS:,}; ooo-ref "
+        "stops at 10,000,000 cycles)",
+    )
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:

@@ -63,6 +63,8 @@ class Division:
     local_like_globals: set[str] = field(default_factory=set)
     assigned_globals: set[str] = field(default_factory=set)
     read_globals: set[str] = field(default_factory=set)
+    # main's parameters a step may change in place (see mutated_params).
+    mutated_params: set[str] = field(default_factory=set)
     sink: DiagnosticSink | None = None
 
     def _report(self, message: str, span: SourceSpan) -> None:
@@ -162,6 +164,7 @@ def analyze_binding_times(flat: FlatMain, sink: DiagnosticSink | None = None) ->
 
     _fixpoint(flat, division)
     _infer_shapes(flat, division)
+    division.mutated_params = mutated_params(flat)
     return division
 
 
@@ -463,6 +466,99 @@ def _infer_shapes(flat: FlatMain, division: Division) -> None:
                 changed = True
     for name in list(division.bt):
         shape.setdefault(name, SHAPE_INT)
+
+
+# -- key parameters a step mutates -------------------------------------------
+
+
+#: Attributes whose result is an element of the base container.
+_ELEMENT_ATTRS = frozenset(("front", "back", "pop_front", "pop_back"))
+
+
+def mutated_params(flat: FlatMain) -> set[str]:
+    """``main``'s parameters whose value a step may change in place.
+
+    The engines hand ``main`` its frozen key, and the generated code
+    copies (thaws) only these parameters, so a step never writes into
+    its key.  A mutation is an index store, a push, a pop or a clear.
+    It reaches other names along three kinds of edge:
+
+    * ``a = b`` (or a ``select`` arm, or ``b?copy()``, which is ``b``
+      itself when ``b`` is frozen): ``a`` may be ``b``'s object;
+    * ``a = b[i]`` (or ``?front``, ``?back``, a pop): ``a`` may be an
+      element of ``b``, so changing ``a`` changes ``b``'s contents;
+    * ``a[i] = v``, ``a?push_back(v)``, ``a = (v, ...)``: ``a`` may hold
+      ``v``, which changes only when ``a``'s contents do.
+
+    Only rt-static code can mutate a parameter: values reach dynamic
+    code and externs as recorded placeholder data, which is immutable.
+    Flow-insensitive, so it may copy a parameter no step mutates, never
+    the reverse.
+    """
+    same: dict[str, set[str]] = {}
+    elem_of: dict[str, set[str]] = {}
+    holds: dict[str, set[str]] = {}
+    work: list[tuple[str, bool]] = []  # (name, its contents change)
+
+    def edges(expr: A.Expr) -> tuple[set[str], set[str], set[str]]:
+        """(may be, may be an element of, may hold) for ``expr``."""
+        if isinstance(expr, A.Name):
+            return {expr.ident}, set(), set()
+        if isinstance(expr, A.Index) or (
+                isinstance(expr, A.Attr) and expr.name in _ELEMENT_ATTRS):
+            return set(), refs(expr.base), set()
+        if isinstance(expr, A.Attr) and expr.name == "copy":
+            return edges(expr.base)
+        if isinstance(expr, A.TupleLit):
+            return set(), set(), set().union(*map(refs, expr.items))
+        if isinstance(expr, A.Call) and expr.func == "select":
+            a, b = edges(expr.args[1]), edges(expr.args[2])
+            return a[0] | b[0], a[1] | b[1], a[2] | b[2]
+        return set(), set(), set()
+
+    def refs(expr: A.Expr) -> set[str]:
+        """Every name the value of ``expr`` may be, sit in or hold."""
+        return set().union(*edges(expr))
+
+    def assign(name: str, expr: A.Expr) -> None:
+        be, within, held = edges(expr)
+        same.setdefault(name, set()).update(be)
+        elem_of.setdefault(name, set()).update(within)
+        holds.setdefault(name, set()).update(held)
+
+    def mutate(container: A.Expr, stored: list[A.Expr]) -> None:
+        be, within, _ = edges(container)
+        work.extend((n, False) for n in be)
+        work.extend((n, True) for n in within)
+        for n in be | within:
+            for value in stored:
+                holds.setdefault(n, set()).update(refs(value))
+
+    for node in _iter_nodes(flat.body):
+        if isinstance(node, A.ValStmt) and node.init is not None:
+            assign(node.name, node.init)
+        elif isinstance(node, A.Assign):
+            if isinstance(node.target, A.Name):
+                assign(node.target.ident, node.value)
+            elif isinstance(node.target, A.Index):
+                mutate(node.target.base, [node.value])
+        elif (isinstance(node, A.Attr) and node.name in QUEUE_ATTRS
+              and QUEUE_ATTRS[node.name][1]):
+            mutate(node.base, node.args)
+    changed: set[str] = set()
+    deep: set[str] = set()
+    while work:
+        name, contents = work.pop()
+        marks = deep if contents else changed
+        if name in marks:
+            continue
+        marks.add(name)
+        work.extend((n, contents) for n in same.get(name, ()))
+        work.extend((n, True) for n in elem_of.get(name, ()))
+        if contents:
+            for n in holds.get(name, ()):
+                work.extend(((n, False), (n, True)))
+    return {p for p in flat.params if p in changed or p in deep}
 
 
 # -- dynamic result test insertion (paper §4.2) --------------------------------

@@ -322,7 +322,8 @@ typedef struct {
     Chain **chains;
     i64 nchains, chaincap;
     /* Object registry id -> id of the chain whose key that object is,
-     * or -1 (set from a snapshot; see ffc_set_objchains). */
+     * or -1 (set from a snapshot, see ffc_set_objchains, and by each
+     * link Python resolves, see ffc_set_link). */
     i64 *objchain;
     i64 nobjchain, objchaincap;
     page_fn page_cb;
@@ -739,7 +740,8 @@ static i64 init_tag(St *st, i64 init_slot) {
 }
 
 /* Link end record end_ix of chain cid to next_cid for the init value
- * the init slot holds now. */
+ * the init slot holds now.  An init object also names next_cid as its
+ * chain, so every other boundary that reaches it links in the kernel. */
 void ffc_set_link(St *st, i64 cid, i64 end_ix, i64 init_slot,
                   i64 next_cid) {
     if (cid < 0 || cid >= st->nchains) return;
@@ -748,6 +750,17 @@ void ffc_set_link(St *st, i64 cid, i64 end_ix, i64 init_slot,
     ch->lset[end_ix] = 1;
     ch->lexpect[end_ix] = init_tag(st, init_slot);
     ch->lnext[end_ix] = next_cid;
+    i64 r = st->slots[init_slot];
+    if (!st->isobj[init_slot] || r < 0) return;
+    if (r >= st->nobjchain) {
+        i64 *oc = (i64 *)grow(st->objchain, &st->objchaincap, r + 1,
+                              sizeof(i64));
+        if (!oc) return;  /* the boundary still links; others exit */
+        st->objchain = oc;
+        for (i64 k = st->nobjchain; k < r; k++) oc[k] = -1;
+        st->nobjchain = r + 1;
+    }
+    st->objchain[r] = next_cid;
 }
 
 void ffc_reset_pages(St *st) {
@@ -2605,7 +2618,9 @@ class CReplayBackend:
         (billing exactly one lookup+hit on success), register its chain,
         install the likely-next link on both sides, and return the
         successor chain id — or None when the walk must return to the
-        engine's Python loop."""
+        engine's Python loop.  The kernel also names the chain for the
+        init object, so later boundaries that reach the same object
+        link without coming back here."""
         st = self._st
         engine = self.engine
         init_slot = engine.compiled.init_slot

@@ -43,7 +43,7 @@ from .bta import (
 )
 from .builtins import BUILTIN_FUNCS, PURE_ATTRS, QUEUE_ATTRS, RUNTIME_HELPERS, STREAM_ATTRS
 from .patterns import generate_decoder_source
-from .runtime import CompiledSimulator, freeze
+from .runtime import CompiledSimulator, freeze, thaw
 from .source import SemanticError, SourceSpan, UNKNOWN_SPAN
 
 _BINOP_PY = {
@@ -432,16 +432,28 @@ class CodeGenerator:
 
     def emit_slow(self) -> str:
         em = _Emitter()
-        params = ", ".join(self.flat.params)
-        prefix = f", {params}" if params else ""
-        em.line(f"def slow_main(_ctx, _M{prefix}):")
+        em.line("def slow_main(_ctx, _M, _key):")
         em.indent += 1
+        self._emit_key_prologue(em)
         em.line("_S = _ctx.S")
         self._emit_block(self.flat.body, em)
         self._emit_flush(em)
         self._flush_pending(em)
         em.line("return")
         return em.source()
+
+    def _emit_key_prologue(self, em: _Emitter) -> None:
+        """Bind ``main``'s parameters from the frozen key ``_key``.  Only
+        the ones BTA shows a step may mutate are copied (thawed to
+        lists); the rest are the key's own immutable values."""
+        params = self.flat.params
+        if not params:
+            return
+        trailer = "," if len(params) == 1 else ""
+        em.line(f"{', '.join(params)}{trailer} = _key")
+        for p in params:
+            if p in self.division.mutated_params:
+                em.line(f"{p} = _thaw({p})")
 
     # -- pending-action buffer (coalescing) ---------------------------------
 
@@ -729,7 +741,9 @@ class CodeGenerator:
                 src = f"g_{g}"
                 freeze_src = src
                 if shape in (SHAPE_ARRAY, SHAPE_QUEUE, SHAPE_TUPLE, SHAPE_UNKNOWN):
-                    freeze_src = f"_freeze({src})"
+                    # The next key is sized by the walk that freezes it.
+                    freezer = "_M.freeze_next" if g == "init" else "_freeze"
+                    freeze_src = f"{freezer}({src})"
                 placeholders.append((ph, freeze_src))
                 if shape == SHAPE_ARRAY:
                     return f"_S[{slot}] = list({ph})"
@@ -768,10 +782,9 @@ class CodeGenerator:
 
     def emit_plain(self) -> str:
         em = _Emitter()
-        params = ", ".join(self.flat.params)
-        prefix = f", {params}" if params else ""
-        em.line(f"def plain_main(_ctx{prefix}):")
+        em.line("def plain_main(_ctx, _key):")
         em.indent += 1
+        self._emit_key_prologue(em)
         em.line("_S = _ctx.S")
         self._emit_plain_block(self.flat.body, em)
         em.line("return")
@@ -880,6 +893,7 @@ class CodeGenerator:
             {
                 "_deque": deque,
                 "_freeze": freeze,
+                "_thaw": thaw,
                 "_copy_val": _copy_val,
                 "idiv": idiv,
                 "imod": imod,

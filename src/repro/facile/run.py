@@ -20,6 +20,11 @@ if TYPE_CHECKING:
 #: (which degrades to the Python loop, with a reason, where it can't).
 REPLAY_BACKENDS = ("python", "c")
 
+#: The step budget every runner defaults to (FastSim counts cycles):
+#: far above any suite program, and the budget of ``repro minic``.  A
+#: run still going when it ends stops short of ``halt`` and says so.
+DEFAULT_MAX_STEPS = 50_000_000
+
 T = TypeVar("T")
 
 

@@ -63,12 +63,27 @@ _CONTAINERS = (list, deque, tuple, dict)
 _SCALARS = frozenset((int, bool, float, str, type(None)))
 _only_scalars = _SCALARS.issuperset
 
+
+def _flat(seq: Any) -> bool:
+    """Whether ``seq`` is a flat level (see ``_SCALARS``).  A sequence of
+    numbers, the common key array, proves it by summing at C speed:
+    adding a list, deque, tuple or dict (or ``DICT_TAG``) to 0 raises,
+    and any number is a value the walks would copy as is.  Anything
+    else takes the type scan."""
+    try:
+        sum(seq)
+    except Exception:
+        return _only_scalars(map(type, seq))
+    return True
+
+
 #: ``isinstance(v, tuple)`` as a C callable, for ``filter``.
 _is_tuple = tuple.__instancecheck__
 
 
-def _freeze_frame(value: Any) -> list:
-    """One work-stack frame for :func:`freeze`: [children, out, keys]."""
+def _freeze_frame(value: Any) -> tuple:
+    """One work-stack frame for :func:`_freeze_walk`: (iterator over the
+    children, frozen children so far, sorted dict keys or None)."""
     if isinstance(value, dict):
         try:
             items = sorted(value.items())
@@ -76,8 +91,8 @@ def _freeze_frame(value: Any) -> list:
             raise SimulationError(
                 f"cannot freeze dict with unorderable keys for a cache key: {exc}"
             ) from None
-        return [[v for _, v in items], [], [k for k, _ in items]]
-    return [list(value), [], None]
+        return iter([v for _, v in items]), [], [k for k, _ in items]
+    return iter(value), [], None
 
 
 def freeze(value: Any) -> Any:
@@ -97,29 +112,54 @@ def freeze(value: Any) -> Any:
         return value
     if not isinstance(value, _CONTAINERS):
         return value
-    if not isinstance(value, dict) and _only_scalars(map(type, value)):
+    if not isinstance(value, dict) and _flat(value):
         return tuple(value)
+    return _freeze_walk(value)[0]
+
+
+def freeze_sized(value: Any) -> tuple[Any, int]:
+    """``(freeze(value), value_bytes(freeze(value)))`` from one walk:
+    the slow engine freezes each next key this way, so the key's
+    accounted size costs no second walk (:meth:`Memoizer.freeze_next`)."""
+    if type(value) is int or not isinstance(value, _CONTAINERS):
+        return value, 8
+    if not isinstance(value, dict) and _flat(value):
+        return tuple(value), 8 + 8 * len(value)
+    return _freeze_walk(value)
+
+
+def _freeze_walk(value: Any) -> tuple[tuple, int]:
+    """The work-stack walk behind :func:`freeze` and
+    :func:`freeze_sized`: the frozen value and its :func:`value_bytes`,
+    which is 8 plus ``8 * len(t)`` for every tuple ``t`` built (a frozen
+    dict's item pairs included, and any tuple dict key).  Each frame's
+    loop runs over its children until one needs a frame of its own, and
+    resumes where it left off once that child is frozen."""
     stack = [_freeze_frame(value)]
+    size = 8
     while True:
         children, out, keys = stack[-1]
-        i = len(out)
-        if i == len(children):
+        for child in children:
+            if type(child) is int or not isinstance(child, _CONTAINERS):
+                out.append(child)
+            elif not isinstance(child, dict) and _flat(child):
+                out.append(tuple(child))
+                size += 8 * len(child)
+            else:
+                stack.append(_freeze_frame(child))
+                break
+        else:
             if keys is None:
                 result: Any = tuple(out)
+                size += 8 * len(out)
             else:
                 result = (DICT_TAG,) + tuple(zip(keys, out))
+                size += 8 + 24 * len(out) + sum(
+                    value_bytes(k) - 8 for k in filter(_is_tuple, keys))
             stack.pop()
             if not stack:
-                return result
+                return result, size
             stack[-1][1].append(result)
-            continue
-        child = children[i]
-        if type(child) is int or not isinstance(child, _CONTAINERS):
-            out.append(child)
-        elif not isinstance(child, dict) and _only_scalars(map(type, child)):
-            out.append(tuple(child))
-        else:
-            stack.append(_freeze_frame(child))
 
 
 def _thaw_frame(value: tuple) -> list:
@@ -138,7 +178,7 @@ def thaw(value: Any) -> Any:
     every frozen dict, even the empty ``(DICT_TAG,)``, takes the walk."""
     if not isinstance(value, tuple):
         return value
-    if _only_scalars(map(type, value)):
+    if _flat(value):
         return list(value)
     stack = [_thaw_frame(value)]
     while True:
@@ -154,7 +194,7 @@ def thaw(value: Any) -> Any:
         child = children[i]
         if not isinstance(child, tuple):
             out.append(child)
-        elif _only_scalars(map(type, child)):
+        elif _flat(child):
             out.append(list(child))
         else:
             stack.append(_thaw_frame(child))
@@ -169,18 +209,22 @@ def value_bytes(value: Any) -> int:
     not Python ``sys.getsizeof``, so Table 2 is comparable in spirit).
     Equivalently: 8 for the root plus ``8 * len(t)`` for every tuple
     ``t`` in it, so each level costs one ``len``, and a level that is
-    not flat one C-speed ``filter`` for its nested tuples.  Iterative
-    (explicit stack) for the same recursion-limit reason as
-    :func:`freeze`.
+    not flat one C-speed ``filter`` for its nested tuples.  The root,
+    often a record's data with a key among its scalars, takes the type
+    scan, which stops at its first tuple; nested levels, often key
+    arrays, take :func:`_flat`.  Iterative (explicit stack) for the
+    same recursion-limit reason as :func:`freeze`.
     """
     if not isinstance(value, tuple):
         return 8
-    total = 8
-    stack = [value]
+    total = 8 + 8 * len(value)
+    if _only_scalars(map(type, value)):
+        return total
+    stack = list(filter(_is_tuple, value))
     while stack:
         t = stack.pop()
         total += 8 * len(t)
-        if not _only_scalars(map(type, t)):
+        if not _flat(t):
             stack.extend(filter(_is_tuple, t))
     return total
 
@@ -248,8 +292,15 @@ class InternPool:
             self.hits += 1
             self.bytes_saved += self._costs[idx]
             return idx, 0
-        self.misses += 1
         cost = POOL_SLOT_BYTES + value_bytes(value)
+        return self.add(value, cost), cost
+
+    def add(self, value: Any, cost: int) -> int:
+        """Pool ``value``, which :meth:`intern` just missed, at the
+        accounted ``cost`` (``POOL_SLOT_BYTES + value_bytes(value)``)
+        with one reference; returns its index.  :meth:`Memoizer.action`
+        interns inline and calls this on a miss."""
+        self.misses += 1
         if self._free:
             idx = self._free.pop()
             self.values[idx] = value
@@ -260,9 +311,9 @@ class InternPool:
             self.values.append(value)
             self._refs.append(1)
             self._costs.append(cost)
-        index[value] = idx
+        self._index[value] = idx
         self.bytes_live += cost
-        return idx, cost
+        return idx
 
     def _build_index(self) -> dict:
         refs = self._refs
@@ -626,12 +677,13 @@ class ActionCache:
 
     Every entry holds packed lanes (:class:`PackedChain`) from its first
     record on.  :class:`Memoizer` appends slots while the slow engine
-    records (:meth:`append`, :meth:`expect`, :meth:`append_end`) and
-    seals the entry when its step completes (:meth:`pack_entry`); miss
-    recovery reopens it (:meth:`unpack_entry`), grows an arm at the
-    missed verify (:meth:`fork`) and appends the new path at the end of
-    the lanes.  Each slot, jump-table arm and new pool value is billed
-    as it is added.
+    records (each record in :meth:`Memoizer.action`, the end slot by
+    :meth:`append_end`) and seals the entry when its step completes
+    (:meth:`pack_entry`); miss recovery reopens it
+    (:meth:`unpack_entry`), grows an arm at the missed verify
+    (:meth:`fork`) and appends the new path at the end of the lanes.
+    Each slot, jump-table arm and new pool value is billed as it is
+    added.
 
     ``limit_bytes`` mirrors the paper's 256 MB cap (§6.2): once the
     accounted size exceeds it, :meth:`reclaim` drops everything and
@@ -665,7 +717,10 @@ class ActionCache:
             return entry
         return None
 
-    def create_entry(self, key: tuple) -> CacheEntry:
+    def create_entry(self, key: tuple, key_cost: int | None = None) -> CacheEntry:
+        """A new open entry for ``key``, billed its ``key_cost`` (the
+        key's accounted size plus ``ENTRY_OVERHEAD``; walked from the
+        key when None)."""
         stale = self.entries.get(key)
         if stale is not None:
             # An interrupted step left an incomplete entry behind (or a
@@ -675,7 +730,8 @@ class ActionCache:
             # triggers spurious reclaims.
             self._release_entry(stale)
             stale.generation = -1
-        entry = CacheEntry(key, PackedChain.empty(self.pool), self.generation)
+        entry = CacheEntry(key, PackedChain.empty(self.pool), self.generation,
+                           key_cost)
         stats = self.stats
         stats.bytes_current += entry.key_cost
         stats.bytes_cumulative += entry.key_cost
@@ -684,40 +740,6 @@ class ActionCache:
         return entry
 
     # -- recording -------------------------------------------------------
-
-    def append(self, entry: CacheEntry, num: int, data: Any) -> int:
-        """Append one record to ``entry``'s lanes and return its slot:
-        ``num`` for a plain action, ``~num`` for a dynamic result test
-        (its successor lane stays :data:`PENDING` until :meth:`expect`).
-        ``bytes_cumulative`` gets the record-model charge, with the
-        data's size read from the pool; ``bytes_current`` gets the slot
-        plus whatever the pool newly charged."""
-        pool = self.pool
-        idx, charged = pool.intern(data)
-        chain = entry.packed
-        nums = chain.nums
-        slot = len(nums)
-        nums.append(num)
-        chain.data.append(idx)
-        cost = _RECORD_OVER_POOL + pool._costs[idx]
-        if num < 0:
-            chain.succ.append(PENDING)
-            cost += VERIFY_BYTES
-        else:
-            chain.succ.append(0)
-        chain.local_bytes += PACKED_SLOT_BYTES
-        stats = self.stats
-        stats.records_created += 1
-        stats.bytes_cumulative += cost
-        stats.bytes_current += PACKED_SLOT_BYTES + charged
-        return slot
-
-    def expect(self, entry: CacheEntry, slot: int, value: Any) -> None:
-        """Intern ``value`` (frozen) as the single expected result of the
-        verify at ``slot``."""
-        idx, charged = self.pool.intern(value)
-        entry.packed.succ[slot] = idx
-        self.stats.bytes_current += charged
 
     def append_end(self, entry: CacheEntry) -> None:
         """Append the end-of-step slot, with a fresh :class:`EndRecord`."""
@@ -1036,18 +1058,25 @@ class Memoizer:
     * dynamic result:  ``M.begin_verify(num, data)`` then either
       ``v = M.pop_verify()`` (recovering) or compute ``v`` and call
       ``M.note_verify(v)``;
+    * next key:        the flush of ``init`` freezes the next step's key
+      with ``M.freeze_next(value)``;
     * step boundary:   ``begin_step``/``begin_recovery`` before calling
       the slow function, ``end_step`` after it returns.
 
-    Recording appends to the entry's packed lanes through the cache
-    (which bills every slot).  Recovery walks the sealed lanes with a
-    slot cursor, checking each action number, until the last recovered
-    result: there the missed verify grows an arm to the end of the
-    lanes, and recording resumes by appending the new path.
+    Recording writes the entry's packed lanes the way the paper's slow
+    simulator writes its action cache: one call, :meth:`action`, interns
+    a record's data in the cache's pool, appends its three lanes and
+    bills it.  Recovery walks the sealed lanes with a slot cursor,
+    checking each action number, until the last recovered result: there
+    the missed verify grows an arm to the end of the lanes, and
+    recording resumes by appending the new path.
     """
 
     def __init__(self, cache: ActionCache):
         self.cache = cache
+        # The cache's pool and stats, which live as long as it does.
+        self._pool = cache.pool
+        self._stats = cache.stats
         self.recover = False
         self.entry: CacheEntry | None = None
         # Recovery: slot cursor into the entry's lanes.  Recording: slot
@@ -1055,12 +1084,25 @@ class Memoizer:
         self._cursor = 0
         self._verify = 0
         self._rstack: deque = deque()
+        # The key freeze_next froze last and its accounted size (8 is
+        # value_bytes(None)): the next step's entry and the pool value
+        # of the record that flushes it are billed from it, not from a
+        # second walk of the key.
+        self._key: Any = None
+        self._key_bytes = 8
 
     # -- step control ------------------------------------------------------
 
     def begin_step(self, key: tuple) -> None:
         self.recover = False
-        self.entry = self.cache.create_entry(key)
+        last = self._key
+        if key is last:
+            key_cost = self._key_bytes + ENTRY_OVERHEAD
+        elif len(key) == 1 and key[0] is last:
+            key_cost = self._key_bytes + 8 + ENTRY_OVERHEAD
+        else:
+            key_cost = None
+        self.entry = self.cache.create_entry(key, key_cost)
 
     def begin_recovery(self, entry: CacheEntry, results: list) -> None:
         """Restart the slow simulator after an action-cache miss.
@@ -1084,6 +1126,13 @@ class Memoizer:
             self.cache.append_end(entry)
             self.cache.pack_entry(entry)
 
+    def freeze_next(self, value: Any) -> Any:
+        """Freeze ``value``, the step's exit value of ``init``, as the
+        next step's key, keeping its accounted size from the same walk."""
+        key, self._key_bytes = freeze_sized(value)
+        self._key = key
+        return key
+
     # -- recording / recovery operations -------------------------------------
 
     def _expected(self) -> str:
@@ -1094,6 +1143,15 @@ class Memoizer:
         return f"verify {~num}" if num < 0 else f"action {num}"
 
     def action(self, num: int, data: tuple) -> None:
+        """Record action ``num`` with placeholder ``data`` — or, while
+        recovering, check it against the recorded lanes.  Recording
+        interns ``data``, appends the slot and bills it in this one
+        frame; only a value new to the pool costs one more call.
+        ``bytes_cumulative`` gets the record-model charge, with the
+        data's size read from the pool; ``bytes_current`` gets the slot
+        plus whatever the pool newly charged.  :meth:`begin_verify`
+        records a verify through here as ``~num``: its successor lane
+        stays :data:`PENDING` until :meth:`note_verify`."""
         if self.recover:
             i = self._cursor
             if self.entry.packed.nums[i] != num:
@@ -1103,7 +1161,40 @@ class Memoizer:
                 )
             self._cursor = i + 1
             return
-        self.cache.append(self.entry, num, data)
+        pool = self._pool
+        index = pool._index
+        if index is None:
+            index = pool._build_index()
+        idx = index.get(data)
+        if idx is None:
+            if len(data) == 1 and data[0] is self._key:
+                charged = POOL_SLOT_BYTES + 8 + self._key_bytes
+            else:
+                charged = POOL_SLOT_BYTES + value_bytes(data)
+            cost = charged
+            idx = pool.add(data, charged)
+        else:
+            pool._refs[idx] += 1
+            pool.hits += 1
+            cost = pool._costs[idx]
+            pool.bytes_saved += cost
+            charged = 0
+        chain = self.entry.packed
+        nums = chain.nums
+        nums.append(num)
+        chain.data.append(idx)
+        cost += _RECORD_OVER_POOL
+        if num < 0:
+            chain.succ.append(PENDING)
+            cost += VERIFY_BYTES
+            self._verify = len(nums) - 1
+        else:
+            chain.succ.append(0)
+        chain.local_bytes += PACKED_SLOT_BYTES
+        stats = self._stats
+        stats.records_created += 1
+        stats.bytes_cumulative += cost
+        stats.bytes_current += PACKED_SLOT_BYTES + charged
 
     def begin_verify(self, num: int, data: tuple) -> None:
         if self.recover:
@@ -1113,7 +1204,7 @@ class Memoizer:
                     f"got verify {num}"
                 )
             return
-        self._verify = self.cache.append(self.entry, ~num, data)
+        self.action(~num, data)
 
     def pop_verify(self) -> Any:
         """During recovery: feed back a dynamic result from the recovery
@@ -1149,7 +1240,11 @@ class Memoizer:
         return value
 
     def note_verify(self, value: Any) -> None:
-        self.cache.expect(self.entry, self._verify, freeze(value))
+        """Intern ``value`` (frozen) as the single expected result of
+        the verify just recorded."""
+        idx, charged = self._pool.intern(freeze(value))
+        self.entry.packed.succ[self._verify] = idx
+        self._stats.bytes_current += charged
 
 
 # ---------------------------------------------------------------------------
@@ -1171,7 +1266,7 @@ class CompiledSimulator:
     """Everything the engines need about one compiled Facile simulator."""
 
     name: str
-    slow_main: Callable  # slow_main(ctx, M, *args)
+    slow_main: Callable  # slow_main(ctx, M, key): key is the frozen key tuple
     fast_actions: list  # index -> (fn, is_verify); fn(ctx, S, data)
     slot_count: int
     global_slots: dict[str, int]
@@ -1572,8 +1667,7 @@ class FastForwardEngine:
     def _slow_step(self, key: tuple) -> None:
         M = self.memoizer
         M.begin_step(key)
-        args = [thaw(v) for v in key]
-        self.compiled.slow_main(self.ctx, M, *args)
+        self.compiled.slow_main(self.ctx, M, key)
         M.end_step()
 
     # -- fast path -------------------------------------------------------
@@ -1686,8 +1780,7 @@ class FastForwardEngine:
         self.ctx.in_fast = False
         M = self.memoizer
         M.begin_recovery(entry, results)
-        args = [thaw(v) for v in entry.key]
-        self.compiled.slow_main(self.ctx, M, *args)
+        self.compiled.slow_main(self.ctx, M, entry.key)
         M.end_step()
 
     # -- reporting --------------------------------------------------------
@@ -1729,9 +1822,7 @@ class PlainEngine:
         ctx = self.ctx
         steps = 0
         while not ctx.halted and (max_steps is None or steps < max_steps):
-            key = self.next_key()
-            args = [thaw(v) for v in key]
-            self.compiled.plain_main(ctx, *args)
+            self.compiled.plain_main(ctx, self.next_key())
             steps += 1
             self.stats.steps_total += 1
             self.stats.steps_slow += 1

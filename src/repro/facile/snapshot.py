@@ -90,6 +90,7 @@ from .runtime import (
     EndRecord,
     PackedChain,
     SimulationError,
+    _is_tuple,
 )
 
 MAGIC = b"FACSNAP\x01"
@@ -278,20 +279,42 @@ def _encode_value(buf: bytearray, v: Any) -> None:
             )
 
 
-def _marshal_safe(v: Any) -> bool:
+#: The exact types ``marshal`` round-trips besides tuples of them.
+_MARSHAL_SCALARS = frozenset((type(None), bool, int, float, str, bytes))
+
+
+def _marshal_safe(v: Any, safe: set | None = None) -> bool:
     """True when ``marshal`` round-trips ``v`` exactly: only None,
     bools, and *exact* ints/floats/strs/bytes/tuples.  Subclasses (a
     namedtuple, an IntEnum) would silently come back as the base type,
-    so anything else falls back to the tagged codec."""
+    so anything else falls back to the tagged codec.  Each tuple is
+    checked by one scan of its members' types; ``safe`` collects the
+    ids of tuples found safe, so a save checks a tuple that several
+    values (or a value and a key) share once."""
+    if type(v) is tuple and _MARSHAL_SCALARS.issuperset(map(type, v)):
+        return True  # the common value: flat
     stack = [v]
+    checked = []
     while stack:
         x = stack.pop()
         t = type(x)
-        if t is tuple:
-            stack.extend(x)
-        elif not (x is None or t is bool or t is int or t is float
-                  or t is str or t is bytes):
+        if t is not tuple:
+            if t not in _MARSHAL_SCALARS:
+                return False
+            continue
+        if safe is not None and id(x) in safe:
+            continue
+        types = set(map(type, x))
+        nested = tuple in types
+        if nested:
+            types.discard(tuple)
+        if not _MARSHAL_SCALARS.issuperset(types):
             return False
+        if nested:
+            stack.extend(filter(_is_tuple, x))
+        checked.append(x)
+    if safe is not None:
+        safe.update(map(id, checked))
     return True
 
 
@@ -506,7 +529,10 @@ def _encode_chains(meta: bytearray, lanes: list, pool, keyed: list,
     _w_u(meta, len(values))
     _w_u(meta, len(keyed))
     safe = list(values)
-    patches = [i for i, v in enumerate(values) if not _marshal_safe(v)]
+    # The keys are mostly members of pool values: checked once.
+    checked: set[int] = set()
+    patches = [i for i, v in enumerate(values)
+               if not _marshal_safe(v, checked)]
     for i in patches:
         safe[i] = None
     parts = [
@@ -515,7 +541,8 @@ def _encode_chains(meta: bytearray, lanes: list, pool, keyed: list,
               for k, (_, chain, _) in enumerate(keyed) if chain.tables),
         *extra,
     ]
-    tagged = {id(part) for part in parts if not _marshal_safe(part)}
+    tagged = {id(part) for part in parts
+              if not _marshal_safe(part, checked)}
     raw = marshal.dumps((safe, *[None if id(part) in tagged else part
                                  for part in parts]))
     _w_u(meta, len(raw))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from ..facile import CompilationResult, compile_source
-from ..facile.run import RunConfig, RunReport
+from ..facile.run import DEFAULT_MAX_STEPS, RunConfig, RunReport
 from ..facile.snapshot import engine_fingerprint
 from .facile_src import functional_sim_source
 from .funcsim import FunctionalSim
@@ -47,7 +47,7 @@ def _prepare_context(sim, program: Program):
 
 def run_facile_functional(
     program: Program,
-    max_steps: int = 1_000_000,
+    max_steps: int = DEFAULT_MAX_STEPS,
     settings: RunConfig | None = None,
     **fields,
 ) -> FunctionalRun:
@@ -70,7 +70,8 @@ def run_facile_functional(
     )
 
 
-def run_golden(program: Program, max_steps: int = 1_000_000) -> FunctionalSim:
+def run_golden(program: Program,
+               max_steps: int = DEFAULT_MAX_STEPS) -> FunctionalSim:
     """Run a program on the Python golden model."""
     sim = FunctionalSim.for_program(program)
     sim.run(max_steps)

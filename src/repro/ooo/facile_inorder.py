@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from ..facile import CompilationResult, compile_source
-from ..facile.run import RunConfig, RunReport
+from ..facile.run import DEFAULT_MAX_STEPS, RunConfig, RunReport
 from ..facile.snapshot import engine_fingerprint
 from ..isa import sparclite as S
 from ..isa.facile_src import isa_declarations
@@ -232,7 +232,7 @@ class FacileInOrderSim:
 
         return {"xcache": xcache, "xbpred": xbpred, "xbind": xbind, "xbcall": xbcall}
 
-    def run(self, max_steps: int = 50_000_000) -> InOrderRun:
+    def run(self, max_steps: int = DEFAULT_MAX_STEPS) -> InOrderRun:
         run_stats = self.engine.run(max_steps=max_steps)
         ctx = self.ctx
         stats = C.OooStats.of_context(ctx)
@@ -241,9 +241,11 @@ class FacileInOrderSim:
 
 def run_facile_inorder(
     program: Program, config: C.MachineConfig | None = None,
+    max_steps: int = DEFAULT_MAX_STEPS,
     settings: RunConfig | None = None, **fields,
 ) -> InOrderRun:
     sim = FacileInOrderSim(program, config, settings, **fields)
     return sim.settings.drive(
-        sim.engine, lambda: engine_fingerprint(sim.compiled, program), sim.run
+        sim.engine, lambda: engine_fingerprint(sim.compiled, program),
+        lambda: sim.run(max_steps=max_steps),
     )

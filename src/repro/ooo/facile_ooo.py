@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from ..facile import CompilationResult, compile_source
-from ..facile.run import RunConfig, RunReport
+from ..facile.run import DEFAULT_MAX_STEPS, RunConfig, RunReport
 from ..facile.snapshot import engine_fingerprint
 from ..isa.facile_src import isa_declarations
 from ..isa.program import Program
@@ -368,8 +368,6 @@ class FacileOooSim:
                 self.program.entry, self.program.entry + 4, 0, 0, 0)
 
     def _externs(self) -> dict:
-        ctx_holder = {}
-
         def xcache(addr, is_store):
             return self.dcache.access(addr, self.ctx.cycles, bool(is_store))
 
@@ -383,10 +381,9 @@ class FacileOooSim:
             self.predictor.note_call(return_addr)
             return 0
 
-        del ctx_holder
         return {"xcache": xcache, "xbpred": xbpred, "xbind": xbind, "xbcall": xbcall}
 
-    def run(self, max_steps: int = 10_000_000) -> FacileOooRun:
+    def run(self, max_steps: int = DEFAULT_MAX_STEPS) -> FacileOooRun:
         run_stats = self.engine.run(max_steps=max_steps)
         ctx = self.ctx
         stats = C.OooStats.of_context(ctx)
@@ -403,7 +400,7 @@ class FacileOooSim:
 def run_facile_ooo(
     program: Program,
     config: C.MachineConfig | None = None,
-    max_steps: int = 10_000_000,
+    max_steps: int = DEFAULT_MAX_STEPS,
     flush_policy: str = "live",
     coalesce: bool = True,
     settings: RunConfig | None = None,

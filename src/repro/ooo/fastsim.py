@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..facile.run import RunConfig, RunReport
+from ..facile.run import DEFAULT_MAX_STEPS, RunConfig, RunReport
 from ..facile.runtime import (
     ENDMARK,
     PACKED_SLOT_BYTES,
@@ -238,7 +238,7 @@ class FastSimOoo:
             snapshot_save=self.snapshot_save,
         )
 
-    def run(self, max_cycles: int = 10_000_000) -> C.OooStats:
+    def run(self, max_cycles: int = DEFAULT_MAX_STEPS) -> C.OooStats:
         if not self.settings.memoized:
             while not self.done and self.stats.cycles < max_cycles:
                 self._slow_cycle(None)
@@ -763,7 +763,7 @@ class _Recorder:
 def run_fastsim(
     program: Program,
     config: C.MachineConfig | None = None,
-    max_cycles: int = 10_000_000,
+    max_cycles: int = DEFAULT_MAX_STEPS,
     settings: RunConfig | None = None,
     **fields,
 ) -> FastSimOoo:

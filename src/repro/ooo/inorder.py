@@ -127,7 +127,8 @@ class InOrderSim:
         return self.stats
 
 
-def run_inorder(program: Program, config: C.MachineConfig | None = None) -> InOrderSim:
+def run_inorder(program: Program, config: C.MachineConfig | None = None,
+                max_instructions: int = 50_000_000) -> InOrderSim:
     sim = InOrderSim(program, config)
-    sim.run()
+    sim.run(max_instructions)
     return sim

@@ -286,6 +286,62 @@ def test_pool_index_freed_by_a_conversion_is_mirrored_afresh(monkeypatch):
     assert_billing(eng_p.cache)
 
 
+#: Keys (1, 0) and (2, 0) both step to (0, 0), which alternates between
+#: them: two step boundaries reach one successor, and since both flush
+#: records intern the same data, one init object.
+JOIN_SRC = """
+val init = (0, 0);
+val acc = 0;
+fun main(a, b) {
+  acc = acc + 1;
+  stat_cycle(a + 1);
+  if (a == 0) {
+    if (acc & 2) init = (1, b); else init = (2, b);
+  } else {
+    init = (0, b);
+  }
+}
+"""
+
+
+@requires_cc
+def test_shared_successor_resolved_once_in_python():
+    """The first boundary into (0, 0) resolves it in Python, which also
+    names its chain for the init object in the kernel; the other
+    boundary into it then links inside the kernel.  Results and every
+    statistic equal the Python backend's."""
+    from repro.facile.compiler import compile_source
+
+    sim = compile_source(JOIN_SRC).simulator
+    engines = {}
+    resolved = []
+    for backend in ("c", "python"):
+        ctx = sim.make_context()
+        engine = FastForwardEngine(sim, ctx, trace_jit=False,
+                                   replay_backend=backend)
+        native = engine._cnative
+        if native is not None:
+            link = native._link
+
+            def logged_link(ex, link=link, native=native):
+                cid = link(ex)
+                if cid is not None:
+                    resolved.append(native._entries[cid].key)
+                return cid
+
+            native._link = logged_link
+        engine.run(max_steps=200)
+        engines[backend] = engine
+    eng_c, eng_p = engines["c"], engines["python"]
+    assert eng_c.backend_status["active"] == "c"
+    assert sorted(resolved) == [(0, 0), (1, 0), (2, 0)]
+    assert eng_c.ctx.cycles == eng_p.ctx.cycles
+    assert eng_c.ctx.read_global("acc") == eng_p.ctx.read_global("acc") == 200
+    assert asdict(eng_c.cache.stats) == asdict(eng_p.cache.stats)
+    assert asdict(eng_c.stats) == asdict(eng_p.stats)
+    assert_billing(eng_c.cache)
+
+
 # ---------------------------------------------------------------------------
 # Snapshots: warm parity and cross-backend loads
 # ---------------------------------------------------------------------------

@@ -95,7 +95,8 @@ class TestRun:
         is reported as such, and the command fails."""
         path = tmp_path / "spin.s"
         path.write_text("loop:   ba loop\n        nop\n        halt\n")
-        assert main(["run", str(path), "--sim", "functional"]) == 1
+        assert main(["run", str(path), "--sim", "functional",
+                     "--max-steps", "1000000"]) == 1
         out = capsys.readouterr().out
         assert "did not halt within 1,000,000 steps" in out
 

@@ -117,7 +117,8 @@ def _mutable_init_sim() -> CompiledSimulator:
         if n % 3 != 2:
             ctx.S[0][0] = 1 - v  # in-place: same object, new contents
 
-    def slow_main(ctx, M, box):
+    def slow_main(ctx, M, key):
+        (box,) = key
         v = box[0]
         M.action(0, (v,))
         if not M.recover:

@@ -1,6 +1,7 @@
 """Unit and property tests for the fast-forwarding runtime."""
 
 from collections import deque, namedtuple
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from repro.facile.runtime import (
     Memory,
     SimulationError,
     freeze,
+    freeze_sized,
     thaw,
     value_bytes,
 )
@@ -170,6 +172,26 @@ class TestValueBytes:
         assert value_bytes(value) == ref_value_bytes(value)
         frozen = freeze(value)
         assert value_bytes(frozen) == ref_value_bytes(frozen)
+
+
+class TestFreezeSized:
+    """``freeze_sized`` is ``freeze`` plus the frozen value's
+    ``value_bytes``, from the one walk."""
+
+    @given(values)
+    def test_property_is_freeze_and_its_size(self, value):
+        frozen, size = freeze_sized(value)
+        assert_identical(frozen, ref_freeze(value))
+        assert size == ref_value_bytes(frozen)
+
+    def test_tuple_dict_keys_and_numbers_that_are_not_scalars(self):
+        # Tuple keys of a frozen dict are sized too; a level of numbers
+        # of any type is flat, and every walk copies them as they are.
+        value = [{(1, (2, 3)): [4]}, [Fraction(1, 2), True, 2.5], (7,)]
+        frozen, size = freeze_sized(value)
+        assert_identical(frozen, ref_freeze(value))
+        assert size == ref_value_bytes(frozen) == value_bytes(frozen)
+        assert_identical(thaw(frozen), ref_thaw(frozen))
 
 
 # -- memory ---------------------------------------------------------------------
