@@ -100,32 +100,16 @@ def _cmd_asm(args: argparse.Namespace) -> int:
 
 
 #: Each simulator's runner, given the program, the run settings and
-#: the budget keyword from :func:`_budget`, if any.
+#: the ``--max-steps`` budget, which it passes under its own keyword.
 _RUNNERS = {
-    "golden": lambda p, s, **b: run_golden(p, **b),
-    "functional": lambda p, s, **b: run_facile_functional(p, settings=s, **b),
-    "inorder": lambda p, s, **b: run_facile_inorder(p, settings=s, **b),
-    "inorder-ref": lambda p, s, **b: run_inorder(p, **b),
-    "ooo": lambda p, s, **b: run_facile_ooo(p, settings=s, **b),
-    "ooo-ref": lambda p, s, **b: run_reference(p, **b),
-    "ooo-fastsim": lambda p, s, **b: run_fastsim(p, settings=s, **b),
+    "golden": lambda p, s, n: run_golden(p, max_steps=n),
+    "functional": lambda p, s, n: run_facile_functional(p, max_steps=n, settings=s),
+    "inorder": lambda p, s, n: run_facile_inorder(p, max_steps=n, settings=s),
+    "inorder-ref": lambda p, s, n: run_inorder(p, max_instructions=n),
+    "ooo": lambda p, s, n: run_facile_ooo(p, max_steps=n, settings=s),
+    "ooo-ref": lambda p, s, n: run_reference(p, max_cycles=n),
+    "ooo-fastsim": lambda p, s, n: run_fastsim(p, max_cycles=n, settings=s),
 }
-
-#: The budget keyword of each runner that does not call it ``max_steps``.
-_BUDGET_KEYWORDS = {
-    "inorder-ref": "max_instructions",
-    "ooo-ref": "max_cycles",
-    "ooo-fastsim": "max_cycles",
-}
-
-
-def _budget(args: argparse.Namespace) -> dict:
-    """``--max-steps`` as the chosen runner's budget keyword; empty when
-    the flag is not given, so the runner's own default applies."""
-    if args.max_steps is None:
-        return {}
-    sim = getattr(args, "sim", "golden")
-    return {_BUDGET_KEYWORDS.get(sim, "max_steps"): args.max_steps}
 
 
 def run_config(args: argparse.Namespace) -> RunConfig:
@@ -141,7 +125,7 @@ def _simulate(program, args: argparse.Namespace) -> int:
     exit status 1 when it did not halt within its budget."""
     settings = run_config(args)
     start = time.perf_counter()
-    result = _RUNNERS[args.sim](program, settings, **_budget(args))
+    result = _RUNNERS[args.sim](program, settings, args.max_steps)
     elapsed = time.perf_counter() - start
     report = result.report
     print("\n".join(report.lines(elapsed)))
@@ -158,7 +142,7 @@ def _cmd_minic(args: argparse.Namespace) -> int:
         print(compiler.assembly())
         return 0
     program = compiler.compile()
-    sim = run_golden(program, **_budget(args))
+    sim = run_golden(program, max_steps=args.max_steps)
     if not sim.halted:
         print("program did not halt within the step budget", file=sys.stderr)
         return 1
@@ -300,11 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_budget_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--max-steps", type=int, default=None, metavar="N",
+        "--max-steps", type=int, default=DEFAULT_MAX_STEPS, metavar="N",
         help="stop a run that has not halted after N steps (cycles for "
         "the out-of-order models, instructions for inorder-ref; "
-        f"default: the runner's own, {DEFAULT_MAX_STEPS:,}; ooo-ref "
-        "stops at 10,000,000 cycles)",
+        f"default: {DEFAULT_MAX_STEPS:,})",
     )
 
 

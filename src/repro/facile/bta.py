@@ -63,8 +63,8 @@ class Division:
     local_like_globals: set[str] = field(default_factory=set)
     assigned_globals: set[str] = field(default_factory=set)
     read_globals: set[str] = field(default_factory=set)
-    # main's parameters a step may change in place (see mutated_params).
-    mutated_params: set[str] = field(default_factory=set)
+    # main's parameters copied out of the frozen key (see copied_params).
+    copied_params: set[str] = field(default_factory=set)
     sink: DiagnosticSink | None = None
 
     def _report(self, message: str, span: SourceSpan) -> None:
@@ -164,7 +164,7 @@ def analyze_binding_times(flat: FlatMain, sink: DiagnosticSink | None = None) ->
 
     _fixpoint(flat, division)
     _infer_shapes(flat, division)
-    division.mutated_params = mutated_params(flat)
+    division.copied_params = copied_params(flat)
     return division
 
 
@@ -468,37 +468,60 @@ def _infer_shapes(flat: FlatMain, division: Division) -> None:
         shape.setdefault(name, SHAPE_INT)
 
 
-# -- key parameters a step mutates -------------------------------------------
+# -- key parameters a step copies ---------------------------------------------
 
 
 #: Attributes whose result is an element of the base container.
 _ELEMENT_ATTRS = frozenset(("front", "back", "pop_front", "pop_back"))
+#: Attributes whose result may be the base value itself.
+_SAME_ATTRS = frozenset(("copy", "verify"))
+#: Operators whose result may be a container built from an operand:
+#: concatenation and repetition keep its type and share its elements.
+_SEQUENCE_OPS = frozenset(("+", "*"))
+#: Operators and builtins that set two values against each other: a
+#: frozen tuple never equals a list and cannot be ordered against or
+#: added to one, so there a parameter's container type shows.
+_MEETING_OPS = frozenset(("==", "!=", "<", "<=", ">", ">=", "+"))
+_MEETING_CALLS = frozenset(("min", "max"))
+#: Nodes of a constant: built from literals by operators, it is never
+#: a container, so meeting one shows no container's type.
+_CONSTANT_NODES = (A.IntLit, A.BoolLit, A.StrLit, A.Unary, A.Binary)
 
 
-def mutated_params(flat: FlatMain) -> set[str]:
-    """``main``'s parameters whose value a step may change in place.
+def copied_params(flat: FlatMain) -> set[str]:
+    """``main``'s parameters the generated code copies out of its key.
 
-    The engines hand ``main`` its frozen key, and the generated code
-    copies (thaws) only these parameters, so a step never writes into
-    its key.  A mutation is an index store, a push, a pop or a clear.
-    It reaches other names along three kinds of edge:
+    The engines hand ``main`` its frozen key, nested tuples that a step
+    must never change.  A parameter arrives as a copy (thawed to lists)
+    where a step may change it in place, or where its container type
+    may show: where it meets a value that is not a constant in a
+    comparison, ``+``, ``min`` or ``max``.  Every other parameter is
+    the key's own value.
 
-    * ``a = b`` (or a ``select`` arm, or ``b?copy()``, which is ``b``
-      itself when ``b`` is frozen): ``a`` may be ``b``'s object;
+    A mutation is an index store, a push, a pop or a clear.  Both it
+    and a meeting reach other names along three kinds of edge:
+
+    * ``a = b`` (or a ``select`` arm or any other call's argument, which
+      the call may return; ``b?copy()``, which is ``b`` itself when
+      ``b`` is frozen; ``b?verify``; an operand of ``+`` or ``*``):
+      ``a`` may be ``b``'s object;
     * ``a = b[i]`` (or ``?front``, ``?back``, a pop): ``a`` may be an
       element of ``b``, so changing ``a`` changes ``b``'s contents;
-    * ``a[i] = v``, ``a?push_back(v)``, ``a = (v, ...)``: ``a`` may hold
-      ``v``, which changes only when ``a``'s contents do.
+    * ``a[i] = v``, ``a?push_back(v)``, ``a = (v, ...)``,
+      ``a = array(n){v}``: ``a`` may hold ``v``, which changes only when
+      ``a``'s contents do.
 
-    Only rt-static code can mutate a parameter: values reach dynamic
-    code and externs as recorded placeholder data, which is immutable.
-    Flow-insensitive, so it may copy a parameter no step mutates, never
-    the reverse.
+    Externs and dynamic code mutate nothing: they get values as
+    recorded placeholder data, which is immutable.  Flow-insensitive
+    and blind to types (an element may itself be an array, a number
+    may meet a name), so it may copy a parameter no step mutates or
+    shows, never the reverse.
     """
     same: dict[str, set[str]] = {}
     elem_of: dict[str, set[str]] = {}
     holds: dict[str, set[str]] = {}
     work: list[tuple[str, bool]] = []  # (name, its contents change)
+    shown: set[str] = set()
 
     def edges(expr: A.Expr) -> tuple[set[str], set[str], set[str]]:
         """(may be, may be an element of, may hold) for ``expr``."""
@@ -507,14 +530,29 @@ def mutated_params(flat: FlatMain) -> set[str]:
         if isinstance(expr, A.Index) or (
                 isinstance(expr, A.Attr) and expr.name in _ELEMENT_ATTRS):
             return set(), refs(expr.base), set()
-        if isinstance(expr, A.Attr) and expr.name == "copy":
+        if isinstance(expr, A.Attr) and expr.name in _SAME_ATTRS:
             return edges(expr.base)
         if isinstance(expr, A.TupleLit):
             return set(), set(), set().union(*map(refs, expr.items))
-        if isinstance(expr, A.Call) and expr.func == "select":
-            a, b = edges(expr.args[1]), edges(expr.args[2])
-            return a[0] | b[0], a[1] | b[1], a[2] | b[2]
+        if isinstance(expr, A.ArrayNew):
+            return set(), set(), refs(expr.init)
+        if isinstance(expr, A.Binary) and expr.op in _SEQUENCE_OPS:
+            return either([expr.left, expr.right])
+        if isinstance(expr, A.Call):
+            return either(expr.args[1:] if expr.func == "select" else expr.args)
         return set(), set(), set()
+
+    def either(exprs: list[A.Expr]) -> tuple[set[str], set[str], set[str]]:
+        """The edges of a value that may be any of ``exprs``."""
+        be: set[str] = set()
+        within: set[str] = set()
+        held: set[str] = set()
+        for expr in exprs:
+            b, w, h = edges(expr)
+            be |= b
+            within |= w
+            held |= h
+        return be, within, held
 
     def refs(expr: A.Expr) -> set[str]:
         """Every name the value of ``expr`` may be, sit in or hold."""
@@ -534,17 +572,34 @@ def mutated_params(flat: FlatMain) -> set[str]:
             for value in stored:
                 holds.setdefault(n, set()).update(refs(value))
 
+    def meet(*sides: A.Expr) -> None:
+        if not any(all(isinstance(n, _CONSTANT_NODES) for n in _iter_nodes(side))
+                   for side in sides):
+            shown.update(*map(refs, sides))
+
+    def visit(expr: A.Expr) -> None:
+        if isinstance(expr, A.Binary) and expr.op in _MEETING_OPS:
+            meet(expr.left, expr.right)
+        elif isinstance(expr, A.Call) and expr.func in _MEETING_CALLS:
+            meet(*expr.args)
+
     for node in _iter_nodes(flat.body):
-        if isinstance(node, A.ValStmt) and node.init is not None:
-            assign(node.name, node.init)
-        elif isinstance(node, A.Assign):
+        if isinstance(node, A.Assign):
+            value = node.value
+            if node.op != "=":  # ``t op= v`` is ``t = t op v``
+                value = A.Binary(node.op[:-1], node.target, value)
+                visit(value)
             if isinstance(node.target, A.Name):
-                assign(node.target.ident, node.value)
+                assign(node.target.ident, value)
             elif isinstance(node.target, A.Index):
-                mutate(node.target.base, [node.value])
+                mutate(node.target.base, [value])
+        elif isinstance(node, A.ValStmt) and node.init is not None:
+            assign(node.name, node.init)
         elif (isinstance(node, A.Attr) and node.name in QUEUE_ATTRS
               and QUEUE_ATTRS[node.name][1]):
             mutate(node.base, node.args)
+        elif isinstance(node, A.Expr):
+            visit(node)
     changed: set[str] = set()
     deep: set[str] = set()
     while work:
@@ -558,7 +613,15 @@ def mutated_params(flat: FlatMain) -> set[str]:
         if contents:
             for n in holds.get(name, ()):
                 work.extend(((n, False), (n, True)))
-    return {p for p in flat.params if p in changed or p in deep}
+    # A value shows the types of all it may be, sit in or hold.
+    pending = list(shown)
+    while pending:
+        name = pending.pop()
+        for n in (same.get(name, set()) | elem_of.get(name, set())
+                  | holds.get(name, set())) - shown:
+            shown.add(n)
+            pending.append(n)
+    return {p for p in flat.params if p in changed or p in deep or p in shown}
 
 
 # -- dynamic result test insertion (paper §4.2) --------------------------------
@@ -658,11 +721,20 @@ def _ensure_block(stmt: A.Stmt, attr: str) -> A.Block:
 
 
 def _iter_nodes(node: A.Node):
-    yield node
-    for value in vars(node).values():
-        if isinstance(value, A.Node):
-            yield from _iter_nodes(value)
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, A.Node):
-                    yield from _iter_nodes(item)
+    """``node`` and every node under it, in preorder.  The passes here
+    walk the whole flat body several times, so the walk keeps its own
+    stack instead of nesting a generator per level."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = []
+        for value in vars(node).values():
+            if isinstance(value, A.Node):
+                children.append(value)
+            elif value.__class__ is list:
+                for item in value:
+                    if isinstance(item, A.Node):
+                        children.append(item)
+        children.reverse()
+        stack += children

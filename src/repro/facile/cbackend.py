@@ -2200,12 +2200,14 @@ class CReplayBackend:
         values = chain.pool.values
         need = self._need
         out = self._out
+        # The call's words stay put while it asks for values and bodies.
+        row_p = _addr(row)
+        args = (self._st_p, 1, row_p, 4, _addr(nums), _addr(data),
+                _addr(succ), n, row_p + 16, _addr(tabs), len(tabs),
+                len(values), _addr(out), _addr(need))
         while True:
-            if self.lib.ffc_add_chains(
-                self._st_p, 1, _addr(row), 4, _addr(nums), _addr(data),
-                _addr(succ), n, _addr(row) + 16, _addr(tabs), len(tabs),
-                len(values), _addr(out), _addr(need),
-            ) == R_NOMEM or out[0] == R_NOMEM:
+            if (self.lib.ffc_add_chains(*args) == R_NOMEM
+                    or out[0] == R_NOMEM):
                 raise Unlowerable("kernel out of memory")
             cid = out[0]
             if cid >= 0:
@@ -2841,11 +2843,15 @@ def _flatten_value(v, words: array, shape_id, obj_word) -> tuple[int, int]:
     words."""
     mark = len(words)
     if type(v) is tuple:
-        try:
-            words.extend(v)  # the common case: only i64 ints
-            return PK_TUPLE, shape_id("i" * len(v))
-        except (TypeError, OverflowError):
-            del words[mark:]
+        # The common case, only i64 ints, in one call; a value that
+        # starts with a tuple (a key, or a flush record's ``(key,)``)
+        # goes straight to the member loop.
+        if not v or type(v[0]) is not tuple:
+            try:
+                words.extend(v)
+                return PK_TUPLE, shape_id("i" * len(v))
+            except (TypeError, OverflowError):
+                del words[mark:]
         shape = []
         for j, x in enumerate(v):
             if type(x) is int or type(x) is bool:

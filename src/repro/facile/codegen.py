@@ -259,6 +259,12 @@ class CodeGenerator:
             if name == "bit":
                 return f"(({base} >> {args[0]}) & 1)"
             if name == "bits":
+                lo, hi = e.args
+                if isinstance(lo, A.IntLit) and isinstance(hi, A.IntLit):
+                    # Field extraction, the slow engine's commonest
+                    # helper: inline the shift and mask.
+                    mask = (1 << (hi.value - lo.value + 1)) - 1
+                    return f"(({base} >> {lo.value}) & {mask:#x})"
                 return f"bits({base}, {args[0]}, {args[1]})"
         if name in STREAM_ATTRS:
             if name == "word":
@@ -444,7 +450,7 @@ class CodeGenerator:
 
     def _emit_key_prologue(self, em: _Emitter) -> None:
         """Bind ``main``'s parameters from the frozen key ``_key``.  Only
-        the ones BTA shows a step may mutate are copied (thawed to
+        the ones BTA's ``copied_params`` names are copied (thawed to
         lists); the rest are the key's own immutable values."""
         params = self.flat.params
         if not params:
@@ -452,7 +458,7 @@ class CodeGenerator:
         trailer = "," if len(params) == 1 else ""
         em.line(f"{', '.join(params)}{trailer} = _key")
         for p in params:
-            if p in self.division.mutated_params:
+            if p in self.division.copied_params:
                 em.line(f"{p} = _thaw({p})")
 
     # -- pending-action buffer (coalescing) ---------------------------------

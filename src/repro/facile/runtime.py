@@ -448,7 +448,8 @@ class PackedChain:
     aliases a pooled value or a canonical-lane object, so it carries no
     accounted bytes of its own — accounting and release read the
     canonical ``data``/``succ`` lanes.  An open entry (recording or
-    recovering) has no view.
+    recovering) has no view, and neither has a sealed one under the C
+    backend until Python first replays it.
 
     ``n_records``/``depth`` give the chain's shape (record count, max
     multi-successor nesting) for the trace compiler, set at seal time;
@@ -758,7 +759,10 @@ class ActionCache:
 
     def pack_entry(self, entry: CacheEntry) -> None:
         """Seal an entry whose step completed: build its replay view,
-        record its shape and mark it complete (replayable)."""
+        record its shape and mark it complete (replayable).  Under the C
+        backend the kernel replays from the lanes, so the view waits for
+        the chain's first Python replay, as an mmap-loaded chain's
+        does."""
         if entry.complete:
             return
         chain = entry.packed
@@ -767,7 +771,8 @@ class ActionCache:
             raise SimulationError(
                 "cannot seal: recorded chain ended without an end marker"
             )
-        build_replay_view(chain)
+        if self.native is None:
+            build_replay_view(chain)
         chain.n_records = len(nums) - len(chain.ends)
         chain.depth = _table_depth(chain) if chain.tables else 0
         entry.complete = True

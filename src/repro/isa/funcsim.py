@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..facile.builtins import cc_add, cc_branch_taken, cc_logic, cc_sub
-from ..facile.run import RunReport
+from ..facile.run import DEFAULT_MAX_STEPS, RunReport
 from ..facile.runtime import Memory
 from . import sparclite as S
 from .program import Program
@@ -152,7 +152,7 @@ class FunctionalSim:
         """The golden run, read off its counters."""
         return RunReport(retired=self.instret, halted=self.halted)
 
-    def run(self, max_steps: int = 1_000_000) -> int:
+    def run(self, max_steps: int = DEFAULT_MAX_STEPS) -> int:
         steps = 0
         while not self.halted and steps < max_steps:
             self.step()

@@ -26,7 +26,7 @@ tables (classic scoreboarding):
 
 from __future__ import annotations
 
-from ..facile.run import RunReport
+from ..facile.run import DEFAULT_MAX_STEPS, RunReport
 from ..isa import sparclite as S
 from ..isa.funcsim import FunctionalSim
 from ..isa.program import Program
@@ -121,14 +121,14 @@ class InOrderSim:
         return RunReport(retired=self.stats.retired, halted=self.func.halted,
                          stats=self.stats)
 
-    def run(self, max_instructions: int = 50_000_000) -> C.OooStats:
+    def run(self, max_instructions: int = DEFAULT_MAX_STEPS) -> C.OooStats:
         while not self.func.halted and self.stats.retired < max_instructions:
             self.step()
         return self.stats
 
 
 def run_inorder(program: Program, config: C.MachineConfig | None = None,
-                max_instructions: int = 50_000_000) -> InOrderSim:
+                max_instructions: int = DEFAULT_MAX_STEPS) -> InOrderSim:
     sim = InOrderSim(program, config)
     sim.run(max_instructions)
     return sim

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..facile.run import RunReport
+from ..facile.run import DEFAULT_MAX_STEPS, RunReport
 from ..isa import sparclite as S
 from ..isa.funcsim import FunctionalSim
 from ..isa.program import Program
@@ -64,7 +64,7 @@ class ReferenceOooSim:
         return RunReport(retired=self.stats.retired, halted=self.done,
                          stats=self.stats)
 
-    def run(self, max_cycles: int = 10_000_000) -> C.OooStats:
+    def run(self, max_cycles: int = DEFAULT_MAX_STEPS) -> C.OooStats:
         while not self.done and self.stats.cycles < max_cycles:
             self.cycle()
         return self.stats
@@ -196,7 +196,7 @@ class ReferenceOooSim:
 
 
 def run_reference(program: Program, config: C.MachineConfig | None = None,
-                  max_cycles: int = 10_000_000) -> ReferenceOooSim:
+                  max_cycles: int = DEFAULT_MAX_STEPS) -> ReferenceOooSim:
     sim = ReferenceOooSim(program, config)
     sim.run(max_cycles)
     return sim

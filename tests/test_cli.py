@@ -1,12 +1,13 @@
 """Tests for the command-line interface."""
 
+import inspect
 import re
 
 import pytest
 
 from repro import cli
 from repro.cli import main
-from repro.facile.run import RunConfig
+from repro.facile.run import DEFAULT_MAX_STEPS, RunConfig
 
 ASM = """
         set 5, %o0
@@ -180,7 +181,8 @@ class TestCacheLimitDefaults:
 
 class TestRunnerDefaults:
     """With no flags given, the CLI hands every memoizing runner
-    ``RunConfig()``, the one source of each run default, so the CLI and
+    ``RunConfig()``, the one source of each run default, and the one
+    default step budget under the runner's own keyword, so the CLI and
     the API cannot drift apart on a knob."""
 
     RUNNERS = {
@@ -189,15 +191,20 @@ class TestRunnerDefaults:
         "ooo": "run_facile_ooo",
         "ooo-fastsim": "run_fastsim",
     }
+    #: Each runner's budget keyword (FastSim counts cycles).
+    BUDGETS = {"functional": "max_steps", "inorder": "max_steps",
+               "ooo": "max_steps", "ooo-fastsim": "max_cycles"}
 
     @pytest.mark.parametrize("sim", list(RUNNERS))
     def test_cli_defaults_equal_runner_defaults(self, monkeypatch, sim):
+        runner, budget = self.RUNNERS[sim], self.BUDGETS[sim]
+        own = inspect.signature(getattr(cli, runner)).parameters[budget].default
+        assert own == DEFAULT_MAX_STEPS
         calls = []
-        monkeypatch.setattr(cli, self.RUNNERS[sim],
-                            lambda program, **kw: calls.append(kw))
+        monkeypatch.setattr(cli, runner, lambda program, **kw: calls.append(kw))
         args = cli.build_parser().parse_args(["workloads", "--sim", sim])
-        cli._RUNNERS[sim](None, cli.run_config(args))
-        assert calls == [{"settings": RunConfig()}]
+        cli._RUNNERS[sim](None, cli.run_config(args), args.max_steps)
+        assert calls == [{"settings": RunConfig(), budget: DEFAULT_MAX_STEPS}]
 
 
 class TestReportParity:

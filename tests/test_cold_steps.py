@@ -2,9 +2,10 @@
 as it is appended, and the slow engine never writes into its key.
 
 A cold step freezes its next key once (the walk also sizes it), hands
-``slow_main`` the frozen key, which copies only the parameters BTA shows
-a step may mutate, and records each action in one call.  These tests
-drive the three built-in simulators step by step through that path.
+``slow_main`` the frozen key, which copies only the parameters BTA's
+``copied_params`` names, and records each action in one call.  These
+tests drive the three built-in simulators step by step through that
+path.
 """
 
 from __future__ import annotations
@@ -69,12 +70,22 @@ def arrived(arg, frozen) -> str:
     return f"unexpected {arg!r}"
 
 
+#: Per simulator, the array parameters (base names) ``slow_main``
+#: copies: each is one a step mutates.  A number it copies is the
+#: number itself.
+COPIED_ARRAYS = {
+    "functional": set(),
+    "inorder": {"rdy"},
+    "ooo": {"iq_cls", "iq_state", "iq_rem", "iq_dep1", "iq_dep2", "iq_pc", "lw"},
+}
+
+
 @pytest.mark.parametrize("sim_name", SIMS)
-def test_slow_main_copies_only_the_params_it_mutates(sim_name):
-    """Each parameter the slow main never mutates arrives as the key's
-    own object; each one it mutates (BTA's ``mutated_params``) arrives
-    as a fresh list equal to the thawed key value.  So a step never
-    writes into its key, which keeps every recorded key intact."""
+def test_slow_main_copies_only_the_params_it_must(sim_name):
+    """Each array parameter the slow main never mutates arrives as the
+    key's own object; each one it mutates arrives as a fresh list equal
+    to the thawed key value.  So a step never writes into its key,
+    which keeps every recorded key intact."""
     result = {
         "functional": compiled_functional_sim,
         "inorder": compiled_inorder_sim,
@@ -82,8 +93,7 @@ def test_slow_main_copies_only_the_params_it_mutates(sim_name):
     }[sim_name]()
     compiled = result.simulator
     params = result.flat.params
-    copied = [p for p in params if p in result.division.mutated_params]
-    assert len(copied) == {"functional": 0, "inorder": 1, "ooo": 7}[sim_name]
+    copied = result.division.copied_params
     # Locals as the body starts: the line event of ``_S = _ctx.S``.
     code = compiled.slow_main.__code__
     body_line = code.co_firstlineno + compiled.source_slow.splitlines().index(
@@ -111,41 +121,57 @@ def test_slow_main_copies_only_the_params_it_mutates(sim_name):
     finally:
         sys.settrace(None)
     assert len(seen) == engine.stats.steps_slow + engine.stats.steps_recovered
-    want = ["copy" if p in copied else "key" for p in params]
+    arrays = {p for p, frozen in zip(params, seen[0][0]) if isinstance(frozen, tuple)}
+    assert {p.split("__")[0] for p in arrays & copied} == COPIED_ARRAYS[sim_name]
+    want = ["copy" if p in arrays & copied else "key" for p in params]
     for key, arrivals in seen:
         assert arrivals == want, key
         # Every key stays a tuple of immutable values: no step wrote it.
         assert isinstance(key, tuple) and hash(key) is not None
 
 
-#: (``main``, the parameters BTA finds a step may mutate): a store
-#: through the parameter, an alias or a copy (a frozen value's copy is
-#: the value itself) counts; reads and holding it in a tuple do not.
-MUTATION_CASES = [
-    ("fun main(a, n) { a[0] = n; init = (a, n + 1); }", {"a"}),
-    ("fun main(a, n) { val x = a; x[1] = n; init = (a, n + 1); }", {"a"}),
+#: (``main``, the parameters BTA copies, the final ``init`` after 12
+#: steps from ``((1, 2), 0)``, as every engine got it when each step
+#: copied every parameter).  A store through the parameter, an alias, a
+#: copy (a frozen value's copy is the value itself), a call that may
+#: return it, or an array built of it counts, and so does meeting a
+#: value that may be a list in ``==`` or ``+``: a frozen tuple never
+#: equals a list nor adds to one.  Reads, meeting constants and holding
+#: it in a tuple do not.
+COPY_CASES = [
+    ("fun main(a, n) { a[0] = n; init = (a, n + 1); }", {"a"}, ((11, 2), 12)),
+    ("fun main(a, n) { val x = a; x[1] = n; init = (a, n + 1); }",
+     {"a"}, ((1, 11), 12)),
     ("fun main(a, n) { val c = a?copy(); c[0] = n; init = (c, n + 1); }",
-     {"a"}),
-    ("fun main(a, n) { val s = a[0] + a[1]; init = (a, n + s); }", set()),
-    ("fun main(a, n) { val t = (a, n); init = (t[0], n + 1); }", set()),
+     {"a"}, ((11, 2), 12)),
+    ("fun main(a, n) { val s = a[1] - a[0];"
+     " init = (a, select(a[0] > 0, n * s + 1, n)); }", set(), ((1, 2), 12)),
+    ("fun main(a, n) { val t = (a, n); init = (t[0], n + 1); }",
+     set(), ((1, 2), 12)),
+    ("fun main(a, n) { val b = array(2){a}; val r = b[0]; r[0] = n;"
+     " init = (a, n + 1); }", {"a"}, ((11, 2), 12)),
+    ("fun main(a, n) { val m = max(a, a); m[1] = n; init = (a, n + 1); }",
+     {"a"}, ((1, 11), 12)),
+    ("fun main(a, n) { val z = array(2){0}; z[0] = a[0]; z[1] = a[1];"
+     " init = (a, select(a == z, n + 2, n + 1)); }", {"a"}, ((1, 2), 24)),
+    ("fun main(a, n) { val c = a + array(1){1};"
+     " init = (a, select(c[2] > 0, n + 1, n)); }", {"a"}, ((1, 2), 12)),
 ]
 
 
-@pytest.mark.parametrize("main, mutated", MUTATION_CASES)
-def test_mutated_params_follow_aliases(main, mutated):
-    """BTA names the parameters a step may mutate through any alias,
-    and both engines run every case on frozen keys to the same state."""
+@pytest.mark.parametrize("main, copied, final", COPY_CASES)
+def test_copied_params_follow_aliases_and_meetings(main, copied, final):
+    """BTA names the parameters a step may mutate through any alias or
+    whose list type may show, and both engines run every case on frozen
+    keys to the state they reached when every parameter was copied."""
     from repro.facile.compiler import compile_source
     from repro.facile.runtime import PlainEngine
 
     result = compile_source("val init = 0;\n" + main)
-    renamed = {p: p.split("__")[0] for p in result.flat.params}
-    assert {renamed[p] for p in result.division.mutated_params} == mutated
+    assert {p.split("__")[0] for p in result.division.copied_params} == copied
     sim = result.simulator
-    finals = []
     for make in (FastForwardEngine, PlainEngine):
         ctx = sim.make_context()
         ctx.write_global("init", ((1, 2), 0))
         make(sim, ctx).run(max_steps=12)
-        finals.append(freeze(ctx.read_global("init")))
-    assert finals[0] == finals[1]
+        assert freeze(ctx.read_global("init")) == final, make.__name__
