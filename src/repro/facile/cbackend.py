@@ -6,10 +6,23 @@ action body, one frame per helper.  This backend hands complete
 :class:`~repro.facile.runtime.PackedChain` entries to a small C kernel
 compiled **once per process** (``cc -O2 -shared``, cached on disk by
 source hash) and driven through :mod:`ctypes`.  The kernel replays
-whole runs of steps per call: it walks chains, runs bodies on a raw
-``int64`` stack machine, probes verify jump tables, follows likely-next
+whole runs of steps per call: it walks chains, calls each slot's action
+body compiled to C, probes verify jump tables, follows likely-next
 links by value tag, and only returns to Python on a verify miss, a link
 it cannot resolve, an exhausted budget, or a halt.
+
+The bodies are the paper's residual code in C.  Each compiled
+simulator gets one small shared library (:class:`BodyLibrary`), built
+when its first C engine starts, through the same disk cache, build
+lock and content hash as the kernel: every action body, in the one
+placeholder shape codegen records for it, is compiled to the replay IR
+(:func:`~repro.facile.replay_ir.compile_body`), passed through the
+verifier gate (:func:`~repro.facile.ir_verify.assert_lowerable`) and
+translated to one C ``switch`` over the simulator's actions
+(:mod:`repro.facile.replay_c`).  Both translation units compile one
+prelude, the ``St`` layout, so they agree on every field; extern calls
+go back through one kernel function pointer in ``St``, so the native
+uarch models (below) are compiled once, into the kernel.
 
 Chains register through one kernel entry point, ``ffc_add_chains``,
 which takes N chains' ``nums``/``data``/``succ`` lanes in place (private
@@ -28,11 +41,10 @@ tables back it:
   need through the same call.  The pool's
   release hook makes the mirror forget an index whose last reference
   died, so a reused index is mirrored afresh; a clear resets the arena;
-* the **body table** maps ``(action, shape)`` to a body program,
-  compiled by :func:`~repro.facile.replay_ir.compile_body` and passed
-  through the verifier gate (:func:`~repro.facile.ir_verify.assert_lowerable`)
-  once per compiled simulator per process (:class:`BodyTable`); each
-  engine copies the programs it needs into its kernel;
+* the **body table** maps ``(action, shape)`` to the action's compiled
+  body, registered per engine as the chains need it; a chain that
+  records an action in any other shape than its compiled one is
+  refused;
 * the **object chains** name, per object registry id, the chain whose
   key that object is, from a snapshot.  At a step boundary with no link
   yet, an init slot holding such an object links the boundary in the
@@ -60,14 +72,15 @@ Contract with the Python backend (the behavior reference):
   the reason counted in ``unlowerable_reasons``) and that entry replays
   on the Python tiers.  Slot values the kernel cannot mirror (huge ints,
   aliased lists) fall back per call.  A missing C compiler (or
-  ``FACILE_NO_CC=1``) degrades the whole engine to the Python backend
-  with a reported, non-fatal status.
+  ``FACILE_NO_CC=1``), or a kernel or body library that fails to build
+  or load, degrades the whole engine to the Python backend with a
+  reported, non-fatal status.
 * **Same integers.**  The spec's integers are unbounded; the kernel's
   are i64.  An op the kernel cannot compute as the spec does (a result
   outside i64, a shift or width outside ``[0, 63]``, a zero divisor,
   an address outside the page table, a counter outside the table, an
-  object read as an int) hands its body back: the kernel exits with
-  the op's pc and the body's operand stack and locals, and
+  object read as an int) hands its body back: the compiled body saves
+  the op's pc and its operand stack and locals, the kernel exits, and
   :func:`~repro.facile.replay_ir.interpret_body` runs the body on from
   that op with Python ints, raising where the spec raises; the Python
   packed loop then finishes the step (:meth:`CReplayBackend._resume`).
@@ -79,8 +92,8 @@ kernel call (counters travel as deltas); target-memory pages are pinned
 zero-copy via ``from_buffer`` into a two-level C page table, reset when
 ``SimContext.restore`` swaps the page dict (``Memory._epoch``).
 Externs (cache model, branch predictor) call back into Python with the
-live cycle counters synced first, exactly as the interpreted bodies
-would observe them.
+live cycle counters synced first, exactly as the Python bodies would
+observe them.
 """
 
 from __future__ import annotations
@@ -95,8 +108,9 @@ from array import array
 from dataclasses import dataclass
 
 from .ir_verify import assert_lowerable
+from .replay_c import BODY_HELPERS, emit_bodies
 from .replay_ir import (
-    ExternTable, OP_NAMES, Unlowerable, compile_body, interpret_body,
+    ExternTable, Unlowerable, compile_body, interpret_body,
     register_extern_table,
 )
 from .runtime import ENDMARK, SimulationError, build_replay_view, freeze
@@ -122,7 +136,7 @@ E_SHIFT = 2    # shift amount or width outside [0, 63]
 E_COUNTER = 3  # stat_count id outside [0, 256)
 E_EXTERN = 4   # extern callback raised (wrapper re-raises the original)
 E_SLOT = 5     # object slot read into computation / bad element index
-E_BADOP = 6    # malformed bytecode or chain (compiler bug)
+E_BADOP = 6    # malformed chain or unknown action (compiler bug)
 E_ADDR = 7     # memory address outside the kernel's 32-bit page table
 E_CONSUMED = 8  # more than MAX_CONSUMED verify values in one step
 E_OVF = 9      # result outside i64
@@ -150,19 +164,14 @@ _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 # ---------------------------------------------------------------------------
-# The C kernel source
+# The C sources: a prelude both translation units compile, the kernel,
+# and each simulator's body library
 # ---------------------------------------------------------------------------
 
-def _opcode_defines() -> str:
-    return "\n".join(
-        f"#define OP_{name} {i}" for i, name in enumerate(OP_NAMES)
-    )
-
-
-_C_SOURCE_TEMPLATE = r"""
-/* Facile packed-chain replay kernel.  Generated by repro.facile.cbackend;
- * the authoritative opcode semantics live in repro/facile/replay_ir.py
- * (interpret_body) and must match this file exactly. */
+#: The ``St`` layout and the constants the kernel and every body
+#: library share.  Both compile this text, so the two agree on where
+#: every field lives.
+_PRELUDE = r"""
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -171,8 +180,135 @@ _C_SOURCE_TEMPLATE = r"""
 typedef int64_t i64;
 typedef uint64_t u64;
 
-%(OPCODES)s
+#define E_NONE 0
+#define E_DIV0 1
+#define E_SHIFT 2
+#define E_COUNTER 3
+#define E_EXTERN 4
+#define E_SLOT 5
+#define E_BADOP 6
+#define E_ADDR 7
+#define E_CONSUMED 8
+#define E_OVF 9
 
+#define MAX_SLOTS 64
+#define NCOUNTERS 256
+#define MAX_CONSUMED 8192
+#define VM_STACK 128
+#define VM_LOCALS 32
+#define PAGE_SIZE 4096
+#define PT1 1024
+#define PT2 1024
+#define M32 0xFFFFFFFFULL
+
+/* Native extern registry: in-kernel implementations of the shipped
+ * uarch timing models (repro/uarch/branch.py, repro/uarch/cache.py —
+ * the executable specification these must match bit for bit).  Model
+ * state lives in Python array('q') buffers bound zero-copy. */
+#define MAX_NX 64
+#define NX_ARRS 12
+#define NX_PARAMS 16
+
+typedef struct St St;
+typedef unsigned char *(*page_fn)(i64 pageno);
+typedef i64 (*extern_fn)(i64 xid, i64 nargs, i64 *args);
+/* A body library's ffb_run: run one action's body (see replay_c.py). */
+typedef int (*body_fn)(St *st, i64 action, const i64 *ph, i64 *ret);
+/* The kernel's extern dispatch: native model or Python callback. */
+typedef i64 (*xcall_fn)(St *st, i64 xid, i64 nargs, i64 *args);
+
+typedef struct {
+    i64 kind;
+    i64 params[NX_PARAMS];
+    i64 *arr[NX_ARRS];
+    i64 arrn[NX_ARRS];
+} Nx;
+
+/* One registered body: the library runs it by action number. */
+typedef struct {
+    i64 is_verify;
+    i64 action, shape;
+} Prog;
+
+/* One registered chain.  Its arrays live in the same allocation, right
+ * after the struct (see chain_alloc). */
+typedef struct {
+    i64 n;
+    unsigned char *kinds;
+    int *progids;
+    i64 *doffs;    /* arena offset of the slot's placeholder data */
+    i64 *aux;      /* VERIFY_EQ: expected value; VERIFY_TAB: table id;
+                      END: end-record index */
+    i64 *tabs;     /* jump tables: [len, key, target, key, target, ...] */
+    i64 *toffs;    /* table id -> offset of its len word in tabs */
+    i64 nends;
+    unsigned char *lset;   /* per end-record: likely-next link present */
+    i64 *lexpect;          /* expected init tag: (value << 1) | isobj */
+    i64 *lnext;            /* successor chain id */
+} Chain;
+
+/* One mirrored intern-pool value: its kind (PK_*), shape id and words
+ * in the arena. */
+typedef struct {
+    i64 kind, shape, off, len;
+} PVal;
+
+/* The leading fields up to and including r_loc are mirrored by the
+ * ctypes _StPrefix structure in cbackend.py; do not reorder them
+ * (ffc_prefix_bytes lets the tests check the two layouts agree). */
+struct St {
+    i64 cycles, retired_total, retired_fast, halted, err, err_a;
+    i64 slots[MAX_SLOTS];
+    unsigned char isobj[MAX_SLOTS];
+    i64 *arrp[MAX_SLOTS];
+    i64 arrlen[MAX_SLOTS];
+    i64 counters[NCOUNTERS];
+    unsigned char cdirty[NCOUNTERS];
+    i64 consumed[MAX_CONSUMED];
+    i64 nconsumed;
+    /* A body handed back (X_RESUME): its (action, shape), the pc just
+     * past the op it stopped at, and its operand stack and locals before
+     * that op.  r_pc is -1 when no body was handed back.  The body saves
+     * r_pc onwards; the walker records r_action and r_shape. */
+    i64 r_action, r_shape, r_pc, r_sp;
+    i64 r_stack[VM_STACK];
+    i64 r_loc[VM_LOCALS];
+    /* --- C-only state below (opaque to Python) --- */
+    unsigned char **pt[PT1];
+    page_fn page_cb;
+    xcall_fn xcall;
+    body_fn body;
+    Prog *progs;
+    i64 nprogs, progcap;
+    /* Body table: btab[shape * bcols + action] -> index into progs, or
+     * -1. */
+    int *btab;
+    i64 brows, bcols;
+    /* Pool mirror, indexed by intern-pool index. */
+    PVal *pool;
+    i64 npool;
+    i64 *arena;
+    i64 arena_n, arena_cap;
+    i64 nmirrored;          /* values mirrored into the arena */
+    Chain **chains;
+    i64 nchains, chaincap;
+    /* Object registry id -> id of the chain whose key that object is,
+     * or -1 (set from a snapshot, see ffc_set_objchains, and by each
+     * link Python resolves, see ffc_set_link). */
+    i64 *objchain;
+    i64 nobjchain, objchaincap;
+    extern_fn extern_cb;
+    /* Native extern registry */
+    Nx nx[MAX_NX];
+    i64 nnx;
+    i64 *nx_map;       /* xid -> nx index, or -1 for the callback path */
+    i64 *nx_hits;      /* per-xid native dispatch count */
+    i64 nxmap_n, nxmap_cap;
+};
+"""
+
+#: The replay kernel, compiled once per process after the prelude.
+_KERNEL_TEMPLATE = r"""
 /* Chain slot kinds, decoded from the packed lanes at registration. */
 #define K_ACTION 0
 #define K_VERIFY_EQ 1
@@ -209,35 +345,6 @@ typedef uint64_t u64;
 #define X_ERR 4
 #define X_RESUME 5
 
-#define E_NONE 0
-#define E_DIV0 1
-#define E_SHIFT 2
-#define E_COUNTER 3
-#define E_EXTERN 4
-#define E_SLOT 5
-#define E_BADOP 6
-#define E_ADDR 7
-#define E_CONSUMED 8
-#define E_OVF 9
-
-#define MAX_SLOTS 64
-#define NCOUNTERS 256
-#define MAX_CONSUMED 8192
-#define VM_STACK 128
-#define VM_LOCALS 32
-#define PAGE_SIZE 4096
-#define PT1 1024
-#define PT2 1024
-#define M32 0xFFFFFFFFULL
-
-/* Native extern registry: in-kernel implementations of the shipped
- * uarch timing models (repro/uarch/branch.py, repro/uarch/cache.py —
- * the executable specification these must match bit for bit).  Model
- * state lives in Python array('q') buffers bound zero-copy. */
-#define MAX_NX 64
-#define NX_ARRS 12
-#define NX_PARAMS 16
-
 #define NX_BIMODAL 0
 #define NX_GSHARE 1
 #define NX_TOURN 2
@@ -247,110 +354,28 @@ typedef uint64_t u64;
 #define NX_BCALL 6
 #define NX_CACHE 7
 
-typedef unsigned char *(*page_fn)(i64 pageno);
-typedef i64 (*extern_fn)(i64 xid, i64 nargs, i64 *args);
-
-typedef struct {
-    i64 kind;
-    i64 params[NX_PARAMS];
-    i64 *arr[NX_ARRS];
-    i64 arrn[NX_ARRS];
-} Nx;
-
-typedef struct {
-    i64 *code;
-    i64 n;
-    i64 is_verify;
-    i64 action, shape;
-} Prog;
-
-/* One registered chain.  Its arrays live in the same allocation, right
- * after the struct (see chain_alloc). */
-typedef struct {
-    i64 n;
-    unsigned char *kinds;
-    int *progids;
-    i64 *doffs;    /* arena offset of the slot's placeholder data */
-    i64 *aux;      /* VERIFY_EQ: expected value; VERIFY_TAB: table id;
-                      END: end-record index */
-    i64 *tabs;     /* jump tables: [len, key, target, key, target, ...] */
-    i64 *toffs;    /* table id -> offset of its len word in tabs */
-    i64 nends;
-    unsigned char *lset;   /* per end-record: likely-next link present */
-    i64 *lexpect;          /* expected init tag: (value << 1) | isobj */
-    i64 *lnext;            /* successor chain id */
-} Chain;
-
-/* One mirrored intern-pool value: its kind (PK_*), shape id and words
- * in the arena. */
-typedef struct {
-    i64 kind, shape, off, len;
-} PVal;
-
-/* The leading fields up to and including r_loc are mirrored by the
- * ctypes _StPrefix structure in cbackend.py; do not reorder them
- * (ffc_prefix_bytes lets the tests check the two layouts agree). */
-typedef struct {
-    i64 cycles, retired_total, retired_fast, halted, err, err_a;
-    i64 slots[MAX_SLOTS];
-    unsigned char isobj[MAX_SLOTS];
-    i64 *arrp[MAX_SLOTS];
-    i64 arrlen[MAX_SLOTS];
-    i64 counters[NCOUNTERS];
-    unsigned char cdirty[NCOUNTERS];
-    i64 consumed[MAX_CONSUMED];
-    i64 nconsumed;
-    /* A body handed back (X_RESUME): its (action, shape), the pc just
-     * past the op it stopped at, and its operand stack and locals before
-     * that op.  r_pc is -1 when no body was handed back. */
-    i64 r_action, r_shape, r_pc, r_sp;
-    i64 r_stack[VM_STACK];
-    i64 r_loc[VM_LOCALS];
-    /* --- C-only state below (opaque to Python) --- */
-    unsigned char **pt[PT1];
-    Prog *progs;
-    i64 nprogs, progcap;
-    /* Body table: btab[shape * bcols + action] -> program id, or -1. */
-    int *btab;
-    i64 brows, bcols;
-    /* Pool mirror, indexed by intern-pool index. */
-    PVal *pool;
-    i64 npool;
-    i64 *arena;
-    i64 arena_n, arena_cap;
-    i64 nmirrored;          /* values mirrored into the arena */
-    Chain **chains;
-    i64 nchains, chaincap;
-    /* Object registry id -> id of the chain whose key that object is,
-     * or -1 (set from a snapshot, see ffc_set_objchains, and by each
-     * link Python resolves, see ffc_set_link). */
-    i64 *objchain;
-    i64 nobjchain, objchaincap;
-    page_fn page_cb;
-    extern_fn extern_cb;
-    /* Native extern registry */
-    Nx nx[MAX_NX];
-    i64 nnx;
-    i64 *nx_map;       /* xid -> nx index, or -1 for the callback path */
-    i64 *nx_hits;      /* per-xid native dispatch count */
-    i64 nxmap_n, nxmap_cap;
-} St;
-
 typedef struct {
     i64 code, err, cid, slot, end_ix, steps, actions, links;
 } FfcExit;
 
+static i64 kernel_xcall(St *st, i64 xid, i64 nargs, i64 *args);
+
 St *ffc_new(void) {
-    return (St *)calloc(1, sizeof(St));
+    St *st = (St *)calloc(1, sizeof(St));
+    if (st) st->xcall = kernel_xcall;
+    return st;
 }
 
 i64 ffc_prefix_bytes(void) {
     return (i64)offsetof(St, pt);
 }
 
-void ffc_set_cbs(St *st, page_fn p, extern_fn x) {
+/* The page and extern callbacks (Python), and the simulator's body
+ * library (its ffb_run). */
+void ffc_set_cbs(St *st, page_fn p, extern_fn x, body_fn b) {
     st->page_cb = p;
     st->extern_cb = x;
+    st->body = b;
 }
 
 /* Grow an array of *cap elements of size bytes to hold at least need;
@@ -374,9 +399,8 @@ static i64 body_of(St *st, i64 action, i64 shape) {
     return st->btab[shape * st->bcols + action];
 }
 
-/* Register one verified body program as the body of (action, shape). */
-i64 ffc_add_body(St *st, i64 action, i64 shape, const i64 *code, i64 n,
-                 i64 is_verify) {
+/* Register action's compiled body as the body of (action, shape). */
+i64 ffc_add_body(St *st, i64 action, i64 shape, i64 is_verify) {
     if (action < 0 || shape < 0) return -1;
     if (action >= st->bcols || shape >= st->brows) {
         i64 rows = shape >= st->brows ? shape + 8 : st->brows;
@@ -396,11 +420,6 @@ i64 ffc_add_body(St *st, i64 action, i64 shape, const i64 *code, i64 n,
                             sizeof(Prog));
     if (!np) return -1;
     st->progs = np;
-    i64 *copy = (i64 *)malloc((n ? n : 1) * sizeof(i64));
-    if (!copy) return -1;
-    if (n) memcpy(copy, code, n * sizeof(i64));
-    np[st->nprogs].code = copy;
-    np[st->nprogs].n = n;
     np[st->nprogs].is_verify = is_verify;
     np[st->nprogs].action = action;
     np[st->nprogs].shape = shape;
@@ -1087,7 +1106,6 @@ i64 ffc_nx_call(St *st, i64 nxid, i64 nargs, i64 *args) {
 void ffc_free(St *st) {
     if (!st) return;
     ffc_drop_all_chains(st);
-    for (i64 i = 0; i < st->nprogs; i++) free(st->progs[i].code);
     free(st->progs);
     free(st->btab);
     free(st->pool);
@@ -1100,467 +1118,16 @@ void ffc_free(St *st) {
     free(st);
 }
 
-/* -- target memory ------------------------------------------------------ */
+/* -- extern dispatch ---------------------------------------------------- */
 
-static unsigned char *get_page(St *st, u64 pn) {
-    unsigned char **l2 = st->pt[pn >> 10];
-    if (!l2) {
-        l2 = (unsigned char **)calloc(PT2, sizeof(unsigned char *));
-        if (!l2) return 0;
-        st->pt[pn >> 10] = l2;
+/* Every body's extern call: the native model bound to xid, or the Python
+ * callback (which sets st->err to E_EXTERN when it raises). */
+static i64 kernel_xcall(St *st, i64 xid, i64 nargs, i64 *args) {
+    if (xid < st->nxmap_n && st->nx_map[xid] >= 0) {
+        st->nx_hits[xid]++;
+        return ffc_nx_call(st, st->nx_map[xid], nargs, args);
     }
-    unsigned char *p = l2[pn & 1023];
-    if (!p) {
-        p = st->page_cb(pn);
-        l2[pn & 1023] = p;
-    }
-    return p;
-}
-
-static int mem_read(St *st, i64 addr, int nbytes, i64 *out) {
-    if (addr < 0 || (u64)addr + nbytes > 0x100000000ULL) {
-        st->err = E_ADDR; st->err_a = addr; return -1;
-    }
-    u64 off = (u64)addr & (PAGE_SIZE - 1);
-    if (off + nbytes <= PAGE_SIZE) {
-        unsigned char *p = get_page(st, (u64)addr >> 12);
-        if (!p) { st->err = E_ADDR; st->err_a = addr; return -1; }
-        u64 v = 0;
-        for (int i = nbytes - 1; i >= 0; i--) v = (v << 8) | p[off + i];
-        *out = (i64)v;
-        return 0;
-    }
-    u64 v = 0;
-    for (int i = nbytes - 1; i >= 0; i--) {
-        u64 a = (u64)addr + i;
-        unsigned char *p = get_page(st, a >> 12);
-        if (!p) { st->err = E_ADDR; st->err_a = addr; return -1; }
-        v = (v << 8) | p[a & (PAGE_SIZE - 1)];
-    }
-    *out = (i64)v;
-    return 0;
-}
-
-static int mem_write(St *st, i64 addr, int nbytes, i64 value) {
-    if (addr < 0 || (u64)addr + nbytes > 0x100000000ULL) {
-        st->err = E_ADDR; st->err_a = addr; return -1;
-    }
-    u64 off = (u64)addr & (PAGE_SIZE - 1);
-    u64 v = (u64)value;
-    if (off + nbytes <= PAGE_SIZE) {
-        unsigned char *p = get_page(st, (u64)addr >> 12);
-        if (!p) { st->err = E_ADDR; st->err_a = addr; return -1; }
-        for (int i = 0; i < nbytes; i++) { p[off + i] = v & 0xFF; v >>= 8; }
-        return 0;
-    }
-    for (int i = 0; i < nbytes; i++) {
-        u64 a = (u64)addr + i;
-        unsigned char *p = get_page(st, a >> 12);
-        if (!p) { st->err = E_ADDR; st->err_a = addr; return -1; }
-        p[a & (PAGE_SIZE - 1)] = v & 0xFF;
-        v >>= 8;
-    }
-    return 0;
-}
-
-/* -- condition-code helpers (repro/facile/builtins.py, verbatim) -------- */
-
-static i64 h_cc_add(i64 a, i64 b) {
-    u64 ua = (u64)a & M32, ub = (u64)b & M32;
-    u64 total = ua + ub, r = total & M32;
-    i64 fl = 0;
-    if (r & 0x80000000ULL) fl |= 8;
-    if (r == 0) fl |= 4;
-    if ((~(ua ^ ub) & (ua ^ r)) & 0x80000000ULL) fl |= 2;
-    if (total > M32) fl |= 1;
-    return fl;
-}
-
-static i64 h_cc_sub(i64 a, i64 b) {
-    u64 ua = (u64)a & M32, ub = (u64)b & M32;
-    u64 r = (ua - ub) & M32;
-    i64 fl = 0;
-    if (r & 0x80000000ULL) fl |= 8;
-    if (r == 0) fl |= 4;
-    if (((ua ^ ub) & (ua ^ r)) & 0x80000000ULL) fl |= 2;
-    if (ua < ub) fl |= 1;
-    return fl;
-}
-
-static i64 h_cc_logic(i64 a) {
-    u64 r = (u64)a & M32;
-    i64 fl = 0;
-    if (r & 0x80000000ULL) fl |= 8;
-    if (r == 0) fl |= 4;
-    return fl;
-}
-
-static i64 h_cc_br(i64 cond, i64 cc) {
-    int n = !!(cc & 8), z = !!(cc & 4), v = !!(cc & 2), c = !!(cc & 1);
-    switch (cond & 0xF) {
-        case 8: return 1;
-        case 0: return 0;
-        case 9: return !z;
-        case 1: return z;
-        case 10: return !(z || (n != v));
-        case 2: return z || (n != v);
-        case 11: return n == v;
-        case 3: return n != v;
-        case 12: return !(c || z);
-        case 4: return c || z;
-        case 13: return !c;
-        case 5: return c;
-        case 14: return !n;
-        case 6: return n;
-        case 15: return !v;
-        case 7: return v;
-    }
-    return 0;
-}
-
-/* Floor (Python) right shift of an i64: arithmetic, clamped width. */
-static i64 asr(i64 a, i64 b) {
-    if (b > 63) b = 63;
-    return a >> b;
-}
-
-/* -- body VM ------------------------------------------------------------ */
-/* Returns 0 on END, 1 on RETURN (*ret set), -1 on error (st->err set).
- * Stack discipline is guaranteed by the Python-side compiler
- * (max depth <= 120 < VM_STACK, no underflow), so the hot loop does no
- * per-op stack checks.
- *
- * Integers in the spec are unbounded.  An op whose result would leave
- * i64, or that the kernel cannot compute as interpret_body does (a
- * shift or width outside [0, 63], a zero divisor, an address outside
- * the page table, a counter outside the table, an object where an int
- * is read), hands the body back: HANDBACK saves the pc past the op and
- * the stack and locals as they were before it, and Python resumes the
- * body at that op.  Every case checks before it writes, so
- * stack[0..sp0) still holds the op's operands there.  The checks are
- * marked unlikely so the compiler keeps the common path straight. */
-
-#define UNLIKELY(x) __builtin_expect(!!(x), 0)
-#define HANDBACK(e, detail) \
-    do { st->err = (e); st->err_a = (detail); goto handback; } while (0)
-
-static int run_prog(St *st, Prog *p, const i64 *ph, i64 *ret) {
-    i64 stack[VM_STACK];
-    i64 loc[VM_LOCALS];
-    i64 *code = p->code;
-    i64 pc = 0, sp = 0, sp0;
-    memset(loc, 0, sizeof(loc));
-    for (;;) {
-        i64 op = code[pc], arg = code[pc + 1];
-        pc += 2;
-        sp0 = sp;
-        i64 a, b, r;
-        switch (op) {
-        case OP_END:
-            return 0;
-        case OP_RETURN:
-            *ret = stack[--sp];
-            return 1;
-        case OP_CONST:
-            stack[sp++] = arg;
-            break;
-        case OP_PH:
-            stack[sp++] = ph[arg];
-            break;
-        case OP_SLOT:
-            if (UNLIKELY(st->isobj[arg])) HANDBACK(E_SLOT, arg);
-            stack[sp++] = st->slots[arg];
-            break;
-        case OP_ELEM:
-            a = stack[--sp];
-            if (UNLIKELY(!st->arrp[arg] || a < 0 || a >= st->arrlen[arg]))
-                HANDBACK(E_SLOT, arg);
-            stack[sp++] = st->arrp[arg][a];
-            break;
-        case OP_LOCAL:
-            stack[sp++] = loc[arg];
-            break;
-        case OP_STORE_SLOT:
-            st->slots[arg] = stack[--sp];
-            st->isobj[arg] = 0;
-            st->arrp[arg] = 0;
-            break;
-        case OP_STORE_SLOT_OBJ:
-            st->slots[arg] = stack[--sp];
-            st->isobj[arg] = 1;
-            st->arrp[arg] = 0;
-            break;
-        case OP_STORE_ELEM:
-            b = stack[--sp];
-            a = stack[--sp];
-            if (UNLIKELY(!st->arrp[arg] || a < 0 || a >= st->arrlen[arg]))
-                HANDBACK(E_SLOT, arg);
-            st->arrp[arg][a] = b;
-            break;
-        case OP_STORE_LOCAL:
-            loc[arg] = stack[--sp];
-            break;
-        case OP_ADD:
-            b = stack[--sp];
-            if (UNLIKELY(__builtin_add_overflow(stack[sp - 1], b, &r)))
-                HANDBACK(E_OVF, b);
-            stack[sp - 1] = r;
-            break;
-        case OP_SUB:
-            b = stack[--sp];
-            if (UNLIKELY(__builtin_sub_overflow(stack[sp - 1], b, &r)))
-                HANDBACK(E_OVF, b);
-            stack[sp - 1] = r;
-            break;
-        case OP_MUL:
-            b = stack[--sp];
-            if (UNLIKELY(__builtin_mul_overflow(stack[sp - 1], b, &r)))
-                HANDBACK(E_OVF, b);
-            stack[sp - 1] = r;
-            break;
-        case OP_AND:
-            b = stack[--sp];
-            stack[sp - 1] &= b;
-            break;
-        case OP_OR:
-            b = stack[--sp];
-            stack[sp - 1] |= b;
-            break;
-        case OP_XOR:
-            b = stack[--sp];
-            stack[sp - 1] ^= b;
-            break;
-        case OP_SHL:
-            b = stack[--sp];
-            a = stack[sp - 1];
-            if (UNLIKELY(b < 0 || b > 63)) HANDBACK(E_SHIFT, b);
-            r = (i64)((u64)a << b);
-            if (UNLIKELY((r >> b) != a)) HANDBACK(E_OVF, b);
-            stack[sp - 1] = r;
-            break;
-        case OP_SHR:
-            b = stack[--sp];
-            if (UNLIKELY(b < 0)) HANDBACK(E_SHIFT, b);
-            stack[sp - 1] = asr(stack[sp - 1], b);
-            break;
-        case OP_NEG:
-            if (UNLIKELY(stack[sp - 1] == INT64_MIN)) HANDBACK(E_OVF, 0);
-            stack[sp - 1] = -stack[sp - 1];
-            break;
-        case OP_NOT:
-            stack[sp - 1] = stack[sp - 1] ? 0 : 1;
-            break;
-        case OP_EQ:
-            b = stack[--sp];
-            stack[sp - 1] = stack[sp - 1] == b;
-            break;
-        case OP_NE:
-            b = stack[--sp];
-            stack[sp - 1] = stack[sp - 1] != b;
-            break;
-        case OP_LT:
-            b = stack[--sp];
-            stack[sp - 1] = stack[sp - 1] < b;
-            break;
-        case OP_LE:
-            b = stack[--sp];
-            stack[sp - 1] = stack[sp - 1] <= b;
-            break;
-        case OP_GT:
-            b = stack[--sp];
-            stack[sp - 1] = stack[sp - 1] > b;
-            break;
-        case OP_GE:
-            b = stack[--sp];
-            stack[sp - 1] = stack[sp - 1] >= b;
-            break;
-        case OP_JMP:
-            pc = arg;
-            break;
-        case OP_JZ:
-            if (!stack[--sp]) pc = arg;
-            break;
-        case OP_SELECT: {
-            b = stack[--sp];
-            a = stack[--sp];
-            i64 cnd = stack[--sp];
-            stack[sp++] = cnd ? a : b;
-            break;
-        }
-        case OP_DROP:
-            sp--;
-            break;
-        case OP_SEXT: {
-            b = stack[--sp];
-            if (UNLIKELY(b < 1 || b > 63)) HANDBACK(E_SHIFT, b);
-            u64 m = (1ULL << b) - 1;
-            u64 v = (u64)stack[sp - 1] & m;
-            stack[sp - 1] = (v >> (b - 1)) & 1
-                ? (i64)(v - (1ULL << b)) : (i64)v;
-            break;
-        }
-        case OP_ZEXT:
-            b = stack[--sp];
-            if (UNLIKELY(b < 0 || b > 63)) HANDBACK(E_SHIFT, b);
-            stack[sp - 1] = (i64)((u64)stack[sp - 1] & ((1ULL << b) - 1));
-            break;
-        case OP_S32: {
-            u64 v = (u64)stack[sp - 1] & M32;
-            stack[sp - 1] = (v >> 31) & 1 ? (i64)(v - 0x100000000ULL) : (i64)v;
-            break;
-        }
-        case OP_BIT:
-            b = stack[--sp];
-            if (UNLIKELY(b < 0)) HANDBACK(E_SHIFT, b);
-            stack[sp - 1] = (asr(stack[sp - 1], b)) & 1;
-            break;
-        case OP_BITS: {
-            i64 hi = stack[--sp];
-            i64 lo = stack[--sp];
-            i64 width = hi - lo + 1;
-            if (UNLIKELY(lo < 0 || width < 1)) HANDBACK(E_SHIFT, lo);
-            a = asr(stack[sp - 1], lo);
-            /* 64 or more bits of a negative value: a positive result
-             * of 64 bits or more. */
-            if (UNLIKELY(width >= 64 && a < 0)) HANDBACK(E_OVF, width);
-            u64 m = width >= 64 ? ~0ULL : (1ULL << width) - 1;
-            stack[sp - 1] = (i64)((u64)a & m);
-            break;
-        }
-        case OP_POPCOUNT:
-            stack[sp - 1] = __builtin_popcountll((u64)stack[sp - 1] & M32);
-            break;
-        case OP_MIN:
-            b = stack[--sp];
-            if (b < stack[sp - 1]) stack[sp - 1] = b;
-            break;
-        case OP_MAX:
-            b = stack[--sp];
-            if (b > stack[sp - 1]) stack[sp - 1] = b;
-            break;
-        case OP_ABS:
-            a = stack[sp - 1];
-            if (UNLIKELY(a == INT64_MIN)) HANDBACK(E_OVF, 0);
-            stack[sp - 1] = a < 0 ? -a : a;
-            break;
-        case OP_IDIV:
-            b = stack[--sp];
-            a = stack[sp - 1];
-            if (UNLIKELY(b == 0)) HANDBACK(E_DIV0, 0);
-            if (UNLIKELY(b == -1 && a == INT64_MIN)) HANDBACK(E_OVF, b);
-            stack[sp - 1] = a / b;
-            break;
-        case OP_IMOD:
-            b = stack[--sp];
-            a = stack[sp - 1];
-            if (UNLIKELY(b == 0)) HANDBACK(E_DIV0, 0);
-            stack[sp - 1] = b == -1 ? 0 : a %% b;
-            break;
-        case OP_UMUL32:
-            b = stack[--sp];
-            stack[sp - 1] = (i64)((((u64)stack[sp - 1] & M32)
-                                   * ((u64)b & M32)) & M32);
-            break;
-        case OP_UDIV32: {
-            b = stack[--sp];
-            if (b == 0) { stack[sp - 1] = 0; break; }
-            u64 ub = (u64)b & M32;
-            if (UNLIKELY(ub == 0)) HANDBACK(E_DIV0, b);
-            stack[sp - 1] = (i64)((((u64)stack[sp - 1] & M32) / ub) & M32);
-            break;
-        }
-        case OP_CC_ADD:
-            b = stack[--sp];
-            stack[sp - 1] = h_cc_add(stack[sp - 1], b);
-            break;
-        case OP_CC_SUB:
-            b = stack[--sp];
-            stack[sp - 1] = h_cc_sub(stack[sp - 1], b);
-            break;
-        case OP_CC_LOGIC:
-            stack[sp - 1] = h_cc_logic(stack[sp - 1]);
-            break;
-        case OP_CC_BR:
-            b = stack[--sp];
-            stack[sp - 1] = h_cc_br(stack[sp - 1], b);
-            break;
-        case OP_MEM_R8:
-            if (UNLIKELY(mem_read(st, stack[sp - 1], 1, &stack[sp - 1])))
-                goto handback;
-            break;
-        case OP_MEM_R16:
-            if (UNLIKELY(mem_read(st, stack[sp - 1], 2, &stack[sp - 1])))
-                goto handback;
-            break;
-        case OP_MEM_R32:
-            if (UNLIKELY(mem_read(st, stack[sp - 1], 4, &stack[sp - 1])))
-                goto handback;
-            break;
-        case OP_MEM_W8:
-            b = stack[--sp];
-            a = stack[--sp];
-            if (UNLIKELY(mem_write(st, a, 1, b)))
-                goto handback;
-            break;
-        case OP_MEM_W16:
-            b = stack[--sp];
-            a = stack[--sp];
-            if (UNLIKELY(mem_write(st, a, 2, b)))
-                goto handback;
-            break;
-        case OP_MEM_W32:
-            b = stack[--sp];
-            a = stack[--sp];
-            if (UNLIKELY(mem_write(st, a, 4, b)))
-                goto handback;
-            break;
-        case OP_STAT_RETIRE:
-            a = stack[--sp];
-            st->retired_total += a;
-            st->retired_fast += a;
-            break;
-        case OP_STAT_CYCLE:
-            st->cycles += stack[--sp];
-            break;
-        case OP_STAT_COUNT:
-            b = stack[--sp];
-            a = stack[--sp];
-            if (UNLIKELY(a < 0 || a >= NCOUNTERS)) HANDBACK(E_COUNTER, a);
-            st->counters[a] += b;
-            st->cdirty[a] = 1;
-            break;
-        case OP_HALT:
-            st->halted = 1;
-            break;
-        case OP_EXTERN: {
-            i64 nargs = arg & 0xFF;
-            i64 xid = arg >> 8;
-            sp -= nargs;
-            i64 r;
-            if (xid < st->nxmap_n && st->nx_map[xid] >= 0) {
-                st->nx_hits[xid]++;
-                r = ffc_nx_call(st, st->nx_map[xid], nargs, &stack[sp]);
-            } else {
-                r = st->extern_cb(xid, nargs, &stack[sp]);
-                if (st->err) return -1;
-            }
-            stack[sp++] = r;
-            break;
-        }
-        default:
-            st->err = E_BADOP;
-            st->err_a = op;
-            return -1;
-        }
-    }
-  handback:
-    st->r_action = p->action;
-    st->r_shape = p->shape;
-    st->r_pc = pc;
-    st->r_sp = sp0;
-    memcpy(st->r_stack, stack, sp0 * sizeof(i64));
-    memcpy(st->r_loc, loc, sizeof(loc));
-    return -1;
+    return st->extern_cb(xid, nargs, args);
 }
 
 /* -- chain walker ------------------------------------------------------- */
@@ -1579,14 +1146,7 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
         i = 0;
         while (i < ch->n) {
             int k = ch->kinds[i];
-            if (k == K_ACTION) {
-                i64 unused;
-                if (run_prog(st, &st->progs[ch->progids[i]],
-                             st->arena + ch->doffs[i], &unused) < 0)
-                    goto err;
-                actions++;
-                i++;
-            } else if (k == K_END) {
+            if (k == K_END) {
                 steps++;
                 i64 end_ix = ch->aux[i];
                 if (st->halted) {
@@ -1631,42 +1191,50 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
                 ex->actions = actions;
                 ex->links = links;
                 return;
-            } else {  /* verify */
-                i64 v = 0;
-                if (run_prog(st, &st->progs[ch->progids[i]],
-                             st->arena + ch->doffs[i], &v) < 0)
-                    goto err;
-                actions++;
-                if (st->nconsumed >= MAX_CONSUMED) {
-                    st->err = E_CONSUMED;
-                    goto err;
-                }
-                st->consumed[st->nconsumed++] = v;
-                i64 tgt = -1;
-                if (k == K_VERIFY_EQ) {
-                    if (v == ch->aux[i]) tgt = i + 1;
-                } else {
-                    const i64 *tab = ch->tabs + ch->toffs[ch->aux[i]];
-                    for (i64 j = 0; j < tab[0]; j++) {
-                        if (tab[1 + 2 * j] == v) {
-                            tgt = tab[2 + 2 * j];
-                            break;
-                        }
+            }
+            /* An action or a verify: run its body in the library.  A
+             * body handed back is named here for Python. */
+            Prog *p = &st->progs[ch->progids[i]];
+            i64 v = 0;
+            if (st->body(st, p->action, st->arena + ch->doffs[i], &v) < 0) {
+                st->r_action = p->action;
+                st->r_shape = p->shape;
+                goto err;
+            }
+            actions++;
+            if (k == K_ACTION) {
+                i++;
+                continue;
+            }
+            if (st->nconsumed >= MAX_CONSUMED) {
+                st->err = E_CONSUMED;
+                goto err;
+            }
+            st->consumed[st->nconsumed++] = v;
+            i64 tgt = -1;
+            if (k == K_VERIFY_EQ) {
+                if (v == ch->aux[i]) tgt = i + 1;
+            } else {
+                const i64 *tab = ch->tabs + ch->toffs[ch->aux[i]];
+                for (i64 j = 0; j < tab[0]; j++) {
+                    if (tab[1 + 2 * j] == v) {
+                        tgt = tab[2 + 2 * j];
+                        break;
                     }
                 }
-                if (tgt < 0) {
-                    ex->code = X_MISS;
-                    ex->err = E_NONE;
-                    ex->cid = cid;
-                    ex->slot = i;
-                    ex->end_ix = -1;
-                    ex->steps = steps;
-                    ex->actions = actions;
-                    ex->links = links;
-                    return;
-                }
-                i = tgt;
             }
+            if (tgt < 0) {
+                ex->code = X_MISS;
+                ex->err = E_NONE;
+                ex->cid = cid;
+                ex->slot = i;
+                ex->end_ix = -1;
+                ex->steps = steps;
+                ex->actions = actions;
+                ex->links = links;
+                return;
+            }
+            i = tgt;
         }
         /* Fell off the record stream without an ENDMARK: malformed. */
         st->err = E_BADOP;
@@ -1688,19 +1256,24 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
 
 
 def kernel_source() -> str:
-    return _C_SOURCE_TEMPLATE % {
-        "OPCODES": _opcode_defines(), "ENDMARK": ENDMARK,
-    }
+    return _PRELUDE + _KERNEL_TEMPLATE % {"ENDMARK": ENDMARK}
+
+
+def body_library_source(progs: list) -> str:
+    """One simulator's body library: the prelude, the helpers its bodies
+    call and ``ffb_run`` over ``progs`` (:mod:`repro.facile.replay_c`)."""
+    return _PRELUDE + BODY_HELPERS + emit_bodies(progs)
 
 
 # ---------------------------------------------------------------------------
-# Kernel loader (compile once per process, cache the .so on disk)
+# Builds (compile once per process, cache the .so on disk)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class KernelStatus:
-    """Outcome of the one-per-process kernel build."""
+class BuildStatus:
+    """Outcome of one shared-library build: the kernel, or a
+    simulator's body library."""
 
     available: bool
     reason: str = ""
@@ -1767,7 +1340,7 @@ _PTR = ctypes.c_void_p
 class Kernel:
     """A loaded replay kernel: the shared library plus its status."""
 
-    def __init__(self, lib, status: KernelStatus):
+    def __init__(self, lib, status: BuildStatus):
         self.lib = lib
         self.status = status
 
@@ -1778,9 +1351,10 @@ def _declare(lib) -> None:
     lib.ffc_prefix_bytes.restype = _LL
     lib.ffc_prefix_bytes.argtypes = []
     lib.ffc_set_cbs.restype = None
-    lib.ffc_set_cbs.argtypes = [ctypes.c_void_p, PAGE_CB, EXTERN_CB]
+    lib.ffc_set_cbs.argtypes = [
+        ctypes.c_void_p, PAGE_CB, EXTERN_CB, ctypes.c_void_p]
     lib.ffc_add_body.restype = _LL
-    lib.ffc_add_body.argtypes = [ctypes.c_void_p, _LL, _LL, _BUF, _LL, _LL]
+    lib.ffc_add_body.argtypes = [ctypes.c_void_p, _LL, _LL, _LL]
     lib.ffc_mirror.restype = _LL
     lib.ffc_mirror.argtypes = [ctypes.c_void_p, _LL, _PTR, _PTR, _LL, _BUF]
     lib.ffc_forget.restype = None
@@ -1896,58 +1470,68 @@ def _kernel_cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"facile-ckernel-{uid}")
 
 
-def _build_kernel() -> Kernel:
+def _build(stem: str, source: str, what: str, opt: str) -> tuple:
+    """Compile ``source`` at optimization level ``opt`` to
+    ``<stem>-<content hash>.so`` in the disk cache, or find it there,
+    and load it: ``(lib, BuildStatus)``, lib None when the build or the
+    load failed (``what`` names the library in the reason).  Processes
+    sharing the cache compile each source once (:class:`_BuildLock`)."""
     if os.environ.get("FACILE_NO_CC"):
-        return Kernel(None, KernelStatus(
-            False, "compiler masked (FACILE_NO_CC)"))
+        return None, BuildStatus(False, "compiler masked (FACILE_NO_CC)")
     cc = _find_cc()
     if cc is None:
-        return Kernel(None, KernelStatus(False, "no C compiler on PATH"))
-    source = kernel_source()
-    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+        return None, BuildStatus(False, "no C compiler on PATH")
+    digest = hashlib.sha256(f"{opt}\n{source}".encode()).hexdigest()[:16]
     cache_dir = _kernel_cache_dir()
-    so_path = os.path.join(cache_dir, f"kernel-{digest}.so")
+    so_path = os.path.join(cache_dir, f"{stem}-{digest}.so")
     t0 = time.perf_counter()
     cached = os.path.exists(so_path)
     if not cached:
         try:
             os.makedirs(cache_dir, mode=0o700, exist_ok=True)
-            lock = _BuildLock(os.path.join(cache_dir, f"kernel-{digest}.lock"))
+            lock = _BuildLock(os.path.join(cache_dir, f"{stem}-{digest}.lock"))
             lock.acquire()
             try:
                 # Re-check under the lock: a concurrent winner may have
                 # installed the .so while this process blocked.
                 cached = os.path.exists(so_path)
                 if not cached:
-                    src_path = os.path.join(cache_dir, f"kernel-{digest}.c")
+                    src_path = os.path.join(cache_dir, f"{stem}-{digest}.c")
                     with open(src_path, "w") as f:
                         f.write(source)
                     tmp = so_path + f".tmp{os.getpid()}"
                     proc = subprocess.run(
-                        [cc, "-O2", "-shared", "-fPIC", "-o", tmp, src_path],
+                        [cc, opt, "-shared", "-fPIC", "-o", tmp, src_path],
                         capture_output=True, text=True, timeout=120,
                     )
                     if proc.returncode != 0:
                         tail = (proc.stderr or "").strip().splitlines()[-3:]
-                        return Kernel(None, KernelStatus(
+                        return None, BuildStatus(
                             False,
-                            f"cc failed: {' | '.join(tail) or 'unknown error'}",
-                            cc=cc))
+                            f"{what}: cc failed: "
+                            f"{' | '.join(tail) or 'unknown error'}",
+                            cc=cc)
                     os.replace(tmp, so_path)
             finally:
                 lock.release()
         except (OSError, subprocess.SubprocessError) as exc:
-            return Kernel(None, KernelStatus(
-                False, f"kernel build failed: {exc}", cc=cc))
+            return None, BuildStatus(
+                False, f"{what} build failed: {exc}", cc=cc)
     try:
         lib = ctypes.CDLL(so_path)
-        _declare(lib)
     except OSError as exc:
-        return Kernel(None, KernelStatus(
-            False, f"kernel load failed: {exc}", cc=cc, path=so_path))
+        return None, BuildStatus(
+            False, f"{what} load failed: {exc}", cc=cc, path=so_path)
     ms = (time.perf_counter() - t0) * 1000.0
-    return Kernel(lib, KernelStatus(
-        True, "", compile_ms=ms, cached=cached, cc=cc, path=so_path))
+    return lib, BuildStatus(
+        True, "", compile_ms=ms, cached=cached, cc=cc, path=so_path)
+
+
+def _build_kernel() -> Kernel:
+    lib, status = _build("kernel", kernel_source(), "kernel", "-O2")
+    if lib is not None:
+        _declare(lib)
+    return Kernel(lib, status)
 
 
 def load_kernel() -> Kernel:
@@ -1974,20 +1558,25 @@ def _reset_kernel_for_tests() -> None:
 # ---------------------------------------------------------------------------
 
 
-class BodyTable:
-    """The body programs of one compiled simulator, kept for the life
-    of the process (``CompiledSimulator.body_table``).
+class BodyLibrary:
+    """The action bodies of one compiled simulator, compiled to C and
+    kept for the life of the process (``CompiledSimulator.body_library``).
 
-    Each ``(action, shape)`` body is compiled by
-    :func:`~repro.facile.replay_ir.compile_body` and passed through the
-    verifier gate once per process, the first time any engine of the
-    simulator needs it; a refusal is remembered and raised again for
-    every chain that needs the same body.  Shape ids and the extern
-    numbering baked into the programs live here too, so every engine's
-    kernel reads the same ids.  Engines copy the programs they need
-    into their own kernel state; a body the kernel hands back resumes
-    in :func:`~repro.facile.replay_ir.interpret_body` on the same
-    program (:meth:`body`)."""
+    Made when the simulator's first C engine starts.  Every action body
+    is compiled by :func:`~repro.facile.replay_ir.compile_body` in the
+    one placeholder shape codegen records for it (``action_shapes``),
+    passed through the verifier gate
+    (:func:`~repro.facile.ir_verify.assert_lowerable`) and translated
+    by :func:`~repro.facile.replay_c.emit_bodies`; the programs build
+    into one shared library through the kernel's disk cache, and
+    ``status`` says whether it loaded (an engine whose library did not
+    load degrades to the Python backend).  A refused body stays refused
+    with its reason, and so does an action recorded in any shape but
+    its compiled one.  Shape ids and the extern numbering the programs
+    bake in live here too, so every engine's kernel reads the same ids;
+    a body the kernel hands back resumes in
+    :func:`~repro.facile.replay_ir.interpret_body` on its program
+    (:meth:`body`)."""
 
     def __init__(self, compiled):
         self.compiled = compiled
@@ -1995,13 +1584,41 @@ class BodyTable:
         # Placeholder shape strings ('i'/'o' per value) and their ids.
         self.shapes: list[str] = []
         self._shape_ids: dict[str, int] = {}
-        # (action, shape id) -> (code bytes, length, is_verify) and its
-        # BodyProgram, or the (reason, span) of a refusal.
-        self._programs: dict[tuple[int, int], tuple] = {}
-        self._bodies: dict[tuple[int, int], object] = {}
-        self._refused: dict[tuple[int, int], tuple] = {}
-        #: Bodies compiled and verified (or refused) in this process.
-        self.compiled_count = 0
+        # Action -> its verified program, or the (reason, span) of its
+        # refusal.
+        self._programs: dict[int, object] = {}
+        self._refused: dict[int, tuple] = {}
+        spans = compiled.action_spans or ()
+        shapes = compiled.action_shapes
+        for num, (lines, n_ph, is_verify) in enumerate(compiled.action_bodies):
+            span = spans[num] if num < len(spans) else None
+            try:
+                if num >= len(shapes) or len(shapes[num]) != n_ph:
+                    raise Unlowerable(
+                        f"action {num}: no recorded placeholder shape",
+                        span=span)
+                body = compile_body(num, lines, shapes[num], is_verify,
+                                    self.externs, span=span)
+                # The compiled body does no stack or bounds checking;
+                # no program reaches the emitter unverified.
+                assert_lowerable(body, n_slots=compiled.slot_count,
+                                 externs=self.externs)
+            except Unlowerable as exc:
+                self._refused[num] = (str(exc), exc.span)
+                continue
+            register_extern_table(body, self.externs)
+            self._programs[num] = body
+        #: Bodies compiled to C.
+        self.compiled_count = len(self._programs)
+        # Straight-line bodies: -O1 runs them as fast as -O2 and
+        # compiles in about two thirds of the time.
+        source = body_library_source(list(self._programs.values()))
+        self.lib, self.status = _build("bodies", source, "body library",
+                                       "-O1")
+        #: The library's ``ffb_run``, for the kernel.
+        self.fn = None
+        if self.lib is not None:
+            self.fn = ctypes.cast(self.lib.ffb_run, ctypes.c_void_p).value
 
     def shape_id(self, shape: str) -> int:
         sid = self._shape_ids.get(shape)
@@ -2010,56 +1627,33 @@ class BodyTable:
             self.shapes.append(shape)
         return sid
 
-    def program(self, num: int, shape: int) -> tuple:
-        """``(code, length, is_verify)`` of action ``num``'s body for one
-        placeholder shape; raises :class:`Unlowerable` if it is
-        refused."""
-        prog = self._programs.get((num, shape))
-        if prog is not None:
-            return prog
-        refused = self._refused.get((num, shape))
-        if refused is not None:
-            raise Unlowerable(*refused)
-        self.compiled_count += 1
-        compiled = self.compiled
-        spans = getattr(compiled, "action_spans", None) or ()
-        span = spans[num] if num < len(spans) else None
-        shapes = self.shapes[shape]
-        try:
-            if num >= len(compiled.action_bodies):
-                raise Unlowerable(f"action {num}: no recorded body")
-            lines, n_ph, is_verify = compiled.action_bodies[num]
-            if n_ph != len(shapes):
-                raise Unlowerable(
-                    f"action {num}: data/body shape mismatch", span=span)
-            body = compile_body(num, lines, shapes, is_verify, self.externs,
-                                span=span)
-            # The kernel's hot loop does no per-op stack or bounds
-            # checking; no body reaches it unverified.
-            assert_lowerable(body, n_slots=compiled.slot_count,
-                             externs=self.externs)
-        except Unlowerable as exc:
-            self._refused[(num, shape)] = (str(exc), exc.span)
-            raise
-        register_extern_table(body, self.externs)
-        prog = (array("q", body.code).tobytes(), len(body.code),
-                int(is_verify))
-        self._programs[(num, shape)] = prog
-        self._bodies[(num, shape)] = body
-        return prog
+    def is_verify(self, num: int, shape: int) -> bool:
+        """Whether action ``num``'s compiled body is a verify body;
+        raises :class:`Unlowerable` if the action has no compiled body
+        in placeholder shape ``shape``."""
+        prog = self._programs.get(num)
+        if prog is None:
+            refused = self._refused.get(num)
+            if refused is not None:
+                raise Unlowerable(*refused)
+            raise Unlowerable(f"action {num}: no recorded body")
+        if prog.shapes != self.shapes[shape]:
+            raise Unlowerable(
+                f"action {num}: no compiled body for shape "
+                f"{self.shapes[shape]!r} (compiled for {prog.shapes!r})")
+        return prog.is_verify
 
-    def body(self, num: int, shape: int):
-        """The :class:`~repro.facile.replay_ir.BodyProgram` behind
-        :meth:`program` (which compiled it)."""
-        return self._bodies[(num, shape)]
+    def body(self, num: int):
+        """Action ``num``'s :class:`~repro.facile.replay_ir.BodyProgram`."""
+        return self._programs[num]
 
 
-def body_table(compiled) -> BodyTable:
-    """The simulator's :class:`BodyTable`, made on first use."""
-    table = compiled.body_table
-    if table is None:
-        table = compiled.body_table = BodyTable(compiled)
-    return table
+def body_library(compiled) -> BodyLibrary:
+    """The simulator's :class:`BodyLibrary`, made on first use."""
+    library = compiled.body_library
+    if library is None:
+        library = compiled.body_library = BodyLibrary(compiled)
+    return library
 
 
 class CReplayBackend:
@@ -2073,12 +1667,12 @@ class CReplayBackend:
     :meth:`load_image` for snapshot loads.
     """
 
-    def __init__(self, engine, kernel: Kernel):
+    def __init__(self, engine, kernel: Kernel, bodies: BodyLibrary):
         self.engine = engine
         self.kernel = kernel
         self.lib = kernel.lib
-        self.bodies = body_table(engine.compiled)
-        self.externs = self.bodies.externs
+        self.bodies = bodies
+        self.externs = bodies.externs
         # Pool indices whose last reference died since the kernel last
         # heard of them (the pool's release hook appends here).
         self._released: list[int] = []
@@ -2134,7 +1728,8 @@ class CReplayBackend:
         # Keep the callback wrappers alive for the St's lifetime.
         self._page_cb = PAGE_CB(self._on_page)
         self._extern_cb = EXTERN_CB(self._on_extern)
-        self.lib.ffc_set_cbs(self._st_p, self._page_cb, self._extern_cb)
+        self.lib.ffc_set_cbs(self._st_p, self._page_cb, self._extern_cb,
+                             bodies.fn)
 
     def close(self) -> None:
         if self._st_p:
@@ -2250,12 +1845,11 @@ class CReplayBackend:
             raise Unlowerable("kernel out of memory")
 
     def _add_body(self, num: int, shape: int) -> None:
-        """Copy the body of action ``num`` for one placeholder shape from
-        the simulator's :class:`BodyTable` into this kernel (compiling it
-        there on first use).  Raises the body's refusal."""
-        code, n, is_verify = self.bodies.program(num, shape)
-        if self.lib.ffc_add_body(self._st_p, num, shape, code, n,
-                                 is_verify) < 0:
+        """Register action ``num``'s compiled body for placeholder shape
+        ``shape`` with this kernel.  Raises the body's refusal, or that
+        the library has no body in that shape."""
+        is_verify = self.bodies.is_verify(num, shape)
+        if self.lib.ffc_add_body(self._st_p, num, shape, int(is_verify)) < 0:
             raise Unlowerable("kernel out of memory")
         self.bodies_registered += 1
 
@@ -2366,7 +1960,7 @@ class CReplayBackend:
 
     def drop_all(self) -> None:
         """The cache cleared: drop every chain and reset the pool
-        mirror (body programs stay registered)."""
+        mirror (bodies stay registered)."""
         self.lib.ffc_drop_all_chains(self._st_p)
         for entry in self._entries:
             if entry is not None:
@@ -2746,7 +2340,7 @@ class CReplayBackend:
         if chain.knums is None:
             build_replay_view(chain)
         i = ex.slot
-        body = self.bodies.body(st.r_action, st.r_shape)
+        body = self.bodies.body(st.r_action)
         consumed = st.consumed[:st.nconsumed]
         ctx.in_fast = True
         try:
@@ -2783,16 +2377,21 @@ class CReplayBackend:
         clear, forgotten ones included; ``chains_registered_at_load``
         the chains a snapshot load registered in bulk;
         ``links_in_python`` the step boundaries :meth:`_link` resolved;
-        ``bodies_compiled`` the bodies this simulator's table compiled
-        in this process (``bodies_registered`` counts the copies into
-        this engine's kernel); ``handbacks`` the bodies the kernel
-        handed back to the spec interpreter, by reason."""
+        ``bodies_compiled`` the bodies the simulator's library holds in
+        C, ``library_ms`` its build (or, with ``library_cached``, its
+        load from the disk cache) and ``bodies_registered`` the
+        ``(action, shape)`` pairs registered with this engine's kernel;
+        ``handbacks`` the bodies the kernel handed back to the spec
+        interpreter, by reason."""
+        library = self.bodies.status
         return {
             "chains_lowered": self.chains_lowered,
             "chains_unlowerable": self.chains_unlowerable,
             "chains_registered_at_load": self.chains_registered_at_load,
             "links_in_python": self.links_in_python,
             "bodies_compiled": self.bodies.compiled_count,
+            "library_ms": library.compile_ms,
+            "library_cached": library.cached,
             "bodies_registered": self.bodies_registered,
             "values_mirrored": self.lib.ffc_mirrored(self._st_p),
             "runs": self.runs,

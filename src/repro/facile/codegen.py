@@ -84,6 +84,9 @@ class _Action:
     # Span of the first source statement merged into this action, so
     # lowering diagnostics (Unlowerable, FAC4xx) can point at source.
     span: SourceSpan = UNKNOWN_SPAN
+    # One character per placeholder: 'o' for a value codegen freezes
+    # (the data tuple carries an object), 'i' for an int.
+    shape: str = ""
 
 
 class _Emitter:
@@ -300,11 +303,12 @@ class CodeGenerator:
 
     # -- dynamic expression emission with placeholder extraction ----------------
 
-    def _dyn_expr(self, e: A.Expr, placeholders: list[tuple[str, str]]) -> str:
+    def _dyn_expr(self, e: A.Expr, placeholders: list[tuple[str, str, str]]) -> str:
         """Emit a dynamic expression for action bodies.
 
         Maximal rt-static subtrees become placeholders: entries of
-        ``placeholders`` are ``(name, slow_source)`` pairs.  The returned
+        ``placeholders`` are ``(name, slow_source, kind)`` triples, kind
+        ``'o'`` when the value is frozen and ``'i'`` otherwise.  The returned
         source refers to placeholders by name; the slow engine computes
         them before recording, the fast engine unpacks them from the
         action's recorded data (Figure 8's ``s`` placeholders).
@@ -319,9 +323,11 @@ class CodeGenerator:
             name = f"_ph{self._ph_base + len(placeholders)}"
             shape = self._expr_shape(e)
             src = self._expr(e, plain=False)
+            kind = "i"
             if shape in (SHAPE_ARRAY, SHAPE_QUEUE, SHAPE_TUPLE, SHAPE_UNKNOWN):
                 src = f"_freeze({src})"
-            placeholders.append((name, src))
+                kind = "o"
+            placeholders.append((name, src, kind))
             return name
         if isinstance(e, A.Name):
             return self._var_ref(e.ident, plain=False)
@@ -383,7 +389,7 @@ class CodeGenerator:
             raise SemanticError(f"cannot emit dynamic builtin {name!r}", e.span)
         return f"{table[name]}({', '.join(args)})"
 
-    def _dyn_attr(self, e: A.Attr, placeholders: list[tuple[str, str]]) -> str:
+    def _dyn_attr(self, e: A.Attr, placeholders: list[tuple[str, str, str]]) -> str:
         base = self._dyn_expr(e.base, placeholders)
         args = [self._dyn_expr(a, placeholders) for a in e.args]
         name = e.name
@@ -471,9 +477,9 @@ class CodeGenerator:
             self._pending_slow = []
         return self._pending
 
-    def _take_placeholders(self, em: _Emitter, placeholders: list[tuple[str, str]]) -> None:
+    def _take_placeholders(self, em: _Emitter, placeholders: list[tuple[str, str, str]]) -> None:
         """Eagerly emit placeholder computations at the current position."""
-        for name, src in placeholders:
+        for name, src, _ in placeholders:
             em.line(f"{name} = {src}")
 
     def _buffer_dynamic(self, em: _Emitter, build,
@@ -487,11 +493,12 @@ class CodeGenerator:
         action = self._pending_action()
         if not action.span.is_known and span.is_known:
             action.span = span
-        placeholders: list[tuple[str, str]] = []
+        placeholders: list[tuple[str, str, str]] = []
         offset = self._pending_ph_count
         line = build(placeholders, offset)
         self._take_placeholders(em, placeholders)
         self._pending_ph_count += len(placeholders)
+        action.shape += "".join(kind for _, _, kind in placeholders)
         action.body_lines.append(line)
         self._pending_slow.append(line)
         if not self.coalesce:
@@ -653,7 +660,7 @@ class CodeGenerator:
     def _emit_dynamic_action(
         self, target: A.Expr, value: A.Expr, em: _Emitter, stmt: A.Stmt
     ) -> int:
-        def build(placeholders: list[tuple[str, str]], offset: int) -> str:
+        def build(placeholders: list[tuple[str, str, str]], offset: int) -> str:
             self._ph_base = offset
             rhs = self._dyn_expr(value, placeholders)
             if isinstance(target, A.Name):
@@ -677,7 +684,7 @@ class CodeGenerator:
             em.line(self._expr(expr, plain=False))
             return 1
 
-        def build(placeholders: list[tuple[str, str]], offset: int) -> str:
+        def build(placeholders: list[tuple[str, str, str]], offset: int) -> str:
             self._ph_base = offset
             return self._dyn_expr(expr, placeholders)
 
@@ -685,12 +692,13 @@ class CodeGenerator:
 
     def _emit_verify(self, target: A.Name, base: A.Expr, em: _Emitter, stmt: A.Stmt) -> int:
         count = self._flush_pending(em)
-        placeholders: list[tuple[str, str]] = []
+        placeholders: list[tuple[str, str, str]] = []
         self._ph_base = 0
         src = self._dyn_expr(base, placeholders)
         action = self._new_action(
             is_verify=True, n_placeholders=len(placeholders), span=stmt.span
         )
+        action.shape = "".join(kind for _, _, kind in placeholders)
         lhs = self._var_ref(target.ident, plain=False)
         if self.division.var_bt(target.ident) == DYNAMIC:
             # The verified value is also consumed by dynamic code, so the
@@ -702,7 +710,7 @@ class CodeGenerator:
         else:
             action.body_lines.append(f"return {src}")
         self._take_placeholders(em, placeholders)
-        data = ", ".join(name for name, _ in placeholders)
+        data = ", ".join(name for name, _, _ in placeholders)
         tuple_src = f"({data},)" if placeholders else "()"
         em.line(f"_M.begin_verify({action.num}, {tuple_src})")
         em.line("if _M.recover:")
@@ -745,12 +753,12 @@ class CodeGenerator:
             def build(placeholders, offset, g=g, shape=shape, slot=slot):
                 ph = f"_ph{offset}"
                 src = f"g_{g}"
-                freeze_src = src
+                freeze_src, kind = src, "i"
                 if shape in (SHAPE_ARRAY, SHAPE_QUEUE, SHAPE_TUPLE, SHAPE_UNKNOWN):
                     # The next key is sized by the walk that freezes it.
                     freezer = "_M.freeze_next" if g == "init" else "_freeze"
-                    freeze_src = f"{freezer}({src})"
-                placeholders.append((ph, freeze_src))
+                    freeze_src, kind = f"{freezer}({src})", "o"
+                placeholders.append((ph, freeze_src, kind))
                 if shape == SHAPE_ARRAY:
                     return f"_S[{slot}] = list({ph})"
                 if shape == SHAPE_QUEUE:
@@ -944,6 +952,7 @@ class CodeGenerator:
                 for a in self.actions
             ],
             action_spans=[a.span for a in self.actions],
+            action_shapes=[a.shape for a in self.actions],
             namespace=namespace,
         )
 

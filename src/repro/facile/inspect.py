@@ -14,6 +14,7 @@ from .analysis import CheckReport
 from .analysis import why_dynamic as _why_dynamic
 from .bta import DYNAMIC
 from .compiler import CompilationResult
+from .run import body_library_line
 from .runtime import ENDMARK, PENDING, ActionCache, CacheEntry
 
 
@@ -223,6 +224,7 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
                 f"{ns['runs']:,} kernel runs, "
                 f"{ns['python_fallbacks']:,} python fallbacks"
             )
+            lines.append(f"  {body_library_line(ns)}")
             lines += [f"    {line}" for line in report.declined()]
             by_name = ns["externs"]
             n_native = sum(c["native"] for c in by_name.values())

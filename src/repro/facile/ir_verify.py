@@ -1,11 +1,14 @@
 """Replay-IR verifier, lowering lint, and uarch-protocol audit.
 
-PR 7 moved the hot replay loop onto a stack bytecode (`replay_ir.py`)
-executed by a generated C kernel whose inner loop does **no** per-op
-stack or bounds checking — the comment in the kernel template says so
-explicitly: "Stack discipline is guaranteed by the Python-side
-compiler".  Until now that guarantee was only implicit in
-``compile_body``'s construction.  This module makes it checkable:
+The C replay backend runs action bodies as C translated from their
+stack bytecode (``replay_ir.py`` to ``replay_c.py``): stack slot ``k``
+becomes one C local, a jump a ``goto``, and the C code checks no stack
+depth or index at run time.  That fixed-depth translation is sound
+only for programs this module accepts: jumps go forward only, every
+path reaches a join at the same depth, every local is written before
+it is read, the depth never exceeds ``MAX_STACK`` and every index is
+in range.  Every body passes :func:`assert_lowerable` before the
+emitter sees it.
 
 * :func:`verify_body` — abstract interpretation of one
   :class:`~repro.facile.replay_ir.BodyProgram`: stack-effect balance
@@ -22,9 +25,9 @@ compiler".  Until now that guarantee was only implicit in
 * :func:`wrap_census` — which C-guarded / overflow-checked operations
   a body uses at all (``repro check`` reports the aggregate per file).
 * :func:`assert_lowerable` — the gate the C backend calls on each body
-  before registering it with the kernel: any error-severity finding
-  raises :class:`~repro.facile.replay_ir.Unlowerable`, so a bad program
-  can never reach the emitter.  Chain-level checks (lane indices, slot
+  before translating it to C: any error-severity finding raises
+  :class:`~repro.facile.replay_ir.Unlowerable`, so a bad program can
+  never reach the emitter.  Chain-level checks (lane indices, slot
   kinds, jump-table successors) live in the kernel's lane registration
   (:mod:`repro.facile.cbackend`).
 * :func:`audit_model` / :func:`audit_config_key` /
@@ -73,8 +76,9 @@ KERNEL_VM_LOCALS = 32
 
 N_OPS = len(OP_NAMES)
 
-#: op -> (pops, pushes) for every fixed-arity opcode.
-_EFFECT = {
+#: op -> (pops, pushes) for every fixed-arity opcode (EXTERN pops its
+#: ``arg & 0xFF`` arguments and pushes one result).
+STACK_EFFECT = {
     OP_CONST: (0, 1), OP_PH: (0, 1), OP_SLOT: (0, 1), OP_LOCAL: (0, 1),
     OP_ELEM: (1, 1),
     OP_STORE_SLOT: (1, 0), OP_STORE_SLOT_OBJ: (1, 0),
@@ -239,7 +243,7 @@ class _Verify:
                     continue
                 pops, pushes = nargs, 1
             else:
-                eff = _EFFECT.get(op)
+                eff = STACK_EFFECT.get(op)
                 if eff is None:  # pragma: no cover - table is total
                     self.bad("FAC402", pc, "no stack effect recorded")
                     continue
@@ -423,10 +427,10 @@ def wrap_census(prog: BodyProgram) -> dict[str, int]:
 def assert_lowerable(prog: BodyProgram, *, n_slots: int | None,
                      externs: ExternTable | None) -> None:
     """The C backend's per-body gate: raise :class:`Unlowerable` if the
-    verifier finds any error in ``prog``.  The backend compiles each
-    ``(action, shapes)`` body once per compiled simulator per process,
-    so this runs once per body; chain-level checks (lane indices, slot
-    kinds, successors) happen in the kernel's lane registration."""
+    verifier finds any error in ``prog``.  The backend builds each
+    simulator's bodies into C once per process, so this runs once per
+    body; chain-level checks (lane indices, slot kinds, successors)
+    happen in the kernel's lane registration."""
     errors = [f for f in verify_body(prog, n_slots=n_slots, externs=externs)
               if f.is_error]
     if errors:

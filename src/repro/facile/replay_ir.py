@@ -22,7 +22,8 @@ Two backends replay packed chains:
   the fallback for everything below;
 * the **C backend** (:mod:`repro.facile.cbackend`) registers each
   chain's lanes with a process-wide compiled kernel, which walks them
-  and runs the body programs in native code.
+  and runs each body program translated to C
+  (:mod:`repro.facile.replay_c`).
 
 Lowering is *total or refused*: an action body that falls outside the
 IR's closed operation set (host-object traffic, queue mutation,
@@ -47,7 +48,8 @@ from typing import Any, Callable
 # ---------------------------------------------------------------------------
 
 # Every instruction is an (op, arg) pair; arg is 0 when unused.  The
-# C kernel and interpret_body() implement exactly this list.
+# C emitter (replay_c.py) and interpret_body() implement exactly this
+# list.
 (
     OP_END, OP_CONST, OP_PH, OP_SLOT, OP_ELEM, OP_LOCAL,
     OP_STORE_SLOT, OP_STORE_SLOT_OBJ, OP_STORE_ELEM, OP_STORE_LOCAL,
@@ -548,13 +550,14 @@ def interpret_body(prog: BodyProgram, ctx, S: list, data: tuple,
     what the generated body would receive).  Returns the verify value
     for verify programs, else None.  This is the IR's specification:
     both the Python loop (which runs the original compiled bodies) and
-    the C kernel must agree with it on every lowerable body — the test
-    suite checks the former exhaustively and the golden runs the
-    latter.
+    the bodies compiled to C must agree with it on every lowerable
+    body — the test suite checks the former exhaustively and the
+    golden runs the latter.
 
     ``pc``, ``stack`` and ``locals_`` resume a body part-way through:
-    the C kernel hands a body back at an op it cannot compute in i64,
-    with its operand stack and locals as they were before that op.
+    a compiled body hands itself back at an op it cannot compute in
+    i64, with its operand stack and locals as they were before that
+    op.
     """
     from .builtins import (
         bit, bits, cc_add, cc_branch_taken, cc_logic, cc_sub, popcount,

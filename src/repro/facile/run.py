@@ -93,6 +93,15 @@ class RunConfig:
         return result
 
 
+def body_library_line(native: dict) -> str:
+    """How many bodies the simulator's library runs as C, and its build
+    (the C backend's ``summary()`` in ``native``)."""
+    built = ("from the disk cache" if native["library_cached"]
+             else f"cc {native['library_ms']:.1f} ms")
+    return (f"body library: {native['bodies_compiled']:,} bodies compiled "
+            f"to C ({built})")
+
+
 @dataclass(frozen=True)
 class RunReport:
     """What one run did, read off its counters.
@@ -183,6 +192,7 @@ class RunReport:
             f"replay backend: c (kernel ready in {b['compile_ms']:.1f} ms; "
             f"{ns['chains_lowered']:,} chains lowered, {ns['runs']:,} "
             f"kernel runs, {ns['python_fallbacks']:,} python fallbacks)",
+            body_library_line(ns),
             f"externs: {sum(c['native'] for c in by_name.values()):,} "
             f"native / {sum(c['python'] for c in by_name.values()):,} python"
             + (f" ({detail})" if detail else ""),

@@ -1293,6 +1293,10 @@ class CompiledSimulator:
     # diagnostics can point at source.  May be empty for hand-built
     # simulators; consumers must index defensively.
     action_spans: list = field(default_factory=list)
+    # Parallel per-action placeholder shapes, one 'i'/'o' per
+    # placeholder ('o' where codegen freezes the value): the one shape
+    # the C backend compiles each body in.
+    action_shapes: list = field(default_factory=list)
     # The exec globals the engine sources were compiled against; trace
     # functions are compiled against (a copy of) the same namespace so
     # spliced bodies resolve helpers identically.
@@ -1302,9 +1306,10 @@ class CompiledSimulator:
     # it (repro.facile.snapshot).  Hand-built simulators may leave it
     # empty; the snapshot layer then computes one on demand.
     fingerprint: str = ""
-    # The C backend's compiled body programs, made on first use and
-    # kept for the process (repro.facile.cbackend.BodyTable).
-    body_table: Any = field(default=None, repr=False, compare=False)
+    # The C backend's bodies compiled to C, built when the first C
+    # engine starts and kept for the process
+    # (repro.facile.cbackend.BodyLibrary).
+    body_library: Any = field(default=None, repr=False, compare=False)
 
     def make_context(self, externs: dict[str, Callable] | None = None) -> SimContext:
         ctx = SimContext(self.slot_count, self.global_slots, externs)
@@ -1394,14 +1399,18 @@ class FastForwardEngine:
         if len(self.ctx.S) > 64:
             status["reason"] = "too many state slots for the kernel"
             return
-        from .cbackend import CReplayBackend, load_kernel
+        from .cbackend import CReplayBackend, body_library, load_kernel
 
         kernel = load_kernel()
         status["compile_ms"] = kernel.status.compile_ms
         if not kernel.status.available:
             status["reason"] = kernel.status.reason
             return
-        self._cnative = CReplayBackend(self, kernel)
+        bodies = body_library(self.compiled)
+        if not bodies.status.available:
+            status["reason"] = bodies.status.reason
+            return
+        self._cnative = CReplayBackend(self, kernel, bodies)
         self.cache.native = self._cnative
         status["active"] = "c"
 

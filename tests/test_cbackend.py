@@ -124,6 +124,181 @@ def test_state_prefix_matches_kernel_layout():
 
 
 # ---------------------------------------------------------------------------
+# Bodies compiled to C
+# ---------------------------------------------------------------------------
+
+
+def _builtin_sims():
+    from repro.isa.simulate import compiled_functional_sim
+    from repro.ooo.facile_inorder import compiled_inorder_sim
+    from repro.ooo.facile_ooo import compiled_ooo_sim
+
+    return [compiled_functional_sim().simulator,
+            compiled_inorder_sim().simulator, compiled_ooo_sim().simulator]
+
+
+@requires_cc
+@pytest.mark.parametrize("sim_index", range(3))
+def test_every_lowerable_action_has_a_compiled_case(sim_index):
+    """Each builtin simulator's library holds every action whose body
+    lowers in its recorded shape, and refuses the rest by name."""
+    from repro.facile.cbackend import body_library
+    from repro.facile.ir_verify import assert_lowerable
+
+    sim = _builtin_sims()[sim_index]
+    externs = ExternTable()
+    lowerable = []
+    for num, (lines, _, is_verify) in enumerate(sim.action_bodies):
+        try:
+            prog = compile_body(num, lines, sim.action_shapes[num],
+                                is_verify, externs)
+            assert_lowerable(prog, n_slots=sim.slot_count, externs=externs)
+        except Unlowerable:
+            continue
+        lowerable.append(num)
+    library = body_library(sim)
+    assert library.status.available, library.status.reason
+    assert library.compiled_count == len(lowerable) > 0
+    source = open(library.status.path[:-3] + ".c").read()
+    cases = {int(line.split()[1].rstrip(":"))
+             for line in source.splitlines()
+             if line.startswith("    case ")}
+    assert cases == set(lowerable)
+    for num, shape in enumerate(sim.action_shapes):
+        sid = library.shape_id(shape)
+        if num in lowerable:
+            assert library.is_verify(num, sid) == sim.action_bodies[num][2]
+            assert library.body(num).shapes == shape
+        else:
+            with pytest.raises(Unlowerable, match=f"action {num}"):
+                library.is_verify(num, sid)
+
+
+#: Reason the C code hands back -> (body, slot values): each body stops
+#: at an op with operands below it on the stack, and the first reads a
+#: local after that op.
+GUARDS = {
+    "E_OVF": (["t = _S[1] * 2", "_S[0] = _S[1] + _S[2] * _S[3] + t"],
+              [0, 5, 1 << 62, 4]),
+    "E_SHIFT": (["_S[0] = _S[1] + (_S[2] << _S[3])"], [0, 5, 3, 70]),
+    "E_DIV0": (["_S[0] = _S[1] + udiv32(_S[2], _S[3])"], [0, 5, 7, 1 << 32]),
+    "E_ADDR": (["_S[0] = _S[1] + _ctx.mem.read32(_S[2] + 8)"],
+               [0, 5, 1 << 40, 0]),
+    "E_COUNTER": (["_ctx.stat_count(_S[1] + 300, _S[2])",
+                   "_S[0] = _S[1] + _S[2]"], [0, 5, 2, 0]),
+    "E_SLOT": (["_S[0] = _S[1] + _S[2][_S[3]]"], [0, 5, [10, 20, 30], -1]),
+}
+
+
+def _spec_outcome(prog, S, **resume):
+    """Run ``prog`` under the spec from ``resume`` (pc 0 by default):
+    its result or the exception type it raised, then the slots and
+    counters it left."""
+    from repro.facile.runtime import SimContext
+
+    ctx = SimContext(len(S), {}, {})
+    try:
+        out = interpret_body(prog, ctx, S, (), **resume)
+    except Exception as exc:  # the spec raises where the C code stops
+        out = type(exc)
+    return out, S, ctx.counters
+
+
+@requires_cc
+@pytest.mark.parametrize("reason", sorted(GUARDS))
+def test_handback_resumes_where_the_spec_ends(reason):
+    """The compiled body stops at the guarded op and saves the op's pc,
+    its operands and the locals; the spec resumed from that state ends
+    where the spec run from pc 0 ends."""
+    import ctypes
+    from array import array
+
+    from repro.facile.cbackend import (
+        E_NAMES, VM_LOCALS, _build, _StPrefix, body_library_source,
+    )
+
+    lines, slots = GUARDS[reason]
+    prog = compile_body(0, lines, "", False, ExternTable())
+    lib, status = _build("bodies", body_library_source([prog]),
+                         "body library", "-O1")
+    assert lib is not None, status.reason
+    run = lib.ffb_run
+    run.restype = ctypes.c_int
+    run.argtypes = [ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p,
+                    ctypes.POINTER(ctypes.c_longlong)]
+    st_p = ctypes.c_void_p(KERNEL.lib.ffc_new())
+    try:
+        st = ctypes.cast(st_p, ctypes.POINTER(_StPrefix)).contents
+        arrays = {}
+        for k, v in enumerate(slots):
+            if type(v) is list:
+                arrays[k] = array("q", v)
+                st.isobj[k] = 1
+                st.arrp[k], st.arrlen[k] = arrays[k].buffer_info()
+            else:
+                st.slots[k] = v
+        st.r_pc = -1
+        ret = ctypes.c_longlong()
+        assert run(st_p, 0, None, ctypes.byref(ret)) == -1
+        assert E_NAMES[st.err] == reason
+        assert st.r_pc > 0 and st.r_sp > 0
+        # Python's view of the state the body stopped in.
+        S = [arrays[k].tolist() if k in arrays else st.slots[k]
+             for k in range(len(slots))]
+        resumed = _spec_outcome(
+            prog, S, pc=st.r_pc - 2, stack=st.r_stack[:st.r_sp],
+            locals_=st.r_loc[:VM_LOCALS])
+    finally:
+        KERNEL.lib.ffc_free(st_p)
+    fresh = [list(v) if type(v) is list else v for v in slots]
+    assert resumed == _spec_outcome(prog, fresh)
+
+
+#: The flush of ``init``, an int, is recorded with shape 'i'.
+SHAPE_SRC = """
+val init = 0;
+val acc = 0;
+fun main(pc) {
+  acc = acc + pc * 3 + 1;
+  init = (pc + 1) % 5;
+}
+"""
+
+
+@requires_cc
+def test_chain_in_a_shape_the_library_lacks_is_refused():
+    """An action compiled in one shape never runs data of another: a
+    chain that records it so is refused with the action and shape named,
+    and replays on the Python tiers with the Python backend's result."""
+    from repro.facile.compiler import compile_source
+
+    sim = compile_source(SHAPE_SRC).simulator
+    flush = next(num for num, (lines, _, _) in enumerate(sim.action_bodies)
+                 if any(line.startswith("_S[") and line.endswith("= _ph0")
+                        for line in lines))
+    assert sim.action_shapes[flush] == "i"
+    # Compile the flush as if codegen had frozen its value.
+    sim.action_shapes[flush] = "o"
+    engines = {}
+    for backend in ("c", "python"):
+        ctx = sim.make_context()
+        ctx.write_global("init", 0)
+        engine = FastForwardEngine(sim, ctx, replay_backend=backend,
+                                   trace_jit=False)
+        engine.run(max_steps=60)
+        engines[backend] = engine
+    eng_c, eng_p = engines["c"], engines["python"]
+    native = eng_c._cnative
+    assert eng_c.backend_status["active"] == "c"
+    assert native.chains_lowered == 0 < native.chains_unlowerable
+    assert list(native.unlowerable_reasons) == [
+        f"action {flush}: no compiled body for shape 'i' (compiled for 'o')"]
+    assert eng_c.ctx.read_global("acc") == eng_p.ctx.read_global("acc")
+    assert asdict(eng_c.cache.stats) == asdict(eng_p.cache.stats)
+    assert asdict(eng_c.stats) == asdict(eng_p.stats)
+
+
+# ---------------------------------------------------------------------------
 # Golden parity: C vs Python, cold and warm
 # ---------------------------------------------------------------------------
 
@@ -402,6 +577,55 @@ def test_masked_compiler_degrades(monkeypatch, fresh_kernel_singleton):
     assert (r.retired, r.regs, r.halted) == (rp.retired, rp.regs, rp.halted)
 
 
+#: A compiler that fails, and one whose output cannot be loaded.
+_FAILING_CC = "#!/bin/sh\necho 'stub: cannot compile' >&2\nexit 1\n"
+_GARBAGE_CC = """#!/bin/sh
+while [ $# -gt 0 ]; do
+  if [ "$1" = "-o" ]; then echo 'not a shared object' > "$2"; fi
+  shift
+done
+"""
+
+
+@requires_cc
+@pytest.mark.parametrize("failure, reason", [
+    ("compiler error", "body library: cc failed: stub: cannot compile"),
+    ("unwritable cache directory", "body library build failed"),
+    ("failed dlopen", "body library load failed"),
+])
+def test_failed_body_build_degrades(tmp_path, monkeypatch, failure, reason):
+    """A body library that cannot be built or loaded degrades the engine
+    to the Python backend with the reason, as a failed kernel build
+    does, and the run ends as the Python backend's does."""
+    import os
+
+    from repro.facile import cbackend
+    from repro.ooo.facile_inorder import compiled_inorder_sim
+
+    program = build_cached("compress", 1)
+    expected = run_facile_inorder(program, replay_backend="python")
+    # The kernel stays the loaded one; only the body library builds.
+    monkeypatch.setattr(cbackend, "_KERNEL", KERNEL)
+    cache = tmp_path / "cache"
+    if failure == "unwritable cache directory":
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "cache"
+    else:
+        stub = tmp_path / "stub-cc"
+        stub.write_text(_FAILING_CC if failure == "compiler error"
+                        else _GARBAGE_CC)
+        os.chmod(stub, 0o755)
+        monkeypatch.setattr(cbackend, "_find_cc", lambda: str(stub))
+    monkeypatch.setenv("FACILE_CKERNEL_DIR", str(cache))
+    monkeypatch.setattr(compiled_inorder_sim().simulator, "body_library",
+                        None)
+    r = run_facile_inorder(program, replay_backend="c")
+    bs = r.engine.backend_status
+    assert (bs["requested"], bs["active"]) == ("c", "python")
+    assert reason in bs["reason"], bs["reason"]
+    assert r.stats == expected.stats and r.halted
+
+
 def test_unknown_backend_rejected():
     program = build_cached("compress", 1)
     with pytest.raises(ValueError):
@@ -428,6 +652,12 @@ def test_cache_summary_reports_backend():
     assert ns["bodies_registered"] > 0 and ns["values_mirrored"] > 0
     assert f"{ns['bodies_registered']:,} bodies registered" in text
     assert f"{ns['values_mirrored']:,} pool values mirrored" in text
+    # The simulator's body library: its size and its build.
+    library = (f"body library: {ns['bodies_compiled']:,} bodies compiled "
+               "to C (")
+    assert ns["bodies_compiled"] > 0
+    assert library in text
+    assert any(line.startswith(library) for line in r.engine.report.lines())
     rp = run_facile_functional(program, replay_backend="python")
     text_p = cache_summary(rp.engine.cache, engine=rp.engine)
     assert "replay backend:   python" in text_p
@@ -458,6 +688,61 @@ def _herd_build_main(cache_dir: str, out_path: str) -> None:
         },
         open(out_path, "w"),
     )
+
+
+def _body_build_main(cache_dir: str, out_path: str) -> None:
+    """Spawn target: start a C engine on a fresh simulator, with the
+    disk cache in ``cache_dir``, and report its body library."""
+    import json
+    import os
+
+    os.environ["FACILE_CKERNEL_DIR"] = cache_dir
+    from repro.facile import FastForwardEngine
+    from repro.facile.cbackend import _reset_kernel_for_tests
+    from repro.facile.compiler import compile_source
+
+    _reset_kernel_for_tests()
+    sim = compile_source(SHAPE_SRC).simulator
+    ctx = sim.make_context()
+    ctx.write_global("init", 0)
+    engine = FastForwardEngine(sim, ctx, replay_backend="c")
+    engine.run(max_steps=40)
+    ns = engine._cnative.summary() if engine._cnative else {}
+    json.dump({
+        "active": engine.backend_status["active"],
+        "reason": engine.backend_status["reason"],
+        "cached": ns.get("library_cached"),
+        "acc": ctx.read_global("acc"),
+    }, open(out_path, "w"))
+
+
+@requires_cc
+@pytest.mark.slow
+def test_two_processes_build_one_body_library(tmp_path):
+    """Two processes starting the same simulator on one disk cache build
+    its body library once; the other loads it from the cache."""
+    import json
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("spawn")
+    cache_dir = tmp_path / "kcache"
+    outs = [tmp_path / f"out{i}.json" for i in range(2)]
+    procs = [
+        ctx.Process(target=_body_build_main, args=(str(cache_dir), str(out)))
+        for out in outs
+    ]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(300)
+        assert p.exitcode == 0
+    results = [json.load(open(out)) for out in outs]
+    for r in results:
+        assert r["active"] == "c", r["reason"]
+    assert sorted(r["cached"] for r in results) == [False, True]
+    assert results[0]["acc"] == results[1]["acc"]
+    assert len(list(cache_dir.glob("bodies-*.so"))) == 1
+    assert not list(cache_dir.glob("*.so.tmp*"))
 
 
 @requires_cc

@@ -800,7 +800,8 @@ class TestLaneRegistration:
     def test_each_body_is_verified_once_per_simulator(self, monkeypatch):
         """Bodies are compiled and verified once per compiled simulator
         per process: a second engine on the same simulator verifies
-        nothing and copies the programs it needs into its kernel."""
+        nothing and registers the compiled bodies it needs with its
+        kernel."""
         from repro.facile import FastForwardEngine, cbackend
 
         verified = []

@@ -544,9 +544,8 @@ def test_bad_kernel_image_rejects_the_snapshot(tmp_path, snapshot_blob,
 @pytest.mark.parametrize("sim_name", ("functional", "inorder", "ooo"))
 def test_c_warm_start_runs_in_the_kernel(tmp_path, sim_name):
     """A C warm start from the same run registers every chain at load
-    and resolves no step boundary in Python.  The first one may compile
-    bodies of chains the cold run never replayed; once the simulator's
-    table holds them, the next compiles none."""
+    and resolves no step boundary in Python.  The simulator's body
+    library, built by the cold run, compiles nothing more."""
     from repro.facile.cbackend import load_kernel
 
     if not load_kernel().status.available:
@@ -555,9 +554,9 @@ def test_c_warm_start_runs_in_the_kernel(tmp_path, sim_name):
     snap = tmp_path / "cache.facsnap"
     cold_digest, cold, _ = _run(sim_name, program, replay_backend="c",
                                 cache_save=str(snap))
-    table = cold.compiled.body_table
+    library = cold.compiled.body_library
     for _ in range(2):
-        compiled_before = table.compiled_count
+        compiled_before = library.compiled_count
         digest, warm, _ = _run(sim_name, program, replay_backend="c",
                                cache_load=str(snap))
         ns = warm._cnative.summary()
@@ -566,7 +565,7 @@ def test_c_warm_start_runs_in_the_kernel(tmp_path, sim_name):
         assert ns["chains_registered_at_load"] == warm.snapshot_load.entries
         assert ns["links_in_python"] == 0
         assert warm.stats.steps_slow == 0
-    assert table.compiled_count == compiled_before
+    assert library.compiled_count == compiled_before
     assert ns["bodies_compiled"] == compiled_before
 
 
