@@ -60,7 +60,7 @@ from .ir_verify import (
     wrap_census,
 )
 from .parser import parse
-from .replay_ir import ExternTable, Unlowerable, compile_body
+from .replay_ir import compile_bodies
 from .patterns import PatternDef, pattern_shadowed_by, patterns_intersect
 from .sema import ProgramInfo, analyze
 from .source import FacileError, SourceBuffer, SourceSpan, UNKNOWN_SPAN
@@ -965,36 +965,20 @@ def _pass_cache_blowup(ctx: AnalysisContext, sink: DiagnosticSink) -> None:
 
 
 def _ir_bodies(ctx: AnalysisContext):
-    """Compile every action body to replay IR once per report.
+    """Compile every action body to replay IR once per report, as the C
+    backend's body library does (:func:`compile_bodies`).
 
     Returns ``(progs, failures, externs)`` where ``progs`` maps action
     number -> :class:`BodyProgram` for bodies that lower, ``failures``
     maps action number -> the :class:`Unlowerable` that pinned the body
     to the Python tier, and ``externs`` is the table of extern names
     interned while compiling (= externs reachable from replay bodies).
-
-    Bodies are probed with the canonical all-``'i'`` placeholder shape:
-    replay records with object-shaped data only change which store
-    opcode is emitted, never whether the body lowers.
     """
     cached = getattr(ctx, "_ir_bodies_cache", None)
     if cached is not None:
         return cached
-    compiled = ctx.compiled
-    assert compiled is not None
-    externs = ExternTable()
-    spans = getattr(compiled, "action_spans", [])
-    progs: dict[int, object] = {}
-    failures: dict[int, Unlowerable] = {}
-    for num, (lines, n_ph, is_verify) in enumerate(compiled.action_bodies):
-        span = spans[num] if num < len(spans) else UNKNOWN_SPAN
-        try:
-            progs[num] = compile_body(
-                num, lines, "i" * n_ph, is_verify, externs, span=span
-            )
-        except Unlowerable as exc:
-            failures[num] = exc
-    ctx._ir_bodies_cache = (progs, failures, externs)
+    assert ctx.compiled is not None
+    ctx._ir_bodies_cache = compile_bodies(ctx.compiled)
     return ctx._ir_bodies_cache
 
 

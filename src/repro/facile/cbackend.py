@@ -33,6 +33,12 @@ in one call (:meth:`CReplayBackend.load_image`); a chain recorded cold
 registers with N = 1 on its first replay (:func:`plan_chain`).  Three
 tables back it:
 
+* the **action rows** give each of the simulator's actions its compiled
+  body's placeholder shape and kind (plain or verify), or mark that the
+  library refused it; they are set once, when the engine starts
+  (``ffc_set_actions``).  Registration refuses a slot whose action has
+  no compiled body or whose data is in another shape, and stores each
+  slot's action number, which the walker hands to the library;
 * the **pool mirror** holds each intern-pool value the kernel has seen,
   flattened into one ``int64`` arena (non-int members travel as object
   registry ids) with its kind and placeholder shape.  A snapshot brings
@@ -41,18 +47,14 @@ tables back it:
   need through the same call.  The pool's
   release hook makes the mirror forget an index whose last reference
   died, so a reused index is mirrored afresh; a clear resets the arena;
-* the **body table** maps ``(action, shape)`` to the action's compiled
-  body, registered per engine as the chains need it; a chain that
-  records an action in any other shape than its compiled one is
-  refused;
 * the **object chains** name, per object registry id, the chain whose
   key that object is, from a snapshot.  At a step boundary with no link
   yet, an init slot holding such an object links the boundary in the
   kernel, billed as a lookup and a hit; only the boundaries the kernel
   cannot resolve return to Python (:meth:`CReplayBackend._link`).
 
-When registration meets a value or body it does not have yet, it says
-so; Python supplies it and calls again.
+When registration meets a pool value it has not mirrored yet, it says
+so; Python mirrors it and calls again.
 
 Contract with the Python backend (the behavior reference):
 
@@ -67,8 +69,9 @@ Contract with the Python backend (the behavior reference):
   ``actions_replayed``.
 * **Fallback for what the kernel cannot take.**  A chain registration
   refuses — a body outside the IR's closed operation set or rejected by
-  the verifier, data outside i64, a non-int verify value, a lane index
-  out of range — is marked unlowerable (``entry.cnative = -1``, with
+  the verifier, data in a shape the body was not compiled for, data
+  outside i64, a non-int verify value, a lane index out of range — is
+  marked unlowerable (``entry.cnative = -1``, with
   the reason counted in ``unlowerable_reasons``) and that entry replays
   on the Python tiers.  Slot values the kernel cannot mirror (huge ints,
   aliased lists) fall back per call.  A missing C compiler (or
@@ -107,11 +110,13 @@ import time
 from array import array
 from dataclasses import dataclass
 
-from .ir_verify import assert_lowerable
+from .ir_verify import (
+    KERNEL_MAX_SLOTS, KERNEL_NCOUNTERS, KERNEL_VM_LOCALS, KERNEL_VM_STACK,
+    assert_lowerable,
+)
 from .replay_c import BODY_HELPERS, emit_bodies
 from .replay_ir import (
-    ExternTable, Unlowerable, compile_body, interpret_body,
-    register_extern_table,
+    Unlowerable, compile_bodies, interpret_body, register_extern_table,
 )
 from .runtime import ENDMARK, SimulationError, build_replay_view, freeze
 
@@ -146,19 +151,17 @@ E_NAMES = [
     "E_BADOP", "E_ADDR", "E_CONSUMED", "E_OVF",
 ]
 
-#: Mirrored limits (keep in sync with the C source).
-MAX_SLOTS = 64
-NCOUNTERS = 256
+#: Verify values one step may consume (the prelude's ``MAX_CONSUMED``;
+#: the other kernel limits are the verifier's, in ir_verify).
 MAX_CONSUMED = 8192
-VM_STACK = 128
-VM_LOCALS = 32
 
 # Pool-mirror value kinds, lane-registration results and refusal
 # reasons (keep in sync with the C source).
 PK_INT, PK_TUPLE, PK_BAD = 1, 2, 3
 R_NEED, R_REFUSED, R_NOMEM = -1, -2, -3
 NEED_CAP = 256
-F_END, F_POOL, F_SCALAR, F_DATA, F_KIND, F_EXPECT, F_TABLE, F_SUCC = range(1, 9)
+(F_END, F_POOL, F_SCALAR, F_DATA, F_KIND, F_EXPECT, F_TABLE, F_SUCC, F_BODY,
+ F_SHAPE) = range(1, 11)
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
@@ -170,7 +173,7 @@ _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 #: The ``St`` layout and the constants the kernel and every body
 #: library share.  Both compile this text, so the two agree on where
-#: every field lives.
+#: every field lives; the frame limits are the verifier's.
 _PRELUDE = r"""
 #include <stddef.h>
 #include <stdint.h>
@@ -191,11 +194,11 @@ typedef uint64_t u64;
 #define E_CONSUMED 8
 #define E_OVF 9
 
-#define MAX_SLOTS 64
-#define NCOUNTERS 256
-#define MAX_CONSUMED 8192
-#define VM_STACK 128
-#define VM_LOCALS 32
+#define MAX_SLOTS %(MAX_SLOTS)d
+#define NCOUNTERS %(NCOUNTERS)d
+#define MAX_CONSUMED %(MAX_CONSUMED)d
+#define VM_STACK %(VM_STACK)d
+#define VM_LOCALS %(VM_LOCALS)d
 #define PAGE_SIZE 4096
 #define PT1 1024
 #define PT2 1024
@@ -224,18 +227,12 @@ typedef struct {
     i64 arrn[NX_ARRS];
 } Nx;
 
-/* One registered body: the library runs it by action number. */
-typedef struct {
-    i64 is_verify;
-    i64 action, shape;
-} Prog;
-
 /* One registered chain.  Its arrays live in the same allocation, right
  * after the struct (see chain_alloc). */
 typedef struct {
     i64 n;
     unsigned char *kinds;
-    int *progids;
+    int *acts;     /* the slot's action number, for the body library */
     i64 *doffs;    /* arena offset of the slot's placeholder data */
     i64 *aux;      /* VERIFY_EQ: expected value; VERIFY_TAB: table id;
                       END: end-record index */
@@ -266,11 +263,11 @@ struct St {
     unsigned char cdirty[NCOUNTERS];
     i64 consumed[MAX_CONSUMED];
     i64 nconsumed;
-    /* A body handed back (X_RESUME): its (action, shape), the pc just
-     * past the op it stopped at, and its operand stack and locals before
-     * that op.  r_pc is -1 when no body was handed back.  The body saves
-     * r_pc onwards; the walker records r_action and r_shape. */
-    i64 r_action, r_shape, r_pc, r_sp;
+    /* A body handed back (X_RESUME): its action, the pc just past the
+     * op it stopped at, and its operand stack and locals before that
+     * op.  r_pc is -1 when no body was handed back.  The body saves
+     * r_pc onwards; the walker records r_action. */
+    i64 r_action, r_pc, r_sp;
     i64 r_stack[VM_STACK];
     i64 r_loc[VM_LOCALS];
     /* --- C-only state below (opaque to Python) --- */
@@ -278,12 +275,10 @@ struct St {
     page_fn page_cb;
     xcall_fn xcall;
     body_fn body;
-    Prog *progs;
-    i64 nprogs, progcap;
-    /* Body table: btab[shape * bcols + action] -> index into progs, or
-     * -1. */
-    int *btab;
-    i64 brows, bcols;
+    /* Per action: (shape id << 1) | is_verify of its compiled body, or
+     * -1 where the library has none (see ffc_set_actions). */
+    i64 *acts;
+    i64 nacts;
     /* Pool mirror, indexed by intern-pool index. */
     PVal *pool;
     i64 npool;
@@ -337,6 +332,8 @@ _KERNEL_TEMPLATE = r"""
 #define F_EXPECT 6
 #define F_TABLE 7
 #define F_SUCC 8
+#define F_BODY 9
+#define F_SHAPE 10
 
 #define X_BUDGET 0
 #define X_HALTED 1
@@ -393,38 +390,18 @@ static void *grow(void *p, i64 *cap, i64 need, i64 size) {
     return np;
 }
 
-static i64 body_of(St *st, i64 action, i64 shape) {
-    if (action < 0 || action >= st->bcols || shape < 0 || shape >= st->brows)
-        return -1;
-    return st->btab[shape * st->bcols + action];
-}
-
-/* Register action's compiled body as the body of (action, shape). */
-i64 ffc_add_body(St *st, i64 action, i64 shape, i64 is_verify) {
-    if (action < 0 || shape < 0) return -1;
-    if (action >= st->bcols || shape >= st->brows) {
-        i64 rows = shape >= st->brows ? shape + 8 : st->brows;
-        i64 cols = action >= st->bcols ? action + 64 : st->bcols;
-        int *t = (int *)malloc(rows * cols * sizeof(int));
-        if (!t) return -1;
-        memset(t, 0xff, rows * cols * sizeof(int));
-        for (i64 r = 0; r < st->brows; r++)
-            memcpy(t + r * cols, st->btab + r * st->bcols,
-                   st->bcols * sizeof(int));
-        free(st->btab);
-        st->btab = t;
-        st->brows = rows;
-        st->bcols = cols;
-    }
-    Prog *np = (Prog *)grow(st->progs, &st->progcap, st->nprogs + 1,
-                            sizeof(Prog));
-    if (!np) return -1;
-    st->progs = np;
-    np[st->nprogs].is_verify = is_verify;
-    np[st->nprogs].action = action;
-    np[st->nprogs].shape = shape;
-    st->btab[shape * st->bcols + action] = (int)st->nprogs;
-    return st->nprogs++;
+/* The simulator's n actions, once per engine: rows[a] is
+ * (shape id << 1) | is_verify of action a's compiled body, or -1 where
+ * the body library refused it.  Returns 0, or -1 when memory runs
+ * out. */
+i64 ffc_set_actions(St *st, i64 n, const i64 *rows) {
+    i64 *acts = (i64 *)malloc((n ? n : 1) * sizeof(i64));
+    if (!acts) return -1;
+    if (n) memcpy(acts, rows, n * sizeof(i64));
+    free(st->acts);
+    st->acts = acts;
+    st->nacts = n;
+    return 0;
 }
 
 /* Mirror n pool values: rows holds (pool index, kind, shape, offset,
@@ -561,8 +538,8 @@ static Chain *chain_alloc(i64 n, i64 nends, i64 ntabw, i64 ntables) {
     ch->toffs = w; w += ntables ? ntables : 1;
     ch->lexpect = w; w += e;
     ch->lnext = w; w += e;
-    ch->progids = (int *)w;
-    ch->kinds = (unsigned char *)(ch->progids + m);
+    ch->acts = (int *)w;
+    ch->kinds = (unsigned char *)(ch->acts + m);
     ch->lset = ch->kinds + m;
     ch->n = n;
     ch->nends = nends;
@@ -581,21 +558,17 @@ static i64 refuse(i64 *out, i64 why, i64 where, i64 what) {
     return R_REFUSED;
 }
 
-#define NEED(a, b) do { \
-        if (need[0] < NEED_CAP) { \
-            need[1 + 2 * need[0]] = (a); \
-            need[2 + 2 * need[0]] = (b); \
-            need[0]++; \
-        } \
+#define NEED(p) do { \
+        if (need[0] < NEED_CAP) need[1 + need[0]++] = (p); \
         wants++; \
     } while (0)
 
 /* Check and register one chain: n slots of nums/data/succ lanes, nends
  * end records, npool intern-pool values and ntables jump tables
  * flattened as [len, key, target, ...] each in the tabw words at tabs.
- * Writes the chain id, or R_NEED (needs appended to need), or
- * R_REFUSED with (F_* reason, slot (table for F_SUCC), detail), or
- * R_NOMEM, to out[0..3] and returns it. */
+ * Writes the chain id, or R_NEED (the pool indices it needs mirrored
+ * appended to need), or R_REFUSED with (F_* reason, slot (table for
+ * F_SUCC), detail), or R_NOMEM, to out[0..3] and returns it. */
 static i64 add_chain(St *st, const i64 *nums, const i64 *data,
                      const i64 *succ, i64 n, i64 nends, i64 npool,
                      const i64 *tabs, i64 ntables, i64 tabw, i64 *out,
@@ -624,20 +597,22 @@ static i64 add_chain(St *st, const i64 *nums, const i64 *data,
         if (d < 0 || d >= npool) return refuse(out, F_POOL, i, d);
         i64 k = pool_kind(st, d);
         if (k == PK_NONE) {
-            NEED(d, -1);
+            NEED(d);
         } else if (k != PK_TUPLE) {
             return refuse(out, k == PK_INT ? F_SCALAR : F_DATA, i, d);
         } else {
-            i64 a = num < 0 ? ~num : num, shape = st->pool[d].shape;
-            i64 pid = body_of(st, a, shape);
-            if (pid < 0) NEED(a, shape);
-            else if (st->progs[pid].is_verify != (num < 0))
-                return refuse(out, F_KIND, i, d);
+            /* The action's compiled body, in the data's shape. */
+            i64 a = num < 0 ? ~num : num;
+            i64 row = a < st->nacts ? st->acts[a] : -1;
+            if (row < 0) return refuse(out, F_BODY, i, a);
+            if (row >> 1 != st->pool[d].shape)
+                return refuse(out, F_SHAPE, i, st->pool[d].shape);
+            if ((row & 1) != (num < 0)) return refuse(out, F_KIND, i, d);
         }
         if (num < 0 && s >= 0) {
             if (s >= npool) return refuse(out, F_POOL, i, s);
             k = pool_kind(st, s);
-            if (k == PK_NONE) NEED(s, -1);
+            if (k == PK_NONE) NEED(s);
             else if (k != PK_INT) return refuse(out, F_EXPECT, i, s);
         } else if (num < 0 && ~s >= ntables) {
             return refuse(out, F_TABLE, i, ~s);
@@ -663,13 +638,12 @@ static i64 add_chain(St *st, const i64 *nums, const i64 *data,
         i64 num = nums[i], s = succ[i];
         if (num == ENDMARK) {
             ch->kinds[i] = K_END;
-            ch->progids[i] = -1;
+            ch->acts[i] = -1;
             ch->aux[i] = s;
             continue;
         }
-        PVal *v = &st->pool[data[i]];
-        ch->doffs[i] = v->off;
-        ch->progids[i] = (int)body_of(st, num < 0 ? ~num : num, v->shape);
+        ch->doffs[i] = st->pool[data[i]].off;
+        ch->acts[i] = (int)(num < 0 ? ~num : num);
         if (num >= 0) {
             ch->kinds[i] = K_ACTION;
         } else if (s >= 0) {
@@ -692,8 +666,8 @@ static i64 add_chain(St *st, const i64 *nums, const i64 *data,
  * back), and trows[2k], trows[2k + 1] give the offset of its jump
  * tables in tabs (tabw words) and their count, -1 for tables the
  * kernel cannot take.  out[4k..4k+3] receives the chain's add_chain
- * result; need[0] counts the (pool index, -1) and (action, shape)
- * pairs after it that the chains asked for (at most NEED_CAP).
+ * result; need[0] counts the pool indices after it that the chains
+ * asked for (at most NEED_CAP).
  * Returns the number of chains registered, or R_NOMEM when the lanes
  * overrun their columns or memory runs out. */
 i64 ffc_add_chains(St *st, i64 nchains, const i64 *rows, i64 stride,
@@ -739,8 +713,8 @@ void ffc_drop_chain(St *st, i64 cid) {
     st->chains[cid] = 0;
 }
 
-/* Drop every chain, the object-chain table and the pool mirror
- * (bodies stay). */
+/* Drop every chain, the object-chain table and the pool mirror (the
+ * action rows stay). */
 void ffc_drop_all_chains(St *st) {
     for (i64 i = 0; i < st->nchains; i++) {
         free(st->chains[i]);
@@ -1106,8 +1080,7 @@ i64 ffc_nx_call(St *st, i64 nxid, i64 nargs, i64 *args) {
 void ffc_free(St *st) {
     if (!st) return;
     ffc_drop_all_chains(st);
-    free(st->progs);
-    free(st->btab);
+    free(st->acts);
     free(st->pool);
     free(st->arena);
     free(st->chains);
@@ -1194,11 +1167,9 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
             }
             /* An action or a verify: run its body in the library.  A
              * body handed back is named here for Python. */
-            Prog *p = &st->progs[ch->progids[i]];
-            i64 v = 0;
-            if (st->body(st, p->action, st->arena + ch->doffs[i], &v) < 0) {
-                st->r_action = p->action;
-                st->r_shape = p->shape;
+            i64 a = ch->acts[i], v = 0;
+            if (st->body(st, a, st->arena + ch->doffs[i], &v) < 0) {
+                st->r_action = a;
                 goto err;
             }
             actions++;
@@ -1255,14 +1226,22 @@ void ffc_run(St *st, i64 cid, i64 budget, i64 init_slot, FfcExit *ex) {
 """
 
 
+def _prelude() -> str:
+    return _PRELUDE % {
+        "MAX_SLOTS": KERNEL_MAX_SLOTS, "NCOUNTERS": KERNEL_NCOUNTERS,
+        "MAX_CONSUMED": MAX_CONSUMED, "VM_STACK": KERNEL_VM_STACK,
+        "VM_LOCALS": KERNEL_VM_LOCALS,
+    }
+
+
 def kernel_source() -> str:
-    return _PRELUDE + _KERNEL_TEMPLATE % {"ENDMARK": ENDMARK}
+    return _prelude() + _KERNEL_TEMPLATE % {"ENDMARK": ENDMARK}
 
 
 def body_library_source(progs: list) -> str:
     """One simulator's body library: the prelude, the helpers its bodies
     call and ``ffb_run`` over ``progs`` (:mod:`repro.facile.replay_c`)."""
-    return _PRELUDE + BODY_HELPERS + emit_bodies(progs)
+    return _prelude() + BODY_HELPERS + emit_bodies(progs)
 
 
 # ---------------------------------------------------------------------------
@@ -1293,20 +1272,19 @@ class _StPrefix(ctypes.Structure):
         ("halted", ctypes.c_longlong),
         ("err", ctypes.c_longlong),
         ("err_a", ctypes.c_longlong),
-        ("slots", ctypes.c_longlong * MAX_SLOTS),
-        ("isobj", ctypes.c_ubyte * MAX_SLOTS),
-        ("arrp", ctypes.c_void_p * MAX_SLOTS),
-        ("arrlen", ctypes.c_longlong * MAX_SLOTS),
-        ("counters", ctypes.c_longlong * NCOUNTERS),
-        ("cdirty", ctypes.c_ubyte * NCOUNTERS),
+        ("slots", ctypes.c_longlong * KERNEL_MAX_SLOTS),
+        ("isobj", ctypes.c_ubyte * KERNEL_MAX_SLOTS),
+        ("arrp", ctypes.c_void_p * KERNEL_MAX_SLOTS),
+        ("arrlen", ctypes.c_longlong * KERNEL_MAX_SLOTS),
+        ("counters", ctypes.c_longlong * KERNEL_NCOUNTERS),
+        ("cdirty", ctypes.c_ubyte * KERNEL_NCOUNTERS),
         ("consumed", ctypes.c_longlong * MAX_CONSUMED),
         ("nconsumed", ctypes.c_longlong),
         ("r_action", ctypes.c_longlong),
-        ("r_shape", ctypes.c_longlong),
         ("r_pc", ctypes.c_longlong),
         ("r_sp", ctypes.c_longlong),
-        ("r_stack", ctypes.c_longlong * VM_STACK),
-        ("r_loc", ctypes.c_longlong * VM_LOCALS),
+        ("r_stack", ctypes.c_longlong * KERNEL_VM_STACK),
+        ("r_loc", ctypes.c_longlong * KERNEL_VM_LOCALS),
     ]
 
 
@@ -1353,8 +1331,8 @@ def _declare(lib) -> None:
     lib.ffc_set_cbs.restype = None
     lib.ffc_set_cbs.argtypes = [
         ctypes.c_void_p, PAGE_CB, EXTERN_CB, ctypes.c_void_p]
-    lib.ffc_add_body.restype = _LL
-    lib.ffc_add_body.argtypes = [ctypes.c_void_p, _LL, _LL, _LL]
+    lib.ffc_set_actions.restype = _LL
+    lib.ffc_set_actions.argtypes = [ctypes.c_void_p, _LL, _PTR]
     lib.ffc_mirror.restype = _LL
     lib.ffc_mirror.argtypes = [ctypes.c_void_p, _LL, _PTR, _PTR, _LL, _BUF]
     lib.ffc_forget.restype = None
@@ -1563,51 +1541,47 @@ class BodyLibrary:
     kept for the life of the process (``CompiledSimulator.body_library``).
 
     Made when the simulator's first C engine starts.  Every action body
-    is compiled by :func:`~repro.facile.replay_ir.compile_body` in the
-    one placeholder shape codegen records for it (``action_shapes``),
-    passed through the verifier gate
+    is compiled to the replay IR in the one placeholder shape codegen
+    records for it (:func:`~repro.facile.replay_ir.compile_bodies`, the
+    programs ``repro check`` verifies), passed through the verifier gate
     (:func:`~repro.facile.ir_verify.assert_lowerable`) and translated
     by :func:`~repro.facile.replay_c.emit_bodies`; the programs build
     into one shared library through the kernel's disk cache, and
     ``status`` says whether it loaded (an engine whose library did not
-    load degrades to the Python backend).  A refused body stays refused
-    with its reason, and so does an action recorded in any shape but
-    its compiled one.  Shape ids and the extern numbering the programs
-    bake in live here too, so every engine's kernel reads the same ids;
-    a body the kernel hands back resumes in
+    load degrades to the Python backend).  ``rows`` is what every
+    engine's kernel learns of the actions when it starts: per action,
+    its body's shape id and kind, or that the body was refused, whose
+    reason :meth:`refusal` gives.  Shape ids and the extern numbering
+    the programs bake in live here too, so every engine's kernel reads
+    the same ids; a body the kernel hands back resumes in
     :func:`~repro.facile.replay_ir.interpret_body` on its program
     (:meth:`body`)."""
 
     def __init__(self, compiled):
         self.compiled = compiled
-        self.externs = ExternTable()
+        programs, failures, self.externs = compile_bodies(compiled)
         # Placeholder shape strings ('i'/'o' per value) and their ids.
         self.shapes: list[str] = []
         self._shape_ids: dict[str, int] = {}
-        # Action -> its verified program, or the (reason, span) of its
-        # refusal.
+        # Action -> the reason it has no compiled body.
+        self._refused = {num: str(exc) for num, exc in failures.items()}
+        # Action -> its verified program.
         self._programs: dict[int, object] = {}
-        self._refused: dict[int, tuple] = {}
-        spans = compiled.action_spans or ()
-        shapes = compiled.action_shapes
-        for num, (lines, n_ph, is_verify) in enumerate(compiled.action_bodies):
-            span = spans[num] if num < len(spans) else None
+        #: Per action: ``(shape id << 1) | is_verify`` of its compiled
+        #: body, or -1 where it has none (the kernel's action rows).
+        self.rows = array("q", [-1]) * len(compiled.action_bodies)
+        for num, body in programs.items():
             try:
-                if num >= len(shapes) or len(shapes[num]) != n_ph:
-                    raise Unlowerable(
-                        f"action {num}: no recorded placeholder shape",
-                        span=span)
-                body = compile_body(num, lines, shapes[num], is_verify,
-                                    self.externs, span=span)
                 # The compiled body does no stack or bounds checking;
                 # no program reaches the emitter unverified.
                 assert_lowerable(body, n_slots=compiled.slot_count,
                                  externs=self.externs)
             except Unlowerable as exc:
-                self._refused[num] = (str(exc), exc.span)
+                self._refused[num] = str(exc)
                 continue
             register_extern_table(body, self.externs)
             self._programs[num] = body
+            self.rows[num] = self.shape_id(body.shapes) << 1 | body.is_verify
         #: Bodies compiled to C.
         self.compiled_count = len(self._programs)
         # Straight-line bodies: -O1 runs them as fast as -O2 and
@@ -1627,21 +1601,9 @@ class BodyLibrary:
             self.shapes.append(shape)
         return sid
 
-    def is_verify(self, num: int, shape: int) -> bool:
-        """Whether action ``num``'s compiled body is a verify body;
-        raises :class:`Unlowerable` if the action has no compiled body
-        in placeholder shape ``shape``."""
-        prog = self._programs.get(num)
-        if prog is None:
-            refused = self._refused.get(num)
-            if refused is not None:
-                raise Unlowerable(*refused)
-            raise Unlowerable(f"action {num}: no recorded body")
-        if prog.shapes != self.shapes[shape]:
-            raise Unlowerable(
-                f"action {num}: no compiled body for shape "
-                f"{self.shapes[shape]!r} (compiled for {prog.shapes!r})")
-        return prog.is_verify
+    def refusal(self, num: int) -> str:
+        """Why action ``num`` has no compiled body."""
+        return self._refused.get(num, f"action {num}: no recorded body")
 
     def body(self, num: int):
         """Action ``num``'s :class:`~repro.facile.replay_ir.BodyProgram`."""
@@ -1679,7 +1641,7 @@ class CReplayBackend:
         engine.cache.pool.on_release = self._released.append
         # Pool length at the last mirror sweep (see _mirror).
         self._swept = 0
-        self._need = array("q", bytes(8 * (1 + 2 * NEED_CAP)))
+        self._need = array("q", bytes(8 * (1 + NEED_CAP)))
         self._out = array("q", bytes(32))
         # Chain id -> its entry (None once dropped).
         self._entries: list = []
@@ -1698,7 +1660,6 @@ class CReplayBackend:
         self.chains_unlowerable = 0
         self.chains_registered_at_load = 0
         self.links_in_python = 0
-        self.bodies_registered = 0
         self.runs = 0
         self.python_fallbacks = 0
         # Bodies the kernel handed back, by reason (E_* name).
@@ -1730,6 +1691,9 @@ class CReplayBackend:
         self._extern_cb = EXTERN_CB(self._on_extern)
         self.lib.ffc_set_cbs(self._st_p, self._page_cb, self._extern_cb,
                              bodies.fn)
+        rows = bodies.rows
+        if self.lib.ffc_set_actions(self._st_p, len(rows), _addr(rows)) < 0:
+            raise MemoryError("ffc_set_actions failed")
 
     def close(self) -> None:
         if self._st_p:
@@ -1780,8 +1744,8 @@ class CReplayBackend:
 
     def _add_chain(self, chain) -> int:
         """Register one chain through the kernel's N-chain entry point
-        (N = 1), reading its lanes in place and supplying each pool
-        value and body it asks for on the way."""
+        (N = 1), reading its lanes in place and mirroring each pool
+        value it asks for on the way."""
         if self._released:
             self._forget_released()
         tables = chain.tables
@@ -1795,7 +1759,7 @@ class CReplayBackend:
         values = chain.pool.values
         need = self._need
         out = self._out
-        # The call's words stay put while it asks for values and bodies.
+        # The call's words stay put while it asks for values.
         row_p = _addr(row)
         args = (self._st_p, 1, row_p, 4, _addr(nums), _addr(data),
                 _addr(succ), n, row_p + 16, _addr(tabs), len(tabs),
@@ -1808,23 +1772,16 @@ class CReplayBackend:
             if cid >= 0:
                 return cid
             if cid == R_REFUSED:
-                raise Unlowerable(_refusal(chain, out[1], out[2], out[3]))
-            wants = set(zip(need[1:1 + 2 * need[0]:2],
-                            need[2:2 + 2 * need[0]:2]))
-            pidx = [a for a, b in wants if b < 0]
-            if pidx:
-                self._mirror(pidx, values)
-            for num, shape in wants:
-                if shape >= 0:
-                    self._add_body(num, shape)
+                raise Unlowerable(_refusal(chain, self.bodies, out[1],
+                                           out[2], out[3]))
+            self._mirror(set(need[1:1 + need[0]]), values)
 
-    def _mirror(self, pidx: list[int], values: list) -> None:
+    def _mirror(self, pidx: set[int], values: list) -> None:
         """Flatten pool values into the kernel's arena, once each: the
         ones a registration asked for, plus every value interned since
         the last call, so most chains register in a single call."""
         top = len(values)
         if self._swept < top:
-            pidx = set(pidx)
             pidx.update(p for p in range(self._swept, top)
                         if values[p] is not None)
             self._swept = top
@@ -1843,15 +1800,6 @@ class CReplayBackend:
         if self.lib.ffc_mirror(self._st_p, len(pidx), _addr(meta),
                                _addr(words), len(words), None) < 0:
             raise Unlowerable("kernel out of memory")
-
-    def _add_body(self, num: int, shape: int) -> None:
-        """Register action ``num``'s compiled body for placeholder shape
-        ``shape`` with this kernel.  Raises the body's refusal, or that
-        the library has no body in that shape."""
-        is_verify = self.bodies.is_verify(num, shape)
-        if self.lib.ffc_add_body(self._st_p, num, shape, int(is_verify)) < 0:
-            raise Unlowerable("kernel out of memory")
-        self.bodies_registered += 1
 
     def _forget_released(self) -> None:
         released = self._released
@@ -1883,20 +1831,16 @@ class CReplayBackend:
                     "object words" if code == 5 else "object")
             return (f"kernel image: {_CHECK_REASONS[code]} "
                     f"({what} {where.value})")
-        bodies = image.bodies
-        if len(bodies) and (min(bodies) < 0
-                            or max(bodies[1::2]) >= len(image.shapes)):
-            return "kernel image: body shape out of range"
         return None
 
     def load_image(self, image, entries: list) -> None:
         """Install a checked kernel image for the just-loaded ``entries``
         in bulk: the object registry in the image's order (so arena
         words are already registry ids), the pool mirror in one kernel
-        call, the bodies the chains run (from the simulator's table),
-        every chain in one kernel call, and the chain each init object
-        names.  A chain the bulk call cannot take registers alone, the
-        way a cold chain does, so refusals read as they would then."""
+        call, every chain in one kernel call, and the chain each init
+        object names.  The kernel refuses a chain there as it refuses a
+        cold one, with the same reason; a chain it cannot take in bulk
+        registers alone, the way a cold chain does."""
         pool = self.engine.cache.pool
         values = pool.values
         refs = image.objrefs
@@ -1911,12 +1855,6 @@ class CReplayBackend:
                           len(image.arena), shape_map.tobytes()) < 0:
             return  # out of memory: every chain registers lazily
         self._swept = len(values)
-        bodies = image.bodies
-        for num, shape in zip(bodies[0::2], bodies[1::2]):
-            try:
-                self._add_body(num, shape_map[shape])
-            except Unlowerable:
-                pass  # remembered; its chains are refused below
         n = len(entries)
         out = array("q", (R_NEED, 0, 0, 0)) * n
         lib.ffc_add_chains(
@@ -1931,10 +1869,11 @@ class CReplayBackend:
             if cid >= 0:
                 entry.cnative = cid
             elif cid == R_REFUSED:
-                self._refuse(entry, _refusal(entry.packed, out[4 * k + 1],
-                                             out[4 * k + 2], out[4 * k + 3]))
+                self._refuse(entry, _refusal(
+                    entry.packed, self.bodies, out[4 * k + 1],
+                    out[4 * k + 2], out[4 * k + 3]))
             else:
-                # Needs Python (a body refused or missing, tables the
+                # Needs Python (a value the image lacks, tables the
                 # kernel cannot take) or memory: register alone.
                 alone.append(k)
         # Chain ids are dense: the bulk ones in entry order, then the
@@ -1960,7 +1899,7 @@ class CReplayBackend:
 
     def drop_all(self) -> None:
         """The cache cleared: drop every chain and reset the pool
-        mirror (bodies stay registered)."""
+        mirror (the action rows stay)."""
         self.lib.ffc_drop_all_chains(self._st_p)
         for entry in self._entries:
             if entry is not None:
@@ -2346,7 +2285,8 @@ class CReplayBackend:
         try:
             value = interpret_body(
                 body, ctx, ctx.S, chain.datavals[i], pc=st.r_pc - 2,
-                stack=st.r_stack[:st.r_sp], locals_=st.r_loc[:VM_LOCALS],
+                stack=st.r_stack[:st.r_sp],
+                locals_=st.r_loc[:KERNEL_VM_LOCALS],
             )
         finally:
             ctx.in_fast = False
@@ -2378,11 +2318,10 @@ class CReplayBackend:
         the chains a snapshot load registered in bulk;
         ``links_in_python`` the step boundaries :meth:`_link` resolved;
         ``bodies_compiled`` the bodies the simulator's library holds in
-        C, ``library_ms`` its build (or, with ``library_cached``, its
-        load from the disk cache) and ``bodies_registered`` the
-        ``(action, shape)`` pairs registered with this engine's kernel;
-        ``handbacks`` the bodies the kernel handed back to the spec
-        interpreter, by reason."""
+        C, which this engine's kernel knows from its start, and
+        ``library_ms`` its build (or, with ``library_cached``, its load
+        from the disk cache); ``handbacks`` the bodies the kernel handed
+        back to the spec interpreter, by reason."""
         library = self.bodies.status
         return {
             "chains_lowered": self.chains_lowered,
@@ -2392,7 +2331,6 @@ class CReplayBackend:
             "bodies_compiled": self.bodies.compiled_count,
             "library_ms": library.compile_ms,
             "library_cached": library.cached,
-            "bodies_registered": self.bodies_registered,
             "values_mirrored": self.lib.ffc_mirrored(self._st_p),
             "runs": self.runs,
             "python_fallbacks": self.python_fallbacks,
@@ -2469,17 +2407,15 @@ def _flatten_value(v, words: array, shape_id, obj_word) -> tuple[int, int]:
     return PK_BAD, -1
 
 
-def kernel_image(pool, chains: list, nums: array, data: array,
-                 entry_of) -> dict:
+def kernel_image(pool, chains: list, entry_of) -> dict:
     """The kernel image a snapshot stores for ``chains`` (sealed, in
-    file order, their lanes concatenated in ``nums``/``data``): the
-    pool mirror as :meth:`CReplayBackend._mirror` builds it (one
-    ``ffc_mirror`` row per live value), with every non-int tuple member
-    numbered by its position in ``objrefs`` (pool index, member) and
-    ``objsucc`` holding ``entry_of(member)``, the index of the entry
-    that member keys or -1; the distinct ``(action, shape)`` bodies the
-    chains run; and the jump tables as kernel words (count -1 for a
-    chain with a non-int table key).  Shape ids index ``shapes``."""
+    file order): the pool mirror as :meth:`CReplayBackend._mirror`
+    builds it (one ``ffc_mirror`` row per live value), with every
+    non-int tuple member numbered by its position in ``objrefs`` (pool
+    index, member) and ``objsucc`` holding ``entry_of(member)``, the
+    index of the entry that member keys or -1; and the jump tables as
+    kernel words (count -1 for a chain with a non-int table key).
+    Shape ids index ``shapes``."""
     values = pool.values
     refs = pool._refs
     shape_ids: dict[str, int] = {}
@@ -2506,15 +2442,6 @@ def kernel_image(pool, chains: list, nums: array, data: array,
             del objrefs[omark:]
             del objsucc[omark // 2:]
         mirror.extend((p, kind, shape, mark, len(arena) - mark))
-    shape_of = {p: shape for p, kind, shape in zip(
-        mirror[0::5], mirror[1::5], mirror[2::5]) if kind == PK_TUPLE}
-    bodies = array("q")
-    for body in {
-        (num if num >= 0 else ~num, shape_of[p])
-        for num, p in set(zip(nums, data))
-        if num != ENDMARK and p in shape_of
-    }:
-        bodies.extend(body)
     trows = array("q", bytes(16 * len(chains)))
     ktabs = array("q")
     for k, chain in enumerate(chains):
@@ -2530,8 +2457,8 @@ def kernel_image(pool, chains: list, nums: array, data: array,
         ktabs.extend(words)
     return {
         "shapes": tuple(shape_ids), "mirror": mirror, "arena": arena,
-        "objrefs": objrefs, "objsucc": objsucc, "bodies": bodies,
-        "trows": trows, "ktabs": ktabs,
+        "objrefs": objrefs, "objsucc": objsucc, "trows": trows,
+        "ktabs": ktabs,
     }
 
 
@@ -2567,18 +2494,28 @@ _CHECK_REASONS = {
 }
 
 
-def _refusal(chain, why: int, where: int, what: int) -> str:
+def _refusal(chain, library: BodyLibrary, why: int, where: int,
+             what: int) -> str:
     """The ``Unlowerable`` reason for one lane-registration refusal
-    (``where`` is the slot, or the table for ``F_SUCC``)."""
+    (``where`` is the slot, or the table for ``F_SUCC``); a slot whose
+    action has no compiled body, or one in another shape, gets the
+    library's reason."""
     values = chain.pool.values
     if why == F_EXPECT:
         return f"non-int verify value {values[what]!r}"
     if why == F_SUCC:
         return (f"chain rejected at lane registration: table {where}: "
                 f"successor {what} outside [0, {len(chain.nums)}]")
+    if why == F_BODY:
+        return library.refusal(what)
     num = chain.nums[where]
+    action = ~num if num < 0 else num
+    if why == F_SHAPE:
+        return (f"action {action}: no compiled body for shape "
+                f"{library.shapes[what]!r} (compiled for "
+                f"{library.body(action).shapes!r})")
     if why == F_DATA and type(values[what]) is tuple:
-        return f"action {~num if num < 0 else num}: data value exceeds i64"
+        return f"action {action}: data value exceeds i64"
     detail = {
         F_END: f"end-record index {what} outside [0, {len(chain.ends)})",
         F_POOL: f"pool index {what} outside the pool",

@@ -67,8 +67,9 @@ from .replay_ir import (
     BodyProgram, ExternTable, Unlowerable,
 )
 
-#: Kernel frame limits this verifier enforces (must match the
-#: ``#define``s in the C template in repro.facile.cbackend).
+#: The C kernel's frame limits, defined here only: this verifier
+#: enforces them, and repro.facile.cbackend writes them into the C
+#: prelude's ``#define``s and its ctypes mirror of the kernel state.
 KERNEL_MAX_SLOTS = 64
 KERNEL_NCOUNTERS = 256
 KERNEL_VM_STACK = 128

@@ -536,6 +536,34 @@ def compile_body(num: int, body_lines: list[str], shapes: str,
     )
 
 
+def compile_bodies(compiled) -> tuple[dict, dict, ExternTable]:
+    """Compile every action body of a compiled simulator to body IR,
+    each in the one placeholder shape codegen records for it
+    (``action_shapes``).  The C backend's body library and ``repro
+    check`` both verify these programs.  Pure Python: nothing is built.
+
+    Returns ``(progs, failures, externs)``: action number ->
+    :class:`BodyProgram` for the bodies that lower, action number ->
+    the :class:`Unlowerable` that keeps a body on the Python tiers, and
+    the extern table the programs' extern ids index."""
+    externs = ExternTable()
+    spans = compiled.action_spans or ()
+    shapes = compiled.action_shapes
+    progs: dict[int, BodyProgram] = {}
+    failures: dict[int, Unlowerable] = {}
+    for num, (lines, n_ph, is_verify) in enumerate(compiled.action_bodies):
+        span = spans[num] if num < len(spans) else None
+        try:
+            if num >= len(shapes) or len(shapes[num]) != n_ph:
+                raise Unlowerable(
+                    f"action {num}: no recorded placeholder shape", span=span)
+            progs[num] = compile_body(num, lines, shapes[num], is_verify,
+                                      externs, span=span)
+        except Unlowerable as exc:
+            failures[num] = exc
+    return progs, failures, externs
+
+
 # ---------------------------------------------------------------------------
 # Reference interpreter (the IR's executable specification)
 # ---------------------------------------------------------------------------

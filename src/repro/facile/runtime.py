@@ -927,8 +927,14 @@ class Memory:
         self.write16(addr + 2, value >> 16)
 
     def load_bytes(self, addr: int, data: bytes) -> None:
-        for i, b in enumerate(data):
-            self.write8(addr + i, b)
+        """Copy ``data`` to ``addr`` on, one slice per page it spans."""
+        data = memoryview(data)
+        while data:
+            page, off = self._page(addr)
+            n = min(len(data), self.PAGE_SIZE - off)
+            page[off:off + n] = data[:n]
+            addr += n
+            data = data[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -1396,10 +1402,12 @@ class FastForwardEngine:
         if not self.compiled.action_bodies:
             status["reason"] = "no recorded action bodies to lower"
             return
-        if len(self.ctx.S) > 64:
+        from .cbackend import CReplayBackend, body_library, load_kernel
+        from .ir_verify import KERNEL_MAX_SLOTS
+
+        if len(self.ctx.S) > KERNEL_MAX_SLOTS:
             status["reason"] = "too many state slots for the kernel"
             return
-        from .cbackend import CReplayBackend, body_library, load_kernel
 
         kernel = load_kernel()
         status["compile_ms"] = kernel.status.compile_ms

@@ -15,7 +15,7 @@ File layout (header integers little-endian)::
 
     offset  size  field
     0       8     magic  b"FACSNAP\x01"
-    8       4     format version (currently 2)
+    8       4     format version (currently 3)
     12      4     kind (1 = facile ActionCache, 2 = fastsim memo)
     16      32    content-address fingerprint (sha-256 digest)
     48      8     meta length (bytes, before padding)
@@ -37,12 +37,12 @@ slots, records, table depth, key cost, lane bytes), and the chains'
 ``nums``/``data``/``succ`` lanes as three columns.  An action-cache
 snapshot adds the C kernel's image of them: the pool mirror (index,
 kind, shape, offset and length per live value, plus the ``int64``
-arena),
-the object references (pool index, member) of every non-int tuple
-member, in registry order, with the index of the entry each one keys
-(or -1), the ``(action, shape)`` bodies the chains run, and the jump
-tables as kernel words.  The Python backend ignores the image; a C
-engine installs it and registers every chain in one kernel call
+arena), the object references (pool index, member) of every non-int
+tuple member, in registry order, with the index of the entry each one
+keys (or -1), and the jump tables as kernel words.  The Python backend
+ignores the image; a C engine installs it and registers every chain in
+one kernel call, which checks each slot against the simulator's
+compiled bodies
 (:meth:`repro.facile.cbackend.CReplayBackend.load_image`).
 
 On load the stream blob is **not copied**: each chain's lanes become
@@ -94,7 +94,7 @@ from .runtime import (
 )
 
 MAGIC = b"FACSNAP\x01"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 KIND_ACTION_CACHE = 1
 KIND_FASTSIM_MEMO = 2
 
@@ -704,7 +704,6 @@ class KernelImage:
     arena: memoryview  # the mirrored values' words
     objrefs: memoryview  # per object registry id: pool index, member
     objsucc: memoryview  # per registry id: index of the entry it keys
-    bodies: memoryview  # (action, shape) of every body the chains run
     rows: memoryview  # the entries' rows (ROW_WORDS apart)
     row_words: int
     nums: memoryview  # the lane columns
@@ -744,14 +743,13 @@ def save_action_cache(cache, path, fingerprint: str, key_of=None) -> SnapshotInf
             return -1
         return -1 if entry is None else position.get(id(entry), -1)
 
-    image = kernel_image(cache.pool, [e.packed for e in entries],
-                         lanes[3], lanes[4], entry_of)
+    image = kernel_image(cache.pool, [e.packed for e in entries], entry_of)
     shapes = image.pop("shapes")
-    for name in ("mirror", "arena", "objrefs", "bodies", "ktabs"):
+    for name in ("mirror", "arena", "objrefs", "ktabs"):
         _w_u(meta, len(image[name]))
     _encode_value_fast(meta, shapes)
     lanes += [image[name] for name in (
-        "mirror", "arena", "objrefs", "objsucc", "bodies", "trows", "ktabs")]
+        "mirror", "arena", "objrefs", "objsucc", "trows", "ktabs")]
     blob = _frame(KIND_ACTION_CACHE, fingerprint, bytes(meta),
                   b"".join(lanes))
     _atomic_write(path, blob)
@@ -765,22 +763,21 @@ def save_action_cache(cache, path, fingerprint: str, key_of=None) -> SnapshotInf
 def _decode_image(r: _Reader, qmv: memoryview, q: int,
                   sec: _Chains) -> KernelImage:
     n = len(sec.keys)
-    n_mirror, n_arena, n_objrefs, n_bodies, n_ktabs = (
-        r.u(), r.u(), r.u(), r.u(), r.u())
+    n_mirror, n_arena, n_objrefs, n_ktabs = r.u(), r.u(), r.u(), r.u()
     shapes = r.value()
     if type(shapes) is not tuple or not all(type(x) is str for x in shapes):
         raise SnapshotError("bad shape table")
     parts = []
-    for size in (n_mirror, n_arena, n_objrefs, n_objrefs // 2, n_bodies,
-                 2 * n, n_ktabs):
+    for size in (n_mirror, n_arena, n_objrefs, n_objrefs // 2, 2 * n,
+                 n_ktabs):
         parts.append(qmv[q:q + size])
         q += size
-    if q != len(qmv) or n_mirror % 5 or n_objrefs % 2 or n_bodies % 2:
+    if q != len(qmv) or n_mirror % 5 or n_objrefs % 2:
         raise SnapshotError("stream length mismatch")
-    mirror, arena, objrefs, objsucc, bodies, trows, ktabs = parts
-    return KernelImage(shapes, mirror, arena, objrefs, objsucc, bodies,
-                       sec.rows, ROW_WORDS, *sec.cols, trows, ktabs,
-                       len(sec.values), n)
+    mirror, arena, objrefs, objsucc, trows, ktabs = parts
+    return KernelImage(shapes, mirror, arena, objrefs, objsucc, sec.rows,
+                       ROW_WORDS, *sec.cols, trows, ktabs, len(sec.values),
+                       n)
 
 
 def _end_records(k: int, n_ends: int) -> list:

@@ -10,6 +10,7 @@ Python simulators use it).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 DEFAULT_TEXT_BASE = 0x0000_1000
@@ -36,9 +37,11 @@ class Program:
         return self.text_words[index]
 
     def load_into(self, mem) -> None:
-        """Write the image into a target memory."""
-        for i, word in enumerate(self.text_words):
-            mem.write32(self.text_base + 4 * i, word)
+        """Write the image into a target memory: the text words as
+        little-endian bytes, then the data."""
+        words = self.text_words
+        mem.load_bytes(self.text_base, struct.pack(
+            f"<{len(words)}I", *[w & 0xFFFFFFFF for w in words]))
         if self.data_bytes:
             mem.load_bytes(self.data_base, bytes(self.data_bytes))
 

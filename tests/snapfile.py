@@ -18,7 +18,7 @@ from repro.facile.snapshot import (
 #: The ``q`` sections of the kernel image, plus the entry rows and the
 #: lane columns.
 SECTIONS = ("rows", "nums", "data", "succ", "mirror", "arena", "objrefs",
-            "objsucc", "bodies", "trows", "ktabs")
+            "objsucc", "trows", "ktabs")
 
 
 def read_sections(path, fingerprint) -> tuple[dict, dict]:

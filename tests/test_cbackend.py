@@ -164,14 +164,17 @@ def test_every_lowerable_action_has_a_compiled_case(sim_index):
              for line in source.splitlines()
              if line.startswith("    case ")}
     assert cases == set(lowerable)
+    # The kernel's row per action: its compiled body's shape and kind,
+    # or -1 and the reason that names the action.
+    assert len(library.rows) == len(sim.action_bodies)
     for num, shape in enumerate(sim.action_shapes):
-        sid = library.shape_id(shape)
         if num in lowerable:
-            assert library.is_verify(num, sid) == sim.action_bodies[num][2]
+            is_verify = sim.action_bodies[num][2]
+            assert library.rows[num] == library.shape_id(shape) << 1 | is_verify
             assert library.body(num).shapes == shape
         else:
-            with pytest.raises(Unlowerable, match=f"action {num}"):
-                library.is_verify(num, sid)
+            assert library.rows[num] == -1
+            assert library.refusal(num).startswith(f"action {num}")
 
 
 #: Reason the C code hands back -> (body, slot values): each body stops
@@ -214,8 +217,9 @@ def test_handback_resumes_where_the_spec_ends(reason):
     from array import array
 
     from repro.facile.cbackend import (
-        E_NAMES, VM_LOCALS, _build, _StPrefix, body_library_source,
+        E_NAMES, _build, _StPrefix, body_library_source,
     )
+    from repro.facile.ir_verify import KERNEL_VM_LOCALS
 
     lines, slots = GUARDS[reason]
     prog = compile_body(0, lines, "", False, ExternTable())
@@ -247,7 +251,7 @@ def test_handback_resumes_where_the_spec_ends(reason):
              for k in range(len(slots))]
         resumed = _spec_outcome(
             prog, S, pc=st.r_pc - 2, stack=st.r_stack[:st.r_sp],
-            locals_=st.r_loc[:VM_LOCALS])
+            locals_=st.r_loc[:KERNEL_VM_LOCALS])
     finally:
         KERNEL.lib.ffc_free(st_p)
     fresh = [list(v) if type(v) is list else v for v in slots]
@@ -265,11 +269,9 @@ fun main(pc) {
 """
 
 
-@requires_cc
-def test_chain_in_a_shape_the_library_lacks_is_refused():
-    """An action compiled in one shape never runs data of another: a
-    chain that records it so is refused with the action and shape named,
-    and replays on the Python tiers with the Python backend's result."""
+def _foreign_shape_sim():
+    """The SHAPE_SRC simulator with its flush of ``init`` compiled as if
+    codegen had frozen the value (shape 'o'), and that action."""
     from repro.facile.compiler import compile_source
 
     sim = compile_source(SHAPE_SRC).simulator
@@ -277,14 +279,33 @@ def test_chain_in_a_shape_the_library_lacks_is_refused():
                  if any(line.startswith("_S[") and line.endswith("= _ph0")
                         for line in lines))
     assert sim.action_shapes[flush] == "i"
-    # Compile the flush as if codegen had frozen its value.
     sim.action_shapes[flush] = "o"
+    return sim, flush
+
+
+def _shape_engine(sim, backend, snapshot=None):
+    ctx = sim.make_context()
+    ctx.write_global("init", 0)
+    engine = FastForwardEngine(sim, ctx, replay_backend=backend,
+                               trace_jit=False)
+    if snapshot is not None:
+        assert engine.load_snapshot(str(snapshot), SHAPE_FP).hit
+    return engine
+
+
+#: Content address for the SHAPE_SRC snapshots below.
+SHAPE_FP = "ab" * 32
+
+
+@requires_cc
+def test_chain_in_a_shape_the_library_lacks_is_refused():
+    """An action compiled in one shape never runs data of another: a
+    chain that records it so is refused with the action and shape named,
+    and replays on the Python tiers with the Python backend's result."""
+    sim, flush = _foreign_shape_sim()
     engines = {}
     for backend in ("c", "python"):
-        ctx = sim.make_context()
-        ctx.write_global("init", 0)
-        engine = FastForwardEngine(sim, ctx, replay_backend=backend,
-                                   trace_jit=False)
+        engine = _shape_engine(sim, backend)
         engine.run(max_steps=60)
         engines[backend] = engine
     eng_c, eng_p = engines["c"], engines["python"]
@@ -296,6 +317,34 @@ def test_chain_in_a_shape_the_library_lacks_is_refused():
     assert eng_c.ctx.read_global("acc") == eng_p.ctx.read_global("acc")
     assert asdict(eng_c.cache.stats) == asdict(eng_p.cache.stats)
     assert asdict(eng_c.stats) == asdict(eng_p.stats)
+
+
+@requires_cc
+def test_snapshot_in_a_shape_the_library_lacks_is_refused_at_load(tmp_path):
+    """The kernel's bulk load refuses what cold registration refuses:
+    chains saved under the Python backend that run an action in a shape
+    the library lacks are refused at load for the cold run's reasons,
+    and replay on the Python tiers with the Python backend's result."""
+    sim, _ = _foreign_shape_sim()
+    snap = tmp_path / "shape.facsnap"
+    saved = _shape_engine(sim, "python")
+    saved.run(max_steps=60)
+    saved.save_snapshot(str(snap), SHAPE_FP)
+    cold = _shape_engine(sim, "c")
+    cold.run(max_steps=60)
+    warm = _shape_engine(sim, "c", snapshot=snap)
+    native = warm._cnative
+    assert warm.backend_status["active"] == "c"
+    assert native.chains_registered_at_load == 0
+    assert native.chains_unlowerable == len(warm.cache.entries) > 0
+    assert native.unlowerable_reasons == cold._cnative.unlowerable_reasons
+    warm.run(max_steps=60)
+    ref = _shape_engine(sim, "python", snapshot=snap)
+    ref.run(max_steps=60)
+    assert native.chains_lowered == 0
+    assert warm.ctx.read_global("acc") == ref.ctx.read_global("acc")
+    assert asdict(warm.cache.stats) == asdict(ref.cache.stats)
+    assert asdict(warm.stats) == asdict(ref.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +698,11 @@ def test_cache_summary_reports_backend():
     assert "replay backend:   c" in text
     assert "native replay:" in text
     ns = r.engine._cnative.summary()
-    assert ns["bodies_registered"] > 0 and ns["values_mirrored"] > 0
-    assert f"{ns['bodies_registered']:,} bodies registered" in text
+    assert ns["values_mirrored"] > 0
+    # Every compiled body is in the rows the kernel got when the engine
+    # started.
+    rows = r.engine._cnative.bodies.rows
+    assert sum(row >= 0 for row in rows) == ns["bodies_compiled"] > 0
     assert f"{ns['values_mirrored']:,} pool values mirrored" in text
     # The simulator's body library: its size and its build.
     library = (f"body library: {ns['bodies_compiled']:,} bodies compiled "

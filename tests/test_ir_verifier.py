@@ -11,6 +11,7 @@ toolchain.
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 import re
@@ -672,6 +673,14 @@ def _lane(chain, name, i, value):
     return {name: lane}
 
 
+@functools.cache
+def _lane_actions():
+    """How many actions the lane program has: one past its last."""
+    from repro.facile.compiler import compile_source
+
+    return len(compile_source(LANE_SRC).simulator.action_bodies)
+
+
 def _bad_table(chain):
     tables = [dict(t) for t in chain.tables]
     key = next(iter(tables[0]))
@@ -711,6 +720,9 @@ CORRUPTIONS = {
         lambda ch: _lane(ch, "data", _slot(ch, "plain"),
                          ch.pool.intern((1 << 70,))[0]),
         "data value exceeds i64"),
+    "action_outside_table": (
+        lambda ch: _lane(ch, "nums", _slot(ch, "plain"), _lane_actions()),
+        r"action \d+: no recorded body"),
 }
 
 
@@ -739,7 +751,10 @@ class TestLaneRegistration:
         native.drop_entry(entry)
         assert plan_chain(native, entry) is not None
         assert native.chains_unlowerable == 0
-        assert native.summary()["bodies_registered"] > 0
+        # Every action has a compiled body, in the rows the kernel got
+        # when the engine started.
+        rows = native.bodies.rows
+        assert sum(row >= 0 for row in rows) == len(rows) > 0
 
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
     def test_corrupt_lane_is_refused(self, case):
@@ -799,9 +814,9 @@ class TestLaneRegistration:
 
     def test_each_body_is_verified_once_per_simulator(self, monkeypatch):
         """Bodies are compiled and verified once per compiled simulator
-        per process: a second engine on the same simulator verifies
-        nothing and registers the compiled bodies it needs with its
-        kernel."""
+        per process: each engine's kernel knows every compiled body from
+        its start, and a second engine on the same simulator verifies
+        nothing."""
         from repro.facile import FastForwardEngine, cbackend
 
         verified = []
@@ -816,7 +831,9 @@ class TestLaneRegistration:
         engine.run(max_steps=200)
         native = engine._cnative
         assert verified and len(verified) == len(set(verified))
-        assert native.summary()["bodies_registered"] == len(verified)
+        rows = native.bodies.rows
+        assert [num for num, row in enumerate(rows) if row >= 0] == sorted(
+            num for num, _ in verified)
         assert native.summary()["bodies_compiled"] == len(verified)
         # Recovery re-registers chains; their bodies are not re-verified.
         assert native.chains_lowered > len(engine.cache.entries)
@@ -828,7 +845,7 @@ class TestLaneRegistration:
                                    trace_jit=False)
         second.run(max_steps=200)
         assert len(verified) == n
-        assert second._cnative.summary()["bodies_registered"] > 0
+        assert second._cnative.chains_lowered > 0
         assert second._cnative.summary()["bodies_compiled"] == n
 
 

@@ -227,6 +227,32 @@ class TestMemory:
         m.load_bytes(0x2000, b"\x01\x02\x03\x04")
         assert m.read32(0x2000) == 0x04030201
 
+    def test_load_bytes_across_a_page_boundary(self):
+        """Bytes from an unaligned address over three pages land where
+        byte-by-byte writes put them, and nothing else changes."""
+        data = bytes((7 * i + 3) & 0xFF for i in range(Memory.PAGE_SIZE + 9))
+        addr = 2 * Memory.PAGE_SIZE - 5
+        m, ref = Memory(), Memory()
+        m.load_bytes(addr, data)
+        for i, b in enumerate(data):
+            ref.write8(addr + i, b)
+        assert m._pages == ref._pages and len(m._pages) == 3
+        assert m.read8(addr - 1) == m.read8(addr + len(data)) == 0
+        assert bytes(m.read8(addr + i) for i in range(len(data))) == data
+
+    def test_program_image_loads_as_word_writes(self):
+        from repro.isa.program import Program
+
+        program = Program(text_base=Memory.PAGE_SIZE - 8,
+                          text_words=[0xDEADBEEF, 1, -1, 0x12345678],
+                          data_bytes=bytearray(b"\x01\x02\x03"))
+        m, ref = Memory(), Memory()
+        program.load_into(m)
+        for i, word in enumerate(program.text_words):
+            ref.write32(program.text_base + 4 * i, word)
+        ref.load_bytes(program.data_base, bytes(program.data_bytes))
+        assert m._pages == ref._pages
+
     def test_read16(self):
         m = Memory()
         m.write16(10, 0xABCD)

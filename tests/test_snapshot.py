@@ -471,20 +471,21 @@ def test_cache_summary_reports_shared_split(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Format version 2: the kernel image and its checks
+# Format version 3: the kernel image and its checks
 # ---------------------------------------------------------------------------
 
 
-def test_version_1_snapshot_is_refused(tmp_path, snapshot_blob):
-    """A file written in the version-1 layout is refused with its
-    reason, counted, and the run starts cold."""
+def test_version_2_snapshot_is_refused(tmp_path, snapshot_blob):
+    """A file of version 2, whose kernel image still listed the bodies
+    its chains run, is refused with its reason, counted, and the run
+    starts cold."""
     import struct
 
     path, program = snapshot_blob
     blob = bytearray(path.read_bytes())
-    struct.pack_into("<I", blob, 8, 1)
+    struct.pack_into("<I", blob, 8, 2)
     info = _load_rejected(tmp_path, program, bytes(blob), "version mismatch")
-    assert info.reason == "version mismatch (snapshot v1, expected v2)"
+    assert info.reason == "version mismatch (snapshot v2, expected v3)"
 
 
 def _c_functional_engine(program):
