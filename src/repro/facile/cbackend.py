@@ -94,7 +94,9 @@ and counters are mirrored into a C-side ``St`` struct around each
 kernel call (counters travel as deltas); target-memory pages are pinned
 zero-copy via ``from_buffer`` into a two-level C page table, reset when
 ``SimContext.restore`` swaps the page dict (``Memory._epoch``).
-Externs (cache model, branch predictor) call back into Python with the
+Externs whose bound model the native registry recognises (the shipped
+cache model and branch predictor) dispatch inside the kernel, bound
+once when the backend starts; the rest call back into Python with the
 live cycle counters synced first, exactly as the Python bodies would
 observe them.
 """
@@ -116,7 +118,7 @@ from .ir_verify import (
 )
 from .replay_c import BODY_HELPERS, emit_bodies
 from .replay_ir import (
-    Unlowerable, compile_bodies, interpret_body, register_extern_table,
+    Unlowerable, compile_bodies, interpret_body,
 )
 from .runtime import ENDMARK, SimulationError, build_replay_view, freeze
 
@@ -1046,15 +1048,6 @@ i64 ffc_nx_bind(St *st, i64 xid, i64 nxid) {
     return 0;
 }
 
-void ffc_nx_clear(St *st) {
-    st->nnx = 0;
-    for (i64 i = 0; i < st->nxmap_n; i++) {
-        st->nx_map[i] = -1;
-        st->nx_hits[i] = 0;
-    }
-    st->nxmap_n = 0;
-}
-
 i64 ffc_nx_hits(St *st, i64 xid) {
     if (xid < 0 || xid >= st->nxmap_n) return 0;
     return st->nx_hits[xid];
@@ -1371,8 +1364,6 @@ def _declare(lib) -> None:
     lib.ffc_nx_set_arr.argtypes = [ctypes.c_void_p, _LL, _LL, _PLL, _LL]
     lib.ffc_nx_bind.restype = _LL
     lib.ffc_nx_bind.argtypes = [ctypes.c_void_p, _LL, _LL]
-    lib.ffc_nx_clear.restype = None
-    lib.ffc_nx_clear.argtypes = [ctypes.c_void_p]
     lib.ffc_nx_hits.restype = _LL
     lib.ffc_nx_hits.argtypes = [ctypes.c_void_p, _LL]
     lib.ffc_nx_call.restype = _LL
@@ -1579,7 +1570,6 @@ class BodyLibrary:
             except Unlowerable as exc:
                 self._refused[num] = str(exc)
                 continue
-            register_extern_table(body, self.externs)
             self._programs[num] = body
             self.rows[num] = self.shape_id(body.shapes) << 1 | body.is_verify
         #: Bodies compiled to C.
@@ -1652,8 +1642,6 @@ class CReplayBackend:
         self._mem = None
         self._mem_epoch = -1
         self._extern_exc: BaseException | None = None
-        self._extern_fns: list = []
-        self._extern_ctx = None
         self._exit = FfcExit()
         # Lowering / dispatch statistics (inspect reporting).
         self.chains_lowered = 0
@@ -1668,17 +1656,15 @@ class CReplayBackend:
         # chains, and extern name -> reason for Python-callback externs.
         self.unlowerable_reasons: dict[str, int] = {}
         self.extern_whynot: dict[str, str] = {}
-        # Native extern bindings: per-extern dispatch accounting plus
-        # the keepalive references for arrays handed to the kernel.
+        # Python callback exits per extern (the kernel counts the native
+        # dispatches).
         self.extern_python_calls: dict[str, int] = {}
-        self.extern_native_calls: dict[str, int] = {}
+        # Native extern bindings (see _bind_native): (extern id, name)
+        # per binding, the buffers handed to the kernel, kept alive, and
+        # the models whose statistics drain at every sync.
         self._nx_bound: list[tuple[int, str]] = []
         self._nx_keepalive: list = []
         self._nx_drain: list = []
-        # Extern-table length at the last native bind: chains lowered
-        # mid-run (kernel link chaining) register new externs, which
-        # must re-resolve against the native registry.
-        self._nx_names_len = -1
         st = self.lib.ffc_new()
         if not st:
             raise MemoryError("ffc_new failed")
@@ -1694,6 +1680,7 @@ class CReplayBackend:
         rows = bodies.rows
         if self.lib.ffc_set_actions(self._st_p, len(rows), _addr(rows)) < 0:
             raise MemoryError("ffc_set_actions failed")
+        self._bind_native(engine.ctx)
 
     def close(self) -> None:
         if self._st_p:
@@ -1965,28 +1952,15 @@ class CReplayBackend:
             self._page_refs.clear()
             self._mem = mem
             self._mem_epoch = epoch
-        names = self.externs.names
-        if (
-            ctx is not self._extern_ctx
-            or len(self._extern_fns) != len(names)
-            or self._nx_names_len != len(names)
-        ):
-            bound = ctx.externs
-            self._extern_fns = [bound.get(n) for n in names]
-            self._extern_ctx = ctx
-            self._bind_native(ctx)
         return True
 
     def _bind_native(self, ctx) -> None:
-        """Resolve externs whose bound models match the native registry
-        to in-kernel dispatch ids; the rest keep the callback path."""
+        """Once, when the backend starts: resolve externs whose bound
+        models match the native registry to in-kernel dispatch ids; the
+        rest keep the callback path.  The body library interned every
+        extern its programs call when it was made, so the table never
+        grows after this."""
         lib = self.lib
-        self._harvest_native_hits()
-        lib.ffc_nx_clear(self._st_p)
-        self._nx_bound = []
-        self._nx_keepalive = []
-        self._nx_drain = []
-        self._nx_names_len = len(self.externs.names)
         models = getattr(ctx, "extern_models", None)
         if not models:
             return
@@ -2016,7 +1990,6 @@ class CReplayBackend:
             if lib.ffc_nx_bind(self._st_p, xid, nxid) != 0:
                 self.extern_whynot[name] = "kernel refused the extern/native binding"
                 continue
-            self.extern_whynot.pop(name, None)
             self._nx_bound.append((xid, name))
             self._nx_keepalive.append((pbuf, list(arrays.values())))
             for m in drain:
@@ -2024,37 +1997,17 @@ class CReplayBackend:
                     drain_ids.add(id(m))
                     self._nx_drain.append(m)
 
-    def _harvest_native_hits(self) -> None:
-        """Fold the kernel's per-xid dispatch counters into the running
-        per-name totals (the kernel counters reset on rebind)."""
-        lib = self.lib
-        counts = self.extern_native_calls
-        for xid, name in self._nx_bound:
-            hits = lib.ffc_nx_hits(self._st_p, xid)
-            if hits:
-                counts[name] = counts.get(name, 0) + hits
-        # The caller clears the kernel registry right after this, which
-        # zeroes the live counters — no double count on a later harvest.
-
     def extern_counts(self) -> dict[str, dict[str, int]]:
-        """Per-extern dispatch counts: native in-kernel vs Python
-        callback exits, over the engine's lifetime."""
-        lib = self.lib
-        out: dict[str, dict[str, int]] = {}
-        live: dict[str, int] = {}
-        for xid, name in self._nx_bound:
-            hits = lib.ffc_nx_hits(self._st_p, xid)
-            if hits:
-                live[name] = live.get(name, 0) + hits
-        names = set(self.extern_native_calls) | set(live)
-        names |= set(self.extern_python_calls)
-        for name in sorted(names):
-            out[name] = {
-                "native": self.extern_native_calls.get(name, 0)
-                + live.get(name, 0),
-                "python": self.extern_python_calls.get(name, 0),
-            }
-        return out
+        """Per-extern dispatch counts over the engine's lifetime:
+        native in-kernel (the kernel's per-extern counters) vs Python
+        callback exits."""
+        hits = self.lib.ffc_nx_hits
+        native = {name: n for xid, name in self._nx_bound
+                  if (n := hits(self._st_p, xid))}
+        python = self.extern_python_calls
+        return {name: {"native": native.get(name, 0),
+                       "python": python.get(name, 0)}
+                for name in sorted(native.keys() | python.keys())}
 
     def _sync_out(self, ctx) -> None:
         st = self._st
@@ -2112,24 +2065,10 @@ class CReplayBackend:
             ctx.cycles = st.cycles
             ctx.retired_total = st.retired_total
             ctx.retired_fast = st.retired_fast
-            fns = self._extern_fns
-            if xid >= len(fns):
-                # New chains (and externs) were lowered mid-run (kernel
-                # link chaining).  Refresh the callback table and re-run
-                # native resolution so a freshly-registered extern whose
-                # model matches pays at most this one Python exit; the
-                # rebind is safe mid-run because this callback runs
-                # synchronously inside the kernel's extern call.
-                bound = ctx.externs
-                fns = [bound.get(n) for n in self.externs.names]
-                self._extern_fns = fns
-                self._bind_native(ctx)
-            fn = fns[xid]
-            if fn is None:
-                raise SimulationError(
-                    f"extern {self.externs.names[xid]!r} was not bound"
-                )
             name = self.externs.names[xid]
+            fn = ctx.externs.get(name)
+            if fn is None:
+                raise SimulationError(f"extern {name!r} was not bound")
             calls = self.extern_python_calls
             calls[name] = calls.get(name, 0) + 1
             r = fn(*args[:nargs])
@@ -2138,7 +2077,7 @@ class CReplayBackend:
             if type(r) is bool:
                 return int(r)
             raise SimulationError(
-                f"extern {self.externs.names[xid]!r} returned "
+                f"extern {name!r} returned "
                 f"{type(r).__name__}; the C replay backend requires ints"
             )
         except BaseException as exc:
@@ -2179,13 +2118,6 @@ class CReplayBackend:
             # Unlowerable successor: the Python driver follows the
             # likely-next link we just installed and bills the lookup.
             return None
-        if self._nx_names_len != len(self.externs.names):
-            # Lowering registered new externs: re-resolve against the
-            # native registry before the kernel resumes, so a matching
-            # model never pays a Python exit at all.
-            ectx = engine.ctx
-            self._extern_fns = [ectx.externs.get(n) for n in self.externs.names]
-            self._bind_native(ectx)
         cstats = cache.stats
         cstats.lookups += 1
         cstats.hits += 1

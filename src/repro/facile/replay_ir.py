@@ -134,17 +134,19 @@ class BodyProgram:
     character per placeholder, ``'i'`` for an int (the value travels in
     the data arena), ``'o'`` for anything else (the arena carries an
     opaque object reference, storable to a slot but not computable).
-    Programs are cached per ``(action number, shapes)``.
+    ``externs`` is the :class:`ExternTable` the program's extern ids
+    index.
     """
 
     __slots__ = (
         "num", "code", "n_locals", "max_stack", "shapes", "is_verify",
-        "uses_extern", "source",
+        "uses_extern", "source", "externs",
     )
 
     def __init__(self, num: int, code: list[int], n_locals: int,
                  max_stack: int, shapes: str, is_verify: bool,
-                 uses_extern: bool, source: str):
+                 uses_extern: bool, source: str,
+                 externs: ExternTable | None = None):
         self.num = num
         self.code = code
         self.n_locals = n_locals
@@ -153,6 +155,7 @@ class BodyProgram:
         self.is_verify = is_verify
         self.uses_extern = uses_extern
         self.source = source
+        self.externs = externs
 
     def disassemble(self) -> str:
         out = []
@@ -532,7 +535,7 @@ def compile_body(num: int, body_lines: list[str], shapes: str,
         raise Unlowerable(f"action {num}: expression too deep", span=span)
     return BodyProgram(
         num, c.e.code, len(c.locals), c.e.max_depth, shapes, is_verify,
-        c.uses_extern, source,
+        c.uses_extern, source, externs,
     )
 
 
@@ -720,7 +723,7 @@ def interpret_body(prog: BodyProgram, ctx, S: list, data: tuple,
             ctx.halt()
         elif op == OP_EXTERN:
             nargs = arg & 0xFF
-            name = prog_extern_name(prog, arg >> 8)
+            name = prog.externs.names[arg >> 8]
             args = stack[len(stack) - nargs:] if nargs else []
             del stack[len(stack) - nargs:]
             push(ctx.call_extern(name, *args))
@@ -731,18 +734,3 @@ def interpret_body(prog: BodyProgram, ctx, S: list, data: tuple,
         else:  # pragma: no cover
             raise Unlowerable(f"bad opcode {op}")
 
-
-#: interpret_body needs extern names; backends resolve ids themselves.
-_EXTERN_TABLES: dict[int, ExternTable] = {}
-
-
-def prog_extern_name(prog: BodyProgram, xid: int) -> str:
-    table = _EXTERN_TABLES.get(id(prog))
-    if table is None:
-        raise Unlowerable("extern table not registered for interpretation")
-    return table.names[xid]
-
-
-def register_extern_table(prog: BodyProgram, table: ExternTable) -> None:
-    """Associate a program with its extern table for interpret_body."""
-    _EXTERN_TABLES[id(prog)] = table

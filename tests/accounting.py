@@ -27,10 +27,12 @@ def assert_pool_refs(pool, chains) -> None:
 
 def assert_billing(cache: ActionCache) -> None:
     """The incremental ledger matches from-scratch walks: the cache's
-    ``bytes_current`` equals ``recount_bytes()``, every surviving
-    entry's billed ``nbytes`` equals ``ActionCache.entry_bytes``, and
-    the pool's reference counts match the entries' lanes."""
+    ``bytes_current`` and ``bytes_shared`` equal their recounts, every
+    surviving entry's billed ``nbytes`` equals
+    ``ActionCache.entry_bytes``, and the pool's reference counts match
+    the entries' lanes."""
     assert cache.stats.bytes_current == cache.recount_bytes()
+    assert cache.stats.bytes_shared == cache.recount_shared_bytes()
     for entry in cache.entries.values():
         assert entry.nbytes == ActionCache.entry_bytes(entry), entry.key
     assert_pool_refs(cache.pool, (e.packed for e in cache.entries.values()))

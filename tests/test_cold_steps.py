@@ -15,7 +15,6 @@ import sys
 import pytest
 
 from repro.facile import FastForwardEngine
-from repro.facile.cbackend import load_kernel
 from repro.facile.runtime import freeze, thaw
 from repro.isa.simulate import _prepare_context, compiled_functional_sim
 from repro.ooo.facile_inorder import FacileInOrderSim, compiled_inorder_sim
@@ -23,11 +22,10 @@ from repro.ooo.facile_ooo import FacileOooSim, compiled_ooo_sim
 from repro.workloads.suite import build_cached
 
 from .accounting import assert_billing
+from .simrun import KERNEL
 
 SIMS = ("functional", "inorder", "ooo")
 BACKENDS = ("python", "c")
-
-KERNEL = load_kernel()
 
 
 def _engine(sim_name: str, program, backend: str) -> FastForwardEngine:

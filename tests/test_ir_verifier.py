@@ -379,13 +379,7 @@ class TestDifferentialFuzz:
 # ---------------------------------------------------------------------------
 
 
-from repro.facile.cbackend import load_kernel  # noqa: E402
-
-KERNEL = load_kernel()
-requires_cc = pytest.mark.skipif(
-    not KERNEL.status.available,
-    reason=f"C kernel unavailable: {KERNEL.status.reason}",
-)
+from .simrun import requires_cc  # noqa: E402
 
 
 @st.composite

@@ -2,7 +2,8 @@
 
 Hypothesis generates random (but always-terminating) programs; every
 simulator in the repo must agree on the architectural outcome, and the
-three pipeline models must agree on cycle counts.
+three pipeline models must agree on cycle counts.  The compiled Facile
+simulators run on both replay backends.
 """
 
 import pytest
@@ -16,8 +17,13 @@ from repro.ooo.facile_ooo import run_facile_ooo
 from repro.ooo.fastsim import run_fastsim
 from repro.ooo.reference import run_reference
 
+from .simrun import requires_cc
+
 ARITH = ["add", "sub", "and", "or", "xor", "addcc", "subcc", "sll", "srl", "umul"]
 BRANCHES = ["be", "bne", "bg", "bl", "bge", "ble", "bgu", "bcs", "bpos", "bneg"]
+#: The replay backends the compiled simulators run on.
+BACKENDS = pytest.mark.parametrize(
+    "backend", ["python", pytest.param("c", marks=requires_cc)])
 
 
 @st.composite
@@ -76,23 +82,29 @@ def golden(src):
 
 
 class TestRandomProgramEquivalence:
+    @BACKENDS
     @settings(max_examples=40, deadline=None)
     @given(random_programs())
-    def test_facile_functional_matches_golden(self, src):
+    def test_facile_functional_matches_golden(self, backend, src):
         g = golden(src)
         program = assemble(src)
-        memo = run_facile_functional(program, memoized=True, max_steps=100_000)
+        memo = run_facile_functional(program, memoized=True, max_steps=100_000,
+                                     replay_backend=backend)
+        assert memo.engine.backend_status["active"] == backend
         assert memo.halted
         assert memo.regs == g.regs
         assert memo.retired == g.instret
 
+    @BACKENDS
     @settings(max_examples=25, deadline=None)
     @given(random_programs())
-    def test_ooo_simulators_cycle_exact(self, src):
+    def test_ooo_simulators_cycle_exact(self, backend, src):
         program = assemble(src)
         ref = run_reference(program, max_cycles=200_000)
         fast = run_fastsim(program, max_cycles=200_000)
-        facile = run_facile_ooo(program, max_steps=200_000)
+        facile = run_facile_ooo(program, max_steps=200_000,
+                                replay_backend=backend)
+        assert facile.engine.backend_status["active"] == backend
         assert ref.stats.cycles == fast.stats.cycles == facile.stats.cycles
         assert ref.stats.retired == fast.stats.retired == facile.stats.retired
         assert ref.stats.mispredicts == fast.stats.mispredicts == facile.stats.mispredicts

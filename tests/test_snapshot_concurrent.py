@@ -27,8 +27,10 @@ from repro.facile.snapshot import (
     engine_fingerprint,
     load_action_cache,
 )
-from repro.isa.simulate import compiled_functional_sim, run_facile_functional
+from repro.isa.simulate import compiled_functional_sim
 from repro.workloads.suite import build_cached
+
+from .simrun import run
 
 _CTX = multiprocessing.get_context("spawn")
 
@@ -41,15 +43,13 @@ def _writer_main(dest: str, blob_a: bytes, blob_b: bytes, rounds: int) -> None:
 
 def _race_run_main(cache_dir: str, out_path: str) -> None:
     """One full simulator run against a shared store; results to JSON."""
-    program = build_cached("compress", 1)
-    r = run_facile_functional(program, cache_dir=cache_dir)
+    r = run("functional", build_cached("compress", 1), cache_dir=cache_dir)
+    load = r.holder.snapshot_load
     json.dump(
         {
-            "retired": r.retired,
-            "regs": list(r.regs),
-            "rejected": r.engine.cache.stats.snapshot_rejected,
-            "load_hit": r.engine.snapshot_load.hit
-            if r.engine.snapshot_load is not None else None,
+            "machine": r.machine(),
+            "rejected": r.cache_stats.snapshot_rejected,
+            "load_hit": load.hit if load is not None else None,
         },
         open(out_path, "w"),
     )
@@ -69,10 +69,9 @@ class TestAtomicWriteRace:
         # different content (the second run's cache is budget-bound: it
         # clears mid-run, so it ends with fewer entries).
         p_a, p_b = tmp_path / "a.facsnap", tmp_path / "b.facsnap"
-        run_facile_functional(program, cache_save=str(p_a))
-        run_facile_functional(
-            program, cache_limit_bytes=80_000, cache_save=str(p_b),
-        )
+        run("functional", program, cache_save=str(p_a))
+        run("functional", program, cache_limit_bytes=80_000,
+            cache_save=str(p_b))
         blob_a, blob_b = p_a.read_bytes(), p_b.read_bytes()
         entries_ok = set()
         for blob, path in ((blob_a, p_a), (blob_b, p_b)):
@@ -149,15 +148,13 @@ class TestSharedStoreRace:
             p.join(300)
             assert p.exitcode == 0
         results = [json.load(open(out)) for out in outs]
-        assert results[0]["retired"] == results[1]["retired"]
-        assert results[0]["regs"] == results[1]["regs"]
+        assert results[0]["machine"] == results[1]["machine"]
         for r in results:
             assert r["rejected"] == 0
         # The store holds complete snapshot(s); a fresh serial run
         # warm-starts from whoever won the race.
-        follow = run_facile_functional(
-            build_cached("compress", 1), cache_dir=str(store)
-        )
-        assert follow.engine.snapshot_load.hit
-        assert follow.retired == results[0]["retired"]
-        assert follow.engine.cache.stats.snapshot_rejected == 0
+        follow = run("functional", build_cached("compress", 1),
+                     cache_dir=str(store))
+        assert follow.holder.snapshot_load.hit
+        assert follow.machine() == results[0]["machine"]
+        assert follow.cache_stats.snapshot_rejected == 0
