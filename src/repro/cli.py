@@ -297,22 +297,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         "--plain", dest="memoized", action="store_false",
         default=RunConfig.memoized, help="disable memoization",
     )
-    g = p.add_mutually_exclusive_group()
-    g.add_argument(
-        "--trace-jit", dest="trace_jit", action="store_true",
-        default=RunConfig.trace_jit,
-        help="compile hot replay chains to superblocks (default)",
-    )
-    g.add_argument(
-        "--no-trace-jit", dest="trace_jit", action="store_false",
-        help="replay through the interpreter only",
-    )
-    p.add_argument(
-        "--trace-threshold", type=int, default=RunConfig.trace_threshold,
-        metavar="N",
-        help="replays before a chain is promoted to a trace "
-        "(default %(default)s)",
-    )
     p.add_argument(
         "--cache-limit", dest="cache_limit_bytes", type=int,
         default=RunConfig.cache_limit_bytes, metavar="BYTES",

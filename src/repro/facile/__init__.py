@@ -22,10 +22,8 @@ from .inspect import (
     explain_check,
     explain_division,
     hot_actions,
-    trace_summary,
     why_dynamic,
 )
-from .tracecomp import Trace, TraceManager
 from .pprint import format_expr, format_program, format_stmt
 from .runtime import (
     ActionCache,
@@ -63,9 +61,6 @@ __all__ = [
     "format_program",
     "format_stmt",
     "hot_actions",
-    "trace_summary",
-    "Trace",
-    "TraceManager",
     "CompilationResult",
     "CompiledSimulator",
     "FacileError",

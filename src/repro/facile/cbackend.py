@@ -73,7 +73,7 @@ Contract with the Python backend (the behavior reference):
   outside i64, a non-int verify value, a lane index out of range — is
   marked unlowerable (``entry.cnative = -1``, with
   the reason counted in ``unlowerable_reasons``) and that entry replays
-  on the Python tiers.  Slot values the kernel cannot mirror (huge ints,
+  on the Python loop.  Slot values the kernel cannot mirror (huge ints,
   aliased lists) fall back per call.  A missing C compiler (or
   ``FACILE_NO_CC=1``), or a kernel or body library that fails to build
   or load, degrades the whole engine to the Python backend with a
@@ -1614,7 +1614,7 @@ class CReplayBackend:
     Installed as ``engine.cache.native`` so the cache can drop lowered
     chains in lockstep with reopens, stale overwrites, and clears.  The
     public surface the engine uses is :meth:`run_entry` (returns
-    ``None`` to fall back to the Python tiers for this call), plus the
+    ``None`` to fall back to the Python loop for this call), plus the
     :meth:`drop_entry`/:meth:`drop_all` invalidation hooks and
     :meth:`load_image` for snapshot loads.
     """
@@ -2128,7 +2128,7 @@ class CReplayBackend:
         """Replay starting at ``entry`` for up to ``budget`` steps.
 
         Returns ``None`` when this call must fall back to the Python
-        tiers (unlowerable chain, unmirrorable state); otherwise an
+        loop (unlowerable chain, unmirrorable state); otherwise an
         ``(end_record, steps_done)`` pair with ``end_record`` None
         after a verify miss (the missed step has already recovered
         through the slow engine, exactly as the Python loop does).
@@ -2278,7 +2278,7 @@ def plan_chain(backend: CReplayBackend, entry=None, after=None) -> int | None:
     chain with the kernel on first use; or, given ``after`` (a kernel
     exit at a step boundary with no usable link), find the successor
     entry, register it and link the boundary to it.  Returns the chain
-    id to run, or None when the Python tiers take over.
+    id to run, or None when the Python loop takes over.
 
     A module-level name on purpose: lowering time is spent under this
     one call (the benchmark's traced run wraps it by name)."""

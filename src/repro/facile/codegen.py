@@ -953,7 +953,6 @@ class CodeGenerator:
             ],
             action_spans=[a.span for a in self.actions],
             action_shapes=[a.shape for a in self.actions],
-            namespace=namespace,
         )
 
 

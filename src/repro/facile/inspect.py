@@ -272,44 +272,6 @@ def hot_actions(engine, result: CompilationResult, top: int = 10) -> str:
     return "\n".join(lines)
 
 
-def trace_summary(engine, top: int = 5) -> str:
-    """Report what the trace-compilation tier did for one engine.
-
-    Shows the compile/invalidate counters, how much of the replay
-    volume ran through compiled superblocks, and the hottest traces
-    (by steps executed) with their chain length and side-exit counts.
-    """
-    manager = getattr(engine, "traces", None)
-    if manager is None:
-        return "trace compilation is disabled (trace_jit=False)"
-    stats = manager.stats
-    agg = manager.aggregate()
-    run = engine.stats
-    covered = 100 * agg["steps"] / max(1, run.steps_fast)
-    lines = [
-        "trace compilation",
-        f"  traces:      {stats.traces_compiled} compiled "
-        f"({len(manager.live_traces())} live, "
-        f"{stats.traces_invalidated} invalidated, "
-        f"{stats.compile_failures} failed)",
-        f"  coverage:    {agg['steps']:,} of {run.steps_fast:,} fast steps "
-        f"({covered:.1f}%) in {agg['calls']:,} trace calls",
-        f"  actions:     {agg['actions']:,} replayed inline",
-        f"  side exits:  {agg['side_exits']:,}",
-    ]
-    ranked = sorted(manager.traces, key=lambda t: -t.steps)[:top]
-    for t in ranked:
-        if t.steps == 0:
-            break
-        state = "live" if t.generation >= 0 else "dead"
-        lines.append(
-            f"    {state} trace: {len(t.entries)} entries, "
-            f"{t.calls:,} calls, {t.steps:,} steps, "
-            f"{t.side_exits} side exits"
-        )
-    return "\n".join(lines)
-
-
 def _action_bodies(fast_source: str) -> dict[int, list[str]]:
     """Map action number -> generated body lines, parsed from the fast
     engine's source text."""

@@ -547,7 +547,7 @@ def compile_bodies(compiled) -> tuple[dict, dict, ExternTable]:
 
     Returns ``(progs, failures, externs)``: action number ->
     :class:`BodyProgram` for the bodies that lower, action number ->
-    the :class:`Unlowerable` that keeps a body on the Python tiers, and
+    the :class:`Unlowerable` that keeps a body on the Python loop, and
     the extern table the programs' extern ids index."""
     externs = ExternTable()
     spans = compiled.action_spans or ()

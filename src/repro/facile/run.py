@@ -36,9 +36,8 @@ class RunConfig:
     conventional simulator.  ``cache_limit_bytes``: clear the whole
     cache once it outgrows this many bytes (paper §6.2; None is
     unlimited).  ``replay_backend``: one of :data:`REPLAY_BACKENDS`.
-    ``trace_jit``/``trace_threshold``: compile chains replayed that many
-    times into superblocks.  ``index_links``: follow each step's
-    recorded link to the next entry instead of looking its key up.
+    ``index_links``: follow each step's recorded link to the next entry
+    instead of looking its key up.
     ``cache_dir``: a content-addressed snapshot store to load from and
     save to; ``cache_load``/``cache_save``: explicit snapshot files,
     which win over the store.  FastSim reads ``memoized``,
@@ -48,8 +47,6 @@ class RunConfig:
     memoized: bool = True
     cache_limit_bytes: int | None = None
     replay_backend: str = "python"
-    trace_jit: bool = True
-    trace_threshold: int = 64
     index_links: bool = True
     cache_dir: str | None = None
     cache_load: str | None = None
@@ -111,9 +108,9 @@ class RunReport:
     step split (a ``RunStats``; FastSim's steps are its cycles), None
     for the reference simulators.  ``backend``: the requested and active
     replay backend with the reason for any degrade; ``native``: the C
-    backend's ``summary()`` when the kernel was stood up.  ``traces``:
-    the trace tier's counts.  ``memo_bytes``: bytes recorded over the
-    run (Table 2); ``memo_bytes_current``: resident at its end, of which
+    backend's ``summary()`` when the kernel was stood up.
+    ``memo_bytes``: bytes recorded over the run (Table 2);
+    ``memo_bytes_current``: resident at its end, of which
     ``bytes_shared`` still mmap-shared.  ``pool``: the intern pool's
     live bytes, hits, misses and bytes saved.
     """
@@ -125,7 +122,6 @@ class RunReport:
     steps: RunStats | None = None
     backend: dict | None = None
     native: dict | None = None
-    traces: dict | None = None
     clears: int = 0
     packs: int = 0
     unpacks: int = 0
@@ -161,12 +157,6 @@ class RunReport:
                        f"fast, {s.steps_slow:,} slow, "
                        f"{s.steps_recovered:,} recovered")
         out += self._backend_lines()
-        t = self.traces
-        if t is not None and t["compiled"]:
-            out.append(f"traces: {t['compiled']} compiled "
-                       f"({t['invalidated']} invalidated), {t['steps']:,} "
-                       f"steps replayed in {t['calls']:,} calls, "
-                       f"{t['side_exits']:,} side exits")
         if self.clears:
             out.append(f"cache: {self.clears} clears")
         if self.packs:

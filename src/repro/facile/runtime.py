@@ -451,8 +451,6 @@ class PackedChain:
     recovering) has no view, and neither has a sealed one under the C
     backend until Python first replays it.
 
-    ``n_records``/``depth`` give the chain's shape (record count, max
-    multi-successor nesting) for the trace compiler, set at seal time;
     ``local_bytes`` is the entry-local accounted size (slots + jump
     tables), excluding the shared pool bytes, kept current as the lanes
     grow.
@@ -463,8 +461,8 @@ class PackedChain:
     chains arrive with no replay view (``knums is None``); the view is
     built lazily by :func:`build_replay_view` on the entry's first
     replay, so unused snapshot entries cost no private RSS.  Everything
-    that reads the canonical lanes (replay, recovery, release, the
-    trace compiler) indexes them identically either way; reopening an
+    that reads the canonical lanes (replay, recovery, release, the C
+    kernel) indexes them identically either way; reopening an
     entry for recovery copies shared lanes into private arrays
     (copy-on-miss).
 
@@ -476,8 +474,7 @@ class PackedChain:
 
     __slots__ = (
         "nums", "data", "succ", "tables", "ends", "pool",
-        "knums", "datavals", "sux",
-        "n_records", "depth", "local_bytes", "shared",
+        "knums", "datavals", "sux", "local_bytes", "shared",
     )
 
     @classmethod
@@ -491,7 +488,7 @@ class PackedChain:
         chain.ends = []
         chain.pool = pool
         chain.knums = chain.datavals = chain.sux = None
-        chain.n_records = chain.depth = chain.local_bytes = 0
+        chain.local_bytes = 0
         chain.shared = False
         return chain
 
@@ -573,30 +570,6 @@ def build_replay_view(chain: PackedChain) -> None:
     chain.sux = sux
 
 
-def _table_depth(chain: PackedChain) -> int:
-    """Deepest nesting of jump tables along any path of a chain: the
-    trace compiler's ``max_depth`` gate."""
-    nums = chain.nums
-    sstream = chain.succ
-    tables = chain.tables
-    deepest = 0
-    stack = [(0, 0)]
-    while stack:
-        i, depth = stack.pop()
-        while True:
-            num = nums[i]
-            if num == ENDMARK:
-                break
-            if num < 0 and sstream[i] < 0:
-                depth += 1
-                if depth > deepest:
-                    deepest = depth
-                stack.extend((j, depth) for j in tables[~sstream[i]].values())
-                break
-            i += 1
-    return deepest
-
-
 class CacheEntry:
     """One action-cache entry.
 
@@ -609,8 +582,7 @@ class CacheEntry:
     lanes' ``local_bytes``, so no refund re-walks a key or a chain."""
 
     __slots__ = (
-        "key", "packed", "complete", "generation", "hot",
-        "trace", "cnative", "key_cost",
+        "key", "packed", "complete", "generation", "cnative", "key_cost",
     )
 
     def __init__(self, key: tuple, chain: PackedChain, generation: int = 0,
@@ -621,10 +593,6 @@ class CacheEntry:
         self.packed = chain
         self.complete = False
         self.generation = generation
-        # Trace-JIT bookkeeping: interpreted-replay count and the
-        # compiled Trace (or NO_TRACE sentinel) rooted at this entry.
-        self.hot = 0
-        self.trace: object | None = None
         # C replay backend: None = not yet lowered, -1 = unlowerable,
         # else the kernel-side chain id (repro.facile.cbackend).
         self.cnative: int | None = None
@@ -705,9 +673,9 @@ class ActionCache:
         # live entries may still reference (repro.facile.snapshot).
         self.snapshots: list = []
         # Identity-link epoch: bumped only by a full clear, compared by
-        # the engine before trusting ``likely_next`` links and compiled
-        # traces.  Overwritten stale entries are marked with generation
-        # -1 so links to them are rejected individually.
+        # the engine before trusting ``likely_next`` links.  Overwritten
+        # stale entries are marked with generation -1 so links to them
+        # are rejected individually.
         self.generation = 0
 
     def lookup(self, key: tuple) -> CacheEntry | None:
@@ -758,11 +726,10 @@ class ActionCache:
     # -- sealing and reopening -------------------------------------------
 
     def pack_entry(self, entry: CacheEntry) -> None:
-        """Seal an entry whose step completed: build its replay view,
-        record its shape and mark it complete (replayable).  Under the C
-        backend the kernel replays from the lanes, so the view waits for
-        the chain's first Python replay, as an mmap-loaded chain's
-        does."""
+        """Seal an entry whose step completed: build its replay view and
+        mark it complete (replayable).  Under the C backend the kernel
+        replays from the lanes, so the view waits for the chain's first
+        Python replay, as an mmap-loaded chain's does."""
         if entry.complete:
             return
         chain = entry.packed
@@ -773,8 +740,6 @@ class ActionCache:
             )
         if self.native is None:
             build_replay_view(chain)
-        chain.n_records = len(nums) - len(chain.ends)
-        chain.depth = _table_depth(chain) if chain.tables else 0
         entry.complete = True
         self.stats.packs += 1
 
@@ -1290,7 +1255,8 @@ class CompiledSimulator:
     plain_main: Callable | None = None  # non-memoized build
     source_plain: str = ""
     division_summary: dict = field(default_factory=dict)
-    # Per-action body source for the trace compiler: index ->
+    # Per-action body source, which the C backend compiles to replay IR
+    # and then to C (repro.facile.replay_ir.compile_bodies): index ->
     # (body_lines, n_placeholders, is_verify).  Bodies reference _ctx,
     # _S, and _ph<K> placeholder names, same as the fast-action table.
     action_bodies: list = field(default_factory=list)
@@ -1303,10 +1269,6 @@ class CompiledSimulator:
     # placeholder ('o' where codegen freezes the value): the one shape
     # the C backend compiles each body in.
     action_shapes: list = field(default_factory=list)
-    # The exec globals the engine sources were compiled against; trace
-    # functions are compiled against (a copy of) the same namespace so
-    # spliced bodies resolve helpers identically.
-    namespace: dict = field(default_factory=dict)
     # Content fingerprint over the generated sources and structural
     # fields, set by the compiler; snapshot content addressing keys on
     # it (repro.facile.snapshot).  Hand-built simulators may leave it
@@ -1333,18 +1295,24 @@ def _counted(num: int, fn: Callable, counts: Counter) -> Callable:
     return counted
 
 
+#: Replay budget of a run with no step limit; far above any real count.
+UNBOUNDED_BUDGET = 1 << 62
+
+
 class FastForwardEngine:
     """The two-engine driver: fast replay with slow fallback (Figure 1).
 
-    Complete cache entries are flat-packed, and the fast engine replays
-    their streams in one Python loop (or in the C kernel, with
-    ``replay_backend="c"``).  When ``trace_jit`` is enabled (the
-    default) a trace tier sits above the Python loop: entries whose
-    chains replay more than ``trace_threshold`` times are compiled into
-    straight-line superblocks by :mod:`repro.facile.tracecomp` and
-    subsequent steps call a single Python function instead of
-    dispatching per record.
+    Complete cache entries are flat-packed, and each cache hit makes one
+    replay call: the C kernel's ``run_entry`` with
+    ``replay_backend="c"``, or the packed Python loop
+    (:meth:`_fast_step_packed`), which is the kernel's executable spec
+    and takes every chain the kernel hands back.  Both follow
+    ``likely_next`` links across step boundaries inside the call.
     """
+
+    # perfbench/cells.py reads ``engine.traces`` in every cell; inert
+    # since the trace tier went, until ROADMAP item 2 deletes the read.
+    traces = None
 
     def __init__(
         self,
@@ -1353,8 +1321,6 @@ class FastForwardEngine:
         settings: RunConfig | None = None,
         **fields: Any,
     ):
-        from .tracecomp import TraceManager
-
         settings = RunConfig.of(settings, **fields)
         self.compiled = compiled
         self.ctx = ctx
@@ -1368,14 +1334,6 @@ class FastForwardEngine:
         # The paper's INDEX_ACTION chaining; disable to force a full
         # cache lookup at every step boundary (ablation).
         self.index_links = settings.index_links
-        # The trace-compilation tier.  Needs action bodies from the
-        # code generator; simulators built before that existed (or by
-        # hand in tests) silently fall back to the interpreter.
-        self.traces: TraceManager | None = None
-        if settings.trace_jit and compiled.action_bodies:
-            self.traces = TraceManager(
-                compiled, self.cache, threshold=settings.trace_threshold
-            )
         # Optional per-action replay counts; enable with profile().
         self.action_profile: Counter[int] | None = None
         # Warm-start reporting: set by load_snapshot/save_snapshot.
@@ -1457,15 +1415,13 @@ class FastForwardEngine:
 
         Enabling swaps the replay loop's action functions for counting
         wrappers, and disabling restores the plain ones, so the one
-        packed loop serves both.  Compiled traces do no per-record
-        bookkeeping, so while profiling is enabled the driver bypasses
-        trace execution and suspends promotion: every replay goes
-        through the packed loop and is attributed per action.  Call
-        before :meth:`run`.
+        packed loop serves both.  Call before :meth:`run`.
 
-        The C replay kernel is bypassed for the same reason, and the
-        downgrade is surfaced in ``backend_status`` so run reports say
-        why a "c" request executed on the interpreter.
+        The C replay kernel does no per-action bookkeeping, so while
+        profiling is enabled the driver bypasses it and every replay
+        goes through the packed loop; the downgrade is surfaced in
+        ``backend_status`` so run reports say why a "c" request
+        executed on the interpreter.
         """
         fns = [fn for fn, _ in self.compiled.fast_actions]
         if enabled:
@@ -1479,26 +1435,20 @@ class FastForwardEngine:
             status = self.backend_status
             status["active"] = "python" if enabled else "c"
             status["reason"] = (
-                "profiling forces the interpreter tiers" if enabled else ""
+                "profiling forces the Python replay loop" if enabled else ""
             )
 
     @property
     def report(self) -> RunReport:
         """The run so far, read off this engine's counters."""
         ctx, cs, pool = self.ctx, self.cache.stats, self.cache.pool
-        traces = None
-        if self.traces is not None:
-            ts = self.traces.stats
-            traces = {"compiled": ts.traces_compiled,
-                      "invalidated": ts.traces_invalidated,
-                      **self.traces.aggregate()}
         native = self._cnative
         return RunReport(
             retired=ctx.retired_total, halted=ctx.halted,
             retired_fast=ctx.retired_fast, steps=replace(self.stats),
             backend=dict(self.backend_status),
             native=None if native is None else native.summary(),
-            traces=traces, clears=cs.clears, packs=cs.packs,
+            clears=cs.clears, packs=cs.packs,
             unpacks=cs.unpacks, memo_bytes=cs.bytes_cumulative,
             memo_bytes_current=cs.bytes_current,
             bytes_shared=cs.bytes_shared,
@@ -1526,8 +1476,6 @@ class FastForwardEngine:
         return self._freeze_key(self.ctx.S[self.compiled.init_slot])
 
     def run(self, max_steps: int | None = None) -> RunStats:
-        from .tracecomp import TRACE_COMPLETE, UNBOUNDED_BUDGET
-
         ctx = self.ctx
         S = ctx.S
         init_slot = self.compiled.init_slot
@@ -1541,24 +1489,16 @@ class FastForwardEngine:
         # stale contents.  Simulators without a flushed init fall back
         # to comparing frozen keys on the cached link.
         id_links = self.compiled.init_flushed
+        # A replay call follows likely-next links across step boundaries
+        # (absorbing the per-step driver overhead) only while they are
+        # identity-trustworthy; otherwise it replays one step and the
+        # driver checks the next link itself.
+        chain_steps = index_links and id_links
         limit = cache.limit_bytes
         generation = cache.generation
-        # Trace tier state.  Profiling needs per-action attribution, so
-        # it forces the interpreter (see profile()).
-        traces = self.traces if self.action_profile is None else None
-        threshold = traces.threshold if traces is not None else 0
-        # Packed replay may chain across step boundaries inside one
-        # call (absorbing the per-step driver overhead) only when no
-        # other tier needs per-step control: no trace promotion, and
-        # identity-trustworthy likely-next links.
-        chain_steps = traces is None and index_links and id_links
-        # The C replay backend, when active.  Profiling needs per-action
-        # attribution, so it forces the interpreter tiers.  Kernel-side
-        # link chaining is sound on the same terms as Python chaining
-        # (identity-trustworthy links); without them it runs one step
-        # per call, exactly like the budget-1 packed loop.
+        # Profiling needs per-action attribution, so it bypasses the C
+        # kernel (see profile()).
         cnative = self._cnative if self.action_profile is None else None
-        c_chain = index_links and id_links
         steps = 0
         last_end: EndRecord | None = None
         while not ctx.halted and (max_steps is None or steps < max_steps):
@@ -1592,96 +1532,29 @@ class FastForwardEngine:
                 stats.steps_total += 1
                 last_end = None
             else:
-                trace = entry.trace
-                if (
-                    traces is not None
-                    and trace is not None
-                    and trace.generation == generation
-                ):
-                    budget = (
-                        max_steps - steps if max_steps is not None
-                        else UNBOUNDED_BUDGET
-                    )
-                    ctx.in_fast = True
-                    try:
-                        result = trace.fn(ctx, S, budget)
-                    finally:
-                        ctx.in_fast = False
-                    trace.calls += 1
-                    n = result[1]
-                    trace.steps += n
-                    trace.actions += result[2]
-                    stats.steps_fast += n
-                    stats.actions_replayed += result[2]
-                    steps += n
-                    stats.steps_total += n
-                    if result[0] == TRACE_COMPLETE:
-                        last_end = result[3]
-                    else:
-                        # Side exit: the diverging step recovers through
-                        # the slow engine, exactly as an interpreted miss.
-                        trace.side_exits += 1
-                        cstats.misses_verify += 1
-                        self._recover(result[3], list(result[4]))
-                        stats.steps_recovered += 1
-                        steps += 1
-                        stats.steps_total += 1
-                        last_end = None
+                if not chain_steps:
+                    budget = 1
+                elif max_steps is None:
+                    budget = UNBOUNDED_BUDGET
                 else:
-                    cres = None
-                    if cnative is not None:
-                        if c_chain:
-                            budget = (
-                                max_steps - steps if max_steps is not None
-                                else UNBOUNDED_BUDGET
-                            )
-                        else:
-                            budget = 1
-                        cres = cnative.run_entry(entry, budget)
-                    if cres is not None:
-                        end, n = cres
-                        stats.steps_fast += n
-                        steps += n
-                        stats.steps_total += n
-                        if end is None:
-                            stats.steps_recovered += 1
-                            steps += 1
-                            stats.steps_total += 1
-                            last_end = None
-                        else:
-                            last_end = end
-                        # Kernel-replayed entries never accrue ``hot``:
-                        # the native loop subsumes the trace tier, which
-                        # keeps serving chains the IR refuses.
-                    else:
-                        if chain_steps:
-                            budget = (
-                                max_steps - steps if max_steps is not None
-                                else UNBOUNDED_BUDGET
-                            )
-                        else:
-                            budget = 1
-                        end, n = self._fast_step_packed(entry, budget)
-                        stats.steps_fast += n
-                        steps += n
-                        stats.steps_total += n
-                        if end is None:
-                            stats.steps_recovered += 1
-                            steps += 1
-                            stats.steps_total += 1
-                            last_end = None
-                        else:
-                            last_end = end
-                            if traces is not None and trace is None:
-                                hot = entry.hot + 1
-                                entry.hot = hot
-                                if hot >= threshold:
-                                    traces.promote(entry, stats.steps_total)
+                    budget = max_steps - steps
+                result = (None if cnative is None
+                          else cnative.run_entry(entry, budget))
+                if result is None:
+                    result = self._fast_step_packed(entry, budget)
+                last_end, n = result
+                stats.steps_fast += n
+                steps += n
+                stats.steps_total += n
+                if last_end is None:
+                    # A verify miss ended the call; its step recovered
+                    # through the slow engine.
+                    stats.steps_recovered += 1
+                    steps += 1
+                    stats.steps_total += 1
             if limit is not None and cache.reclaim():
                 last_end = None
                 generation = cache.generation
-                if traces is not None:
-                    traces.on_cache_clear()
         return self.stats
 
     # -- slow path -------------------------------------------------------
@@ -1706,8 +1579,8 @@ class FastForwardEngine:
 
         Runs up to ``budget`` completed steps, following likely-next
         links across step boundaries while they keep holding (the
-        driver passes budget 1 when the trace tier needs per-step
-        control).  Returns ``(end, steps_done)``; end is
+        driver passes budget 1 when links are not identity-safe).
+        Returns ``(end, steps_done)``; end is
         None when a verify miss ended the run — the missed step has
         already recovered through the slow engine and is not counted in
         ``steps_done``.
@@ -1794,11 +1667,6 @@ class FastForwardEngine:
         return end, steps_done
 
     def _recover(self, entry: CacheEntry, results: list) -> None:
-        # Recovery appends a fresh successor chain to a verify record of
-        # this entry, so any compiled trace whose comparison ladder was
-        # specialized on the entry's old successor set is now stale.
-        if self.traces is not None:
-            self.traces.invalidate_for(entry)
         self.ctx.in_fast = False
         M = self.memoizer
         M.begin_recovery(entry, results)

@@ -15,7 +15,7 @@ File layout (header integers little-endian)::
 
     offset  size  field
     0       8     magic  b"FACSNAP\x01"
-    8       4     format version (currently 3)
+    8       4     format version (currently 4)
     12      4     kind (1 = facile ActionCache, 2 = fastsim memo)
     16      32    content-address fingerprint (sha-256 digest)
     48      8     meta length (bytes, before padding)
@@ -33,8 +33,8 @@ the pool values, keys, jump tables and FastSim's next keys share one
 cannot round-trip exactly follow it through a tagged codec.  The stream
 blob holds fixed-width ``q`` sections that load without decoding: the
 pool's refcounts and accounted costs, one row per chain (slots, end
-slots, records, table depth, key cost, lane bytes), and the chains'
-``nums``/``data``/``succ`` lanes as three columns.  An action-cache
+slots, key cost, lane bytes), and the chains' ``nums``/``data``/``succ``
+lanes as three columns.  An action-cache
 snapshot adds the C kernel's image of them: the pool mirror (index,
 kind, shape, offset and length per live value, plus the ``int64``
 arena), the object references (pool index, member) of every non-int
@@ -94,7 +94,7 @@ from .runtime import (
 )
 
 MAGIC = b"FACSNAP\x01"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 KIND_ACTION_CACHE = 1
 KIND_FASTSIM_MEMO = 2
 
@@ -500,10 +500,10 @@ def _open_snapshot(
 # Sections shared by both kinds: the pool and the chains
 # ---------------------------------------------------------------------------
 
-#: Words per entry row: slots, end slots, records, table depth, key
-#: cost and lane bytes.  The load reads each entry's accounting from
-#: here instead of re-sizing its key and tables.
-ROW_WORDS = 6
+#: Words per entry row: slots, end slots, key cost and lane bytes.
+#: The load reads each entry's accounting from here instead of
+#: re-sizing its key and tables.
+ROW_WORDS = 4
 
 
 def _encode_chains(meta: bytearray, lanes: list, pool, keyed: list,
@@ -557,8 +557,8 @@ def _encode_chains(meta: bytearray, lanes: list, pool, keyed: list,
     rows = array("q")
     cols = (array("q"), array("q"), array("q"))
     for _, chain, key_cost in keyed:
-        rows.extend((len(chain.nums), len(chain.ends), chain.n_records,
-                     chain.depth, key_cost, chain.local_bytes))
+        rows.extend((len(chain.nums), len(chain.ends), key_cost,
+                     chain.local_bytes))
         cols[0].frombytes(memoryview(chain.nums).cast("B"))
         cols[1].frombytes(memoryview(chain.data).cast("B"))
         cols[2].frombytes(memoryview(chain.succ).cast("B"))
@@ -637,9 +637,8 @@ def _mapped_chains(sec: _Chains, pool, ends_of) -> list[PackedChain]:
     tables = sec.tables
     chains = []
     off = 0
-    for k, (n, n_ends, n_records, depth, local) in enumerate(zip(
-        rl[0::ROW_WORDS], rl[1::ROW_WORDS], rl[2::ROW_WORDS],
-        rl[3::ROW_WORDS], rl[5::ROW_WORDS],
+    for k, (n, n_ends, local) in enumerate(zip(
+        rl[0::ROW_WORDS], rl[1::ROW_WORDS], rl[3::ROW_WORDS],
     )):
         end = off + n
         chain = PackedChain()
@@ -650,8 +649,6 @@ def _mapped_chains(sec: _Chains, pool, ends_of) -> list[PackedChain]:
         chain.ends = ends_of(k, n_ends)
         chain.pool = pool
         chain.knums = chain.datavals = chain.sux = None
-        chain.n_records = n_records
-        chain.depth = depth
         chain.local_bytes = local
         chain.shared = True
         chains.append(chain)
@@ -832,13 +829,13 @@ def _load_action_cache(cache, path, fingerprint: str) -> SnapshotInfo:
     entries = []
     total = 0
     for key, chain, key_cost in zip(sec.keys, chains,
-                                    sec.rows[4::ROW_WORDS].tolist()):
+                                    sec.rows[2::ROW_WORDS].tolist()):
         entry = CacheEntry(key, chain, generation, key_cost)
         entry.complete = True
         cache.entries[key] = entry
         entries.append(entry)
         total += key_cost
-    shared = sum(sec.rows[5::ROW_WORDS])
+    shared = sum(sec.rows[3::ROW_WORDS])
     # Loaded bytes enter bytes_current (they are resident cache state
     # and recount_bytes must reconcile) but not bytes_cumulative, which
     # counts recording volume — nothing was recorded.
@@ -922,9 +919,9 @@ def _load_fastsim_memo(sim, path, fingerprint: str) -> SnapshotInfo:
         return info
     _install_pool(sim.pool, sec)
     sim.memo.update(zip(sec.keys, chains))
-    shared = sum(sec.rows[5::ROW_WORDS])
+    shared = sum(sec.rows[3::ROW_WORDS])
     mstats = sim.mstats
-    mstats.bytes_estimate += (sum(sec.rows[4::ROW_WORDS]) + shared
+    mstats.bytes_estimate += (sum(sec.rows[2::ROW_WORDS]) + shared
                               + sim.pool.bytes_live)
     mstats.bytes_shared += shared
     mstats.snapshot_entries += len(chains)

@@ -6,10 +6,10 @@ workload with ``replay_backend="c"`` gives bit-identical results to the
 Python packed loop, and environments without a C compiler degrade to
 Python with a reported, non-fatal status.  Whole-workload parity, cold
 and warm, with and without a cache limit, is the conformance matrix's
-(``test_conformance.py``, trace tier off, compress and go at scale 1);
-the tests here pin the mechanisms one at a time, and compare whole
-runs of compress at scale 2 and in the default configuration, where
-the Python side compiles traces.
+(``test_conformance.py``, compress and go at scale 1); the tests here
+pin the mechanisms one at a time, and compare whole runs only where
+the matrix does not: compress at scale 2, and a snapshot the C backend
+saved loaded back by the C backend.
 """
 
 from __future__ import annotations
@@ -298,8 +298,7 @@ def _foreign_shape_sim():
 def _shape_engine(sim, backend, snapshot=None):
     ctx = sim.make_context()
     ctx.write_global("init", 0)
-    engine = FastForwardEngine(sim, ctx, replay_backend=backend,
-                               trace_jit=False)
+    engine = FastForwardEngine(sim, ctx, replay_backend=backend)
     if snapshot is not None:
         assert engine.load_snapshot(str(snapshot), SHAPE_FP).hit
     return engine
@@ -402,8 +401,7 @@ def test_pool_index_freed_by_a_conversion_is_mirrored_afresh(monkeypatch):
     for backend in ("c", "python"):
         ctx = sim.make_context()
         ctx.write_global("init", 0)
-        engine = FastForwardEngine(sim, ctx, trace_jit=False,
-                                   replay_backend=backend)
+        engine = FastForwardEngine(sim, ctx, replay_backend=backend)
         pool = engine.cache.pool
         hook = pool.on_release
 
@@ -468,8 +466,7 @@ def test_shared_successor_resolved_once_in_python():
     resolved = []
     for backend in ("c", "python"):
         ctx = sim.make_context()
-        engine = FastForwardEngine(sim, ctx, trace_jit=False,
-                                   replay_backend=backend)
+        engine = FastForwardEngine(sim, ctx, replay_backend=backend)
         native = engine._cnative
         if native is not None:
             link = native._link
@@ -494,7 +491,7 @@ def test_shared_successor_resolved_once_in_python():
 
 
 # ---------------------------------------------------------------------------
-# Whole workloads: compress at scale 2, and the default configuration
+# Whole workloads: compress at scale 2, and a c -> c snapshot
 # ---------------------------------------------------------------------------
 
 ENGINE_SIMS = ("functional", "inorder", "ooo")
@@ -503,12 +500,12 @@ ENGINE_SIMS = ("functional", "inorder", "ooo")
 @requires_cc
 @pytest.mark.parametrize("sim_name", ENGINE_SIMS)
 def test_cold_parity_exact_stats(sim_name):
-    """Cold runs (cache warming → verify-miss side exits, recoveries)
-    are bit-identical between backends, down to every cache statistic,
-    with the trace tier disabled on both sides."""
+    """Cold runs of compress at scale 2 (the matrix runs scale 1):
+    cache warming, verify misses and recoveries are bit-identical
+    between backends, down to every cache statistic."""
     program = build_cached("compress", 2)
-    rp = run(sim_name, program, replay_backend="python", trace_jit=False)
-    rc = run(sim_name, program, replay_backend="c", trace_jit=False)
+    rp = run(sim_name, program, replay_backend="python")
+    rc = run(sim_name, program, replay_backend="c")
     assert rc.machine() == rp.machine()
     assert rc.spec() == rp.spec()
     # The cold run must actually exercise the side-exit path.
@@ -520,27 +517,14 @@ def test_cold_parity_exact_stats(sim_name):
 
 @requires_cc
 @pytest.mark.parametrize("sim_name", ENGINE_SIMS)
-def test_cold_parity_default_config(sim_name):
-    """With default settings (trace JIT on for the Python side) the
-    simulated results still match bit-for-bit.  The cache statistics
-    do not: the trace tier keeps its own."""
-    program = build_cached("compress", 2)
-    rp = run(sim_name, program, replay_backend="python")
-    rc = run(sim_name, program, replay_backend="c")
-    assert rc.machine() == rp.machine()
-    assert rc.timing() == rp.timing()
-    assert rc.holder.backend_status["active"] == "c"
-
-
-@requires_cc
-@pytest.mark.parametrize("sim_name", ENGINE_SIMS)
 @pytest.mark.parametrize("save_backend, load_backend",
                          [("python", "c"), ("c", "python"), ("c", "c")])
 def test_snapshot_cross_backend(tmp_path, sim_name, save_backend,
                                 load_backend):
-    """A .facsnap saved under one backend loads under the other, trace
-    tier on: same simulated results, mmap-shared chains replayed, byte
-    audits exact."""
+    """A .facsnap saved under one backend loads under the same or the
+    other: same simulated results, mmap-shared chains replayed, byte
+    audits exact.  The matrix's warm cells load the other backend's
+    snapshot; the c -> c load is this test's own."""
     program = build_cached("compress", 1)
     snap = str(tmp_path / "cache.facsnap")
     cold = run(sim_name, program, replay_backend=save_backend,
@@ -652,8 +636,7 @@ def test_cache_summary_reports_backend():
     from repro.facile.inspect import cache_summary
 
     program = build_cached("compress", 1)
-    engine = run("functional", program, replay_backend="c",
-                 trace_jit=False).holder
+    engine = run("functional", program, replay_backend="c").holder
     text = cache_summary(engine.cache, engine=engine)
     assert "replay backend:   c" in text
     assert "native replay:" in text

@@ -212,10 +212,12 @@ class TestReportParity:
     run driven through the API explains itself the same way."""
 
     #: One configuration per memoizing simulator: CLI flags, and the
-    #: same settings as runner keywords.
+    #: same settings as runner keywords.  Paths are relative to the
+    #: test's temporary directory.
     CASES = {
-        "functional": (["--trace-threshold", "4"], {"trace_threshold": 4}),
-        "inorder": (["--no-trace-jit"], {"trace_jit": False}),
+        "functional": (["--plain"], {"memoized": False}),
+        "inorder": (["--cache-save", "inorder.facsnap"],
+                    {"cache_save": "inorder.facsnap"}),
         "ooo": (["--cache-limit", "500000"], {"cache_limit_bytes": 500_000}),
         "ooo-fastsim": (["--cache-limit", "500000"],
                         {"cache_limit_bytes": 500_000}),
@@ -223,12 +225,14 @@ class TestReportParity:
 
     @pytest.mark.parametrize("backend", ["python", "c"])
     @pytest.mark.parametrize("sim", MEMOIZING)
-    def test_cli_and_api_print_the_same_report(self, capsys, sim, backend):
+    def test_cli_and_api_print_the_same_report(self, capsys, monkeypatch,
+                                               tmp_path, sim, backend):
         from repro.facile.cbackend import load_kernel
         from repro.workloads.suite import build_cached
 
         if backend == "c" and not load_kernel().status.available:
             pytest.skip("no C compiler")
+        monkeypatch.chdir(tmp_path)
         flags, keywords = self.CASES[sim]
         assert main(["workloads", "compress", "--scale", "1", "--sim", sim,
                      "--replay-backend", backend, *flags]) == 0

@@ -15,8 +15,7 @@ compress runs on every cell; go on the unlimited python and c cells.
 Every cell must match the reference models on what the simulated
 machine did, match the python cell of the same simulator, cache and
 start on every statistic (:meth:`~tests.simrun.Run.spec`), and keep the
-invariants its configuration promises.  The trace tier stays off: its
-equality with the interpreter is ``test_tracecomp``'s.
+invariants its configuration promises.
 """
 
 from __future__ import annotations
@@ -80,8 +79,7 @@ class Matrix:
 
     def _run_cell(self, cell: tuple) -> Outcome:
         workload, sim, backend, cache, start = cell
-        fields = {"trace_jit": False,
-                  "replay_backend": "python" if backend == "python" else "c"}
+        fields = {"replay_backend": "python" if backend == "python" else "c"}
         if cache == "limited":
             fields["cache_limit_bytes"] = LIMIT
         if start == "cold":

@@ -96,7 +96,7 @@ def run_stats_tuple(stats):
 
 class TestPackUnpackRoundTrip:
     def recorded_cache(self, toy, words):
-        ctx, engine, _ = run_memoized(toy, words, trace_jit=False)
+        ctx, engine, _ = run_memoized(toy, words)
         return engine.cache
 
     def test_round_trip_preserves_structure_and_bytes(self, toy):
@@ -190,9 +190,7 @@ class TestPackedReplayEquivalence:
         )
 
     def test_identical_simulation_and_run_stats(self, toy):
-        (pc, pe, ps), (oc, _, os_) = self.run_both(
-            toy, countdown_program(200), trace_jit=False
-        )
+        (pc, pe, ps), (oc, _, os_) = self.run_both(toy, countdown_program(200))
         assert pc.halted and oc.halted
         assert registers(pc) == registers(oc)
         assert pc.retired_total == oc.retired_total
@@ -206,9 +204,7 @@ class TestPackedReplayEquivalence:
         # The countdown's bz verify forks (not-taken on the back edge,
         # taken at exit), so the entry must reopen for recovery and
         # seal again with the new path appended.
-        (pc, pe, ps), (oc, _, os_) = self.run_both(
-            toy, countdown_program(50), trace_jit=False
-        )
+        (pc, pe, ps), (oc, _, os_) = self.run_both(toy, countdown_program(50))
         assert registers(pc) == registers(oc)
         assert ps.steps_total == os_.steps_total
         assert ps.steps_recovered > 0
@@ -221,9 +217,7 @@ class TestPackedReplayEquivalence:
         assert_billing(pe.cache)
 
     def test_accounting_exact_after_run(self, toy):
-        (pc, pe, _), (oc, _, _) = self.run_both(
-            toy, multi_loop_program(4, 40), trace_jit=False
-        )
+        (pc, pe, _), (oc, _, _) = self.run_both(toy, multi_loop_program(4, 40))
         assert registers(pc) == registers(oc)
         cache = pe.cache
         assert_billing(cache)
@@ -232,9 +226,7 @@ class TestPackedReplayEquivalence:
         assert_billing(cache)
 
     def test_packed_replay_with_profile(self, toy):
-        ctx, engine, _ = run_memoized(
-            toy, countdown_program(5), max_steps=0, trace_jit=False,
-        )
+        ctx, engine, _ = run_memoized(toy, countdown_program(5), max_steps=0)
         engine.profile()
         stats = engine.run(max_steps=10_000)
         assert ctx.halted
@@ -245,10 +237,8 @@ class TestPackedReplayEquivalence:
     def test_chunked_run_matches_single_run(self, toy):
         # The chained packed loop must respect max_steps budgets.
         words = countdown_program(120)
-        one_ctx, _, one_stats = run_memoized(toy, words, trace_jit=False)
-        ctx, engine, _ = run_memoized(
-            toy, words, max_steps=0, trace_jit=False
-        )
+        one_ctx, _, one_stats = run_memoized(toy, words)
+        ctx, engine, _ = run_memoized(toy, words, max_steps=0)
         while not ctx.halted:
             engine.run(max_steps=7)
         assert registers(ctx) == registers(one_ctx)
@@ -256,28 +246,13 @@ class TestPackedReplayEquivalence:
         # have respected every 7-step budget yet covered the same run.
         assert engine.stats.steps_total == one_stats.steps_total
 
-    def test_trace_jit_compiles_from_packed_entries(self, toy):
-        (pc, pe, ps), (oc, _, os_) = self.run_both(
-            toy, countdown_program(400), trace_jit=True, trace_threshold=8
-        )
-        manager = pe.traces
-        assert manager.stats.traces_compiled > 0
-        assert all(
-            e.complete
-            for trace in manager.live_traces() for e in trace.entries
-        )
-        assert registers(pc) == registers(oc)
-        assert pc.retired_total == oc.retired_total
-        assert ps.steps_total == os_.steps_total
-        self.assert_consistent(ps)
-
     def test_functional_sim_matches_isa_oracle(self):
         from repro.isa.assembler import assemble
         from repro.isa.funcsim import FunctionalSim
         from repro.isa.simulate import run_facile_functional
 
         program = assemble(TestFastSimFlatPack.SRC)
-        run = run_facile_functional(program, trace_jit=False)
+        run = run_facile_functional(program)
         oracle = FunctionalSim.for_program(program)
         oracle.run()
         assert run.halted and oracle.halted
@@ -294,11 +269,9 @@ class TestPackedReplayEquivalence:
 class TestPackedEviction:
     def test_limited_run_matches_unlimited(self, toy):
         words = multi_loop_program(5, 30)
-        base_ctx, base_engine, _ = run_memoized(toy, words, trace_jit=False)
+        base_ctx, base_engine, _ = run_memoized(toy, words)
         limit = base_engine.cache.stats.bytes_current // 3
-        ctx, engine, _ = run_memoized(
-            toy, words, trace_jit=False, cache_limit_bytes=limit,
-        )
+        ctx, engine, _ = run_memoized(toy, words, cache_limit_bytes=limit)
         assert registers(ctx) == registers(base_ctx)
         assert ctx.retired_total == base_ctx.retired_total
         assert engine.cache.stats.clears > 0
@@ -306,8 +279,7 @@ class TestPackedEviction:
 
     def test_full_clear_empties_pool(self, toy):
         ctx, engine, _ = run_memoized(
-            toy, multi_loop_program(4, 30), trace_jit=False,
-            cache_limit_bytes=1_200,
+            toy, multi_loop_program(4, 30), cache_limit_bytes=1_200,
         )
         cache = engine.cache
         assert cache.stats.clears > 0
@@ -668,7 +640,6 @@ class TestStreamEncoding:
         assert chain.data[-1] == -1 and chain.datavals[-1] is None
         assert chain.sux[0] is None and chain.sux[1] is None
         assert chain.sux[2] is chain.ends[0]
-        assert chain.n_records == 2 and chain.depth == 0
         assert chain.local_bytes == 3 * 12
 
     def test_single_successor_verify_falls_through(self):
@@ -715,7 +686,6 @@ class TestStreamEncoding:
         assert chain.tables == [{0: 1, 1: 3}]
         assert chain.sux[0] is chain.tables[0]  # the view shares the dict
         assert chain.succ[0] == ~0
-        assert chain.depth == 1 and chain.n_records == 3
         assert chain.local_bytes == 5 * 12 + 16 + 2 * 8
         # The expected value's pool reference went with the conversion.
         assert_billing(cache)

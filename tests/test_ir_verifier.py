@@ -433,7 +433,7 @@ class TestKernelFuzzParity:
             ctx = sim.make_context({"srcv": srcv})
             ctx.write_global("init", 0)
             engine = FastForwardEngine(
-                sim, ctx, replay_backend=backend, trace_jit=False)
+                sim, ctx, replay_backend=backend)
             engine.run(max_steps=24)
             if backend == "c":
                 # Keys cycle mod 4, so warm steps really replay — and
@@ -488,7 +488,7 @@ def test_known_overflow_divergence(expr):
         ctx = sim.make_context({"srcv": srcv})
         ctx.write_global("init", 0)
         engine = FastForwardEngine(
-            sim, ctx, replay_backend=backend, trace_jit=False)
+            sim, ctx, replay_backend=backend)
         engine.run(max_steps=24)
         outs[backend] = ctx.read_global("out")
         if backend == "c" and expr != "(x*x*x)":
@@ -557,7 +557,7 @@ def _edge_run(sim, externs, backend, steps, snapshot=None):
     ctx = sim.make_context(externs)
     ctx.write_global("init", 0)
     engine = FastForwardEngine(
-        sim, ctx, replay_backend=backend, trace_jit=False)
+        sim, ctx, replay_backend=backend)
     if snapshot is not None:
         assert engine.load_snapshot(str(snapshot), EDGE_FP).hit
     engine.run(max_steps=steps)
@@ -635,8 +635,7 @@ def _lane_engine(backend):
 
     ctx = sim.make_context({"srcv": srcv, "parity": lambda v: v & 1})
     ctx.write_global("init", 0)
-    return FastForwardEngine(sim, ctx, replay_backend=backend,
-                             trace_jit=False)
+    return FastForwardEngine(sim, ctx, replay_backend=backend)
 
 
 def _lane_digest(engine):
@@ -835,8 +834,7 @@ class TestLaneRegistration:
         ctx = engine.compiled.make_context(
             {"srcv": lambda v: (v * 7) % 10, "parity": lambda v: v & 1})
         ctx.write_global("init", 0)
-        second = FastForwardEngine(engine.compiled, ctx, replay_backend="c",
-                                   trace_jit=False)
+        second = FastForwardEngine(engine.compiled, ctx, replay_backend="c")
         second.run(max_steps=200)
         assert len(verified) == n
         assert second._cnative.chains_lowered > 0

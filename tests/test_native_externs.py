@@ -9,14 +9,16 @@ indistinguishable from them.  Two layers of enforcement:
   (via ``ffc_nx_call`` on zero-copy-bound state); per-call outcomes,
   every state array, and drained statistics must match exactly.
 * **Golden simulations** — cold and warm (snapshot) runs of the
-  inorder and ooo simulators in the default configuration (trace tier
-  on) give the Python backend's cycles and every predictor and
-  cache-level statistic, with zero Python extern callbacks on warm
-  replay of the shipped models.  The hand-coded fastsim twin has no C
-  path: a ``"c"`` request reports the Python degrade with a reason and
-  changes nothing.  The conformance matrix (``test_conformance.py``)
-  checks the same with the trace tier off, under a cache limit and
-  with the compiler masked.
+  inorder and ooo simulators give the Python backend's cycles and
+  every predictor and cache-level statistic, with zero Python extern
+  callbacks on warm replay of the shipped models.  The hand-coded
+  fastsim twin has no C path: a ``"c"`` request reports the Python
+  degrade with a reason and changes nothing.  The conformance matrix
+  (``test_conformance.py``) checks the same under a cache limit and
+  with the compiler masked, each warm cell loading the other
+  backend's snapshot; the golden test here loads one python-saved
+  snapshot into both backends, so it also runs python -> python, which
+  the matrix does not.
 """
 
 from __future__ import annotations

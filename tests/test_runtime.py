@@ -434,7 +434,6 @@ class TestMemoizerRecovery:
         m.end_step()
         assert entry.complete  # sealed again
         assert list(chain.nums) == [0, ~1, 2, ENDMARK, 3, ENDMARK]
-        assert chain.depth == 1 and chain.n_records == 4
         assert_billing(cache)
 
     def test_second_miss_adds_an_arm(self):
@@ -472,7 +471,6 @@ class TestMemoizerRecovery:
         m.begin_verify(5, ())
         assert m.pop_verify() == 2
         m.end_step()
-        assert entry.packed.depth == 2
         assert_billing(cache)
 
     def test_unrecorded_result_path_detected(self):

@@ -7,9 +7,10 @@ simulator; a stale, truncated, or corrupt snapshot degrades to a cold
 start with a counted ``snapshot_rejected`` stat and never raises; and
 the exact byte accounting — including the mmap-shared split — still
 reconciles after a load, a copy-on-miss unpack, and a clear.  The
-golden check here runs the default configuration; the conformance
-matrix (``test_conformance.py``) runs every backend, with and without
-a cache limit, with the trace tier off.
+conformance matrix (``test_conformance.py``) runs every backend, with
+and without a cache limit, each warm cell loading the other backend's
+snapshot; the golden check here loads a snapshot into the backend that
+saved it, python -> python, which the matrix does not.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from .simrun import SIMS, requires_cc, run
 @pytest.mark.parametrize("workload", ("compress", "go"))
 @pytest.mark.parametrize("sim_name", SIMS)
 def test_warm_start_bit_identical(tmp_path, workload, sim_name):
-    """Golden check: warm-start runs produce bit-identical cycle counts
-    and stats to cold runs on all three Facile simulators plus the
-    hand-coded FastSim."""
+    """Golden check: warm-start runs from a python-saved snapshot on the
+    python backend (a pairing the matrix does not run) produce
+    bit-identical cycle counts and stats to cold runs on all three
+    Facile simulators plus the hand-coded FastSim."""
     program = build_cached(workload, 1)
     snap = tmp_path / "cache.facsnap"
     cold = run(sim_name, program, cache_save=str(snap))
@@ -437,21 +439,25 @@ def test_cache_summary_reports_shared_split(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Format version 3: the kernel image and its checks
+# Format version 4: the kernel image and its checks
 # ---------------------------------------------------------------------------
 
 
 def test_version_2_snapshot_is_refused(tmp_path, snapshot_blob):
-    """A file of version 2, whose kernel image still listed the bodies
-    its chains run, is refused with its reason, counted, and the run
-    starts cold."""
+    """Files of the older versions are refused with their reason,
+    counted, and the run starts cold: version 2, whose kernel image
+    still listed the bodies its chains run, and version 3, whose entry
+    rows still held each chain's record count and table depth."""
     import struct
 
     path, program = snapshot_blob
-    blob = bytearray(path.read_bytes())
-    struct.pack_into("<I", blob, 8, 2)
-    info = _load_rejected(tmp_path, program, bytes(blob), "version mismatch")
-    assert info.reason == "version mismatch (snapshot v2, expected v3)"
+    for version in (2, 3):
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 8, version)
+        info = _load_rejected(tmp_path, program, bytes(blob),
+                              "version mismatch")
+        assert info.reason == (
+            f"version mismatch (snapshot v{version}, expected v4)")
 
 
 def _c_functional_engine(program):
@@ -460,8 +466,7 @@ def _c_functional_engine(program):
 
     compiled = compiled_functional_sim().simulator
     ctx = _prepare_context(compiled, program)
-    engine = FastForwardEngine(compiled, ctx, replay_backend="c",
-                               trace_jit=False)
+    engine = FastForwardEngine(compiled, ctx, replay_backend="c")
     return engine, engine_fingerprint(compiled, program)
 
 
@@ -477,6 +482,7 @@ def test_bad_kernel_image_rejects_the_snapshot(tmp_path, snapshot_blob,
     reason; the run starts cold and is correct.  The Python backend
     ignores the kernel image and still hits."""
     from repro.facile.cbackend import PK_TUPLE
+    from repro.facile.snapshot import ROW_WORDS
 
     from .snapfile import patch, read_sections, reseal
 
@@ -486,7 +492,7 @@ def test_bad_kernel_image_rejects_the_snapshot(tmp_path, snapshot_blob,
     blob = bytearray(path.read_bytes())
     if section == "objsucc":
         assert words["objsucc"], "no pooled objects to corrupt"
-        patch(blob, offsets["objsucc"], 0, len(words["rows"]) // 6)
+        patch(blob, offsets["objsucc"], 0, len(words["rows"]) // ROW_WORDS)
     else:
         mirror = words["mirror"]
         row = next(i for i in range(0, len(mirror), 5)
