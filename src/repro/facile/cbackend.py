@@ -43,18 +43,19 @@ tables back it:
   flattened into one ``int64`` arena (non-int members travel as object
   registry ids) with its kind and placeholder shape.  A snapshot brings
   the whole mirror, built where the chains were recorded, and installs
-  it in one ``ffc_mirror`` call; cold chains mirror the values they
-  need through the same call.  The pool's
-  release hook makes the mirror forget an index whose last reference
-  died, so a reused index is mirrored afresh; a clear resets the arena;
+  it in one ``ffc_mirror`` call; before a cold chain registers, every
+  value interned since the last sweep goes through the same call.  The
+  pool never reuses an index, so a mirrored value stays right until a
+  clear resets the arena;
 * the **object chains** name, per object registry id, the chain whose
   key that object is, from a snapshot.  At a step boundary with no link
   yet, an init slot holding such an object links the boundary in the
   kernel, billed as a lookup and a hit; only the boundaries the kernel
   cannot resolve return to Python (:meth:`CReplayBackend._link`).
 
-When registration meets a pool value it has not mirrored yet, it says
-so; Python mirrors it and calls again.
+Registration is one-way: the kernel never asks Python for a value.  A
+slot naming a pool index the kernel has not mirrored is refused as
+outside the pool, like any index out of range.
 
 Contract with the Python backend (the behavior reference):
 
@@ -111,6 +112,7 @@ import tempfile
 import time
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from .ir_verify import (
     KERNEL_MAX_SLOTS, KERNEL_NCOUNTERS, KERNEL_VM_LOCALS, KERNEL_VM_STACK,
@@ -160,10 +162,9 @@ MAX_CONSUMED = 8192
 # Pool-mirror value kinds, lane-registration results and refusal
 # reasons (keep in sync with the C source).
 PK_INT, PK_TUPLE, PK_BAD = 1, 2, 3
-R_NEED, R_REFUSED, R_NOMEM = -1, -2, -3
-NEED_CAP = 256
+R_REFUSED, R_NOMEM = -2, -3
 (F_END, F_POOL, F_SCALAR, F_DATA, F_KIND, F_EXPECT, F_TABLE, F_SUCC, F_BODY,
- F_SHAPE) = range(1, 11)
+ F_SHAPE, F_KEY) = range(1, 12)
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
@@ -321,10 +322,8 @@ _KERNEL_TEMPLATE = r"""
 #define PK_BAD 3
 
 /* ffc_add_chains results (>= 0 is the chain id) and refusal reasons. */
-#define R_NEED -1
 #define R_REFUSED -2
 #define R_NOMEM -3
-#define NEED_CAP 256
 
 #define F_END 1
 #define F_POOL 2
@@ -336,6 +335,7 @@ _KERNEL_TEMPLATE = r"""
 #define F_SUCC 8
 #define F_BODY 9
 #define F_SHAPE 10
+#define F_KEY 11
 
 #define X_BUDGET 0
 #define X_HALTED 1
@@ -409,9 +409,9 @@ i64 ffc_set_actions(St *st, i64 n, const i64 *rows) {
 /* Mirror n pool values: rows holds (pool index, kind, shape, offset,
  * length) per value, offsets into the nwords words, which join the
  * arena as one block.  shape_map, when given, turns the rows' shape
- * ids into this kernel's (a snapshot's image numbers its own).  A
- * cold chain mirrors the values it asks for; a snapshot load mirrors
- * its whole pool in one call. */
+ * ids into this kernel's (a snapshot's image numbers its own).  Cold
+ * chains mirror the values interned since the last call; a snapshot
+ * load mirrors its whole pool in one call. */
 i64 ffc_mirror(St *st, i64 n, const i64 *rows, const i64 *words, i64 nwords,
                const i64 *shape_map) {
     i64 top = 0;
@@ -507,19 +507,7 @@ i64 ffc_check_image(i64 npool, i64 nrows, const i64 *rows, const i64 *arena,
     return nobjwords == nobjs ? 0 : CK_OBJCOUNT;
 }
 
-/* Forget released pool indices: a later registration that needs one
- * again (the pool reuses freed indices) mirrors its new value afresh.
- * Their arena words stay until the next clear; a value dies only when
- * a verify turns into a jump table or a stale entry is overwritten. */
-void ffc_forget(St *st, const i64 *idx, i64 n) {
-    for (i64 k = 0; k < n; k++) {
-        i64 p = idx[k];
-        if (p >= 0 && p < st->npool) st->pool[p].kind = PK_NONE;
-    }
-}
-
-/* Values mirrored into the arena since the last clear, forgotten ones
- * included. */
+/* Values mirrored into the arena since the last clear. */
 i64 ffc_mirrored(St *st) {
     return st->nmirrored;
 }
@@ -548,8 +536,10 @@ static Chain *chain_alloc(i64 n, i64 nends, i64 ntabw, i64 ntables) {
     return ch;
 }
 
+/* The mirrored kind of pool index p; PK_NONE for one never mirrored
+ * (the pool never reuses an index, so a mirrored value is current). */
 static i64 pool_kind(St *st, i64 p) {
-    return p < st->npool ? st->pool[p].kind : PK_NONE;
+    return p >= 0 && p < st->npool ? st->pool[p].kind : PK_NONE;
 }
 
 static i64 refuse(i64 *out, i64 why, i64 where, i64 what) {
@@ -560,27 +550,18 @@ static i64 refuse(i64 *out, i64 why, i64 where, i64 what) {
     return R_REFUSED;
 }
 
-#define NEED(p) do { \
-        if (need[0] < NEED_CAP) need[1 + need[0]++] = (p); \
-        wants++; \
-    } while (0)
-
 /* Check and register one chain: n slots of nums/data/succ lanes, nends
- * end records, npool intern-pool values and ntables jump tables
- * flattened as [len, key, target, ...] each in the tabw words at tabs.
- * Writes the chain id, or R_NEED (the pool indices it needs mirrored
- * appended to need), or R_REFUSED with (F_* reason, slot (table for
- * F_SUCC), detail), or R_NOMEM, to out[0..3] and returns it. */
+ * end records and ntables jump tables flattened as [len, key, target,
+ * ...] each in the tabw words at tabs (ntables -1: a table has a key
+ * the kernel cannot take).  Every pool index must be mirrored.  Writes
+ * the chain id, or R_REFUSED with (F_* reason, slot (table for F_SUCC),
+ * detail), or R_NOMEM, to out[0..3] and returns it. */
 static i64 add_chain(St *st, const i64 *nums, const i64 *data,
-                     const i64 *succ, i64 n, i64 nends, i64 npool,
-                     const i64 *tabs, i64 ntables, i64 tabw, i64 *out,
-                     i64 *need) {
-    i64 wants = 0, ntabw = 0;
+                     const i64 *succ, i64 n, i64 nends, const i64 *tabs,
+                     i64 ntables, i64 tabw, i64 *out) {
+    i64 ntabw = 0;
     out[1] = out[2] = out[3] = 0;
-    if (ntables < 0) {  /* tables the kernel cannot take (non-int keys) */
-        out[0] = R_NEED;
-        return R_NEED;
-    }
+    if (ntables < 0) return refuse(out, F_KEY, -1, 0);
     for (i64 t = 0; t < ntables; t++) {
         if (ntabw >= tabw) return refuse(out, F_SUCC, t, -1);
         i64 len = tabs[ntabw++];
@@ -596,33 +577,24 @@ static i64 add_chain(St *st, const i64 *nums, const i64 *data,
             if (s < 0 || s >= nends) return refuse(out, F_END, i, s);
             continue;
         }
-        if (d < 0 || d >= npool) return refuse(out, F_POOL, i, d);
         i64 k = pool_kind(st, d);
-        if (k == PK_NONE) {
-            NEED(d);
-        } else if (k != PK_TUPLE) {
+        if (k == PK_NONE) return refuse(out, F_POOL, i, d);
+        if (k != PK_TUPLE)
             return refuse(out, k == PK_INT ? F_SCALAR : F_DATA, i, d);
-        } else {
-            /* The action's compiled body, in the data's shape. */
-            i64 a = num < 0 ? ~num : num;
-            i64 row = a < st->nacts ? st->acts[a] : -1;
-            if (row < 0) return refuse(out, F_BODY, i, a);
-            if (row >> 1 != st->pool[d].shape)
-                return refuse(out, F_SHAPE, i, st->pool[d].shape);
-            if ((row & 1) != (num < 0)) return refuse(out, F_KIND, i, d);
-        }
+        /* The action's compiled body, in the data's shape. */
+        i64 a = num < 0 ? ~num : num;
+        i64 row = a < st->nacts ? st->acts[a] : -1;
+        if (row < 0) return refuse(out, F_BODY, i, a);
+        if (row >> 1 != st->pool[d].shape)
+            return refuse(out, F_SHAPE, i, st->pool[d].shape);
+        if ((row & 1) != (num < 0)) return refuse(out, F_KIND, i, d);
         if (num < 0 && s >= 0) {
-            if (s >= npool) return refuse(out, F_POOL, i, s);
             k = pool_kind(st, s);
-            if (k == PK_NONE) NEED(s);
-            else if (k != PK_INT) return refuse(out, F_EXPECT, i, s);
+            if (k == PK_NONE) return refuse(out, F_POOL, i, s);
+            if (k != PK_INT) return refuse(out, F_EXPECT, i, s);
         } else if (num < 0 && ~s >= ntables) {
             return refuse(out, F_TABLE, i, ~s);
         }
-    }
-    if (wants) {
-        out[0] = R_NEED;
-        return R_NEED;
     }
     out[0] = R_NOMEM;
     Chain **chains = (Chain **)grow(st->chains, &st->chaincap,
@@ -667,24 +639,21 @@ static i64 add_chain(St *st, const i64 *nums, const i64 *data,
  * nums, data and succ columns (nslots words each, chains back to
  * back), and trows[2k], trows[2k + 1] give the offset of its jump
  * tables in tabs (tabw words) and their count, -1 for tables the
- * kernel cannot take.  out[4k..4k+3] receives the chain's add_chain
- * result; need[0] counts the pool indices after it that the chains
- * asked for (at most NEED_CAP).
- * Returns the number of chains registered, or R_NOMEM when the lanes
- * overrun their columns or memory runs out. */
+ * kernel cannot take.  Every pool value the chains name must be
+ * mirrored first.  out[4k..4k+3] receives the chain's add_chain
+ * result.  Returns the number of chains registered, or R_NOMEM when
+ * the lanes overrun their columns or memory runs out. */
 i64 ffc_add_chains(St *st, i64 nchains, const i64 *rows, i64 stride,
                    const i64 *nums, const i64 *data, const i64 *succ,
                    i64 nslots, const i64 *trows, const i64 *tabs, i64 tabw,
-                   i64 npool, i64 *out, i64 *need) {
+                   i64 *out) {
     i64 off = 0, added = 0;
-    need[0] = 0;
     for (i64 k = 0; k < nchains; k++, rows += stride, out += 4) {
         i64 n = rows[0], toff = trows[2 * k];
         if (n < 0 || n > nslots - off || toff < 0 || toff > tabw)
             return R_NOMEM;
         i64 r = add_chain(st, nums + off, data + off, succ + off, n, rows[1],
-                          npool, tabs + toff, trows[2 * k + 1], tabw - toff,
-                          out, need);
+                          tabs + toff, trows[2 * k + 1], tabw - toff, out);
         if (r == R_NOMEM) return R_NOMEM;
         if (r >= 0) added++;
         off += n;
@@ -767,7 +736,7 @@ void ffc_reset_pages(St *st) {
 
 /* -- native extern models ----------------------------------------------- */
 /* Bit-for-bit ports of the Python reference models in repro/uarch/.
- * Array slot conventions (bound by _nx_lower on the Python side):
+ * Array slot conventions (bound by _nx_explain on the Python side):
  *   direction kinds: arr[0]=table [arr[1]=regs]; TOURN arr[0]=chooser,
  *     arr[1]=bimodal table, arr[2]=gshare table, arr[3]=gshare regs,
  *     params[0]=entries, params[1]=gshare entries.
@@ -1328,8 +1297,6 @@ def _declare(lib) -> None:
     lib.ffc_set_actions.argtypes = [ctypes.c_void_p, _LL, _PTR]
     lib.ffc_mirror.restype = _LL
     lib.ffc_mirror.argtypes = [ctypes.c_void_p, _LL, _PTR, _PTR, _LL, _BUF]
-    lib.ffc_forget.restype = None
-    lib.ffc_forget.argtypes = [ctypes.c_void_p, _BUF, _LL]
     lib.ffc_mirrored.restype = _LL
     lib.ffc_mirrored.argtypes = [ctypes.c_void_p]
     lib.ffc_check_image.restype = _LL
@@ -1340,7 +1307,7 @@ def _declare(lib) -> None:
     lib.ffc_add_chains.restype = _LL
     lib.ffc_add_chains.argtypes = [
         ctypes.c_void_p, _LL, _PTR, _LL, _PTR, _PTR, _PTR, _LL, _PTR, _PTR,
-        _LL, _LL, _PTR, _PTR,
+        _LL, _PTR,
     ]
     lib.ffc_set_objchains.restype = _LL
     lib.ffc_set_objchains.argtypes = [ctypes.c_void_p, _LL, _PTR, _PTR, _LL]
@@ -1625,13 +1592,8 @@ class CReplayBackend:
         self.lib = kernel.lib
         self.bodies = bodies
         self.externs = bodies.externs
-        # Pool indices whose last reference died since the kernel last
-        # heard of them (the pool's release hook appends here).
-        self._released: list[int] = []
-        engine.cache.pool.on_release = self._released.append
         # Pool length at the last mirror sweep (see _mirror).
         self._swept = 0
-        self._need = array("q", bytes(8 * (1 + NEED_CAP)))
         self._out = array("q", bytes(32))
         # Chain id -> its entry (None once dropped).
         self._entries: list = []
@@ -1731,47 +1693,36 @@ class CReplayBackend:
 
     def _add_chain(self, chain) -> int:
         """Register one chain through the kernel's N-chain entry point
-        (N = 1), reading its lanes in place and mirroring each pool
-        value it asks for on the way."""
-        if self._released:
-            self._forget_released()
+        (N = 1), reading its lanes in place: mirror the pool values
+        interned since the last sweep, then make one kernel call."""
         tables = chain.tables
         tabs = _flatten_tables(tables)
         nums, data, succ = chain.nums, chain.data, chain.succ
         n = len(nums)
         if not n == len(data) == len(succ):
             raise Unlowerable("packed lanes of unequal length")
+        if self._swept < len(chain.pool.values):
+            self._mirror(chain.pool)
         # The chain's row, then its table row (offset 0, count).
         row = array("q", (n, len(chain.ends), 0, len(tables)))
-        values = chain.pool.values
-        need = self._need
-        out = self._out
-        # The call's words stay put while it asks for values.
         row_p = _addr(row)
-        args = (self._st_p, 1, row_p, 4, _addr(nums), _addr(data),
+        out = self._out
+        if self.lib.ffc_add_chains(
+                self._st_p, 1, row_p, 4, _addr(nums), _addr(data),
                 _addr(succ), n, row_p + 16, _addr(tabs), len(tabs),
-                len(values), _addr(out), _addr(need))
-        while True:
-            if (self.lib.ffc_add_chains(*args) == R_NOMEM
-                    or out[0] == R_NOMEM):
-                raise Unlowerable("kernel out of memory")
-            cid = out[0]
-            if cid >= 0:
-                return cid
-            if cid == R_REFUSED:
-                raise Unlowerable(_refusal(chain, self.bodies, out[1],
-                                           out[2], out[3]))
-            self._mirror(set(need[1:1 + need[0]]), values)
+                _addr(out)) == R_NOMEM or out[0] == R_NOMEM:
+            raise Unlowerable("kernel out of memory")
+        if out[0] == R_REFUSED:
+            raise Unlowerable(_refusal(chain, self.bodies, out[1], out[2],
+                                       out[3]))
+        return out[0]
 
-    def _mirror(self, pidx: set[int], values: list) -> None:
-        """Flatten pool values into the kernel's arena, once each: the
-        ones a registration asked for, plus every value interned since
-        the last call, so most chains register in a single call."""
+    def _mirror(self, pool) -> None:
+        """Flatten every live pool value interned since the last sweep
+        into the kernel's arena.  The pool never reuses an index, so a
+        value mirrored once stays right until the cache clears."""
+        values = pool.values
         top = len(values)
-        if self._swept < top:
-            pidx.update(p for p in range(self._swept, top)
-                        if values[p] is not None)
-            self._swept = top
         meta = array("q")
         words = array("q")
         shape_id = self.bodies.shape_id
@@ -1780,19 +1731,15 @@ class CReplayBackend:
         def obj_word(x, j):
             return register(x)
 
-        for p in pidx:
+        swept = self._swept
+        for p in compress(range(swept, top), pool._refs[swept:top]):
             mark = len(words)
             kind, shape = _flatten_value(values[p], words, shape_id, obj_word)
             meta.extend((p, kind, shape, mark, len(words) - mark))
-        if self.lib.ffc_mirror(self._st_p, len(pidx), _addr(meta),
+        if self.lib.ffc_mirror(self._st_p, len(meta) // 5, _addr(meta),
                                _addr(words), len(words), None) < 0:
             raise Unlowerable("kernel out of memory")
-
-    def _forget_released(self) -> None:
-        released = self._released
-        self.lib.ffc_forget(
-            self._st_p, array("q", released).tobytes(), len(released))
-        released.clear()
+        self._swept = top
 
     # -- warm starts -----------------------------------------------------
 
@@ -1826,8 +1773,9 @@ class CReplayBackend:
         words are already registry ids), the pool mirror in one kernel
         call, every chain in one kernel call, and the chain each init
         object names.  The kernel refuses a chain there as it refuses a
-        cold one, with the same reason; a chain it cannot take in bulk
-        registers alone, the way a cold chain does."""
+        cold one, with the same reason; a chain the call did not reach
+        (memory ran out) registers on its first replay, as a cold chain
+        does."""
         pool = self.engine.cache.pool
         values = pool.values
         refs = image.objrefs
@@ -1843,15 +1791,14 @@ class CReplayBackend:
             return  # out of memory: every chain registers lazily
         self._swept = len(values)
         n = len(entries)
-        out = array("q", (R_NEED, 0, 0, 0)) * n
+        out = array("q", (R_NOMEM, 0, 0, 0)) * n
         lib.ffc_add_chains(
             self._st_p, n, _addr(image.rows), image.row_words,
             _addr(image.nums), _addr(image.data), _addr(image.succ),
             len(image.nums), _addr(image.trows), _addr(image.ktabs),
-            len(image.ktabs), len(values), _addr(out), _addr(self._need),
+            len(image.ktabs), _addr(out),
         )
         cids = out[0::4]
-        alone = []
         for k, (entry, cid) in enumerate(zip(entries, cids)):
             if cid >= 0:
                 entry.cnative = cid
@@ -1859,19 +1806,11 @@ class CReplayBackend:
                 self._refuse(entry, _refusal(
                     entry.packed, self.bodies, out[4 * k + 1],
                     out[4 * k + 2], out[4 * k + 3]))
-            else:
-                # Needs Python (a value the image lacks, tables the
-                # kernel cannot take) or memory: register alone.
-                alone.append(k)
-        # Chain ids are dense: the bulk ones in entry order, then the
-        # ones registered alone (_lower counts those).
-        base = len(self._entries)
-        self._entries.extend([e for e, cid in zip(entries, cids) if cid >= 0])
-        self.chains_lowered += len(self._entries) - base
-        for k in alone:
-            cid = self._lower(entries[k])
-            out[4 * k] = -1 if cid is None else cid
-        self.chains_registered_at_load += len(self._entries) - base
+        # Chain ids are dense, in entry order.
+        lowered = [e for e, cid in zip(entries, cids) if cid >= 0]
+        self._entries.extend(lowered)
+        self.chains_lowered += len(lowered)
+        self.chains_registered_at_load += len(lowered)
         lib.ffc_set_objchains(self._st_p, len(image.objsucc),
                               _addr(image.objsucc), _addr(out), n)
 
@@ -1892,7 +1831,6 @@ class CReplayBackend:
             if entry is not None:
                 entry.cnative = None
         self._entries.clear()
-        self._released.clear()
         self._swept = 0
         # The mirror referenced the object registry; all gone together.
         self._objs.clear()
@@ -2246,7 +2184,7 @@ class CReplayBackend:
     def summary(self) -> dict:
         """Lowering and dispatch statistics.  ``values_mirrored`` counts
         the pool values mirrored into the kernel's arena since the last
-        clear, forgotten ones included; ``chains_registered_at_load``
+        clear; ``chains_registered_at_load``
         the chains a snapshot load registered in bulk;
         ``links_in_python`` the step boundaries :meth:`_link` resolved;
         ``bodies_compiled`` the bodies the simulator's library holds in
@@ -2346,8 +2284,9 @@ def kernel_image(pool, chains: list, entry_of) -> dict:
     non-int tuple member numbered by its position in ``objrefs`` (pool
     index, member) and ``objsucc`` holding ``entry_of(member)``, the
     index of the entry that member keys or -1; and the jump tables as
-    kernel words (count -1 for a chain with a non-int table key).
-    Shape ids index ``shapes``."""
+    kernel words, count -1 for a chain with a table key the kernel
+    cannot take (the load refuses that chain with the reason a cold
+    registration gives).  Shape ids index ``shapes``."""
     values = pool.values
     refs = pool._refs
     shape_ids: dict[str, int] = {}
@@ -2435,6 +2374,12 @@ def _refusal(chain, library: BodyLibrary, why: int, where: int,
     values = chain.pool.values
     if why == F_EXPECT:
         return f"non-int verify value {values[what]!r}"
+    if why == F_KEY:  # the reason _flatten_tables gives a cold chain
+        try:
+            _flatten_tables(chain.tables)
+        except Unlowerable as exc:
+            return str(exc)
+        return "chain rejected at lane registration: table key not an i64"
     if why == F_SUCC:
         return (f"chain rejected at lane registration: table {where}: "
                 f"successor {what} outside [0, {len(chain.nums)}]")
@@ -2481,22 +2426,15 @@ _NX_DIR_KINDS = {
 }
 
 
-def _nx_lower(name, model):
+def _nx_explain(name, model):
     """Resolve an (extern name, bound model) pair to a native dispatch
     plan ``(kind, params, {arr_slot: array}, models_to_drain)``.
 
     Matching is structural — the model's ``config_key()`` tag and
     ``array('q')`` state buffers (the uarch module protocol) — so user
     subclasses that change behaviour but keep the protocol shape still
-    lower, while anything unrecognised returns None and keeps the
-    Python callback path for that extern alone.
-    """
-    plan, _why = _nx_explain(name, model)
-    return plan
-
-
-def _nx_explain(name, model):
-    """:func:`_nx_lower` with why-not provenance.
+    lower, while anything unrecognised keeps the Python callback path
+    for that extern alone.
 
     Returns ``(plan, None)`` when the pair lowers, else ``(None,
     reason)`` — a stable human-readable sentence naming the structural

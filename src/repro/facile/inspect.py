@@ -14,7 +14,6 @@ from .analysis import CheckReport
 from .analysis import why_dynamic as _why_dynamic
 from .bta import DYNAMIC
 from .compiler import CompilationResult
-from .run import body_library_line
 from .runtime import ENDMARK, PENDING, ActionCache, CacheEntry
 
 
@@ -145,8 +144,8 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
     """Aggregate statistics plus a path-shape census of the cache.
 
     With ``engine`` (a :class:`FastForwardEngine`), also renders its
-    report's replay backend, C-kernel compile status, and native
-    lowering/dispatch counters."""
+    report's replay backend block (:meth:`~repro.facile.run.RunReport.
+    backend_lines`), as the CLI prints it."""
     stats = cache.stats
     n_forks = 0
     n_records = 0
@@ -197,53 +196,7 @@ def cache_summary(cache: ActionCache, engine=None) -> str:
             f"{stats.snapshot_rejected} snapshots rejected"
         )
     if engine is not None:
-        report = engine.report
-        bstat = report.backend
-        if bstat["active"] == "c":
-            lines.append(
-                f"  replay backend:   c (kernel ready in "
-                f"{bstat['compile_ms']:.1f} ms)"
-            )
-        elif bstat["requested"] != "python":
-            lines.append(
-                f"  replay backend:   python (requested "
-                f"{bstat['requested']}: {bstat['reason']})"
-            )
-        else:
-            lines.append("  replay backend:   python")
-        ns = report.native
-        if ns is not None:
-            lines.append(
-                f"  native replay:    {ns['chains_lowered']:,} chains "
-                f"lowered ({ns['chains_unlowerable']:,} unlowerable, "
-                f"{ns['chains_registered_at_load']:,} registered at "
-                f"load), {ns['links_in_python']:,} links in python, "
-                f"{ns['values_mirrored']:,} pool values mirrored, "
-                f"{ns['runs']:,} kernel runs, "
-                f"{ns['python_fallbacks']:,} python fallbacks"
-            )
-            lines.append(f"  {body_library_line(ns)}")
-            lines += [f"    {line}" for line in report.declined()]
-            by_name = ns["externs"]
-            n_native = sum(c["native"] for c in by_name.values())
-            n_python = sum(c["python"] for c in by_name.values())
-            lines.append(
-                f"  externs:          {n_native:,} native / "
-                f"{n_python:,} python"
-            )
-            for name, c in sorted(by_name.items()):
-                kind = (
-                    "native" if c["native"] and not c["python"]
-                    else "python" if c["python"] and not c["native"]
-                    else "mixed" if c["python"] or c["native"] else "idle"
-                )
-                lines.append(
-                    f"    {name:<14} {c['native']:>12,} native "
-                    f"{c['python']:>10,} python  [{kind}]"
-                )
-                why = ns["extern_whynot"].get(name)
-                if why and kind != "native":
-                    lines.append(f"      why not native: {why}")
+        lines += [f"  {line}" for line in engine.report.backend_lines()]
     return "\n".join(lines)
 
 

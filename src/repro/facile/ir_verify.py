@@ -586,7 +586,7 @@ def builtin_model_suite() -> list[tuple[str, object, list]]:
 
     This is the population the ``uarch-protocol`` analysis pass audits:
     the shipped direction predictors, the BTB/RAS front end, and the
-    cache hierarchy — exactly what ``cbackend._nx_lower`` can bind into
+    cache hierarchy — exactly what ``cbackend._nx_explain`` can bind into
     the kernel.
     """
     from repro.uarch.branch import (

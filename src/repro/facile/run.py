@@ -90,15 +90,6 @@ class RunConfig:
         return result
 
 
-def body_library_line(native: dict) -> str:
-    """How many bodies the simulator's library runs as C, and its build
-    (the C backend's ``summary()`` in ``native``)."""
-    built = ("from the disk cache" if native["library_cached"]
-             else f"cc {native['library_ms']:.1f} ms")
-    return (f"body library: {native['bodies_compiled']:,} bodies compiled "
-            f"to C ({built})")
-
-
 @dataclass(frozen=True)
 class RunReport:
     """What one run did, read off its counters.
@@ -156,7 +147,7 @@ class RunReport:
             out.append(f"steps: {s.steps_total:,} total, {s.steps_fast:,} "
                        f"fast, {s.steps_slow:,} slow, "
                        f"{s.steps_recovered:,} recovered")
-        out += self._backend_lines()
+        out += self.backend_lines()
         if self.clears:
             out.append(f"cache: {self.clears} clears")
         if self.packs:
@@ -167,7 +158,12 @@ class RunReport:
                        f"hit rate, {saved:,} bytes saved")
         return out + self._snapshot_lines()
 
-    def _backend_lines(self) -> list[str]:
+    def backend_lines(self) -> list[str]:
+        """The replay backend block, as the CLI and ``cache_summary``
+        print it: nothing for a run that asked for Python and got it.
+        A C run adds the bodies the kernel handed back to the spec, by
+        reason, and each distinct reason a chain was not lowered (at
+        most eight)."""
         b = self.backend
         if b is None or b["requested"] == b["active"] == "python":
             return []
@@ -178,30 +174,30 @@ class RunReport:
         by_name = ns["externs"]
         detail = ", ".join(f"{name} {c['native']:,}/{c['python']:,}"
                            for name, c in sorted(by_name.items()))
-        return [
+        built = ("from the disk cache" if ns["library_cached"]
+                 else f"cc {ns['library_ms']:.1f} ms")
+        out = [
             f"replay backend: c (kernel ready in {b['compile_ms']:.1f} ms; "
-            f"{ns['chains_lowered']:,} chains lowered, {ns['runs']:,} "
-            f"kernel runs, {ns['python_fallbacks']:,} python fallbacks)",
-            body_library_line(ns),
+            f"{ns['chains_lowered']:,} chains lowered "
+            f"({ns['chains_unlowerable']:,} unlowerable, "
+            f"{ns['chains_registered_at_load']:,} registered at load), "
+            f"{ns['links_in_python']:,} links in python, "
+            f"{ns['values_mirrored']:,} pool values mirrored, "
+            f"{ns['runs']:,} kernel runs, {ns['python_fallbacks']:,} "
+            f"python fallbacks)",
+            f"body library: {ns['bodies_compiled']:,} bodies compiled to C "
+            f"({built})",
             f"externs: {sum(c['native'] for c in by_name.values()):,} "
             f"native / {sum(c['python'] for c in by_name.values()):,} python"
             + (f" ({detail})" if detail else ""),
-            *self.declined(),
-            *(f"why not native: {name}: {why}"
-              for name, why in sorted(ns["extern_whynot"].items())),
         ]
-
-    def declined(self) -> list[str]:
-        """Bodies the C kernel handed back to the spec, by reason, and
-        each distinct reason a chain was not lowered (at most eight)."""
-        ns = self.native
-        out = []
         if ns["handbacks"]:
             out.append("bodies handed back to the spec: " + ", ".join(
                 f"{name} ×{n:,}" for name, n in sorted(ns["handbacks"].items())))
         out += [f"unlowerable ×{n}: {reason}" for reason, n
                 in sorted(ns["unlowerable_reasons"].items())[:8]]
-        return out
+        return out + [f"why not native: {name}: {why}"
+                      for name, why in sorted(ns["extern_whynot"].items())]
 
     def _snapshot_lines(self) -> list[str]:
         out = []

@@ -253,9 +253,11 @@ class InternPool:
     feed, so ``True``/``1`` conflate — harmless, since every consumer
     already compares these values with ``==``.
 
-    ``on_release`` (when set) is called with each index whose last
-    reference dies, before the index can be reused: the C replay
-    backend's mirror of the pool forgets it.
+    Each index is handed out once: a value whose last reference dies
+    leaves its slot empty (``None``, refcount 0) until :meth:`clear`,
+    and ``emptied`` counts those slots.  So an index names one value
+    for the pool's life, and the C replay backend's mirror of a value
+    never goes stale.
 
     A snapshot load installs values without their value -> index map
     (``_index`` None); the first :meth:`intern` or :meth:`release`
@@ -263,8 +265,8 @@ class InternPool:
     """
 
     __slots__ = (
-        "_index", "values", "_refs", "_costs", "_free",
-        "hits", "misses", "bytes_live", "bytes_saved", "on_release",
+        "_index", "values", "_refs", "_costs", "emptied",
+        "hits", "misses", "bytes_live", "bytes_saved",
     )
 
     def __init__(self) -> None:
@@ -272,12 +274,11 @@ class InternPool:
         self.values: list[Any] = []
         self._refs: list[int] = []
         self._costs: list[int] = []
-        self._free: list[int] = []
+        self.emptied = 0
         self.hits = 0
         self.misses = 0
         self.bytes_live = 0
         self.bytes_saved = 0
-        self.on_release: Callable[[int], None] | None = None
 
     def intern(self, value: Any) -> tuple[int, int]:
         """Return ``(index, charged_bytes)`` for one more reference to
@@ -301,16 +302,10 @@ class InternPool:
         with one reference; returns its index.  :meth:`Memoizer.action`
         interns inline and calls this on a miss."""
         self.misses += 1
-        if self._free:
-            idx = self._free.pop()
-            self.values[idx] = value
-            self._refs[idx] = 1
-            self._costs[idx] = cost
-        else:
-            idx = len(self.values)
-            self.values.append(value)
-            self._refs.append(1)
-            self._costs.append(cost)
+        idx = len(self.values)
+        self.values.append(value)
+        self._refs.append(1)
+        self._costs.append(cost)
         self._index[value] = idx
         self.bytes_live += cost
         return idx
@@ -335,14 +330,12 @@ class InternPool:
         del index[self.values[idx]]
         self.values[idx] = None
         self._costs[idx] = 0
-        self._free.append(idx)
+        self.emptied += 1
         self.bytes_live -= cost
-        if self.on_release is not None:
-            self.on_release(idx)
         return cost
 
     def live_values(self) -> int:
-        return len(self.values) - len(self._free)
+        return len(self.values) - self.emptied
 
     def recount(self) -> int:
         """Recompute ``bytes_live`` from scratch (accounting audits)."""
@@ -359,7 +352,7 @@ class InternPool:
         self.values.clear()
         self._refs.clear()
         self._costs.clear()
-        self._free.clear()
+        self.emptied = 0
         self.bytes_live = 0
 
 

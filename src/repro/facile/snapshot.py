@@ -81,7 +81,6 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress
-from operator import not_
 from typing import Any
 
 from .runtime import (
@@ -519,7 +518,7 @@ def _encode_chains(meta: bytearray, lanes: list, pool, keyed: list,
     back shared.  A value ``marshal`` cannot round-trip exactly is
     left out of the blob and sent through the tagged codec after it.
     ``lanes`` gets the ``q`` sections: pool refcounts and accounted
-    costs (slot for slot, free slots included, so the lanes' pool
+    costs (slot for slot, emptied slots included, so the lanes' pool
     indices stay valid verbatim), one row per chain, and the chains'
     ``nums``, ``data`` and ``succ`` lanes as three columns.  The
     leading marshal version guards the blob across interpreter
@@ -672,8 +671,9 @@ def _bulk_build():
 
 
 def _install_pool(pool, sec: _Chains) -> None:
-    """Install the pool slot for slot; its value index is built on the
-    first intern or release."""
+    """Install the pool slot for slot, emptied slots included, so new
+    values append after them; its value index is built on the first
+    intern or release."""
     if pool.values:
         raise SnapshotError("cannot load a snapshot into a non-empty pool")
     values, refs, costs = sec.values, sec.refs, sec.costs
@@ -681,7 +681,7 @@ def _install_pool(pool, sec: _Chains) -> None:
     pool._refs.extend(refs)
     pool._costs.extend(costs)
     pool._index = None
-    pool._free.extend(compress(range(len(refs)), map(not_, refs)))
+    pool.emptied = refs.count(0)
     pool.bytes_live += sum(compress(costs, refs))
 
 

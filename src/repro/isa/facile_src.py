@@ -34,11 +34,6 @@ token instruction[32] fields
 """
 
 
-def _operand_forms(body_imm: str, body_reg: str) -> str:
-    """Emit the i==1 / i==0 split so each form keeps its own binding times."""
-    return f"  if (i) {{ {body_imm} }} else {{ {body_reg} }}\n"
-
-
 def _arith_sem(spec: S.ArithOp, halt_builtin: bool = True) -> str:
     name = spec.name
     track = f"  CLS_G = {spec.cls};\n"

@@ -28,14 +28,6 @@ class Program:
     symbols: dict[str, int] = field(default_factory=dict)
     stack_top: int = DEFAULT_STACK_TOP
 
-    @property
-    def text_end(self) -> int:
-        return self.text_base + 4 * len(self.text_words)
-
-    def word_at(self, addr: int) -> int:
-        index = (addr - self.text_base) // 4
-        return self.text_words[index]
-
     def load_into(self, mem) -> None:
         """Write the image into a target memory: the text words as
         little-endian bytes, then the data."""

@@ -145,11 +145,6 @@ class CacheArray:
             return evicted
         return None
 
-    def invalidate_all(self) -> None:
-        ways = self.ways
-        for i in range(len(ways)):
-            ways[i] = -1
-
 
 @dataclass
 class HierarchyConfig:
@@ -318,9 +313,3 @@ class CacheHierarchy:
     @property
     def stats(self) -> dict[str, CacheStats]:
         return {"l1": self.l1.stats, "l2": self.l2.stats}
-
-    def reset_stats(self) -> None:
-        self.l1.stats = CacheStats()
-        self.l2.stats = CacheStats()
-        for i in range(len(self.stats_delta)):
-            self.stats_delta[i] = 0

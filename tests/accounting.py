@@ -10,7 +10,8 @@ def assert_pool_refs(pool, chains) -> None:
     """The pool's reference counts match the lanes: every live index is
     referenced exactly as often as slots across ``chains`` hold it as
     data, plus single-successor verifies hold it as their expected
-    value, and no lane points at a free index."""
+    value, no lane points at an emptied index, and ``pool.emptied``
+    counts the emptied slots, each holding ``None``."""
     held: Counter = Counter()
     for chain in chains:
         for num, d, s in zip(chain.nums, chain.data, chain.succ):
@@ -19,8 +20,10 @@ def assert_pool_refs(pool, chains) -> None:
             held[d] += 1
             if num < 0 and s >= 0:
                 held[s] += 1
-    free = set(pool._free)
-    assert not free & held.keys(), sorted(free & held.keys())
+    empty = {i for i, n in enumerate(pool._refs) if n == 0}
+    assert len(empty) == pool.emptied
+    assert all(pool.values[i] is None for i in empty)
+    assert not empty & held.keys(), sorted(empty & held.keys())
     live = {i: n for i, n in enumerate(pool._refs) if n > 0}
     assert live == dict(held)
 

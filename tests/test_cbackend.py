@@ -358,6 +358,93 @@ def test_snapshot_in_a_shape_the_library_lacks_is_refused_at_load(tmp_path):
     assert asdict(warm.stats) == asdict(ref.stats)
 
 
+@pytest.fixture
+def add_chains_calls(monkeypatch):
+    """The chain count of every ``ffc_add_chains`` call the kernel takes
+    while the test runs."""
+    from repro.facile.cbackend import load_kernel
+
+    lib = load_kernel().lib
+    real = lib.ffc_add_chains
+    calls = []
+
+    def counted(st, nchains, *args):
+        calls.append(nchains)
+        return real(st, nchains, *args)
+
+    monkeypatch.setattr(lib, "ffc_add_chains", counted)
+    return calls
+
+
+# ``big`` returns 1 << 70 three calls in four and 7 on the fourth, so
+# every entry's verify of it grows a jump table keyed by both values.
+BIG_KEY_SRC = """
+val init = 0;
+val acc = 0;
+extern big(1);
+fun main(pc) {
+  val x = big(pc);
+  if (x?verify == 7) { acc = acc + pc; } else { acc = acc + 2; }
+  init = (pc + 1) % 3;
+}
+"""
+
+#: Content address for the BIG_KEY_SRC snapshots below.
+BIG_KEY_FP = "ef" * 32
+
+
+def _big_key_engine(sim, backend, snapshot=None):
+    calls = [0]
+
+    def big(pc):
+        calls[0] += 1
+        return 7 if calls[0] % 4 == 0 else 1 << 70
+
+    ctx = sim.make_context({"big": big})
+    ctx.write_global("init", 0)
+    engine = FastForwardEngine(sim, ctx, replay_backend=backend)
+    if snapshot is not None:
+        assert engine.load_snapshot(str(snapshot), BIG_KEY_FP).hit
+    return engine
+
+
+@requires_cc
+def test_snapshot_table_with_a_non_int_key_is_refused_at_load(
+        tmp_path, add_chains_calls):
+    """A chain whose jump table has a key outside i64 is refused by the
+    load's one bulk registration call, with the reason a cold
+    registration gives, and replays on the Python loop with the Python
+    backend's result."""
+    from repro.facile.compiler import compile_source
+
+    sim = compile_source(BIG_KEY_SRC).simulator
+    snap = tmp_path / "big.facsnap"
+    saved = _big_key_engine(sim, "python")
+    saved.run(max_steps=60)
+    assert all(e.packed.tables for e in saved.cache.entries.values())
+    saved.save_snapshot(str(snap), BIG_KEY_FP)
+    reason = f"non-int verify value {1 << 70}"
+    cold = _big_key_engine(sim, "c")
+    cold.run(max_steps=60)
+    assert set(cold._cnative.unlowerable_reasons) == {reason}
+    del add_chains_calls[:]
+    warm = _big_key_engine(sim, "c", snapshot=snap)
+    native = warm._cnative
+    n = len(warm.cache.entries)
+    assert add_chains_calls == [n]
+    assert [e.cnative for e in warm.cache.entries.values()] == [-1] * n
+    assert native.chains_registered_at_load == 0
+    assert native.unlowerable_reasons == {reason: n}
+    warm.run(max_steps=60)
+    ref = _big_key_engine(sim, "python", snapshot=snap)
+    ref.run(max_steps=60)
+    assert native.chains_lowered == 0
+    assert add_chains_calls == [n]
+    assert warm.ctx.read_global("acc") == ref.ctx.read_global("acc")
+    assert asdict(warm.cache.stats) == asdict(ref.cache.stats)
+    assert asdict(warm.stats) == asdict(ref.stats)
+
+
 # Keys cycle 0 -> 1 -> 2.  Keys 0 and 2 replay one fixed chain; at key 1
 # a ``?verify`` pins a counter that never repeats, so every pass after
 # the first misses there, recovers, and records the new value as
@@ -378,39 +465,21 @@ fun main(pc) {
 
 
 @requires_cc
-def test_pool_index_freed_by_a_conversion_is_mirrored_afresh(monkeypatch):
+def test_pool_index_freed_by_a_conversion_stays_empty(add_chains_calls):
     """The first miss at key 1 turns the verify's single expected value
-    into a jump table, which releases that value's pool index, and the
-    new arm's placeholder data reuses the index at once.  The kernel had
-    mirrored the old value there, so it must forget it and mirror the
-    new one when the grown chain is lowered again: results and every
-    statistic equal the Python backend's."""
-    from repro.facile.cbackend import CReplayBackend
+    into a jump table, which releases that value's pool index.  The
+    index stays empty in both backends, and the new arm's data appends
+    after it, so the kernel's mirror of the pool never goes stale:
+    results and every statistic equal the Python backend's, and the C
+    engine registers each chain it lowers in one kernel call."""
     from repro.facile.compiler import compile_source
 
     sim = compile_source(CHURN_SRC).simulator
-    events = []
-    mirror = CReplayBackend._mirror
-
-    def logged_mirror(self, pidx, values):
-        events.append(("mirror", set(pidx)))
-        return mirror(self, pidx, values)
-
-    monkeypatch.setattr(CReplayBackend, "_mirror", logged_mirror)
     engines = {}
     for backend in ("c", "python"):
         ctx = sim.make_context()
         ctx.write_global("init", 0)
         engine = FastForwardEngine(sim, ctx, replay_backend=backend)
-        pool = engine.cache.pool
-        hook = pool.on_release
-
-        def on_release(idx, hook=hook, backend=backend):
-            events.append(("free", backend, idx))
-            if hook is not None:
-                hook(idx)
-
-        pool.on_release = on_release
         engine.run(max_steps=120)
         engines[backend] = engine
     eng_c, eng_p = engines["c"], engines["python"]
@@ -419,18 +488,20 @@ def test_pool_index_freed_by_a_conversion_is_mirrored_afresh(monkeypatch):
     assert asdict(eng_c.cache.stats) == asdict(eng_p.cache.stats)
     assert asdict(eng_c.stats) == asdict(eng_p.stats)
     assert eng_c.stats.steps_recovered == 39  # every pass after the first
-    # A stale mirror would make the kernel refuse the grown chain.
-    assert eng_c._cnative.chains_unlowerable == 0
-    # Later misses only add arms: one value dies, in both backends.
-    frees = [e for e in events if e[0] == "free"]
-    assert [e[1] for e in frees] == ["c", "python"]
-    assert frees[0][2] == frees[1][2]
-    idx = frees[0][2]
-    # Reused by a live value, and asked for again by the kernel after
-    # it was freed.
-    assert eng_c.cache.pool._refs[idx] > 0
-    after = events[events.index(frees[0]) + 1:]
-    assert any(e[0] == "mirror" and idx in e[1] for e in after), events
+    # Later misses only add arms: one value dies, in both backends, and
+    # its index is never handed out again.
+    emptied = {}
+    for backend, engine in engines.items():
+        pool = engine.cache.pool
+        emptied[backend] = [i for i, n in enumerate(pool._refs) if n == 0]
+        assert pool.emptied == 1
+        (idx,) = emptied[backend]
+        assert pool.values[idx] is None
+        assert idx < len(pool.values) - 1
+    assert emptied["c"] == emptied["python"]
+    native = eng_c._cnative
+    assert native.chains_unlowerable == 0
+    assert add_chains_calls == [1] * native.chains_lowered
     assert_billing(eng_c.cache)
     assert_billing(eng_p.cache)
 
@@ -513,6 +584,18 @@ def test_cold_parity_exact_stats(sim_name):
     assert rc.holder.backend_status["active"] == "c"
     assert rc.holder._cnative.runs > 0
     assert rc.holder._cnative.chains_unlowerable == 0
+
+
+@requires_cc
+@pytest.mark.parametrize("sim_name", ENGINE_SIMS)
+def test_each_chain_registers_in_one_kernel_call(sim_name, add_chains_calls):
+    """A cold run mirrors the pool values a chain names before it
+    registers the chain, so the kernel takes every chain in one call."""
+    rc = run(sim_name, build_cached("compress", 1), replay_backend="c")
+    native = rc.holder._cnative
+    assert native.chains_unlowerable == 0
+    assert add_chains_calls == [1] * native.chains_lowered
+    assert native.chains_lowered > 0
 
 
 @requires_cc
@@ -633,30 +716,37 @@ def test_unknown_backend_rejected():
 
 @requires_cc
 def test_cache_summary_reports_backend():
+    """``cache_summary`` prints the run report's backend block, the
+    lines the CLI prints, with every count the backend summarises."""
     from repro.facile.inspect import cache_summary
 
     program = build_cached("compress", 1)
     engine = run("functional", program, replay_backend="c").holder
     text = cache_summary(engine.cache, engine=engine)
-    assert "replay backend:   c" in text
-    assert "native replay:" in text
+    block = engine.report.backend_lines()
+    assert block[0].startswith("replay backend: c (")
+    assert "\n".join(f"  {line}" for line in block) in text
     ns = engine._cnative.summary()
     assert ns["values_mirrored"] > 0
     # Every compiled body is in the rows the kernel got when the engine
     # started.
     rows = engine._cnative.bodies.rows
     assert sum(row >= 0 for row in rows) == ns["bodies_compiled"] > 0
-    assert f"{ns['values_mirrored']:,} pool values mirrored" in text
+    assert (f"{ns['chains_lowered']:,} chains lowered "
+            f"({ns['chains_unlowerable']:,} unlowerable, "
+            f"{ns['chains_registered_at_load']:,} registered at load), "
+            f"{ns['links_in_python']:,} links in python, "
+            f"{ns['values_mirrored']:,} pool values mirrored, "
+            f"{ns['runs']:,} kernel runs") in block[0]
     # The simulator's body library: its size and its build.
-    library = (f"body library: {ns['bodies_compiled']:,} bodies compiled "
-               "to C (")
-    assert ns["bodies_compiled"] > 0
-    assert library in text
-    assert any(line.startswith(library) for line in engine.report.lines())
+    assert block[1].startswith(
+        f"body library: {ns['bodies_compiled']:,} bodies compiled to C (")
+    assert block[2].startswith("externs: ")
     rp = run("functional", program, replay_backend="python").holder
-    text_p = cache_summary(rp.cache, engine=rp)
-    assert "replay backend:   python" in text_p
-    # Legacy one-argument form keeps working.
+    # A run that asked for Python and got it has no backend block, in
+    # the summary as on the CLI.
+    assert rp.report.backend_lines() == []
+    assert cache_summary(rp.cache, engine=rp) == cache_summary(rp.cache)
     assert "replay backend" not in cache_summary(rp.cache)
 
 

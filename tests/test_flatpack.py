@@ -371,13 +371,19 @@ class TestInternPool:
         assert pool.bytes_live == 0
         assert pool.live_values() == 0
 
-    def test_free_list_recycles_slots(self):
+    def test_released_slot_is_not_reused_until_clear(self):
         pool = InternPool()
         idx, _ = pool.intern((1,))
         pool.release(idx)
-        idx2, _ = pool.intern((2,))
-        assert idx2 == idx  # the freed slot is reused
-        assert pool.values[idx2] == (2,)
+        assert pool.values[idx] is None and pool.emptied == 1
+        # Neither a new value nor the released one takes the slot back.
+        assert pool.intern((2,))[0] == idx + 1
+        assert pool.intern((1,))[0] == idx + 2
+        assert pool.values[idx] is None
+        assert pool.live_values() == 2
+        pool.clear()
+        assert pool.emptied == 0
+        assert pool.intern((3,))[0] == 0
 
     def test_equality_keying_conflates_equal_values(self):
         # True == 1: the pool keys by equality, same as the verify
@@ -427,6 +433,7 @@ class TestInternPool:
                 live_refs[idx] -= 1
             assert pool.bytes_live == pool.recount()
             assert pool.bytes_live == charged - freed
+            assert pool.live_values() == sum(n > 0 for n in live_refs.values())
 
 
 # -- dict placeholder data ------------------------------------------------------

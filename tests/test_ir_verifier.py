@@ -869,12 +869,14 @@ class TestSnapshotLaneRegistration:
 
     def _corrupt(self, good, case, tmp_path):
         from repro.facile.cbackend import _flatten_tables
+        from repro.facile.snapshot import ROW_WORDS
 
         from .snapfile import patch, read_sections, reseal
 
         path, k, chain = good
         offsets, words = read_sections(path, LANE_FP)
-        first = sum(words["rows"][0:6 * k:6])  # chain k's lane offset
+        # Chain k's lane offset: the slot counts of the chains before it.
+        first = sum(words["rows"][0:ROW_WORDS * k:ROW_WORDS])
         blob = bytearray(path.read_bytes())
         for name, value in CORRUPTIONS[case][0](chain).items():
             if name == "tables":

@@ -55,7 +55,7 @@ from .simrun import KERNEL, requires_cc, run
 
 class _NativeTwin:
     """Drives a uarch model through the kernel's native dispatch, using
-    the same ``_nx_lower`` resolution the replay backends use."""
+    the same ``_nx_explain`` resolution the replay backends use."""
 
     def __init__(self):
         self.lib = KERNEL.lib
@@ -67,8 +67,8 @@ class _NativeTwin:
         self._keep = []
 
     def register(self, name: str, model) -> int:
-        plan = cb._nx_lower(name, model)
-        assert plan is not None, f"{name} did not lower natively"
+        plan, why = cb._nx_explain(name, model)
+        assert plan is not None, f"{name} did not lower natively: {why}"
         kind, params, arrays, _drain = plan
         pbuf = array("q", params) if params else None
         nxid = self.lib.ffc_nx_add(
@@ -301,8 +301,9 @@ def test_unknown_extern_keeps_callback_path():
         def config_key(self):
             return ("mystery", 1)
 
-    assert cb._nx_lower("xcache", OpaqueModel()) is None
-    assert cb._nx_lower("xbpred", OpaqueModel()) is None
+    for name in ("xcache", "xbpred"):
+        plan, why = cb._nx_explain(name, OpaqueModel())
+        assert plan is None and why
     # Recognised models still lower in the same process.
-    plan = cb._nx_lower("xbpred", FrontEndPredictor())
-    assert plan is not None
+    plan, why = cb._nx_explain("xbpred", FrontEndPredictor())
+    assert plan is not None and why is None

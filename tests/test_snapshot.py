@@ -67,6 +67,24 @@ def test_accounting_reconciles_after_load(tmp_path, sim_name):
     assert cache.stats.snapshot_entries > 0
 
 
+def test_loaded_pool_appends_after_emptied_slots(tmp_path):
+    """A pool saved with emptied slots loads them empty and counts them,
+    so its live values equal the saved pool's, and a value interned
+    after the load appends after them instead of taking one back."""
+    program = build_cached("compress", 1)
+    snap = tmp_path / "cache.facsnap"
+    saved = run("inorder", program, cache_save=str(snap)).holder.cache.pool
+    assert saved.emptied > 0
+    warm = run("inorder", program, cache_load=str(snap))
+    assert warm.slow() == (0, 0)
+    pool = warm.holder.cache.pool
+    assert pool.emptied == saved.emptied
+    assert pool.live_values() == saved.live_values()
+    assert pool.values == saved.values
+    assert pool.intern(("appended",))[0] == len(saved.values)
+    assert pool.live_values() == saved.live_values() + 1
+
+
 def test_fastsim_accounting_reconciles_after_load(tmp_path):
     program = build_cached("compress", 1)
     snap = tmp_path / "cache.facsnap"
